@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -407,17 +406,13 @@ def main(argv=None) -> int:
 
     if args.problem is not None:
         if args.problem == "all":
-            instances = corpus()
             base = Path(args.trace) if args.trace else None
-
-            def job(inst):
+            codes = []
+            for inst in corpus():
                 path = None
                 if base is not None:
                     path = base.with_name(f"{base.stem}_{inst.name}{base.suffix or '.csv'}")
-                return _run_instance(inst, args, path)
-
-            with ThreadPoolExecutor(max_workers=len(instances)) as pool:
-                codes = list(pool.map(job, instances))
+                codes.append(_run_instance(inst, args, path))
             return max(codes)
         try:
             inst = get_problem(args.problem)

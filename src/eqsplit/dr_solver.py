@@ -215,6 +215,7 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certificate_fn):
     y_clean = None
     try:
         while True:
+            y_clean = None  # J_G x of this pass, unknown until jg returns
             y_clean = jg(x)
             z_clean = jf(2.0 * y_clean - x)
             res = 2.0 * norm(z_clean - y_clean)
@@ -241,7 +242,10 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certificate_fn):
     except ConvergenceFailure as failure:
         warnings.warn(f"inner resolvent failure at iteration {n}: {failure}")
         status = INNER_FAILURE
-        y_clean = failure.iterate if failure.iterate is not None else x.copy()
+        if y_clean is None:
+            # J_G itself failed at x: its last inner iterate is the best
+            # available shadow point
+            y_clean = failure.iterate if failure.iterate is not None else x.copy()
 
     y_star = y_clean if y_clean is not None else jg(x)
     certificate = certificate_fn(y_star) if certificate_fn is not None else None

@@ -37,7 +37,7 @@ from .bifunctions import (
     operator_bifunction,
 )
 from .hilbert import ConvexSet, WholeSpace, as_vector, sample_points
-from .resolvents import ResolventOracle, partial_second, resolve
+from .resolvents import ResolventOracle, _linear_resolvent, partial_second, resolve
 
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
@@ -193,14 +193,10 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
     M.setflags(write=False)
     c.setflags(write=False)
 
-    def factory(gamma):
-        A = np.eye(d) + gamma * M
-        return lambda x: np.linalg.solve(A, x - gamma * c)
-
     return MonotoneOperator(
         dimension=d,
         domain_set=WholeSpace(d),
-        resolvent_factory=factory,
+        resolvent_factory=lambda gamma: _linear_resolvent(M, c, gamma),
         evaluate=lambda x: IntervalImage.point(M @ as_vector(x, d) + c),
         affine_form=(M, c),
         name=name or "affine",

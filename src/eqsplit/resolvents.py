@@ -8,22 +8,34 @@ to the unique z in C with
 and the reflection is 2 J x - x.  The resolvent is single valued and firmly
 nonexpansive; the reflection is nonexpansive.
 
-Dispatch by structural family:
+Dispatch by structural family, done once when a :class:`ResolventOracle`
+is built:
 
 * zero map (operator-induced with M = 0): z = P_C(x - gamma c), a pure
   projection after a constant shift;
-* operator-induced over the whole space: solve (I + gamma M) z = x - gamma c;
+* operator-induced over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
 * operator-induced over a general set: inner iterative solve of the
   1-strongly-monotone variational inequality;
 * function-difference f(y) - f(x): z minimizes gamma f(y) + ||y - x||^2 / 2
   over C (closed forms for whole-space and box with separable f, projected
   gradient otherwise);
 * generic / sum-of-two: inner iterative.
+
+Linear resolvents (the whole-space operator-induced case and the
+whole-space quadratic prox (I + gamma Q)^{-1}) are factored once per
+oracle: the inverse of I + gamma M is formed at construction and each call
+is one matrix-vector product.  For monotone M, sym(I + gamma M) >= I, so
+||(I + gamma M)^{-1}|| <= 1 and the condition number is at most
+1 + gamma ||M||; the explicit inverse loses nothing against a per-call
+solve.  A singular I + gamma M (possible only for non-monotone M) raises
+ValueError when the oracle is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -263,13 +275,33 @@ def inner_solve(
     )
 
 
+def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
+
+    Raises ValueError when I + gamma M is singular.
+    """
+    d = matrix.shape[0]
+    try:
+        K = np.linalg.inv(np.eye(d) + gamma * matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"I + gamma M is singular at gamma = {gamma}; the operator is not monotone"
+        ) from exc
+    shift = gamma * offset
+    return lambda x: K @ (x - shift)
+
+
 @dataclass(frozen=True)
 class ResolventOracle:
     """Resolvent of ``gamma * bifunction`` with a fixed computation method.
 
-    ``method`` is chosen from the family and set kind when not given.  The
-    oracle is immutable and :func:`resolve` is pure, so one oracle may be
-    shared across concurrent solves.
+    ``method`` is chosen from the family and set kind when not given; a
+    forced closed form must be the one the family and set admit.  All
+    per-(family, set, gamma) work, such as inverting I + gamma M, happens
+    here, once.  The verification sample ``check_points`` is drawn on first
+    read; closed forms never read it.  The oracle is immutable and
+    :func:`resolve` is pure, so one oracle may be shared across concurrent
+    solves.
     """
 
     gamma: float
@@ -282,20 +314,51 @@ class ResolventOracle:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        method = self.method or _choose_method(self.bifunction)
+        natural = _choose_method(self.bifunction)
+        method = self.method or natural
         if method not in METHODS:
             raise ValueError(f"unknown resolvent method {method!r}")
+        if method not in (natural, INNER_ITERATIVE):
+            raise ValueError(
+                f"resolvent method {method!r} does not apply to a {self.bifunction.family} "
+                f"bifunction over a {self.bifunction.set.kind} set"
+            )
         object.__setattr__(self, "method", method)
-        C = self.bifunction.set
-        object.__setattr__(self, "_check_points", sample_points(C, CHECK_SAMPLE_SIZE, self.seed))
+        object.__setattr__(self, "_apply", _build(self))
 
     @property
     def dimension(self) -> int:
         return self.bifunction.dimension
 
-    @property
+    @cached_property
     def check_points(self) -> np.ndarray:
-        return self._check_points
+        return sample_points(self.bifunction.set, CHECK_SAMPLE_SIZE, self.seed)
+
+
+def _build(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> J x of a validated oracle, for its method."""
+    F = oracle.bifunction
+    C = F.set
+    gamma = oracle.gamma
+    if oracle.method == CLOSED_FORM_PROJECTION:
+        shift = gamma * F.offset
+        return lambda x: C.project(x - shift)
+    if oracle.method == CLOSED_FORM_LINEAR_SOLVE:
+        return _linear_resolvent(F.matrix, F.offset, gamma)
+    if oracle.method == PROX_COMPOSITION:
+        return _prox_composition(oracle)
+    return lambda x: _inner_resolve(oracle, x)
+
+
+def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
+    return inner_solve(
+        oracle.bifunction,
+        oracle.gamma,
+        x,
+        tol=oracle.inner_tol,
+        max_iter=oracle.inner_max_iter,
+        samples=oracle.check_points,
+    )
 
 
 def resolve(oracle: ResolventOracle, x) -> np.ndarray:
@@ -305,29 +368,7 @@ def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     sample.  Inner-solver exhaustion raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
     """
-    F = oracle.bifunction
-    C = F.set
-    gamma = oracle.gamma
-    x = as_vector(x, C.dimension)
-
-    if oracle.method == CLOSED_FORM_PROJECTION:
-        return C.project(x - gamma * F.offset)
-
-    if oracle.method == CLOSED_FORM_LINEAR_SOLVE:
-        d = C.dimension
-        return np.linalg.solve(np.eye(d) + gamma * F.matrix, x - gamma * F.offset)
-
-    if oracle.method == PROX_COMPOSITION:
-        return _prox_composition(oracle, x)
-
-    return inner_solve(
-        F,
-        gamma,
-        x,
-        tol=oracle.inner_tol,
-        max_iter=oracle.inner_max_iter,
-        samples=oracle.check_points,
-    )
+    return oracle._apply(as_vector(x, oracle.dimension))
 
 
 def reflect(oracle: ResolventOracle, x) -> np.ndarray:
@@ -353,7 +394,7 @@ def residual_certificate(oracle: ResolventOracle, x, z) -> float:
 # prox composition: minimize gamma f(y) + ||y - x||^2 / 2 over C
 # ---------------------------------------------------------------------------
 
-def _prox_composition(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
+def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
     F = oracle.bifunction
     C = F.set
     gamma = oracle.gamma
@@ -361,37 +402,34 @@ def _prox_composition(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
 
     if C.kind == "whole-space":
         if isinstance(f, Quadratic):
-            d = C.dimension
-            return np.linalg.solve(np.eye(d) + gamma * f.Q, x - gamma * f.q)
+            return _linear_resolvent(f.Q, f.q, gamma)
         if isinstance(f, WeightedL1):
-            return soft_threshold(x, gamma * f.weights)
+            t = gamma * f.weights
+            return lambda x: soft_threshold(x, t)
         if isinstance(f, AffineFunction):
-            return x - gamma * f.a
+            shift = gamma * f.a
+            return lambda x: x - shift
 
     if C.kind == "box":
         # the objective is separable over a box for these families, and the
         # constrained minimizer of a 1-D convex function on an interval is
         # the clamp of its unconstrained minimizer
         if isinstance(f, Quadratic) and f.separable:
-            diag = np.diag(f.Q)
-            return C.project((x - gamma * f.q) / (1.0 + gamma * diag))
+            shift = gamma * f.q
+            scale = 1.0 + gamma * np.diag(f.Q)
+            return lambda x: C.project((x - shift) / scale)
         if isinstance(f, WeightedL1):
-            return C.project(soft_threshold(x, gamma * f.weights))
+            t = gamma * f.weights
+            return lambda x: C.project(soft_threshold(x, t))
         if isinstance(f, AffineFunction):
-            return C.project(x - gamma * f.a)
+            shift = gamma * f.a
+            return lambda x: C.project(x - shift)
 
-    bounds = f.curvature_bounds()
-    if bounds is not None:
-        return _projected_gradient_prox(C, f, gamma, x, oracle.inner_tol, oracle.inner_max_iter)
+    if f.curvature_bounds() is not None:
+        tol, max_iter = oracle.inner_tol, oracle.inner_max_iter
+        return lambda x: _projected_gradient_prox(C, f, gamma, x, tol, max_iter)
     # nonsmooth f over an unstructured set: generic variational route
-    return inner_solve(
-        F,
-        gamma,
-        x,
-        tol=oracle.inner_tol,
-        max_iter=oracle.inner_max_iter,
-        samples=oracle.check_points,
-    )
+    return lambda x: _inner_resolve(oracle, x)
 
 
 def _projected_gradient_prox(C, f, gamma, x, tol, max_iter):

@@ -195,6 +195,9 @@ def test_batch_all_problems(tmp_path, capsys):
     assert code == EXIT_CONVERGED
     written = sorted(p.name for p in tmp_path.glob("trace_*.csv"))
     assert len(written) == len(corpus())
+    lines = capsys.readouterr().out.splitlines()
+    names = [line[1:line.index("]")] for line in lines if line.startswith("[")]
+    assert names == [name for inst in corpus() for name in (inst.name, inst.name)]
 
 
 def test_spec_roundtrip_matches_direct_solve(tmp_path):

@@ -235,9 +235,15 @@ def test_max_iter_status():
 def test_inner_failure_status():
     inst = get_problem("vi-over-box")
     cfg = SolverConfig(inner_max_iter=2, residual_tol=1e-12)
-    with pytest.warns(UserWarning, match="inner resolvent failure"):
-        res = solve(inst.F, inst.G, inst.default_x0, cfg)
-    assert res.status == INNER_FAILURE
+    JG = ResolventOracle(cfg.gamma, inst.G, seed=cfg.seed)
+    # from (2, -1) the shadow point P_C x = (1, 0) and the failed inner
+    # iterate of J_F at 2 P_C x - x differ
+    for x0 in (inst.default_x0, [2.0, -1.0]):
+        with pytest.warns(UserWarning, match="inner resolvent failure"):
+            res = solve(inst.F, inst.G, x0, cfg)
+        assert res.status == INNER_FAILURE
+        # J_F failed, so the reported point is the shadow point J_G x*
+        np.testing.assert_array_equal(res.y_star, resolve(JG, res.x_star))
 
 
 def test_error_injection_converges_to_same_solution():

@@ -11,8 +11,10 @@ from eqsplit.bifunctions import (
     operator_bifunction,
     zero_bifunction,
 )
-from eqsplit.hilbert import Box, WholeSpace, norm
+from eqsplit.hilbert import Box, WholeSpace, norm, sample_points
+from eqsplit.operators import affine_operator, operator_from_bifunction
 from eqsplit.resolvents import (
+    CHECK_SAMPLE_SIZE,
     CLOSED_FORM_LINEAR_SOLVE,
     CLOSED_FORM_PROJECTION,
     INNER_ITERATIVE,
@@ -251,3 +253,83 @@ def test_gamma_must_be_positive():
         ResolventOracle(0.0, zero_bifunction(C))
     with pytest.raises(ValueError, match="gamma"):
         ResolventOracle(-1.0, zero_bifunction(C))
+
+
+# ---------------------------------------------------------------------------
+# linear resolvents factored once per oracle
+# ---------------------------------------------------------------------------
+
+def _skew_plus_shift(d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d))
+    return (A - A.T) / (2.0 * np.sqrt(d)) + 0.1 * np.eye(d), rng.normal(size=d), rng.normal(size=d)
+
+
+def test_linear_resolvent_matches_direct_solve_at_d200():
+    d, gamma = 200, 1.5
+    M, c, x = _skew_plus_shift(d, 0)
+    o = ResolventOracle(gamma, operator_bifunction(WholeSpace(d), M, c))
+    assert o.method == CLOSED_FORM_LINEAR_SOLVE
+    expected = np.linalg.solve(np.eye(d) + gamma * M, x - gamma * c)
+    assert norm(resolve(o, x) - expected) <= 1e-12 * norm(expected)
+
+    rng = np.random.default_rng(1)
+    B = rng.normal(size=(d, d))
+    Q, q = B @ B.T / d, rng.normal(size=d)
+    o = ResolventOracle(gamma, function_difference(WholeSpace(d), Quadratic(Q, q)))
+    assert o.method == PROX_COMPOSITION
+    expected = np.linalg.solve(np.eye(d) + gamma * Q, x - gamma * q)
+    assert norm(resolve(o, x) - expected) <= 1e-12 * norm(expected)
+
+
+def test_closed_form_linear_resolvents_solve_nothing_per_call(monkeypatch):
+    H = WholeSpace(3)
+    M, c, x = _skew_plus_shift(3, 2)
+    linear = ResolventOracle(1.0, operator_bifunction(H, M, c))
+    prox = ResolventOracle(1.0, function_difference(H, Quadratic(np.eye(3), c)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called per resolve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert np.all(np.isfinite(resolve(linear, x)))
+    assert np.all(np.isfinite(resolve(prox, x)))
+
+
+def test_check_points_drawn_on_first_read(monkeypatch):
+    draws = []
+
+    def counting_sample_points(*args, **kwargs):
+        draws.append(args)
+        return sample_points(*args, **kwargs)
+
+    monkeypatch.setattr("eqsplit.resolvents.sample_points", counting_sample_points)
+    o = ResolventOracle(1.0, operator_bifunction(WholeSpace(2), [[1.0, 1.0], [-1.0, 1.0]]))
+    resolve(o, [1.0, 2.0])
+    assert draws == []
+    first = o.check_points
+    assert first.shape == (CHECK_SAMPLE_SIZE, 2)
+    assert o.check_points is first
+    assert len(draws) == 1
+
+
+def test_singular_linear_resolvent_rejected_at_construction():
+    # M = -I is not monotone and makes I + M singular at gamma = 1
+    F = operator_bifunction(WholeSpace(2), -np.eye(2))
+    with pytest.raises(ValueError, match="singular"):
+        ResolventOracle(1.0, F)
+
+
+def test_forced_closed_form_must_apply():
+    F = operator_bifunction(Box([0.0, 0.0], [1.0, 1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="does not apply"):
+        ResolventOracle(1.0, F, method=CLOSED_FORM_LINEAR_SOLVE)
+
+
+def test_affine_operator_and_induced_operator_share_linear_resolvent():
+    d, gamma = 20, 0.7
+    M, c, _ = _skew_plus_shift(d, 3)
+    direct = affine_operator(M, c).resolvent_factory(gamma)
+    induced = operator_from_bifunction(operator_bifunction(WholeSpace(d), M, c)).resolvent_factory(gamma)
+    for x in np.random.default_rng(4).normal(size=(10, d)):
+        np.testing.assert_array_equal(direct(x), induced(x))
