@@ -56,7 +56,7 @@ from .bifunctions import (
     zero_bifunction,
 )
 from .dr_solver import ERROR_PRESETS, LAMBDA_PRESETS, SolveResult, SolverConfig, solve
-from .hilbert import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, WholeSpace
+from .hilbert import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, WholeSpace, sample_points
 from .problems import ProblemInstance, corpus, get_problem
 
 EXIT_CONVERGED = 0
@@ -302,10 +302,12 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: SolverConfig):
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
+    # the certificate sample of dr_solver.equilibrium_certificate, drawn once
+    # per file instead of once per row
+    Y = sample_points(F.set, cfg.certificate_samples, cfg.seed)
     for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
-        cert = dr_solver.equilibrium_certificate(
-            F, G, F.set.project(y), samples=cfg.certificate_samples, seed=cfg.seed
-        )
+        y = F.set.project(y)
+        cert = float((F.eval_batch(y, Y) + G.eval_batch(y, Y)).min())
         rows.append(f"{n},{res!r},{step!r},{cert!r}")
     rows.append(f"# status = {result.status}")
     rows.append(f"# iterations = {result.iterations}")

@@ -14,11 +14,15 @@ is built:
 * zero map (operator-induced with M = 0): z = P_C(x - gamma c), a pure
   projection after a constant shift;
 * operator-induced over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
-* operator-induced over a general set: inner iterative solve of the
+* operator-induced over a box: the box linear complementarity problem
+  (I + gamma M) z + gamma c - x in -N_box(z), solved exactly by block
+  principal pivoting;
+* operator-induced over any other set: inner iterative solve of the
   1-strongly-monotone variational inequality;
 * function-difference f(y) - f(x): z minimizes gamma f(y) + ||y - x||^2 / 2
-  over C (closed forms for whole-space and box with separable f, projected
-  gradient otherwise);
+  over C (closed forms for the whole space and for a box, where a
+  non-separable quadratic goes through the same pivoting as above;
+  projected gradient over other sets);
 * generic / sum-of-two: inner iterative.
 
 Linear resolvents (the whole-space operator-induced case and the
@@ -29,6 +33,13 @@ is one matrix-vector product.  For monotone M, sym(I + gamma M) >= I, so
 1 + gamma ||M||; the explicit inverse loses nothing against a per-call
 solve.  A singular I + gamma M (possible only for non-monotone M) raises
 ValueError when the oracle is built.
+
+The same bound makes I + gamma M a P-matrix, for which block principal
+pivoting with Murty's single-pivot backup ends in finitely many passes.
+Its answer satisfies the KKT sign conditions of the box problem, which
+certify it exactly, so no sampled check is made.  A non-monotone M can
+make the pivoting cycle or meet a singular block; the call then raises
+:class:`ConvergenceFailure` instead of returning a point.
 """
 
 from __future__ import annotations
@@ -91,7 +102,7 @@ def _choose_method(F: Bifunction) -> str:
             # constant operator: the variational inequality reduces to a
             # projection of the shifted point for any C
             return CLOSED_FORM_PROJECTION
-        if F.set.kind == "whole-space":
+        if F.set.kind in ("whole-space", "box"):
             return CLOSED_FORM_LINEAR_SOLVE
         return INNER_ITERATIVE
     if F.family == FUNCTION_DIFFERENCE:
@@ -275,20 +286,105 @@ def inner_solve(
     )
 
 
+def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
+    """A^{-1} for A = I + gamma M; ValueError when it is singular."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"I + gamma M is singular at gamma = {gamma}; the operator is not monotone"
+        ) from exc
+
+
 def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
 
     Raises ValueError when I + gamma M is singular.
     """
-    d = matrix.shape[0]
-    try:
-        K = np.linalg.inv(np.eye(d) + gamma * matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"I + gamma M is singular at gamma = {gamma}; the operator is not monotone"
-        ) from exc
+    K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
     shift = gamma * offset
     return lambda x: K @ (x - shift)
+
+
+#: pivoting passes without a drop in the infeasible count before the box
+#: solver falls back to single pivots
+BLOCK_PIVOT_PATIENCE = 3
+
+
+def _box_linear_resolvent(
+    matrix: np.ndarray, offset: np.ndarray, gamma: float, lo: np.ndarray, hi: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> the z in [lo, hi] with (I + gamma M) z + gamma c - x in -N_box(z).
+
+    Block principal pivoting on the box linear complementarity problem
+    (Judice & Pires, Comput. Oper. Res. 21, 1994).  Each coordinate is free,
+    at lo or at hi, and all start free.  Every pass solves
+    A_FF z_F = b_F - A_F,fixed z_fixed with A = I + gamma M and
+    b = x - gamma c, then flips every infeasible coordinate: a free one
+    outside the box, or a bound one whose w = A z - b has the wrong sign.
+    After ``BLOCK_PIVOT_PATIENCE`` passes without a drop in the infeasible
+    count only the largest-index one is flipped (Murty's rule), which
+    terminates for every P-matrix A; monotone M gives sym(A) >= I, hence a
+    P-matrix.  The returned point satisfies the KKT signs, which certify it
+    exactly.
+
+    Raises ValueError when A is singular, and :class:`ConvergenceFailure`
+    carrying the clamp of b when the pivot cap is reached or a block is
+    singular; all three need a non-monotone M.
+    """
+    d = matrix.shape[0]
+    A = np.eye(d) + gamma * matrix
+    K = _invert(A, gamma)
+    shift = gamma * offset
+    pinned = lo == hi
+    bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
+    max_pivots = 10 * d + 50
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        b = x - shift
+        tol = 1e-12 * (bound_scale + np.abs(b).max())
+        free = np.ones(d, dtype=bool)
+        at_hi = np.zeros(d, dtype=bool)
+        z = K @ b
+        best, patience = d + 1, BLOCK_PIVOT_PATIENCE
+        for passes in range(1, max_pivots + 1):
+            w = A @ z - b
+            infeasible = (free & ((z < lo - tol) | (z > hi + tol))) | (
+                ~free & ~pinned & np.where(at_hi, w > tol, w < -tol)
+            )
+            count = int(np.count_nonzero(infeasible))
+            if count == 0:
+                return np.minimum(np.maximum(z, lo), hi)
+            if count < best:
+                best, patience = count, BLOCK_PIVOT_PATIENCE
+            elif patience > 0:
+                patience -= 1
+            else:
+                last = np.flatnonzero(infeasible)[-1]
+                infeasible = np.zeros(d, dtype=bool)
+                infeasible[last] = True
+            at_hi = (at_hi & ~infeasible) | (infeasible & free & (z > hi))
+            free ^= infeasible
+            z = np.where(at_hi, hi, lo)
+            z[free] = 0.0
+            if free.any():
+                r = b - A @ z
+                try:
+                    z[free] = np.linalg.solve(A[free][:, free], r[free])
+                except np.linalg.LinAlgError:
+                    reason = f"singular block at pivoting pass {passes}"
+                    break
+        else:
+            reason = f"no solution within {max_pivots} pivoting passes"
+        z = np.minimum(np.maximum(b, lo), hi)
+        raise ConvergenceFailure(
+            f"box resolvent at gamma = {gamma}: {reason}; the operator is not monotone",
+            iterate=z,
+            residual=norm(z - np.minimum(np.maximum(z - (A @ z - b), lo), hi)),
+            iterations=passes,
+        )
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -344,6 +440,8 @@ def _build(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
         shift = gamma * F.offset
         return lambda x: C.project(x - shift)
     if oracle.method == CLOSED_FORM_LINEAR_SOLVE:
+        if C.kind == "box":
+            return _box_linear_resolvent(F.matrix, F.offset, gamma, C.lo, C.hi)
         return _linear_resolvent(F.matrix, F.offset, gamma)
     if oracle.method == PROX_COMPOSITION:
         return _prox_composition(oracle)
@@ -362,10 +460,12 @@ def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
 
 
 def resolve(oracle: ResolventOracle, x) -> np.ndarray:
-    """Apply the resolvent: the unique z in C certified by the inequality
+    """Apply the resolvent: the unique z in C with
 
-    gamma F(z, y) + <z - x, y - z> >= -inner_tol over the verification
-    sample.  Inner-solver exhaustion raises :class:`ConvergenceFailure`
+    gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
+    forms and certified up to -inner_tol over the verification sample for
+    the inner iterative route.  Inner-solver exhaustion (or box pivoting
+    that fails on a non-monotone operator) raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
     """
     return oracle._apply(as_vector(x, oracle.dimension))
@@ -411,10 +511,12 @@ def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndar
             return lambda x: x - shift
 
     if C.kind == "box":
-        # the objective is separable over a box for these families, and the
+        if isinstance(f, Quadratic) and not f.separable:
+            return _box_linear_resolvent(f.Q, f.q, gamma, C.lo, C.hi)
+        # the other objectives are separable over a box, and the
         # constrained minimizer of a 1-D convex function on an interval is
         # the clamp of its unconstrained minimizer
-        if isinstance(f, Quadratic) and f.separable:
+        if isinstance(f, Quadratic):
             shift = gamma * f.q
             scale = 1.0 + gamma * np.diag(f.Q)
             return lambda x: C.project((x - shift) / scale)

@@ -330,3 +330,35 @@ def test_trace_every_flag_thins_rows(tmp_path):
     n_dense = sum(1 for l in dense.read_text().splitlines() if not l.startswith(("n,", "#")))
     n_thin = sum(1 for l in thin.read_text().splitlines() if not l.startswith(("n,", "#")))
     assert n_thin < n_dense
+
+
+def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
+    from eqsplit import cli, hilbert
+    from eqsplit.dr_solver import equilibrium_certificate
+
+    draws = []
+
+    def counting_sample_points(*args, **kwargs):
+        draws.append(args)
+        return hilbert.sample_points(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_points", counting_sample_points)
+    for count, inst in enumerate(corpus(), start=1):
+        cfg = SolverConfig(seed=3)
+        result = solve(inst.F, inst.G, inst.default_x0, cfg)
+        out = tmp_path / f"{inst.name}.csv"
+        cli._write_trace(out, result, inst.F, inst.G, cfg)
+        assert len(draws) == count, inst.name
+        # the same bytes as a certificate drawn afresh for every row
+        rows = ["n,residual_dr,step,certificate"]
+        trace = result.trace
+        for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
+            cert = equilibrium_certificate(
+                inst.F, inst.G, inst.F.set.project(y), samples=cfg.certificate_samples, seed=cfg.seed
+            )
+            rows.append(f"{n},{res!r},{step!r},{cert!r}")
+        rows.append(f"# status = {result.status}")
+        rows.append(f"# iterations = {result.iterations}")
+        rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
+        rows.append(f"# certificate = {result.certificate!r}")
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), inst.name

@@ -28,7 +28,9 @@ from eqsplit.dr_solver import (
 from eqsplit.hilbert import Box, WholeSpace, norm
 from eqsplit.operators import GridSpec, equilibrium_bruteforce, operator_from_bifunction
 from eqsplit.problems import corpus, get_problem
-from eqsplit.resolvents import ConvergenceFailure, ResolventOracle, reflect, resolve
+from eqsplit.resolvents import INNER_ITERATIVE, ConvergenceFailure, ResolventOracle, reflect, resolve
+
+from oracles import box_vi_projected
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +242,26 @@ def test_inner_failure_status():
     # iterate of J_F at 2 P_C x - x differ
     for x0 in (inst.default_x0, [2.0, -1.0]):
         with pytest.warns(UserWarning, match="inner resolvent failure"):
-            res = solve(inst.F, inst.G, x0, cfg)
+            res = solve(inst.F, inst.G, x0, cfg, method_f=INNER_ITERATIVE)
         assert res.status == INNER_FAILURE
         # J_F failed, so the reported point is the shadow point J_G x*
         np.testing.assert_array_equal(res.y_star, resolve(JG, res.x_star))
+
+
+@pytest.mark.parametrize("d", [5, 20, 50])
+def test_box_vi_solution_matches_independent_reference(d):
+    # from d = 5 on, a 64-point sampled certificate of the resolvent
+    # inequality misses violations, so the answer is checked against a
+    # reference that shares no code with the library
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(d, d))
+    M = A @ A.T / d + np.eye(d) + (A - A.T) / d
+    q = 3.0 * rng.normal(size=d)
+    C = Box(-np.ones(d), np.ones(d))
+    res = solve(operator_bifunction(C, M, q), zero_bifunction(C), np.zeros(d))
+    assert res.status == CONVERGED
+    reference = box_vi_projected(M, q, C.lo, C.hi)
+    assert norm(res.y_star - reference) <= 1e-5 * (1.0 + norm(reference))
 
 
 def test_error_injection_converges_to_same_solution():

@@ -11,7 +11,7 @@ from eqsplit.bifunctions import (
     operator_bifunction,
     zero_bifunction,
 )
-from eqsplit.hilbert import Box, WholeSpace, norm, sample_points
+from eqsplit.hilbert import Ball, Box, WholeSpace, norm, sample_points
 from eqsplit.operators import affine_operator, operator_from_bifunction
 from eqsplit.resolvents import (
     CHECK_SAMPLE_SIZE,
@@ -27,7 +27,7 @@ from eqsplit.resolvents import (
     resolve,
 )
 
-from oracles import grid_golden_min, prox_oracle_1d
+from oracles import box_vi_active_set, grid_golden_min, prox_oracle_1d
 
 
 def test_zero_bifunction_resolvent_is_projection():
@@ -113,8 +113,6 @@ def test_inner_solve_exhaustion_carries_iterate():
 
 
 def test_box_vi_resolvent_against_active_set_oracle():
-    from oracles import box_vi_active_set
-
     C = Box([0.0, 0.0], [1.0, 1.0])
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     q = np.array([-1.5, -2.5])
@@ -122,7 +120,7 @@ def test_box_vi_resolvent_against_active_set_oracle():
     rng = np.random.default_rng(10)
     for gamma in (0.1, 1.0, 10.0):
         o = ResolventOracle(gamma, F)
-        assert o.method == INNER_ITERATIVE
+        assert o.method == CLOSED_FORM_LINEAR_SOLVE
         for _ in range(10):
             x = rng.normal(scale=2.0, size=2)
             # resolvent solves the VI with map (I + gamma M) z + (gamma q - x)
@@ -157,8 +155,6 @@ def test_prox_nonseparable_quadratic_over_box():
     Q = np.array([[2.0, 1.0], [1.0, 2.0]])
     F = function_difference(C, Quadratic(Q, [0.0, 0.0]))
     o = ResolventOracle(1.0, F)
-    from oracles import box_vi_active_set
-
     for x in ([2.0, 2.0], [0.5, -1.0], [0.2, 0.4]):
         x = np.array(x)
         # optimality system of the constrained quadratic program
@@ -175,7 +171,7 @@ def test_consistency_linear_solve_vs_inner_iterative():
     F = operator_bifunction(C, M, [0.1, -0.2])
     H = WholeSpace(2)
     F_free = operator_bifunction(H, M, [0.1, -0.2])
-    o_iter = ResolventOracle(1.0, F)
+    o_iter = ResolventOracle(1.0, F, method=INNER_ITERATIVE)
     o_lin = ResolventOracle(1.0, F_free)
     assert o_iter.method == INNER_ITERATIVE and o_lin.method == CLOSED_FORM_LINEAR_SOLVE
     rng = np.random.default_rng(11)
@@ -321,7 +317,7 @@ def test_singular_linear_resolvent_rejected_at_construction():
 
 
 def test_forced_closed_form_must_apply():
-    F = operator_bifunction(Box([0.0, 0.0], [1.0, 1.0]), np.eye(2))
+    F = operator_bifunction(Ball([0.0, 0.0], 1.0), np.eye(2))
     with pytest.raises(ValueError, match="does not apply"):
         ResolventOracle(1.0, F, method=CLOSED_FORM_LINEAR_SOLVE)
 
@@ -333,3 +329,87 @@ def test_affine_operator_and_induced_operator_share_linear_resolvent():
     induced = operator_from_bifunction(operator_bifunction(WholeSpace(d), M, c)).resolvent_factory(gamma)
     for x in np.random.default_rng(4).normal(size=(10, d)):
         np.testing.assert_array_equal(direct(x), induced(x))
+
+
+# ---------------------------------------------------------------------------
+# box linear resolvents by block principal pivoting
+# ---------------------------------------------------------------------------
+
+def _box_vi(d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d))
+    M = A @ A.T / d + np.eye(d) + (A - A.T) / d
+    return M, 3.0 * rng.normal(size=d), rng
+
+
+@pytest.mark.parametrize("d", [5, 20, 50])
+def test_box_vi_resolvent_natural_residual(d):
+    M, c, rng = _box_vi(d, d)
+    C = Box(-np.ones(d), np.ones(d))
+    F = operator_bifunction(C, M, c)
+    for gamma in (0.1, 1.0, 10.0):
+        o = ResolventOracle(gamma, F)
+        assert o.method == CLOSED_FORM_LINEAR_SOLVE
+        A = np.eye(d) + gamma * M
+        for x in rng.normal(scale=3.0, size=(5, d)):
+            z = resolve(o, x)
+            assert C.contains(z, 0.0)
+            w = A @ z - (x - gamma * c)
+            natural = norm(z - np.clip(z - w, C.lo, C.hi))
+            assert natural <= 1e-10 * (1.0 + norm(x)), (gamma, natural)
+
+
+def test_box_vi_resolvent_matches_enumeration_up_to_d4():
+    rng = np.random.default_rng(20)
+    for trial in range(60):
+        d = 1 + trial % 4
+        B = rng.normal(size=(d, d))
+        S = rng.normal(size=(d, d))
+        M = B @ B.T / d + (S - S.T)
+        c = rng.normal(size=d)
+        lo = -rng.uniform(0.0, 2.0, size=d)
+        hi = rng.uniform(0.0, 2.0, size=d)
+        if trial % 5 == 0:
+            hi[0] = lo[0]  # a degenerate side
+        C = Box(lo, hi)
+        gamma = float(10.0 ** rng.uniform(-1.0, 1.0))
+        o = ResolventOracle(gamma, operator_bifunction(C, M, c))
+        x = rng.normal(scale=3.0, size=d)
+        sols = box_vi_active_set(np.eye(d) + gamma * M, gamma * c - x, lo, hi)
+        assert len(sols) == 1
+        np.testing.assert_allclose(resolve(o, x), sols[0], atol=1e-10)
+
+
+def test_box_vi_resolvent_non_monotone_never_returns_a_point():
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    # I + M = [[1, 1], [0, -1]] is not a P-matrix: the pivoting cycles
+    cycling = ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]]))
+    with pytest.raises(ConvergenceFailure) as err:
+        resolve(cycling, [4.0, 2.0])
+    np.testing.assert_array_equal(err.value.iterate, [1.0, 1.0])
+    # I + M = [[0, 1], [1, 0]]: the block of the first coordinate is singular
+    singular_block = ResolventOracle(1.0, operator_bifunction(C, [[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ConvergenceFailure, match="singular block"):
+        resolve(singular_block, [5.0, 0.5])
+    # I + M = 0 is rejected when the oracle is built
+    with pytest.raises(ValueError, match="singular"):
+        ResolventOracle(1.0, operator_bifunction(C, -np.eye(2)))
+
+
+def test_nonseparable_box_quadratic_prox_uses_pivoting(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("projected-gradient prox reached over a box")
+
+    monkeypatch.setattr("eqsplit.resolvents._projected_gradient_prox", forbidden)
+    d = 20
+    M, q, rng = _box_vi(d, 5)
+    Q = 0.5 * (M + M.T)
+    C = Box(-np.ones(d), np.ones(d))
+    gamma = 2.0
+    o = ResolventOracle(gamma, function_difference(C, Quadratic(Q, q)))
+    assert o.method == PROX_COMPOSITION
+    A = np.eye(d) + gamma * Q
+    for x in rng.normal(scale=3.0, size=(5, d)):
+        z = resolve(o, x)
+        w = A @ z - (x - gamma * q)
+        assert norm(z - np.clip(z - w, C.lo, C.hi)) <= 1e-10 * (1.0 + norm(x))
