@@ -32,7 +32,6 @@ from .dr_solver import (
     equilibrium_certificate,
     geometric_errors,
     inverse_square_errors,
-    km_iterate,
     residual_dr,
     solve,
     solve_operator_form,

@@ -55,7 +55,15 @@ from .bifunctions import (
     operator_bifunction,
     zero_bifunction,
 )
-from .dr_solver import ERROR_PRESETS, LAMBDA_PRESETS, SolveResult, SolverConfig, solve
+from .dr_solver import (
+    CERTIFICATE_SAMPLES,
+    ERROR_PRESETS,
+    LAMBDA_PRESETS,
+    SolveResult,
+    SolverConfig,
+    equilibrium_certificate,
+    solve,
+)
 from .hilbert import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, WholeSpace, sample_points
 from .problems import ProblemInstance, corpus, get_problem
 
@@ -271,7 +279,7 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
                 out.append("weights = " + " ".join(repr(float(v)) for v in f.weights))
             elif isinstance(f, AffineFunction):
                 out.append("function = affine")
-                out.append("linear = " + " ".join(repr(v) for v in f.a))
+                out.append("linear = " + " ".join(repr(float(v)) for v in f.a))
                 out.append(f"constant = {float(f.b)!r}")
             else:
                 raise ValueError("unsupported convex function")
@@ -302,12 +310,10 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: SolverConfig):
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
-    # the certificate sample of dr_solver.equilibrium_certificate, drawn once
-    # per file instead of once per row
-    Y = sample_points(F.set, cfg.certificate_samples, cfg.seed)
+    # the sample behind solve()'s certificate, drawn once per file
+    Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
     for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
-        y = F.set.project(y)
-        cert = float((F.eval_batch(y, Y) + G.eval_batch(y, Y)).min())
+        cert = equilibrium_certificate(F, G, F.set.project(y), Y)
         rows.append(f"{n},{res!r},{step!r},{cert!r}")
     rows.append(f"# status = {result.status}")
     rows.append(f"# iterations = {result.iterations}")

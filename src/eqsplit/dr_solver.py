@@ -17,18 +17,23 @@ along the iteration.
 The same loop, fed resolvents of two maximally monotone operators instead,
 solves the inclusion 0 in A x + B x; both entry points share the iteration
 core, so the two forms generate identical float sequences when the
-operators are the ones induced by the bifunctions.
+operators are the ones induced by the bifunctions.  The relaxed update is
+written once (:func:`_relaxed_update`); :func:`dr_step` is one pass of the
+core and :func:`residual_dr` its error-free half.  With mu_n = lambda_n / 2
+the update is the averaged (Krasnosel'skii-Mann) iteration of the composed
+reflections R_F R_G (Eckstein & Bertsekas, Math. Program. 55, 1992), so no
+separate fixed-point engine is kept.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .bifunctions import Bifunction, check_admissibility, sum_bifunctions
+from .bifunctions import Bifunction, check_admissibility
 from .hilbert import as_vector, norm, sample_points
 from .operators import MonotoneOperator
 from .resolvents import ConvergenceFailure, ResolventOracle, resolve
@@ -37,8 +42,10 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 INNER_FAILURE = "inner_failure"
 
+#: size of the seeded sample of C behind the reported certificate
+CERTIFICATE_SAMPLES = 256
+
 _LAMBDA_MSG = "relaxation parameter must lie in the open interval (0, 2), got {}"
-_MU_MSG = "averaging parameter must lie in the open interval (0, 1), got {}"
 
 
 def _lambda_at(schedule, n: int) -> float:
@@ -98,7 +105,8 @@ class SolverConfig:
     n -> lambda_n; constant schedules automatically satisfy the divergence
     condition sum lambda_n (2 - lambda_n) = +inf, callables are validated
     per iteration.  Error schedules map n to a vector; shipped presets are
-    all summable against any admissible relaxation.
+    all summable against any admissible relaxation.  ``seed`` fixes the
+    resolvents' verification samples and the certificate sample.
     """
 
     gamma: float = 1.0
@@ -108,9 +116,7 @@ class SolverConfig:
     max_iter: int = 10000
     residual_tol: float = 1e-8
     trace_every: int = 1
-    inner_tol: float = 1e-9
     inner_max_iter: int = 50000
-    certificate_samples: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -133,15 +139,13 @@ class IterationTrace:
     n: list = field(default_factory=list)
     x: list = field(default_factory=list)
     y: list = field(default_factory=list)
-    z: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
     step: list = field(default_factory=list)
 
-    def record(self, n, x, y, z, residual, step):
+    def record(self, n, x, y, residual, step):
         self.n.append(n)
         self.x.append(np.array(x))
         self.y.append(np.array(y))
-        self.z.append(np.array(z))
         self.residual_dr.append(float(residual))
         self.step.append(float(step))
 
@@ -171,22 +175,34 @@ class SolveResult:
         return self.status == CONVERGED
 
 
+def _relaxed_update(jf, x, y, z, lam, a_n, b_n):
+    """The relaxed update from the clean pass y = J_G x, z = J_F(2 y - x).
+
+    Injected errors move y by b_n and z by a_n, with z taken again at the
+    reflection of the moved y; None means no error on that side.  Returns
+    (y, z, x + lam (z - y)).
+    """
+    if a_n is not None or b_n is not None:
+        y = y + (b_n if b_n is not None else 0.0)
+        z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
+    return y, z, x + lam * (z - y)
+
+
 def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=None, b_n=None):
     """One relaxed splitting step; returns (y_n, z_n, x_next).
 
-    Pure function of its inputs: y from the resolvent of G plus error b,
-    z from the resolvent of F at the reflected point plus error a, then the
-    relaxed update.
+    Pure function of its inputs and the same pass as one iteration of
+    :func:`solve`: y from the resolvent of G plus error b, z from the
+    resolvent of F at the reflected point plus error a, then the relaxed
+    update.
     """
-    if not 0.0 < lambda_n < 2.0:
-        raise ValueError(_LAMBDA_MSG.format(lambda_n))
+    lam = _lambda_at(lambda_n, 0)
     x_n = as_vector(x_n, JG.dimension)
-    a_n = np.zeros_like(x_n) if a_n is None else as_vector(a_n, x_n.size)
-    b_n = np.zeros_like(x_n) if b_n is None else as_vector(b_n, x_n.size)
-    y_n = resolve(JG, x_n) + b_n
-    z_n = resolve(JF, 2.0 * y_n - x_n) + a_n
-    x_next = x_n + lambda_n * (z_n - y_n)
-    return y_n, z_n, x_next
+    a_n = None if a_n is None else as_vector(a_n, x_n.size)
+    b_n = None if b_n is None else as_vector(b_n, x_n.size)
+    jf = lambda v: resolve(JF, v)
+    y = resolve(JG, x_n)
+    return _relaxed_update(jf, x_n, y, jf(2.0 * y - x_n), lam, a_n, b_n)
 
 
 def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
@@ -201,10 +217,11 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
     return 2.0 * norm(z - y)
 
 
-def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certificate_fn):
+def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     """Shared iteration core for the bifunction and operator forms.
 
     ``jf``/``jg`` are bare resolvent callables of the scaled operators.
+    The result carries no certificate.
     """
     x = x0.copy()
     trace = IterationTrace()
@@ -221,22 +238,17 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certificate_fn):
             res = 2.0 * norm(z_clean - y_clean)
             if res <= cfg.residual_tol:
                 status = CONVERGED
-                trace.record(n, x, y_clean, z_clean, res, 0.0)
+                trace.record(n, x, y_clean, res, 0.0)
                 break
             if n >= cfg.max_iter:
-                trace.record(n, x, y_clean, z_clean, res, 0.0)
+                trace.record(n, x, y_clean, res, 0.0)
                 break
             lam = _lambda_at(cfg.lambda_schedule, n)
             a_n = a_sched(n) if a_sched is not None else None
             b_n = b_sched(n) if b_sched is not None else None
-            if a_n is None and b_n is None:
-                y, z = y_clean, z_clean
-            else:
-                y = y_clean + (b_n if b_n is not None else 0.0)
-                z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
-            x_next = x + lam * (z - y)
+            y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, lam, a_n, b_n)
             if n % cfg.trace_every == 0:
-                trace.record(n, x, y, z, res, norm(x_next - x))
+                trace.record(n, x, y, res, norm(x_next - x))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:
@@ -247,24 +259,24 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certificate_fn):
             # available shadow point
             y_clean = failure.iterate if failure.iterate is not None else x.copy()
 
-    y_star = y_clean if y_clean is not None else jg(x)
-    certificate = certificate_fn(y_star) if certificate_fn is not None else None
     return SolveResult(
         x_star=x,
-        y_star=y_star,
+        y_star=y_clean if y_clean is not None else jg(x),
         status=status,
         iterations=n,
         trace=trace,
-        certificate=certificate,
+        certificate=None,
     )
 
 
-def equilibrium_certificate(F: Bifunction, G: Bifunction, y_star, samples: int = 256, seed: int = 0) -> float:
-    """Worst sampled equilibrium value min_y F(y*, y) + G(y*, y) over C."""
+def equilibrium_certificate(F: Bifunction, G: Bifunction, y_star, Y: np.ndarray) -> float:
+    """Worst equilibrium value min_y F(y*, y) + G(y*, y) over the rows of Y.
+
+    ``Y`` holds points of C chosen by the caller; :func:`solve` passes a
+    seeded sample of ``CERTIFICATE_SAMPLES`` points.
+    """
     y_star = as_vector(y_star, F.dimension)
-    Y = sample_points(F.set, samples, seed)
-    vals = F.eval_batch(y_star, Y) + G.eval_batch(y_star, Y)
-    return float(vals.min())
+    return float((F.eval_batch(y_star, Y) + G.eval_batch(y_star, Y)).min())
 
 
 def solve(
@@ -294,21 +306,11 @@ def solve(
             if not report.passed:
                 warnings.warn(f"{tag} bifunction failed the sampled admissibility check: {report}")
 
-    JF = ResolventOracle(
-        cfg.gamma, F, method=method_f, inner_tol=cfg.inner_tol,
-        inner_max_iter=cfg.inner_max_iter, seed=cfg.seed,
-    )
-    JG = ResolventOracle(
-        cfg.gamma, G, method=method_g, inner_tol=cfg.inner_tol,
-        inner_max_iter=cfg.inner_max_iter, seed=cfg.seed,
-    )
-    FG = sum_bifunctions(F, G)
-
-    def certificate_fn(y_star):
-        Y = sample_points(F.set, cfg.certificate_samples, cfg.seed)
-        return float(FG.eval_batch(as_vector(y_star, F.dimension), Y).min())
-
-    return _run_dr(lambda v: resolve(JF, v), lambda v: resolve(JG, v), x0, cfg, certificate_fn)
+    JF = ResolventOracle(cfg.gamma, F, method=method_f, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
+    JG = ResolventOracle(cfg.gamma, G, method=method_g, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
+    result = _run_dr(lambda v: resolve(JF, v), lambda v: resolve(JG, v), x0, cfg)
+    Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
+    return replace(result, certificate=equilibrium_certificate(F, G, result.y_star, Y))
 
 
 def solve_operator_form(
@@ -316,15 +318,14 @@ def solve_operator_form(
     B: MonotoneOperator,
     x0,
     cfg: SolverConfig | None = None,
-    *,
-    certificate_fn=None,
 ) -> SolveResult:
     """Solve 0 in A x + B x with the same relaxed splitting iteration.
 
     ``B`` plays the role of the first resolvent in each step (its shadow
     point is the reported solution).  When A and B are the operators
     induced by two bifunctions this produces the same float sequence as
-    :func:`solve` on those bifunctions.
+    :func:`solve` on those bifunctions.  Bare operators give no
+    equilibrium certificate, so ``certificate`` is None.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, A.dimension)
@@ -332,44 +333,5 @@ def solve_operator_form(
         raise ValueError("both operators must expose resolvents")
     jf = A.resolvent_factory(cfg.gamma)
     jg = B.resolvent_factory(cfg.gamma)
-    return _run_dr(jf, jg, x0, cfg, certificate_fn)
+    return _run_dr(jf, jg, x0, cfg)
 
-
-def km_iterate(
-    T: Callable[[np.ndarray], np.ndarray],
-    x0,
-    mu_schedule: float | Callable[[int], float] = 0.5,
-    c_schedule: Callable[[int], np.ndarray] | None = None,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Averaged fixed-point iteration x <- x + mu_n (T x + c_n - x).
-
-    For nonexpansive T with a fixed point, averaging parameters mu_n in
-    (0, 1) with sum mu_n (1 - mu_n) = +inf and summable mu_n ||c_n|| drive
-    ||T x - x|| to zero; constant schedules qualify.  The splitting
-    iteration is this scheme applied to the composed reflections with
-    mu_n = lambda_n / 2.  Returns the first iterate with
-    ||T x - x|| <= tol, else raises :class:`ConvergenceFailure` with the
-    last iterate.
-    """
-    x = as_vector(x0)
-    residual = None
-    for n in range(max_iter + 1):
-        tx = T(x)
-        residual = norm(tx - x)
-        if residual <= tol:
-            return x
-        if n == max_iter:
-            break
-        mu = float(mu_schedule(n)) if callable(mu_schedule) else float(mu_schedule)
-        if not 0.0 < mu < 1.0:
-            raise ValueError(_MU_MSG.format(mu))
-        c = c_schedule(n) if c_schedule is not None else 0.0
-        x = x + mu * (tx + c - x)
-    raise ConvergenceFailure(
-        f"fixed-point residual {residual:.3e} above {tol:.1e} after {max_iter} iterations",
-        iterate=x,
-        residual=residual,
-        iterations=max_iter,
-    )

@@ -42,6 +42,9 @@ from .resolvents import ResolventOracle, _linear_resolvent, partial_second, reso
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
 
+#: seeded points of C behind sampled membership tests (seed 0)
+MEMBER_SAMPLES = 256
+
 #: default multiplier search box and grid step for the zero scan
 U_BOUNDS = (-10.0, 10.0)
 U_STEP = 1e-2
@@ -203,14 +206,14 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
     )
 
 
-def normal_cone_operator(C: ConvexSet, seed: int = 0, samples: int = 256) -> MonotoneOperator:
+def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
     """Normal cone map of C.  Its resolvent is the projection for every gamma."""
     evaluate = None
     member_fn = None
     if C.kind in ("box", "whole-space"):
         evaluate = lambda x: normal_cone_image(C, x)
     else:
-        Y = sample_points(C, samples, seed)
+        Y = sample_points(C, MEMBER_SAMPLES, 0)
 
         def member_fn(x, u, tol=MEMBER_TOL):
             if not C.contains(x, max(tol, 1e-8)):
@@ -322,25 +325,23 @@ def _structural_image_fn(F: Bifunction):
 def operator_from_bifunction(
     F: Bifunction,
     *,
-    samples: int = 256,
-    seed: int = 0,
-    inner_tol: float = 1e-9,
-    inner_max_iter: int = 50000,
     name: str = "",
 ) -> MonotoneOperator:
     """Maximally monotone operator induced by an admissible bifunction.
 
     The resolvent oracle is exactly the bifunction resolvent.  Membership
     of u in the image at x is rejected when any verification point y has
-    F(x, y) + <x - y, u> < -tol; the verification points are ``samples``
-    seeded points of C plus a short projected-descent witness search on
-    y -> F(x, y) + <x - y, u> (a random cloud alone can straddle the
-    narrow violation window of a near-member u).  Membership is False
-    outside C, where the image is empty.  When the family and set kind
+    F(x, y) + <x - y, u> < -tol; the verification points are
+    ``MEMBER_SAMPLES`` seeded points of C plus a short projected-descent
+    witness search on y -> F(x, y) + <x - y, u> (a random cloud alone can
+    straddle the narrow violation window of a near-member u).  The batch
+    test runs the search only on the rows that pass the sampled test, so
+    it agrees with the one-point test.  Membership is False outside C,
+    where the image is empty.  When the family and set kind
     permit, an exact interval evaluation is attached as well.
     """
     C = F.set
-    Y = sample_points(C, samples, seed)
+    Y = sample_points(C, MEMBER_SAMPLES, 0)
     grad = partial_second(F)
 
     def witness_min(x, u):
@@ -360,25 +361,20 @@ def operator_from_bifunction(
             y = y_new
         return best
 
-    def member_fn(x, u, tol=MEMBER_TOL):
-        if not C.contains(x, max(tol, 1e-8)):
-            return False
-        vals = F.eval_batch(x, Y) + (x - Y) @ u
-        if float(vals.min()) < -tol:
-            return False
-        return witness_min(x, u) >= -tol
-
     def member_batch_fn(x, U, tol=MEMBER_TOL):
         if not C.contains(x, max(tol, 1e-8)):
             return np.zeros(U.shape[0], dtype=bool)
-        base = F.eval_batch(x, Y)
-        vals = base[None, :] + U @ (x - Y).T
-        return vals.min(axis=1) >= -tol
+        vals = F.eval_batch(x, Y)[None, :] + U @ (x - Y).T
+        ok = vals.min(axis=1) >= -tol
+        for i in np.flatnonzero(ok):
+            ok[i] = witness_min(x, U[i]) >= -tol
+        return ok
+
+    def member_fn(x, u, tol=MEMBER_TOL):
+        return bool(member_batch_fn(x, u[None, :], tol)[0])
 
     def factory(gamma):
-        oracle = ResolventOracle(
-            gamma, F, inner_tol=inner_tol, inner_max_iter=inner_max_iter, seed=seed
-        )
+        oracle = ResolventOracle(gamma, F)
         return lambda x: resolve(oracle, x)
 
     affine_form = None
@@ -659,10 +655,7 @@ def zeros_bruteforce(
         U = np.stack([m.ravel() for m in mesh], axis=1)
         for x in pts:
             ok = A.member_batch(x, U, tol)
-            if not ok.any():
-                continue
-            ok &= B.member_batch(x, -U, tol)
-            if ok.any():
+            if ok.any() and B.member_batch(x, -U[ok], tol).any():
                 accepted.append(x)
 
     else:

@@ -74,6 +74,9 @@ FD_STEP = 1e-6
 #: number of points in the residual verification sample
 CHECK_SAMPLE_SIZE = 64
 
+#: accepted violation of the resolvent inequality for iterative resolvents
+INNER_TOL = 1e-9
+
 
 class ConvergenceFailure(RuntimeError):
     """An iterative solve ran out of iterations.
@@ -177,6 +180,11 @@ def _suggest_step(F: Bifunction, gamma: float) -> float:
     return mu_t / (L_t * L_t)
 
 
+def _resolvent_residuals(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """gamma F(z, y) + <z - x, y - z> for every row y of Y; all >= 0 at z = J x."""
+    return gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)
+
+
 def _violation(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.ndarray) -> float:
     """Largest violation of gamma F(z,y) + <z-x, y-z> >= 0 over sample Y.
 
@@ -192,8 +200,7 @@ def _violation(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.
             v = z.copy()
             v[i] = 0.0
             extras.append(C.project(v))
-    Yv = np.vstack([Y, extras])
-    residuals = gamma * F.eval_batch(z, Yv) + (Yv - z) @ (z - x)
+    residuals = _resolvent_residuals(F, gamma, x, z, np.vstack([Y, extras]))
     return float(max(0.0, -residuals.min()))
 
 
@@ -201,7 +208,7 @@ def inner_solve(
     F: Bifunction,
     gamma: float,
     x,
-    tol: float = 1e-9,
+    tol: float = INNER_TOL,
     max_iter: int = 50000,
     *,
     step: float | None = None,
@@ -403,7 +410,6 @@ class ResolventOracle:
     gamma: float
     bifunction: Bifunction
     method: str | None = None
-    inner_tol: float = 1e-9
     inner_max_iter: int = 50000
     seed: int = 0
 
@@ -453,7 +459,7 @@ def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
         oracle.bifunction,
         oracle.gamma,
         x,
-        tol=oracle.inner_tol,
+        tol=INNER_TOL,
         max_iter=oracle.inner_max_iter,
         samples=oracle.check_points,
     )
@@ -463,7 +469,7 @@ def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     """Apply the resolvent: the unique z in C with
 
     gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
-    forms and certified up to -inner_tol over the verification sample for
+    forms and certified up to -INNER_TOL over the verification sample for
     the inner iterative route.  Inner-solver exhaustion (or box pivoting
     that fails on a non-monotone operator) raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
@@ -480,13 +486,11 @@ def reflect(oracle: ResolventOracle, x) -> np.ndarray:
 def residual_certificate(oracle: ResolventOracle, x, z) -> float:
     """min over the verification sample of gamma F(z,y) + <z-x, y-z>.
 
-    Nonnegative up to -inner_tol for a correct resolvent output.
+    Nonnegative up to -INNER_TOL for a correct resolvent output.
     """
-    F = oracle.bifunction
     x = as_vector(x, oracle.dimension)
     z = as_vector(z, oracle.dimension)
-    Y = oracle.check_points
-    residuals = oracle.gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)
+    residuals = _resolvent_residuals(oracle.bifunction, oracle.gamma, x, z, oracle.check_points)
     return float(residuals.min())
 
 
@@ -528,8 +532,8 @@ def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndar
             return lambda x: C.project(x - shift)
 
     if f.curvature_bounds() is not None:
-        tol, max_iter = oracle.inner_tol, oracle.inner_max_iter
-        return lambda x: _projected_gradient_prox(C, f, gamma, x, tol, max_iter)
+        max_iter = oracle.inner_max_iter
+        return lambda x: _projected_gradient_prox(C, f, gamma, x, INNER_TOL, max_iter)
     # nonsmooth f over an unstructured set: generic variational route
     return lambda x: _inner_resolve(oracle, x)
 

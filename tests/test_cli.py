@@ -1,8 +1,11 @@
 """Spec file parsing, trace output, exit codes, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from eqsplit.bifunctions import AffineFunction, function_difference
 from eqsplit.cli import (
     EXIT_CONVERGED,
     EXIT_MAX_ITER,
@@ -13,7 +16,7 @@ from eqsplit.cli import (
     problem_to_spec_text,
 )
 from eqsplit.dr_solver import SolverConfig, solve
-from eqsplit.problems import corpus
+from eqsplit.problems import corpus, get_problem
 
 FEASIBILITY_SPEC = """
 [space]
@@ -201,7 +204,13 @@ def test_batch_all_problems(tmp_path, capsys):
 
 
 def test_spec_roundtrip_matches_direct_solve(tmp_path):
-    for inst in corpus():
+    # quadratic-1d with its G written as the affine function-difference
+    # <1, y> - <1, x>, the one convex function the corpus does not use
+    base = get_problem("quadratic-1d")
+    affine = replace(
+        base, name="quadratic-affine", G=function_difference(base.set, AffineFunction([1.0]))
+    )
+    for inst in [*corpus(), affine]:
         cfg = SolverConfig(residual_tol=1e-9)
         text = problem_to_spec_text(inst, cfg)
         spec = _write(tmp_path, text, name=f"{inst.name}.ini")
@@ -334,7 +343,7 @@ def test_trace_every_flag_thins_rows(tmp_path):
 
 def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
     from eqsplit import cli, hilbert
-    from eqsplit.dr_solver import equilibrium_certificate
+    from eqsplit.dr_solver import CERTIFICATE_SAMPLES, equilibrium_certificate
 
     draws = []
 
@@ -353,9 +362,8 @@ def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
         rows = ["n,residual_dr,step,certificate"]
         trace = result.trace
         for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
-            cert = equilibrium_certificate(
-                inst.F, inst.G, inst.F.set.project(y), samples=cfg.certificate_samples, seed=cfg.seed
-            )
+            Y = hilbert.sample_points(inst.F.set, CERTIFICATE_SAMPLES, cfg.seed)
+            cert = equilibrium_certificate(inst.F, inst.G, inst.F.set.project(y), Y)
             rows.append(f"{n},{res!r},{step!r},{cert!r}")
         rows.append(f"# status = {result.status}")
         rows.append(f"# iterations = {result.iterations}")

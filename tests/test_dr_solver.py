@@ -19,16 +19,15 @@ from eqsplit.dr_solver import (
     equilibrium_certificate,
     geometric_errors,
     inverse_square_errors,
-    km_iterate,
     residual_dr,
     solve,
     solve_operator_form,
     zero_errors,
 )
-from eqsplit.hilbert import Box, WholeSpace, norm
+from eqsplit.hilbert import Box, WholeSpace, norm, sample_points
 from eqsplit.operators import GridSpec, equilibrium_bruteforce, operator_from_bifunction
 from eqsplit.problems import corpus, get_problem
-from eqsplit.resolvents import INNER_ITERATIVE, ConvergenceFailure, ResolventOracle, reflect, resolve
+from eqsplit.resolvents import INNER_ITERATIVE, ResolventOracle, reflect, resolve
 
 from oracles import box_vi_projected
 
@@ -101,40 +100,10 @@ def test_residual_vanishes_at_fixed_point():
 
 
 # ---------------------------------------------------------------------------
-# averaged fixed-point engine
+# the step as an averaged iteration, and as one pass of solve
 # ---------------------------------------------------------------------------
 
-def test_km_identity_returns_initial_point():
-    x = km_iterate(lambda v: v, [1.0, 2.0], 0.5, max_iter=0)
-    np.testing.assert_array_equal(x, [1.0, 2.0])
-
-
-def test_km_projection_fixed_point():
-    C = Box([-1.0], [1.0])
-    x = km_iterate(C.project, [4.0], 0.5, max_iter=200, tol=1e-10)
-    assert x[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_km_composed_reflections_feasibility():
-    C = Box([-1.0], [1.0])
-    J = ResolventOracle(1.0, zero_bifunction(C))
-    T = lambda v: reflect(J, reflect(J, v))
-    x = km_iterate(T, [3.0], 0.5, max_iter=50, tol=1e-12)
-    assert C.contains(x, 1e-9)
-
-
-def test_km_rejects_bad_averaging():
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        km_iterate(lambda v: v * 0.0, [1.0], 1.5, max_iter=10)
-
-
-def test_km_exhaustion_carries_iterate():
-    with pytest.raises(ConvergenceFailure) as err:
-        km_iterate(lambda v: v + 1.0, [0.0], 0.5, max_iter=5, tol=1e-12)
-    assert err.value.iterate is not None
-
-
-def test_km_with_half_relaxation_matches_solver_iterates():
+def test_half_relaxation_of_composed_reflections_matches_solver_iterates():
     # the splitting update equals averaging the composed reflections with
     # half the relaxation parameter
     inst = get_problem("quadratic-1d")
@@ -148,6 +117,22 @@ def test_km_with_half_relaxation_matches_solver_iterates():
         np.testing.assert_allclose(x, recorded, atol=1e-12)
         T = reflect(JF, reflect(JG, x))
         x = x + (lam / 2.0) * (T - x)
+
+
+@pytest.mark.parametrize("name", ["quadratic-1d", "skew-saddle"])
+def test_dr_step_with_injected_errors_is_one_solver_pass(name):
+    inst = get_problem(name)
+    d = inst.set.dimension
+    a_sched, b_sched = geometric_errors(d), geometric_errors(d, c=0.5, axis=d - 1)
+    cfg = SolverConfig(lambda_schedule=1.5, error_schedule_a=a_sched, error_schedule_b=b_sched)
+    res = solve(inst.F, inst.G, inst.default_x0, cfg)
+    assert res.status == CONVERGED
+    JF = ResolventOracle(cfg.gamma, inst.F)
+    JG = ResolventOracle(cfg.gamma, inst.G)
+    x = inst.default_x0
+    for n, recorded in enumerate(res.trace.x):
+        np.testing.assert_array_equal(x, recorded)
+        _, _, x = dr_step(x, JF, JG, 1.5, a_n=a_sched(n), b_n=b_sched(n))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +322,7 @@ def test_admissibility_warning_on_bad_bifunction():
 
 def test_certificate_helper():
     inst = get_problem("quadratic-1d")
-    c = equilibrium_certificate(inst.F, inst.G, [-0.5], samples=512, seed=0)
+    c = equilibrium_certificate(inst.F, inst.G, [-0.5], sample_points(inst.set, 512, 0))
     assert c >= -1e-12  # the exact solution has a nonnegative certificate
 
 

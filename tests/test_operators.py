@@ -27,7 +27,7 @@ from eqsplit.operators import (
     subdifferential_operator,
     zeros_bruteforce,
 )
-from eqsplit.resolvents import ResolventOracle, resolve
+from eqsplit.resolvents import ResolventOracle, partial_second, resolve
 
 from oracles import box_vi_active_set
 
@@ -109,6 +109,26 @@ def test_structural_intervals_match_sampled_membership():
     assert im.hi[0] == np.inf
     assert A.member([1.0], [3.0])
     assert not A.member([0.5], [-1.0])
+
+
+def test_batch_membership_matches_one_point_membership():
+    from eqsplit.problems import corpus, get_problem
+
+    # y^2 - x^2 at x = -0.4312 has the image {-0.8624}; the sampled test
+    # alone accepts u = -0.8540, the witness search rejects it
+    A = operator_from_bifunction(get_problem("quadratic-1d").F)
+    assert not A.member([-0.4312], [-0.8540])
+    assert not A.member_batch([-0.4312], [[-0.8540]])[0]
+    rng = np.random.default_rng(7)
+    for inst in corpus():
+        for H in (inst.F, inst.G):
+            A = operator_from_bifunction(H)
+            grad = partial_second(H)
+            for _ in range(5):
+                x = H.set.project(rng.uniform(-1.5, 1.5, size=H.dimension))
+                U = grad(x, x) + rng.normal(scale=0.03, size=(20, H.dimension))
+                expected = [A.member(x, u) for u in U]
+                np.testing.assert_array_equal(A.member_batch(x, U), expected, err_msg=inst.name)
 
 
 # ---------------------------------------------------------------------------
