@@ -2,10 +2,13 @@
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
-its second argument, and is hemicontinuous in its first.  None of this can
-be certified exhaustively from an evaluation oracle, so
-:func:`check_admissibility` performs a seeded, sampled diagnostic and reports
-worst violations; construction never rejects a bifunction.
+its second argument, and is hemicontinuous in its first.  For the
+operator-induced and function-difference families these conditions hold by
+construction or come down to one eigenvalue, and :func:`check_admissibility`
+decides them exactly; for every other bifunction they cannot be certified
+from an evaluation oracle, and it runs a seeded, sampled diagnostic instead.
+Either way it reports worst violations; construction never rejects a
+bifunction.
 
 Family tags are declared by the constructor, not inferred.  They drive the
 closed-form resolvent dispatch, so a misdeclared family surfaces as a
@@ -90,7 +93,7 @@ class Quadratic(ConvexFunction):
 
     def value_batch(self, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
-        return 0.5 * np.einsum("ij,jk,ik->i", Y, self.Q, Y) + Y @ self.q
+        return 0.5 * np.einsum("ij,ij->i", Y @ self.Q, Y) + Y @ self.q
 
     def subgradient(self, y) -> np.ndarray:
         return self.Q @ np.asarray(y, dtype=float) + self.q
@@ -153,6 +156,8 @@ class AffineFunction(ConvexFunction):
 
     def __post_init__(self):
         a = as_vector(self.a)
+        if not np.isfinite(self.b):
+            raise ValueError(f"affine offset b must be finite, got {self.b}")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -290,7 +295,7 @@ def sum_bifunctions(F: Bifunction, G: Bifunction) -> Bifunction:
 
 
 # ---------------------------------------------------------------------------
-# Sampled admissibility diagnostic
+# Admissibility diagnostic: exact for structured families, sampled otherwise
 # ---------------------------------------------------------------------------
 
 #: epsilon ladder for the hemicontinuity probe
@@ -304,27 +309,79 @@ _THRESHOLDS = {
     "hemicontinuity": 1e-6,
 }
 
+#: set kinds over which an operator-induced bifunction is monotone exactly
+#: when the symmetric part of M is positive semidefinite on the directions
+#: the set spans (all of them, or a box's coordinates with lo < hi)
+_EXACT_SET_KINDS = ("whole-space", "ball", "halfspace", "box")
+
+#: shipped convex functions; a user subclass may override their oracles
+_EXACT_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Worst sampled violations of the admissibility conditions."""
+    """Worst violations of the admissibility conditions.
+
+    ``exact`` reports decide the conditions from the bifunction's structure
+    and draw no sample (``samples`` is 0); the others are the worst over
+    ``samples`` seeded draws and can miss a violation.
+    """
 
     passed: bool
     worst_violations: dict
     samples: int
     seed: int
+    exact: bool = False
 
     def __str__(self):
         status = "passed" if self.passed else "FAILED"
+        basis = "exact" if self.exact else f"{self.samples} samples"
         worst = ", ".join(f"{k}={v:.2e}" for k, v in self.worst_violations.items())
-        return f"admissibility check {status} ({self.samples} samples): {worst}"
+        return f"admissibility check {status} ({basis}): {worst}"
+
+
+def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
+    """Exact report for the structured families, or None to sample.
+
+    An operator-induced H(x, y) = <M x + c, y - x> vanishes on the diagonal,
+    is linear in y and continuous in x, and H(x,y) + H(y,x) =
+    -(x - y)' M (x - y), so it is monotone on C iff sym M is positive
+    semidefinite on the span of C - C; the monotone violation is
+    max(0, -lambda_min) of sym M restricted there, accepted up to
+    1e-10 * max(1, ||restricted sym M||).  A function difference f(y) - f(x)
+    of a shipped convex f meets every condition by construction.
+    """
+    zero = dict.fromkeys(_THRESHOLDS, 0.0)
+    if F.family == FUNCTION_DIFFERENCE and type(F.function) in _EXACT_FUNCTIONS:
+        return AdmissibilityReport(passed=True, worst_violations=zero, samples=0, seed=seed, exact=True)
+    C = F.set
+    if F.family != OPERATOR_INDUCED or C.kind not in _EXACT_SET_KINDS:
+        return None
+    S = 0.5 * (F.matrix + F.matrix.T)
+    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(F.offset))):
+        return None  # the sampled path names the offending pair
+    if C.kind == "box":
+        free = C.lo < C.hi
+        S = S[np.ix_(free, free)]
+    eigs = np.linalg.eigvalsh(S) if S.size else np.zeros(1)
+    monotone = max(0.0, -float(eigs[0]))
+    worst = dict(zero, monotone=monotone)
+    passed = monotone <= 1e-10 * max(1.0, float(np.abs(eigs).max()))
+    return AdmissibilityReport(passed=passed, worst_violations=worst, samples=0, seed=seed, exact=True)
 
 
 def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> AdmissibilityReport:
-    """Sampled diagnostic of the four admissibility conditions.
+    """Diagnostic of the four admissibility conditions, exact where it can be.
 
-    Draws points of C by projecting seeded gaussians and reports the
-    maximum violation of: (diagonal) H(x,x) = 0; (monotone)
+    Operator-induced F over a whole space, ball, halfspace or box, and
+    function differences of a shipped ``Quadratic``, ``WeightedL1`` or
+    ``AffineFunction``, get an exact report (``exact`` true): one eigenvalue
+    of the symmetric part of M, or nothing at all, and no call to the
+    oracle.  Every other bifunction (generic, sums, user-defined convex
+    functions, other set kinds) gets the sampled diagnostic.
+
+    The sampled diagnostic draws points of C by projecting seeded gaussians
+    and reports the maximum violation of: (diagonal) H(x,x) = 0; (monotone)
     H(x,y) + H(y,x) <= 0; (convexity) midpoint convexity of H(x, .);
     (hemicontinuity) H((1-eps)x + eps z, y) <= H(x,y) along a finite
     epsilon ladder.  The one-sided limit is proxied by linear
@@ -338,6 +395,9 @@ def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> Adm
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    report = _exact_report(F, seed)
+    if report is not None:
+        return report
     C = F.set
     X = sample_points(C, samples, seed)
     Y = sample_points(C, samples, seed + 1)

@@ -106,7 +106,9 @@ class SolverConfig:
     condition sum lambda_n (2 - lambda_n) = +inf, callables are validated
     per iteration.  Error schedules map n to a vector; shipped presets are
     all summable against any admissible relaxation.  ``seed`` fixes the
-    resolvents' verification samples and the certificate sample.
+    resolvents' verification samples, the certificate sample and the draws
+    of the sampled admissibility check (structured families are checked
+    exactly and draw none; see :func:`solve`).
     """
 
     gamma: float = 1.0
@@ -291,8 +293,13 @@ def solve(
 ) -> SolveResult:
     """Solve F(x, y) + G(x, y) >= 0 for all y in C by splitting resolvents.
 
-    The two bifunctions must share their set object.  A quick sampled
-    admissibility diagnostic runs first and only warns on failure.
+    The two bifunctions must share their set object.  When
+    ``check_inputs`` is true an admissibility diagnostic runs first on each
+    side and only warns on failure.  It is exact for operator-induced
+    bifunctions over a whole space, ball, halfspace or box (one eigenvalue
+    of the symmetric part of M) and for function differences of shipped
+    convex functions (nothing to check); every other bifunction gets a
+    16-sample diagnostic at ``cfg.seed``, and the warning says which.
     ``method_f``/``method_g`` force a resolvent computation method (mainly
     to cross-check closed forms against the inner iterative route).
     """
@@ -304,7 +311,7 @@ def solve(
         for tag, H in (("first", F), ("second", G)):
             report = check_admissibility(H, samples=16, seed=cfg.seed)
             if not report.passed:
-                warnings.warn(f"{tag} bifunction failed the sampled admissibility check: {report}")
+                warnings.warn(f"{tag} bifunction: {report}")
 
     JF = ResolventOracle(cfg.gamma, F, method=method_f, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
     JG = ResolventOracle(cfg.gamma, G, method=method_g, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)

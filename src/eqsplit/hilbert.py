@@ -315,10 +315,17 @@ def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.nda
     """Deterministic sample of ``n`` points of ``C``: project(gaussian).
 
     Draws N(0, scale^2 I) vectors with a seeded generator and projects each
-    onto ``C``.  Returns an (n, d) array.
+    onto ``C``.  Returns an (n, d) array.  The whole space and boxes project
+    the whole array at once, which gives the same bits as projecting row by
+    row; every other kind projects one row at a time through ``C.project``,
+    so the sample carries exactly that oracle's rounding.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     raw = rng.normal(0.0, scale, size=(n, C.dimension))
+    if C.kind == "whole-space":
+        return raw
+    if C.kind == "box":
+        return np.minimum(np.maximum(raw, C.lo), C.hi)
     return np.array([C.project(r) for r in raw])

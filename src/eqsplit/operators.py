@@ -107,8 +107,8 @@ class IntervalImage:
 def normal_cone_image(C: ConvexSet, x, tol: float = 1e-9) -> IntervalImage | None:
     """Normal cone of a box or the whole space at ``x``; None when x is outside.
 
-    Only these kinds have axis-aligned cones; other set kinds are handled by
-    sampled membership.
+    Only these kinds have axis-aligned cones; other set kinds get a
+    membership test in :func:`normal_cone_operator`.
     """
     x = as_vector(x, C.dimension)
     if C.kind == "whole-space":
@@ -207,18 +207,26 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
 
 
 def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
-    """Normal cone map of C.  Its resolvent is the projection for every gamma."""
+    """Normal cone map of C.  Its resolvent is the projection for every gamma.
+
+    Membership is exact for a box, the whole space and a ball, whose
+    support function has a closed form: u is normal to a ball at x iff
+    max_y <u, y - x> = <u, center - x> + radius ||u|| is at most ``tol``.
+    Other kinds test that inequality on a seeded sample of C.
+    """
     evaluate = None
     member_fn = None
     if C.kind in ("box", "whole-space"):
         evaluate = lambda x: normal_cone_image(C, x)
     else:
-        Y = sample_points(C, MEMBER_SAMPLES, 0)
+        if C.kind == "ball":
+            support = lambda x, u: float(u @ (C.center - x)) + C.radius * float(np.linalg.norm(u))
+        else:
+            Y = sample_points(C, MEMBER_SAMPLES, 0)
+            support = lambda x, u: float(np.max((Y - x) @ u))
 
         def member_fn(x, u, tol=MEMBER_TOL):
-            if not C.contains(x, max(tol, 1e-8)):
-                return False
-            return float(np.max((Y - x) @ u)) <= tol
+            return C.contains(x, max(tol, 1e-8)) and support(x, u) <= tol
 
     return MonotoneOperator(
         dimension=C.dimension,

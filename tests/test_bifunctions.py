@@ -148,3 +148,89 @@ def test_family_tags():
     assert generic_bifunction(C, lambda x, y: 0.0).family == "generic"
     F = operator_bifunction(C, [[1.0]])
     assert sum_bifunctions(F, zero_bifunction(C)).family == "sum-of-two"
+
+
+def _barely_nonmonotone(d=20):
+    M = np.eye(d)
+    M[-1, -1] = -1e-3
+    return M
+
+
+def test_exact_admissibility_flags_barely_nonmonotone_operator():
+    C = WholeSpace(20)
+    F = operator_bifunction(C, _barely_nonmonotone())
+    report = check_admissibility(F, samples=100, seed=0)
+    assert report.exact and not report.passed
+    assert report.worst_violations["monotone"] == pytest.approx(1e-3, rel=1e-12)
+    assert "exact" in str(report)
+    # the same oracle without its structure is sampled, and the sample
+    # misses the one bad direction
+    sampled = check_admissibility(generic_bifunction(C, F), samples=100, seed=0)
+    assert not sampled.exact and sampled.passed
+    assert "100 samples" in str(sampled)
+
+
+def test_exact_admissibility_ignores_pinned_box_coordinates():
+    lo = -np.ones(20)
+    hi = np.ones(20)
+    hi[-1] = lo[-1]  # the bad direction is not a direction of the box
+    report = check_admissibility(operator_bifunction(Box(lo, hi), _barely_nonmonotone()))
+    assert report.exact and report.passed
+    assert report.worst_violations["monotone"] == 0.0
+
+
+def test_exact_admissibility_calls_no_oracle(monkeypatch):
+    from eqsplit import bifunctions
+    from eqsplit.hilbert import Ball, Halfspace
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact report must not sample or evaluate")
+
+    monkeypatch.setattr(bifunctions.Bifunction, "__call__", forbidden)
+    monkeypatch.setattr(bifunctions, "sample_points", forbidden)
+    M = [[1.0, 2.0], [-2.0, 0.5]]
+    cases = [
+        operator_bifunction(C, M, [1.0, -1.0])
+        for C in (WholeSpace(2), Box([0.0, 0.0], [1.0, 2.0]), Ball([0.0, 0.0], 1.0), Halfspace([1.0, 1.0], 0.0))
+    ]
+    C = WholeSpace(2)
+    cases += [
+        function_difference(C, Quadratic([[2.0, 1.0], [1.0, 1.0]], [0.0, 1.0])),
+        function_difference(C, WeightedL1([1.0, 0.5])),
+        function_difference(C, AffineFunction([1.0, -1.0], 3.0)),
+    ]
+    for F in cases:
+        report = check_admissibility(F)
+        assert report.exact and report.passed and report.samples == 0, F.family
+
+
+def test_unstructured_bifunctions_keep_the_sampled_check():
+    from eqsplit.hilbert import Simplex
+
+    class Square(Quadratic):
+        pass
+
+    C = WholeSpace(2)
+    cases = [
+        operator_bifunction(Simplex(2), np.eye(2)),
+        function_difference(C, Square(np.eye(2), [0.0, 0.0])),
+        sum_bifunctions(operator_bifunction(C, np.eye(2)), zero_bifunction(C)),
+        generic_bifunction(C, lambda x, y: float(np.dot(x, y - x))),
+    ]
+    for F in cases:
+        report = check_admissibility(F, samples=8, seed=3)
+        assert not report.exact and report.samples == 8 and report.passed, F.family
+
+
+def test_affine_function_offset_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        AffineFunction([1.0], float("inf"))
+
+
+@pytest.mark.parametrize("d", [2, 50, 200])
+def test_quadratic_value_batch_matches_pointwise_values(d):
+    rng = np.random.default_rng(d)
+    B = rng.normal(size=(d, d))
+    f = Quadratic(B @ B.T / d, rng.normal(size=d))
+    Y = rng.normal(0.0, 2.0, size=(256, d))
+    np.testing.assert_allclose(f.value_batch(Y), [f.value(y) for y in Y], rtol=1e-12)

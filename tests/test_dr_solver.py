@@ -317,7 +317,16 @@ def test_admissibility_warning_on_bad_bifunction():
     # warning may accompany the admissibility one
     with pytest.warns(UserWarning) as recorded:
         solve(bad, zero_bifunction(C), [0.5], SolverConfig(max_iter=3, residual_tol=1e-3))
-    assert any("admissibility" in str(w.message) for w in recorded)
+    assert any("admissibility" in str(w.message) and "16 samples" in str(w.message) for w in recorded)
+
+
+def test_admissibility_warning_on_nonmonotone_operator_is_exact():
+    # one slightly negative direction in 20: the exact check sees it
+    M = np.eye(20)
+    M[-1, -1] = -1e-3
+    C = WholeSpace(20)
+    with pytest.warns(UserWarning, match=r"first bifunction: admissibility check FAILED \(exact\)"):
+        solve(operator_bifunction(C, M), zero_bifunction(C), np.zeros(20), SolverConfig(max_iter=3))
 
 
 def test_certificate_helper():

