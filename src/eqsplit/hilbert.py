@@ -1,8 +1,13 @@
 """Euclidean space primitives: vectors, inner products, and closed convex sets.
 
 Every set is given by an exact projection oracle plus a membership test.
-All sets are immutable after construction and their oracles are pure, so
-they can be shared freely across concurrent solves.
+Membership is batched: ``contains_batch`` tests every row of a point array
+at once, by a closed form for the whole space, boxes, balls, halfspaces and
+the simplex, by the members' tests for an intersection (for these kinds
+``contains`` is its one-row case), and by a row loop over ``contains`` for
+the affine subspace and user-defined kinds.  All sets are immutable after
+construction and their oracles are pure, so they can be shared freely
+across concurrent solves.
 """
 
 from __future__ import annotations
@@ -29,6 +34,23 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
+
+
+def as_points(P, dim: int | None = None) -> np.ndarray:
+    """View ``P`` as a finite 2-D float array with one point per row.
+
+    Raises ``ValueError`` on NaN/Inf entries, on input that is not 2-D, and
+    on a width other than ``dim`` when it is given.  Unlike
+    :func:`as_vector` it does not copy.
+    """
+    A = np.asarray(P, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-D array of points, got shape {A.shape}")
+    if dim is not None and A.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim} columns, got {A.shape[1]}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("points have non-finite entries")
+    return A
 
 
 def inner(a, b) -> float:
@@ -104,9 +126,28 @@ class ConvexSet(ABC):
         x = as_vector(x, self.dimension)
         return norm(x - self.project(x)) <= tol
 
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Boolean array: whether each row of ``P`` lies in the set, up to ``tol``.
+
+        Rows must be finite and ``dimension`` wide (``ValueError``
+        otherwise).  This default runs ``contains`` row by row; the kinds
+        with a closed-form test override it, and their ``contains`` is its
+        one-row case.
+        """
+        P = as_points(P, self.dimension)
+        return np.array([self.contains(p, tol) for p in P], dtype=bool)
+
+
+class _BatchedMembership(ConvexSet):
+    """Kinds whose membership test works on whole arrays of points; the
+    one-point test is the one-row case of ``contains_batch``."""
+
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        return bool(self.contains_batch(as_vector(x, self.dimension)[None, :], tol)[0])
+
 
 @dataclass(frozen=True)
-class WholeSpace(ConvexSet):
+class WholeSpace(_BatchedMembership):
     """The ambient space itself; projection is the identity."""
 
     dimension: int
@@ -119,13 +160,12 @@ class WholeSpace(ConvexSet):
     def project(self, x) -> np.ndarray:
         return as_vector(x, self.dimension)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        as_vector(x, self.dimension)
-        return True
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        return np.ones(as_points(P, self.dimension).shape[0], dtype=bool)
 
 
 @dataclass(frozen=True)
-class Box(ConvexSet):
+class Box(_BatchedMembership):
     """Axis-aligned box {x : lo <= x <= hi}."""
 
     lo: np.ndarray
@@ -146,13 +186,13 @@ class Box(ConvexSet):
         x = as_vector(x, self.dimension)
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x, self.dimension)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        P = as_points(P, self.dimension)
+        return np.all((P >= self.lo - tol) & (P <= self.hi + tol), axis=1)
 
 
 @dataclass(frozen=True)
-class Ball(ConvexSet):
+class Ball(_BatchedMembership):
     """Closed Euclidean ball of given center and radius."""
 
     center: np.ndarray
@@ -176,13 +216,13 @@ class Ball(ConvexSet):
             return x
         return self.center + (self.radius / r) * d
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x, self.dimension)
-        return norm(x - self.center) <= self.radius + tol
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        P = as_points(P, self.dimension)
+        return np.linalg.norm(P - self.center, axis=1) <= self.radius + tol
 
 
 @dataclass(frozen=True)
-class Halfspace(ConvexSet):
+class Halfspace(_BatchedMembership):
     """Halfspace {x : <normal, x> <= offset}."""
 
     normal: np.ndarray
@@ -205,13 +245,13 @@ class Halfspace(ConvexSet):
             return x
         return x - (excess / inner(self.normal, self.normal)) * self.normal
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x, self.dimension)
-        return inner(self.normal, x) <= self.offset + tol * max(1.0, norm(self.normal))
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        P = as_points(P, self.dimension)
+        return P @ self.normal <= self.offset + tol * max(1.0, norm(self.normal))
 
 
 @dataclass(frozen=True)
-class Simplex(ConvexSet):
+class Simplex(_BatchedMembership):
     """Standard probability simplex {x >= 0, sum x_i = 1}."""
 
     dimension: int
@@ -224,9 +264,9 @@ class Simplex(ConvexSet):
     def project(self, x) -> np.ndarray:
         return project_simplex(as_vector(x, self.dimension))
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x, self.dimension)
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol * self.dimension)
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        P = as_points(P, self.dimension)
+        return np.all(P >= -tol, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol * self.dimension)
 
 
 @dataclass(frozen=True)
@@ -259,7 +299,7 @@ class AffineSubspace(ConvexSet):
 
 
 @dataclass(frozen=True)
-class IntersectionSet(ConvexSet):
+class IntersectionSet(_BatchedMembership):
     """Intersection of convex sets, projected by Dykstra's alternating scheme.
 
     The cyclic corrections make the limit the metric projection onto the
@@ -307,8 +347,9 @@ class IntersectionSet(ConvexSet):
                 break
         return z
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return all(s.contains(x, tol) for s in self.members)
+    def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        P = as_points(P, self.dimension)
+        return np.logical_and.reduce([s.contains_batch(P, tol) for s in self.members])
 
 
 def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.ndarray:

@@ -13,7 +13,12 @@ sums and solutions of summed equilibrium problems coincide.
 Set-valued images are represented as per-coordinate intervals (possibly
 unbounded), which covers every supported family: single-valued maps,
 subdifferentials of the supported convex functions, and normal cones of
-boxes.  A finite list of vectors cannot represent the latter two.
+boxes.  A finite list of vectors cannot represent the latter two.  Interval
+images are evaluated over arrays of points at once
+(:meth:`MonotoneOperator.evaluate_batch`), and membership is decided from
+them exactly wherever they exist; only the other operators fall back to a
+sampled membership test.  The grid oracles are array operations over the
+whole grid, blocked so that no pair-value matrix outgrows a few tens of MB.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .bifunctions import (
     function_difference,
     operator_bifunction,
 )
-from .hilbert import ConvexSet, WholeSpace, as_vector, sample_points
+from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
 from .resolvents import ResolventOracle, _linear_resolvent, partial_second, resolve
 
 #: default membership tolerance for sampled operator membership
@@ -48,6 +53,33 @@ MEMBER_SAMPLES = 256
 #: default multiplier search box and grid step for the zero scan
 U_BOUNDS = (-10.0, 10.0)
 U_STEP = 1e-2
+
+#: entries of one row block of a pair-value matrix in the grid oracles
+BLOCK_ENTRIES = 2**22
+
+#: convex functions whose subdifferential has an exact interval form; the
+#: exact type, so a user subclass (whose subgradient oracle may return one
+#: element of a larger set) keeps the sampled membership test
+_INTERVAL_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
+
+
+def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
+    """Slices of at most ``entries // n_cols`` rows (at least one) covering n_rows."""
+    step = max(1, int(entries // max(n_cols, 1)))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _sampled_min(base, x: np.ndarray, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """min over the rows y of Y of base_y + <u, x - y>, for each row u of U.
+
+    The sampled membership residual; computed in row blocks of U, so a
+    large multiplier grid never builds its whole (len(U), len(Y)) matrix.
+    """
+    out = np.empty(U.shape[0])
+    D = (x - Y).T
+    for rows in _row_blocks(U.shape[0], Y.shape[0]):
+        out[rows] = (U[rows] @ D + base).min(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +105,6 @@ class IntervalImage:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def point(cls, v) -> "IntervalImage":
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return cls(v, v)
-
     @property
     def dimension(self) -> int:
         return self.lo.size
@@ -97,11 +124,21 @@ class IntervalImage:
                 total += lo * di
         return float(total)
 
-    def __add__(self, other: "IntervalImage") -> "IntervalImage":
-        return IntervalImage(self.lo + other.lo, self.hi + other.hi)
-
     def negate(self) -> "IntervalImage":
         return IntervalImage(-self.hi, -self.lo)
+
+
+def _normal_cone_bounds(C: ConvexSet, X: np.ndarray, tol: float = 1e-9):
+    """(ok, lo, hi) of the normal cone of a box or the whole space at the
+    rows of X; ok is False at rows outside C, where the cone is empty."""
+    if C.kind == "whole-space":
+        return np.ones(X.shape[0], dtype=bool), np.zeros(X.shape), np.zeros(X.shape)
+    if C.kind != "box":
+        raise ValueError(f"no interval normal cone for set kind {C.kind!r}")
+    ok = C.contains_batch(X, tol)
+    lo = np.where(X <= C.lo + tol, -np.inf, 0.0)
+    hi = np.where(X >= C.hi - tol, np.inf, 0.0)
+    return ok, lo, hi
 
 
 def normal_cone_image(C: ConvexSet, x, tol: float = 1e-9) -> IntervalImage | None:
@@ -110,22 +147,26 @@ def normal_cone_image(C: ConvexSet, x, tol: float = 1e-9) -> IntervalImage | Non
     Only these kinds have axis-aligned cones; other set kinds get a
     membership test in :func:`normal_cone_operator`.
     """
-    x = as_vector(x, C.dimension)
-    if C.kind == "whole-space":
-        z = np.zeros(C.dimension)
-        return IntervalImage(z, z)
-    if C.kind != "box":
-        raise ValueError(f"no interval normal cone for set kind {C.kind!r}")
-    if not C.contains(x, tol):
-        return None
-    lo = np.empty(C.dimension)
-    hi = np.empty(C.dimension)
-    for i in range(C.dimension):
-        at_lo = x[i] <= C.lo[i] + tol
-        at_hi = x[i] >= C.hi[i] - tol
-        lo[i] = -np.inf if at_lo else 0.0
-        hi[i] = np.inf if at_hi else 0.0
-    return IntervalImage(lo, hi)
+    ok, lo, hi = _normal_cone_bounds(C, as_vector(x, C.dimension)[None, :], tol)
+    return IntervalImage(lo[0], hi[0]) if ok[0] else None
+
+
+def _subdifferential_bounds(f: ConvexFunction, X: np.ndarray):
+    """(lo, hi) of the subdifferential of f at the rows of X.
+
+    Closed forms for the shipped functions; any other f (a user subclass
+    included) contributes the one subgradient its oracle returns, row by
+    row.
+    """
+    if isinstance(f, WeightedL1):
+        return f.subdifferential_bounds(X)
+    if type(f) is Quadratic:
+        G = X @ f.Q.T + f.q
+    elif type(f) is AffineFunction:
+        G = np.broadcast_to(f.a, X.shape)
+    else:
+        G = np.array([f.subgradient(x) for x in X]).reshape(X.shape)
+    return G, G
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +179,18 @@ class MonotoneOperator:
 
     ``resolvent_factory(gamma)`` returns the single-valued resolvent of
     ``gamma * A`` (None when no resolvent route exists, e.g. for bare
-    Minkowski sums used only in membership tests).  ``evaluate`` maps a
-    point to the interval image of A there (None value = empty image),
-    and is itself None when no finite representation exists.
+    Minkowski sums used only in membership tests).
+    ``evaluate_batch_fn(X)`` maps a validated (n, d) array of points to
+    ``(ok, lo, hi)``: ``ok[i]`` is False where the image at row i is empty,
+    and otherwise the image is the box ``[lo[i], hi[i]]`` (callers do not
+    write to these arrays).  It is None when no finite representation
+    exists; then ``member_batch_fn(x, U, tol)`` decides membership.
     """
 
     dimension: int
     domain_set: ConvexSet
     resolvent_factory: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None
-    evaluate: Callable[[np.ndarray], IntervalImage | None] | None = None
-    member_fn: Callable[[np.ndarray, np.ndarray, float], bool] | None = None
+    evaluate_batch_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     member_batch_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
     affine_form: tuple[np.ndarray, np.ndarray] | None = None
     source_bifunction: Bifunction | None = None
@@ -158,29 +201,45 @@ class MonotoneOperator:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
         return self.resolvent_factory(gamma)(as_vector(x, self.dimension))
 
+    def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interval images at the rows of ``X``: ``(ok, lo, hi)``.
+
+        ``ok`` is a boolean array, False where the image is empty (outside
+        the domain); where it is True the image is ``[lo[i], hi[i]]``
+        coordinate by coordinate, with infinite bounds for unbounded
+        directions.  Raises ``ValueError`` when the operator has no
+        interval form or ``X`` is not a finite (n, dimension) array.
+        """
+        if self.evaluate_batch_fn is None:
+            raise ValueError(f"operator {self.name!r} exposes no interval evaluation")
+        return self.evaluate_batch_fn(as_points(X, self.dimension))
+
+    def evaluate(self, x) -> IntervalImage | None:
+        """Interval image at ``x`` (None when empty): one row of ``evaluate_batch``."""
+        ok, lo, hi = self.evaluate_batch(as_vector(x, self.dimension)[None, :])
+        return IntervalImage(lo[0], hi[0]) if ok[0] else None
+
     def member(self, x, u, tol: float = MEMBER_TOL) -> bool:
-        """Whether u belongs to the image at x, up to ``tol``."""
-        x = as_vector(x, self.dimension)
-        u = as_vector(u, self.dimension)
-        if self.member_fn is not None:
-            return self.member_fn(x, u, tol)
-        if self.evaluate is not None:
-            image = self.evaluate(x)
-            return image is not None and image.contains(u, tol)
-        raise ValueError(f"operator {self.name!r} supports no membership test")
+        """Whether u belongs to the image at x, up to ``tol``: one row of ``member_batch``."""
+        return bool(self.member_batch(x, as_vector(u, self.dimension)[None, :], tol)[0])
 
     def member_batch(self, x, U, tol: float = MEMBER_TOL) -> np.ndarray:
-        """Vectorized membership over the rows of ``U``."""
+        """Membership of each row of ``U`` in the image at ``x``, up to ``tol``.
+
+        Exact, from the interval image, for every operator that has one;
+        otherwise the operator's own test (sampled for most induced
+        operators, see :func:`operator_from_bifunction`).  ``x`` must be a
+        finite vector and ``U`` a finite 2-D array, both of width
+        ``dimension``; anything else raises ``ValueError``.
+        """
         x = as_vector(x, self.dimension)
-        U = np.asarray(U, dtype=float)
+        U = as_points(U, self.dimension)
+        if self.evaluate_batch_fn is not None:
+            ok, lo, hi = self.evaluate_batch_fn(x[None, :])
+            return ok[0] & np.all((U >= lo - tol) & (U <= hi + tol), axis=1)
         if self.member_batch_fn is not None:
             return self.member_batch_fn(x, U, tol)
-        if self.member_fn is not None:
-            return np.array([self.member_fn(x, u, tol) for u in U], dtype=bool)
-        image = self.evaluate(x) if self.evaluate is not None else None
-        if image is None:
-            return np.zeros(U.shape[0], dtype=bool)
-        return np.all((U >= image.lo - tol) & (U <= image.hi + tol), axis=1)
+        raise ValueError(f"operator {self.name!r} supports no membership test")
 
 
 def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
@@ -196,11 +255,15 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
     M.setflags(write=False)
     c.setflags(write=False)
 
+    def evaluate_batch(X):
+        v = X @ M.T + c
+        return np.ones(X.shape[0], dtype=bool), v, v
+
     return MonotoneOperator(
         dimension=d,
         domain_set=WholeSpace(d),
         resolvent_factory=lambda gamma: _linear_resolvent(M, c, gamma),
-        evaluate=lambda x: IntervalImage.point(M @ as_vector(x, d) + c),
+        evaluate_batch_fn=evaluate_batch,
         affine_form=(M, c),
         name=name or "affine",
     )
@@ -209,40 +272,34 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
 def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
     """Normal cone map of C.  Its resolvent is the projection for every gamma.
 
-    Membership is exact for a box, the whole space and a ball, whose
-    support function has a closed form: u is normal to a ball at x iff
-    max_y <u, y - x> = <u, center - x> + radius ||u|| is at most ``tol``.
-    Other kinds test that inequality on a seeded sample of C.
+    A box or the whole space has an interval cone, so membership is exact.
+    So it is for a ball, whose support function has a closed form: u is
+    normal to a ball at x iff max_y <u, y - x> = <u, center - x> +
+    radius ||u|| is at most ``tol``.  Other kinds test that inequality on a
+    seeded sample of C.
     """
-    evaluate = None
-    member_fn = None
+    evaluate_batch = None
+    member_batch = None
     if C.kind in ("box", "whole-space"):
-        evaluate = lambda x: normal_cone_image(C, x)
+        evaluate_batch = lambda X: _normal_cone_bounds(C, X)
     else:
         if C.kind == "ball":
-            support = lambda x, u: float(u @ (C.center - x)) + C.radius * float(np.linalg.norm(u))
+            support = lambda x, U: U @ (C.center - x) + C.radius * np.linalg.norm(U, axis=1)
         else:
             Y = sample_points(C, MEMBER_SAMPLES, 0)
-            support = lambda x, u: float(np.max((Y - x) @ u))
+            support = lambda x, U: -_sampled_min(0.0, x, U, Y)
 
-        def member_fn(x, u, tol=MEMBER_TOL):
-            return C.contains(x, max(tol, 1e-8)) and support(x, u) <= tol
+        def member_batch(x, U, tol=MEMBER_TOL):
+            return C.contains(x, max(tol, 1e-8)) & (support(x, U) <= tol)
 
     return MonotoneOperator(
         dimension=C.dimension,
         domain_set=C,
         resolvent_factory=lambda gamma: C.project,
-        evaluate=evaluate,
-        member_fn=member_fn,
+        evaluate_batch_fn=evaluate_batch,
+        member_batch_fn=member_batch,
         name=f"normal-cone[{C.kind}]",
     )
-
-
-def _subdifferential_image(f: ConvexFunction, x: np.ndarray) -> IntervalImage:
-    if isinstance(f, WeightedL1):
-        lo, hi = f.subdifferential_bounds(x)
-        return IntervalImage(lo, hi)
-    return IntervalImage.point(f.subgradient(x))
 
 
 def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOperator:
@@ -255,6 +312,10 @@ def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOpera
         oracle = ResolventOracle(gamma, bif)
         return lambda x: resolve(oracle, x)
 
+    def evaluate_batch(X):
+        lo, hi = _subdifferential_bounds(f, X)
+        return np.ones(X.shape[0], dtype=bool), lo, hi
+
     affine_form = None
     if isinstance(f, Quadratic):
         affine_form = (f.Q, f.q)
@@ -265,7 +326,7 @@ def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOpera
         dimension=d,
         domain_set=H,
         resolvent_factory=factory,
-        evaluate=lambda x: _subdifferential_image(f, as_vector(x, d)),
+        evaluate_batch_fn=evaluate_batch,
         affine_form=affine_form,
         name=name or "subdifferential",
     )
@@ -275,20 +336,18 @@ def operator_sum(A: MonotoneOperator, B: MonotoneOperator, name: str = "") -> Mo
     """Pointwise Minkowski sum, for membership tests; exposes no resolvent."""
     if A.dimension != B.dimension:
         raise ValueError("operator dimensions do not match")
-    if A.evaluate is None or B.evaluate is None:
+    if A.evaluate_batch_fn is None or B.evaluate_batch_fn is None:
         raise ValueError("operator sum needs interval evaluation on both terms")
 
-    def evaluate(x):
-        a = A.evaluate(x)
-        b = B.evaluate(x)
-        if a is None or b is None:
-            return None
-        return a + b
+    def evaluate_batch(X):
+        ok_a, lo_a, hi_a = A.evaluate_batch_fn(X)
+        ok_b, lo_b, hi_b = B.evaluate_batch_fn(X)
+        return ok_a & ok_b, lo_a + lo_b, hi_a + hi_b
 
     return MonotoneOperator(
         dimension=A.dimension,
         domain_set=A.domain_set if A.domain_set.kind != "whole-space" else B.domain_set,
-        evaluate=evaluate,
+        evaluate_batch_fn=evaluate_batch,
         name=name or f"{A.name}+{B.name}",
     )
 
@@ -298,56 +357,49 @@ def operator_sum(A: MonotoneOperator, B: MonotoneOperator, name: str = "") -> Mo
 # ---------------------------------------------------------------------------
 
 def _structural_image_fn(F: Bifunction):
-    """Exact interval evaluation of the operator induced by F, when the
-    family and set kind allow one; otherwise None."""
+    """Exact batched interval evaluation of the operator induced by F, when
+    the family, its convex functions and the set kind allow one; otherwise
+    None."""
     C = F.set
     if C.kind not in ("box", "whole-space"):
         return None
 
-    def base(bif, x):
+    def exact(bif) -> bool:
         if bif.family == OPERATOR_INDUCED:
-            return IntervalImage.point(bif.matrix @ x + bif.offset)
+            return True
         if bif.family == FUNCTION_DIFFERENCE:
-            return _subdifferential_image(bif.function, x)
+            return type(bif.function) in _INTERVAL_FUNCTIONS
         if bif.family == SUM_OF_TWO:
-            left = base(bif.parts[0], x)
-            right = base(bif.parts[1], x)
-            if left is None or right is None:
-                return None
-            return left + right
+            return exact(bif.parts[0]) and exact(bif.parts[1])
+        return False
+
+    def base(bif, X):
+        if bif.family == OPERATOR_INDUCED:
+            v = X @ bif.matrix.T + bif.offset
+            return v, v
+        if bif.family == FUNCTION_DIFFERENCE:
+            return _subdifferential_bounds(bif.function, X)
+        left, right = base(bif.parts[0], X), base(bif.parts[1], X)
+        return left[0] + right[0], left[1] + right[1]
+
+    if not exact(F):
         return None
 
-    if base(F, np.zeros(C.dimension)) is None:
-        return None
+    def evaluate_batch(X):
+        ok, cone_lo, cone_hi = _normal_cone_bounds(C, X)
+        lo, hi = base(F, X)
+        return ok, lo + cone_lo, hi + cone_hi
 
-    def evaluate(x):
-        x = as_vector(x, C.dimension)
-        cone = normal_cone_image(C, x)
-        if cone is None:
-            return None
-        return base(F, x) + cone
-
-    return evaluate
+    return evaluate_batch
 
 
-def operator_from_bifunction(
-    F: Bifunction,
-    *,
-    name: str = "",
-) -> MonotoneOperator:
-    """Maximally monotone operator induced by an admissible bifunction.
-
-    The resolvent oracle is exactly the bifunction resolvent.  Membership
-    of u in the image at x is rejected when any verification point y has
-    F(x, y) + <x - y, u> < -tol; the verification points are
-    ``MEMBER_SAMPLES`` seeded points of C plus a short projected-descent
+def _sampled_membership_fn(F: Bifunction):
+    """Membership test for the operator induced by F when it has no interval
+    image: u is rejected at x when some verification point y has
+    F(x, y) + <x - y, u> < -tol.  The points are ``MEMBER_SAMPLES`` seeded
+    points of C plus, for the rows that pass them, a short projected-descent
     witness search on y -> F(x, y) + <x - y, u> (a random cloud alone can
-    straddle the narrow violation window of a near-member u).  The batch
-    test runs the search only on the rows that pass the sampled test, so
-    it agrees with the one-point test.  Membership is False outside C,
-    where the image is empty.  When the family and set kind
-    permit, an exact interval evaluation is attached as well.
-    """
+    straddle the narrow violation window of a near-member u)."""
     C = F.set
     Y = sample_points(C, MEMBER_SAMPLES, 0)
     grad = partial_second(F)
@@ -369,17 +421,39 @@ def operator_from_bifunction(
             y = y_new
         return best
 
-    def member_batch_fn(x, U, tol=MEMBER_TOL):
+    def member_batch(x, U, tol=MEMBER_TOL):
         if not C.contains(x, max(tol, 1e-8)):
             return np.zeros(U.shape[0], dtype=bool)
-        vals = F.eval_batch(x, Y)[None, :] + U @ (x - Y).T
-        ok = vals.min(axis=1) >= -tol
+        ok = _sampled_min(F.eval_batch(x, Y), x, U, Y) >= -tol
         for i in np.flatnonzero(ok):
             ok[i] = witness_min(x, U[i]) >= -tol
         return ok
 
-    def member_fn(x, u, tol=MEMBER_TOL):
-        return bool(member_batch_fn(x, u[None, :], tol)[0])
+    return member_batch
+
+
+def operator_from_bifunction(
+    F: Bifunction,
+    *,
+    name: str = "",
+) -> MonotoneOperator:
+    """Maximally monotone operator induced by an admissible bifunction.
+
+    The resolvent oracle is exactly the bifunction resolvent.  Membership
+    is exact where an interval image exists: operator-induced bifunctions,
+    function differences of a shipped ``Quadratic``, ``WeightedL1`` or
+    ``AffineFunction``, and sums of these, over a box or the whole space.
+    There the image at x is the structural part plus the normal cone of C
+    (empty outside C), and ``evaluate_batch`` returns it; no sample is
+    drawn.  Every other bifunction gets the sampled test: u is rejected at
+    x when any verification point y has F(x, y) + <x - y, u> < -tol, the
+    points being ``MEMBER_SAMPLES`` seeded points of C plus a short
+    projected-descent witness search on the rows that pass them, so the
+    batch test agrees with the one-point test.  Membership is False outside
+    C, where the image is empty.
+    """
+    C = F.set
+    evaluate_batch = _structural_image_fn(F)
 
     def factory(gamma):
         oracle = ResolventOracle(gamma, F)
@@ -399,9 +473,8 @@ def operator_from_bifunction(
         dimension=C.dimension,
         domain_set=C,
         resolvent_factory=factory,
-        evaluate=_structural_image_fn(F),
-        member_fn=member_fn,
-        member_batch_fn=member_batch_fn,
+        evaluate_batch_fn=evaluate_batch,
+        member_batch_fn=_sampled_membership_fn(F) if evaluate_batch is None else None,
         affine_form=affine_form,
         source_bifunction=F,
         name=name or "induced",
@@ -416,7 +489,7 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     unbounded support value raises).  Single-valued affine operators yield
     an operator-induced bifunction, preserving closed-form resolvents.
     """
-    if A.evaluate is None:
+    if A.evaluate_batch_fn is None:
         raise ValueError(
             "bifunction construction needs an interval evaluation oracle; "
             "resolvent-only operators are not supported"
@@ -526,7 +599,7 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     quantization of the grid; degenerate instances whose residual is
     quadratic around the solution need a tighter, matched tolerance.
     Structured families run as blocked matrix products; generic oracles
-    fall back to a per-point scan.
+    fall back to one ``eval_batch`` per grid point.
     """
     if grid.dimension > 2:
         raise ValueError("brute-force oracles are limited to dimension <= 2")
@@ -534,8 +607,7 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
         tol = 10.0 * grid.step
     C = F.set
     pts = grid.points()
-    inside = np.array([C.contains(p, 1e-9) for p in pts])
-    pts = pts[inside]
+    pts = pts[C.contains_batch(pts, 1e-9)]
     n = pts.shape[0]
     if n == 0:
         raise ValueError("grid does not intersect the set")
@@ -553,22 +625,47 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     G = pts @ M.T + c
     base = np.einsum("ij,ij->i", G, pts) + f_vals
     keep = np.empty(n, dtype=bool)
-    block = max(1, int(2**22 // max(n, 1)))
-    for i in range(0, n, block):
-        vals = G[i : i + block] @ pts.T + f_vals[None, :] - base[i : i + block, None]
-        keep[i : i + block] = vals.min(axis=1) >= -tol
+    for rows in _row_blocks(n, n):
+        vals = G[rows] @ pts.T + f_vals[None, :] - base[rows, None]
+        keep[rows] = vals.min(axis=1) >= -tol
     return pts[keep].reshape(-1, grid.dimension)
 
 
-def _admissible_interval_1d(F: Bifunction, x: float, Y: np.ndarray, delta: float):
-    """Exact interval of multipliers u with F(x,y) + u (x - y) >= -delta
-    for every sample y.  Y is an (n, 1) array of points of C."""
-    d = (Y[:, 0] - x)
-    vals = F.eval_batch(np.array([x]), Y) + delta
-    pos = d > 0.0
-    neg = d < 0.0
-    uhi = float(np.min(vals[pos] / d[pos])) if np.any(pos) else np.inf
-    ulo = float(np.max(vals[neg] / d[neg])) if np.any(neg) else -np.inf
+def _pair_values_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """F(x_i, y_j) for the rows of X and Y (1-D), with D = y_j - x_i given.
+
+    Each row carries the bits of ``F.eval_batch(x_i, Y)``; generic
+    bifunctions are evaluated that way, one row at a time.
+    """
+    if F.family == OPERATOR_INDUCED:
+        return D * (X @ F.matrix.T + F.offset)
+    if F.family == FUNCTION_DIFFERENCE:
+        f = F.function
+        return f.value_batch(Y)[None, :] - f.value_batch(X)[:, None]
+    if F.family == SUM_OF_TWO:
+        V = _pair_values_1d(F.parts[0], X, Y, D)
+        V += _pair_values_1d(F.parts[1], X, Y, D)
+        return V
+    return np.array([F.eval_batch(x, Y) for x in X]).reshape(D.shape)
+
+
+def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
+    """Per row x of X, the exact interval [ulo, uhi] of multipliers u with
+    F(x, y) + u (x - y) >= -delta for every row y of Y (points of C, 1-D).
+
+    Row blocks hold a quarter of ``BLOCK_ENTRIES`` pairs, because up to
+    four block-sized arrays are alive at once.
+    """
+    ulo = np.empty(X.shape[0])
+    uhi = np.empty(X.shape[0])
+    for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
+        x = X[rows]
+        D = Y[None, :, 0] - x
+        V = _pair_values_1d(F, x, Y, D)
+        V += delta
+        np.divide(V, D, out=V, where=D != 0.0)
+        uhi[rows] = np.min(V, axis=1, where=D > 0.0, initial=np.inf)
+        ulo[rows] = np.max(V, axis=1, where=D < 0.0, initial=-np.inf)
     return ulo, uhi
 
 
@@ -587,14 +684,18 @@ def zeros_bruteforce(
     Routes, selected by ``method``:
 
     * ``intervals``: both operators expose interval evaluation; the image
-      intersection test is exact (the multiplier grid is bypassed).
+      intersection test is exact (the multiplier grid is bypassed) and runs
+      as array operations over the whole grid.
     * ``sampled``: 1-D only; the admissible multiplier set of each
       bifunction-backed operator over the grid sample is an exact interval,
       so existence over the continuum of multipliers inside ``u_bounds`` is
-      decided directly.
+      decided directly.  The intervals of all grid points come from blocked
+      pair-value arrays F(x_i, y_j); only generic bifunctions are evaluated
+      one grid point at a time.
     * ``ugrid``: scan a discrete multiplier grid of step ``u_step`` with
-      sampled membership tests.  The generic fallback; quantization limits
-      its resolution to about ``u_step``.
+      ``member_batch`` at each grid point (exact for operators with an
+      interval image, sampled otherwise).  The generic fallback;
+      quantization limits its resolution to about ``u_step``.
 
     ``tol`` defaults to the grid step (membership tolerance scaled to grid
     resolution).
@@ -607,7 +708,7 @@ def zeros_bruteforce(
         tol = grid.step
     lo_u, hi_u = u_bounds
     if method == "auto":
-        if A.evaluate is not None and B.evaluate is not None:
+        if A.evaluate_batch_fn is not None and B.evaluate_batch_fn is not None:
             method = "intervals"
         elif (
             grid.dimension == 1
@@ -619,19 +720,14 @@ def zeros_bruteforce(
             method = "ugrid"
 
     pts = grid.points()
-    accepted = []
 
     if method == "intervals":
-        for x in pts:
-            a = A.evaluate(x)
-            b = B.evaluate(x)
-            if a is None or b is None:
-                continue
-            target = b.negate()
-            lo = np.maximum(np.maximum(a.lo, target.lo), lo_u)
-            hi = np.minimum(np.minimum(a.hi, target.hi), hi_u)
-            if np.all(lo <= hi + tol):
-                accepted.append(x)
+        ok_a, a_lo, a_hi = A.evaluate_batch(pts)
+        ok_b, b_lo, b_hi = B.evaluate_batch(pts)
+        # u in A x and -u in B x, inside u_bounds
+        lo = np.maximum(np.maximum(a_lo, -b_hi), lo_u)
+        hi = np.minimum(np.minimum(a_hi, -b_lo), hi_u)
+        accepted = pts[ok_a & ok_b & np.all(lo <= hi + tol, axis=1)]
 
     elif method == "sampled":
         if grid.dimension != 1:
@@ -640,20 +736,15 @@ def zeros_bruteforce(
         FB = B.source_bifunction
         if FA is None or FB is None:
             raise ValueError("the sampled route needs bifunction-backed operators")
-        CA, CB = FA.set, FB.set
-        YA = pts[np.array([CA.contains(p, 1e-9) for p in pts])]
-        YB = pts[np.array([CB.contains(p, 1e-9) for p in pts])]
-        for x in pts:
-            xs = float(x[0])
-            if not (CA.contains(x, 1e-9) and CB.contains(x, 1e-9)):
-                continue
-            alo, ahi = _admissible_interval_1d(FA, xs, YA, tol)
-            blo, bhi = _admissible_interval_1d(FB, xs, YB, tol)
-            # need u in [alo, ahi] with -u in [blo, bhi], inside u_bounds
-            lo = max(alo, -bhi, lo_u)
-            hi = min(ahi, -blo, hi_u)
-            if lo <= hi:
-                accepted.append(x)
+        in_a = FA.set.contains_batch(pts, 1e-9)
+        in_b = FB.set.contains_batch(pts, 1e-9)
+        X = pts[in_a & in_b]
+        alo, ahi = _admissible_intervals_1d(FA, X, pts[in_a], tol)
+        blo, bhi = _admissible_intervals_1d(FB, X, pts[in_b], tol)
+        # need u in [alo, ahi] with -u in [blo, bhi], inside u_bounds
+        lo = np.maximum(np.maximum(alo, -bhi), lo_u)
+        hi = np.minimum(np.minimum(ahi, -blo), hi_u)
+        accepted = X[lo <= hi]
 
     elif method == "ugrid":
         if u_step is None:
@@ -661,6 +752,7 @@ def zeros_bruteforce(
         axes = [np.arange(lo_u, hi_u + 0.5 * u_step, u_step)] * grid.dimension
         mesh = np.meshgrid(*axes, indexing="ij")
         U = np.stack([m.ravel() for m in mesh], axis=1)
+        accepted = []
         for x in pts:
             ok = A.member_batch(x, U, tol)
             if ok.any() and B.member_batch(x, -U[ok], tol).any():

@@ -183,3 +183,125 @@ def sample_ball(rng, center, radius, n):
 
 def sample_simplex(rng, dim, n):
     return rng.dirichlet(np.ones(dim), size=n)
+
+
+# ---------------------------------------------------------------------------
+# grid zero scans, one grid point at a time
+# ---------------------------------------------------------------------------
+#
+# The per-point loops below read only the structural payload of a bifunction
+# (family tag, matrix and offset, the convex function's coefficients, the
+# set's kind and bounds) and redo the arithmetic in numpy.  They cover the
+# operator-induced and function-difference families (quadratic, weighted L1
+# and affine functions) and their sums, over a box or the whole space.
+
+def _in_set(C, x, tol=1e-9):
+    if C.kind == "whole-space":
+        return True
+    return bool(np.all(x >= C.lo - tol) and np.all(x <= C.hi + tol))
+
+
+def _function_value(f, y):
+    if hasattr(f, "weights"):
+        return float(np.sum(f.weights * np.abs(y)))
+    if hasattr(f, "Q"):
+        return float(0.5 * y @ f.Q @ y + f.q @ y)
+    return float(f.a @ y + f.b)
+
+
+def _function_values(f, Y):
+    if hasattr(f, "weights"):
+        return np.abs(Y) @ f.weights
+    if hasattr(f, "Q"):
+        return 0.5 * np.sum((Y @ f.Q) * Y, axis=1) + Y @ f.q
+    return Y @ f.a + f.b
+
+
+def _structural_interval(F, x):
+    if F.family == "operator-induced":
+        v = F.matrix @ x + F.offset
+        return v, v
+    if F.family == "function-difference":
+        f = F.function
+        if hasattr(f, "weights"):
+            kink = np.abs(x) <= 1e-9
+            s = np.sign(x)
+            return (np.where(kink, -f.weights, f.weights * s),
+                    np.where(kink, f.weights, f.weights * s))
+        v = f.Q @ x + f.q if hasattr(f, "Q") else f.a.copy()
+        return v, v
+    if F.family == "sum-of-two":
+        (llo, lhi), (rlo, rhi) = (_structural_interval(P, x) for P in F.parts)
+        return llo + rlo, lhi + rhi
+    raise ValueError(f"no interval image for family {F.family!r}")
+
+
+def induced_interval(F, x, tol=1e-9):
+    """(lo, hi) of the operator induced by F at x: the structural image plus
+    the normal cone of F.set, built one coordinate at a time; None when x
+    is outside the set."""
+    C = F.set
+    if not _in_set(C, x, tol):
+        return None
+    cone_lo = np.zeros(x.size)
+    cone_hi = np.zeros(x.size)
+    if C.kind == "box":
+        for i in range(x.size):
+            cone_lo[i] = -np.inf if x[i] <= C.lo[i] + tol else 0.0
+            cone_hi[i] = np.inf if x[i] >= C.hi[i] - tol else 0.0
+    lo, hi = _structural_interval(F, x)
+    return lo + cone_lo, hi + cone_hi
+
+
+def zeros_intervals_reference(FA, FB, pts, tol, u_bounds=(-10.0, 10.0)):
+    """Grid points x where the images of the operators induced by FA and FB
+    admit u in A x with -u in B x inside ``u_bounds``, up to ``tol``."""
+    accepted = []
+    for x in pts:
+        a = induced_interval(FA, x)
+        b = induced_interval(FB, x)
+        if a is None or b is None:
+            continue
+        lo = np.maximum(np.maximum(a[0], -b[1]), u_bounds[0])
+        hi = np.minimum(np.minimum(a[1], -b[0]), u_bounds[1])
+        if np.all(lo <= hi + tol):
+            accepted.append(x)
+    return np.array(accepted).reshape(-1, pts.shape[1])
+
+
+def _pair_values(F, x, Y):
+    """F(x, y) for the rows y of Y."""
+    if F.family == "operator-induced":
+        return (Y - x) @ (F.matrix @ x + F.offset)
+    if F.family == "function-difference":
+        return _function_values(F.function, Y) - _function_value(F.function, x)
+    if F.family == "sum-of-two":
+        return _pair_values(F.parts[0], x, Y) + _pair_values(F.parts[1], x, Y)
+    raise ValueError(f"no pair values for family {F.family!r}")
+
+
+def _admissible_interval_1d(F, x, Y, delta):
+    d = Y[:, 0] - x
+    vals = _pair_values(F, np.array([x]), Y) + delta
+    pos = d > 0.0
+    neg = d < 0.0
+    uhi = float(np.min(vals[pos] / d[pos])) if np.any(pos) else np.inf
+    ulo = float(np.max(vals[neg] / d[neg])) if np.any(neg) else -np.inf
+    return ulo, uhi
+
+
+def zeros_sampled_reference(FA, FB, pts, tol, u_bounds=(-10.0, 10.0)):
+    """1-D grid points x where some u in ``u_bounds`` has
+    F_A(x, y) + u (x - y) >= -tol and F_B(x, y) - u (x - y) >= -tol for
+    every grid point y of the respective set."""
+    YA = pts[np.array([_in_set(FA.set, p) for p in pts])]
+    YB = pts[np.array([_in_set(FB.set, p) for p in pts])]
+    accepted = []
+    for x in pts:
+        if not (_in_set(FA.set, x) and _in_set(FB.set, x)):
+            continue
+        alo, ahi = _admissible_interval_1d(FA, float(x[0]), YA, tol)
+        blo, bhi = _admissible_interval_1d(FB, float(x[0]), YB, tol)
+        if max(alo, -bhi, u_bounds[0]) <= min(ahi, -blo, u_bounds[1]):
+            accepted.append(x)
+    return np.array(accepted).reshape(-1, 1)

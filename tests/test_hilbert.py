@@ -193,21 +193,43 @@ def test_sample_points_deterministic_and_feasible():
     assert all(C.contains(p, 1e-12) for p in a)
 
 
-@pytest.mark.parametrize(
-    "C",
-    [
-        WholeSpace(3),
-        Box([-1.0, 0.5, 0.0], [1.0, 0.5, 2.0]),  # middle coordinate pinned
-        Ball([0.5, -0.5, 1.0], 1.5),
-        Halfspace([1.0, -2.0, 0.5], 0.3),
-        Simplex(3),
-        AffineSubspace([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.5]),
-        IntersectionSet((Box([-1.0] * 3, [1.0] * 3), Halfspace([1.0, 1.0, 1.0], 0.5))),
-    ],
-    ids=lambda C: C.kind,
-)
+_ALL_KINDS = [
+    WholeSpace(3),
+    Box([-1.0, 0.5, 0.0], [1.0, 0.5, 2.0]),  # middle coordinate pinned
+    Ball([0.5, -0.5, 1.0], 1.5),
+    Halfspace([1.0, -2.0, 0.5], 0.3),
+    Simplex(3),
+    AffineSubspace([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.5]),
+    IntersectionSet((Box([-1.0] * 3, [1.0] * 3), Halfspace([1.0, 1.0, 1.0], 0.5))),
+]
+
+
+@pytest.mark.parametrize("C", _ALL_KINDS, ids=lambda C: C.kind)
 def test_sample_points_equals_rowwise_projection(C):
     # whole-array projection must keep the bits of projecting each draw
     raw = np.random.default_rng(11).normal(0.0, 2.0, size=(128, C.dimension))
     expected = np.array([C.project(r) for r in raw])
     np.testing.assert_array_equal(sample_points(C, 128, seed=11), expected)
+
+
+@pytest.mark.parametrize("C", _ALL_KINDS, ids=lambda C: C.kind)
+def test_contains_batch_equals_rowwise_contains(C):
+    # points inside, on the boundary (projections of far points), and moved
+    # off it along the outward normal by half and by twice the tolerance
+    tol = 1e-6
+    rng = np.random.default_rng(12)
+    far = rng.normal(0.0, 6.0, size=(40, C.dimension))
+    edge = np.array([C.project(p) for p in far])
+    out = far - edge
+    length = np.linalg.norm(out, axis=1, keepdims=True)
+    normal = np.divide(out, length, out=np.zeros_like(out), where=length > 0.0)
+    P = np.vstack([sample_points(C, 40, seed=13), edge, edge + 0.5 * tol * normal,
+                   edge + 2.0 * tol * normal, far])
+    got = C.contains_batch(P, tol)
+    assert got.dtype == bool and got.shape == (P.shape[0],)
+    np.testing.assert_array_equal(got, [C.contains(p, tol) for p in P])
+    if C.kind != "whole-space":
+        assert got[:80].all() and not got[-40:][length[:, 0] > 1.0].any()
+    for bad in ([[0.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 0.0]], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            C.contains_batch(bad, tol)

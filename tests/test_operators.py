@@ -11,7 +11,7 @@ from eqsplit.bifunctions import (
     sum_bifunctions,
     zero_bifunction,
 )
-from eqsplit.hilbert import Box, WholeSpace, sample_points
+from eqsplit.hilbert import Ball, Box, WholeSpace, sample_points
 from eqsplit.operators import (
     GridSpec,
     IntervalImage,
@@ -27,9 +27,10 @@ from eqsplit.operators import (
     subdifferential_operator,
     zeros_bruteforce,
 )
+from eqsplit.problems import corpus, get_problem
 from eqsplit.resolvents import ResolventOracle, partial_second, resolve
 
-from oracles import box_vi_active_set
+from oracles import box_vi_active_set, zeros_intervals_reference, zeros_sampled_reference
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,91 @@ def test_batch_membership_matches_one_point_membership():
                 U = grad(x, x) + rng.normal(scale=0.03, size=(20, H.dimension))
                 expected = [A.member(x, u) for u in U]
                 np.testing.assert_array_equal(A.member_batch(x, U), expected, err_msg=inst.name)
+
+
+def _structured_operators():
+    # (bifunction, [(x, u, member?)]) for interval-image families over a box
+    # and the whole space
+    box = Box([-1.0], [1.0])
+    line = WholeSpace(1)
+    shift = operator_bifunction(box, [[1.0]], [-2.0])  # x - 2 plus the cone
+    square = function_difference(line, Quadratic([[2.0]], [0.0]))  # {2x}
+    kink = function_difference(box, WeightedL1([1.0]))  # sign(x), [-1, 1] at 0
+    return [
+        (shift, [([1.0], [3.0], True), ([1.0], [-1.5], False), ([0.5], [-1.5], True),
+                 ([0.5], [-1.0], False), ([2.0], [0.0], False)]),
+        (square, [([-0.4312], [-0.8624], True), ([-0.4312], [-0.8540], False),
+                  ([1.0], [2.0], True), ([1.0], [1.9], False)]),
+        (kink, [([0.0], [0.5], True), ([0.0], [-1.0], True), ([0.0], [1.5], False),
+                ([-1.0], [-7.0], True), ([0.5], [0.9], False)]),
+        (sum_bifunctions(shift, kink), [([0.0], [-1.5], True), ([0.0], [-3.5], False),
+                                        ([1.0], [40.0], True), ([0.5], [-0.5], True)]),
+    ]
+
+
+def test_structured_membership_calls_no_oracle_and_draws_no_sample(monkeypatch):
+    import eqsplit.hilbert
+    import eqsplit.operators
+    from eqsplit.bifunctions import Bifunction
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact membership must not evaluate F or sample C")
+
+    monkeypatch.setattr(Bifunction, "__call__", forbidden)
+    monkeypatch.setattr(Bifunction, "eval_batch", forbidden)
+    monkeypatch.setattr(eqsplit.operators, "sample_points", forbidden)
+    monkeypatch.setattr(eqsplit.hilbert, "sample_points", forbidden)
+    for F, cases in _structured_operators():
+        A = operator_from_bifunction(F)
+        for x, u, expected in cases:
+            assert A.member(x, u) == expected, (F.family, x, u)
+            assert A.member_batch(x, [u, u])[0] == expected, (F.family, x, u)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        operator_from_bifunction(operator_bifunction(Box([-1.0], [1.0]), [[1.0]])),
+        operator_from_bifunction(
+            sum_bifunctions(*(2 * [operator_bifunction(WholeSpace(1), [[1.0]])]))
+        ),
+        affine_operator([[1.0]]),
+        normal_cone_operator(Box([-1.0], [1.0])),
+        normal_cone_operator(Ball([0.0], 1.0)),
+    ],
+    ids=["induced-box", "induced-sampled", "affine", "cone-box", "cone-ball"],
+)
+def test_member_batch_rejects_malformed_multipliers(A):
+    assert A.member_batch([0.0], [[0.0]]).shape == (1,)
+    for bad in ([[np.nan]], [[np.inf], [0.0]], [[0.0, 1.0]], [0.0], [[[0.0]]]):
+        with pytest.raises(ValueError):
+            A.member_batch([0.0], bad)
+    with pytest.raises(ValueError):
+        A.member([0.0], [np.nan])
+
+
+def test_evaluate_is_one_row_of_evaluate_batch():
+    C = Box([0.0, 0.0], [1.0, 1.0])
+    F = sum_bifunctions(
+        operator_bifunction(C, [[2.0, 1.0], [1.0, 2.0]], [-1.5, -2.5]),
+        function_difference(C, WeightedL1([0.5, 1.0])),
+    )
+    A = operator_from_bifunction(F)
+    X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.3], [1.5, 0.5]])
+    ok, lo, hi = A.evaluate_batch(X)
+    np.testing.assert_array_equal(ok, [True, True, True, False])
+    for i, x in enumerate(X[:3]):
+        image = A.evaluate(x)
+        np.testing.assert_array_equal(image.lo, lo[i])
+        np.testing.assert_array_equal(image.hi, hi[i])
+    assert A.evaluate(X[3]) is None
+    # corner (0, 0): both coordinates at the lower bound, L1 kinks
+    np.testing.assert_array_equal(lo[0], [-np.inf, -np.inf])
+    np.testing.assert_array_equal(hi[0], [-1.5 + 0.5, -2.5 + 1.0])
+    with pytest.raises(ValueError):
+        A.evaluate_batch([[np.nan, 0.0]])
+    with pytest.raises(ValueError, match="interval evaluation"):
+        MonotoneOperator(dimension=1, domain_set=WholeSpace(1)).evaluate_batch([[0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +408,64 @@ def test_zeros_of_operator_plus_cone_match_induced_solutions():
     assert set_distance(zeros, sols) <= 2e-2
 
 
+_BRIDGE_STEPS = {1: (0.02, 0.0125, 0.01, 0.008), 2: (0.125, 0.0625)}
+
+
+@pytest.mark.parametrize("name", [inst.name for inst in corpus()])
+def test_grid_zero_scans_match_per_point_reference(name):
+    # the array routes accept exactly the grid points the one-point-at-a-time
+    # loops in tests/oracles.py accept, at the benchmark's grids
+    inst = get_problem(name)
+    d = inst.set.dimension
+    lo = [b[0] for b in inst.grid_bounds]
+    hi = [b[1] for b in inst.grid_bounds]
+    AF = operator_from_bifunction(inst.F)
+    AG = operator_from_bifunction(inst.G)
+    for step in _BRIDGE_STEPS[d]:
+        grid = GridSpec(lo, hi, step)
+        pts = grid.points()
+        for tol in (step**2, step, 1e-6):
+            expected = zeros_intervals_reference(inst.F, inst.G, pts, tol)
+            got = zeros_bruteforce(AF, AG, grid, tol=tol, method="intervals")
+            np.testing.assert_array_equal(got, expected, err_msg=f"{step} {tol}")
+            if d == 1:
+                expected = zeros_sampled_reference(inst.F, inst.G, pts, tol)
+                got = zeros_bruteforce(AF, AG, grid, tol=tol, method="sampled")
+                np.testing.assert_array_equal(got, expected, err_msg=f"{step} {tol}")
+
+
+def test_zeros_of_operator_plus_cone_match_per_point_reference():
+    M = [[2.0, 1.0], [1.0, 2.0]]
+    q = [-1.5, -2.5]
+    C = Box([0.0, 0.0], [1.0, 1.0])
+    grid = GridSpec([0.0, 0.0], [1.0, 1.0], 1e-2)
+    A, N = affine_operator(M, q), normal_cone_operator(C)
+    # the same images, described as induced bifunctions for the reference
+    FA, FN = operator_bifunction(WholeSpace(2), M, q), zero_bifunction(C)
+    for tol in (1e-4, 2.5e-3, 1e-2, 1e-6):
+        expected = zeros_intervals_reference(FA, FN, grid.points(), tol)
+        assert len(expected) >= 1
+        np.testing.assert_array_equal(zeros_bruteforce(A, N, grid, tol=tol), expected)
+
+
+def test_sampled_zero_scan_works_in_row_blocks():
+    # 4,001 grid points: a dense pair matrix F(x_i, y_j) would take 128 MB
+    import tracemalloc
+
+    inst = get_problem("quadratic-1d")
+    grid = GridSpec([-2.0], [2.0], 1e-3)
+    AF = operator_from_bifunction(inst.F)
+    AG = operator_from_bifunction(inst.G)
+    tracemalloc.start()
+    try:
+        zeros = zeros_bruteforce(AF, AG, grid, tol=1e-6, method="sampled")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set_distance(zeros, np.array([[-0.5]])) <= 2e-3
+    assert peak <= 4001**2 * 8 / 3, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_induced_operator_of_bridged_bifunction_is_sum_with_cone():
     # membership in the operator induced by the bridged bifunction agrees
     # with membership in B + N_C
@@ -380,8 +524,8 @@ def test_set_distance():
 
 def test_zeros_ugrid_route():
     # the discrete multiplier-grid fallback localizes the root at its own
-    # resolution: sampled membership of a quadratic-induced operator fattens
-    # the admissible band to about sqrt(tol)
+    # resolution (both operators here have interval images, so membership
+    # is exact and only the multiplier grid quantizes)
     from eqsplit.problems import get_problem
 
     inst = get_problem("quadratic-1d")
