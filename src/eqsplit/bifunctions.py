@@ -314,8 +314,10 @@ _THRESHOLDS = {
 #: the set spans (all of them, or a box's coordinates with lo < hi)
 _EXACT_SET_KINDS = ("whole-space", "ball", "halfspace", "box")
 
-#: shipped convex functions; a user subclass may override their oracles
-_EXACT_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
+#: shipped convex functions, matched by exact type: a user subclass may
+#: override their oracles (a subgradient oracle may return one element of a
+#: larger subdifferential), so it gets the sampled treatment
+SHIPPED_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
     of a shipped convex f meets every condition by construction.
     """
     zero = dict.fromkeys(_THRESHOLDS, 0.0)
-    if F.family == FUNCTION_DIFFERENCE and type(F.function) in _EXACT_FUNCTIONS:
+    if F.family == FUNCTION_DIFFERENCE and type(F.function) in SHIPPED_FUNCTIONS:
         return AdmissibilityReport(passed=True, worst_violations=zero, samples=0, seed=seed, exact=True)
     C = F.set
     if F.family != OPERATOR_INDUCED or C.kind not in _EXACT_SET_KINDS:

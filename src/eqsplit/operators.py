@@ -4,26 +4,31 @@ An admissible bifunction F over C induces the maximally monotone operator
 
     x -> { u : F(x, y) + <x - y, u> >= 0 for all y in C }   (empty outside C)
 
-whose resolvent coincides with the resolvent of F.  Conversely a monotone
-operator A with C inside the interior of its domain induces the bifunction
-(x, y) -> max_{u in Ax} <y - x, u>.  Both directions are built here, along
-with grid oracles that certify, on small instances, that zeros of operator
-sums and solutions of summed equilibrium problems coincide.
+whose resolvent coincides with the resolvent of F.  Every operator
+constructor here builds one of these (:func:`operator_from_bifunction`):
+the affine map x -> M x + c is induced by <M x + c, y - x> over the whole
+space, the normal cone of C by the zero bifunction on C, and the
+subdifferential of f by f(y) - f(x); only Minkowski sums, kept for
+membership tests, are not.  Conversely a monotone operator A with C inside the interior of
+its domain induces the bifunction (x, y) -> max_{u in Ax} <y - x, u>.  Both
+directions are built here, along with grid oracles that certify, on small
+instances, that zeros of operator sums and solutions of summed equilibrium
+problems coincide.
 
-Set-valued images are represented as per-coordinate intervals (possibly
-unbounded), which covers every supported family: single-valued maps,
-subdifferentials of the supported convex functions, and normal cones of
-boxes.  A finite list of vectors cannot represent the latter two.  Interval
-images are evaluated over arrays of points at once
-(:meth:`MonotoneOperator.evaluate_batch`), and membership is decided from
-them exactly wherever they exist; only the other operators fall back to a
-sampled membership test.  The grid oracles are array operations over the
-whole grid, blocked so that no pair-value matrix outgrows a few tens of MB.
+Bifunction structure is read through one normal form,
+F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) (:func:`_normal_form`).
+Over a box or the whole space, with shipped convex functions, the image is
+a per-coordinate interval (possibly unbounded), which a finite list of
+vectors could not represent; it is evaluated over arrays of points at once
+(:meth:`MonotoneOperator.evaluate_batch`) and decides membership exactly.
+Over a ball, a single-valued structure decides membership exactly through
+the ball's support function.  Every other operator gets a sampled
+membership test.  The grid oracles are array operations over the whole
+grid, blocked so that no pair-value matrix outgrows a few tens of MB.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +37,7 @@ import numpy as np
 from .bifunctions import (
     FUNCTION_DIFFERENCE,
     OPERATOR_INDUCED,
+    SHIPPED_FUNCTIONS,
     SUM_OF_TWO,
     AffineFunction,
     Bifunction,
@@ -39,10 +45,12 @@ from .bifunctions import (
     Quadratic,
     WeightedL1,
     function_difference,
+    generic_bifunction,
     operator_bifunction,
+    zero_bifunction,
 )
 from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
-from .resolvents import ResolventOracle, _linear_resolvent, partial_second, resolve
+from .resolvents import ResolventOracle, partial_second, resolve
 
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
@@ -57,11 +65,6 @@ U_STEP = 1e-2
 #: entries of one row block of a pair-value matrix in the grid oracles
 BLOCK_ENTRIES = 2**22
 
-#: convex functions whose subdifferential has an exact interval form; the
-#: exact type, so a user subclass (whose subgradient oracle may return one
-#: element of a larger set) keeps the sampled membership test
-_INTERVAL_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
-
 
 def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
     """Slices of at most ``entries // n_cols`` rows (at least one) covering n_rows."""
@@ -69,17 +72,49 @@ def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _sampled_min(base, x: np.ndarray, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """min over the rows y of Y of base_y + <u, x - y>, for each row u of U.
+# ---------------------------------------------------------------------------
+# the normal form of a structured bifunction
+# ---------------------------------------------------------------------------
 
-    The sampled membership residual; computed in row blocks of U, so a
-    large multiplier grid never builds its whole (len(U), len(Y)) matrix.
-    """
-    out = np.empty(U.shape[0])
-    D = (x - Y).T
-    for rows in _row_blocks(U.shape[0], Y.shape[0]):
-        out[rows] = (U[rows] @ D + base).min(axis=1)
-    return out
+def _normal_form(F: Bifunction) -> tuple[np.ndarray, np.ndarray, tuple[ConvexFunction, ...]] | None:
+    """(M, c, fs) with F(x, y) = <M x + c, y - x> + sum over f in fs of
+    f(y) - f(x); None when F has a generic part."""
+    if F.family == OPERATOR_INDUCED:
+        return F.matrix, F.offset, ()
+    if F.family == FUNCTION_DIFFERENCE:
+        d = F.dimension
+        return np.zeros((d, d)), np.zeros(d), (F.function,)
+    if F.family == SUM_OF_TWO:
+        left, right = (_normal_form(P) for P in F.parts)
+        if left is None or right is None:
+            return None
+        return left[0] + right[0], left[1] + right[1], left[2] + right[2]
+    return None
+
+
+def _affine_map(form) -> tuple[np.ndarray, np.ndarray] | None:
+    """(M, c) with x -> M x + c the single-valued operator of a normal form
+    over the whole space; None unless every function is a shipped
+    ``Quadratic`` or ``AffineFunction``."""
+    if form is None:
+        return None
+    M, c, fs = form
+    for f in fs:
+        if type(f) is Quadratic:
+            M, c = M + f.Q, c + f.q
+        elif type(f) is AffineFunction:
+            c = c + f.a
+        else:
+            return None
+    return M, c
+
+
+def _subdifferential_bounds(f: ConvexFunction, X: np.ndarray):
+    """(lo, hi) of the subdifferential of a shipped f at the rows of X."""
+    if type(f) is WeightedL1:
+        return f.subdifferential_bounds(X)
+    G = X @ f.Q.T + f.q if type(f) is Quadratic else np.broadcast_to(f.a, X.shape)
+    return G, G
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +148,6 @@ class IntervalImage:
         u = np.asarray(u, dtype=float)
         return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
 
-    def support(self, d) -> float:
-        """sup over the image of <u, d>; +inf when unbounded that way."""
-        d = np.asarray(d, dtype=float)
-        total = 0.0
-        for di, lo, hi in zip(d, self.lo, self.hi):
-            if di > 0.0:
-                total += hi * di
-            elif di < 0.0:
-                total += lo * di
-        return float(total)
-
-    def negate(self) -> "IntervalImage":
-        return IntervalImage(-self.hi, -self.lo)
-
 
 def _normal_cone_bounds(C: ConvexSet, X: np.ndarray, tol: float = 1e-9):
     """(ok, lo, hi) of the normal cone of a box or the whole space at the
@@ -144,29 +165,11 @@ def _normal_cone_bounds(C: ConvexSet, X: np.ndarray, tol: float = 1e-9):
 def normal_cone_image(C: ConvexSet, x, tol: float = 1e-9) -> IntervalImage | None:
     """Normal cone of a box or the whole space at ``x``; None when x is outside.
 
-    Only these kinds have axis-aligned cones; other set kinds get a
-    membership test in :func:`normal_cone_operator`.
+    Only these kinds have axis-aligned cones; :func:`normal_cone_operator`
+    decides membership for the others.
     """
     ok, lo, hi = _normal_cone_bounds(C, as_vector(x, C.dimension)[None, :], tol)
     return IntervalImage(lo[0], hi[0]) if ok[0] else None
-
-
-def _subdifferential_bounds(f: ConvexFunction, X: np.ndarray):
-    """(lo, hi) of the subdifferential of f at the rows of X.
-
-    Closed forms for the shipped functions; any other f (a user subclass
-    included) contributes the one subgradient its oracle returns, row by
-    row.
-    """
-    if isinstance(f, WeightedL1):
-        return f.subdifferential_bounds(X)
-    if type(f) is Quadratic:
-        G = X @ f.Q.T + f.q
-    elif type(f) is AffineFunction:
-        G = np.broadcast_to(f.a, X.shape)
-    else:
-        G = np.array([f.subgradient(x) for x in X]).reshape(X.shape)
-    return G, G
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,7 @@ class MonotoneOperator:
     and otherwise the image is the box ``[lo[i], hi[i]]`` (callers do not
     write to these arrays).  It is None when no finite representation
     exists; then ``member_batch_fn(x, U, tol)`` decides membership.
+    ``source_bifunction`` is the bifunction that induces the operator.
     """
 
     dimension: int
@@ -192,7 +196,6 @@ class MonotoneOperator:
     resolvent_factory: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None
     evaluate_batch_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     member_batch_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
-    affine_form: tuple[np.ndarray, np.ndarray] | None = None
     source_bifunction: Bifunction | None = None
     name: str = ""
 
@@ -227,10 +230,11 @@ class MonotoneOperator:
         """Membership of each row of ``U`` in the image at ``x``, up to ``tol``.
 
         Exact, from the interval image, for every operator that has one;
-        otherwise the operator's own test (sampled for most induced
-        operators, see :func:`operator_from_bifunction`).  ``x`` must be a
-        finite vector and ``U`` a finite 2-D array, both of width
-        ``dimension``; anything else raises ``ValueError``.
+        otherwise the operator's own test (exact over a ball for
+        single-valued structures, sampled for the rest, see
+        :func:`operator_from_bifunction`).  ``x`` must be a finite vector
+        and ``U`` a finite 2-D array, both of width ``dimension``; anything
+        else raises ``ValueError``.
         """
         x = as_vector(x, self.dimension)
         U = as_points(U, self.dimension)
@@ -243,93 +247,39 @@ class MonotoneOperator:
 
 
 def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
-    """Everywhere-defined single-valued affine map x -> M x + c."""
+    """Everywhere-defined single-valued affine map x -> M x + c.
+
+    The operator induced by <M x + c, y - x> over the whole space; M must be
+    square with a positive semidefinite symmetric part.
+    """
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    d = M.shape[0]
-    c = as_vector(offset, d) if offset is not None else np.zeros(d)
     sym_min = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
     if sym_min < -1e-10:
         raise ValueError(f"affine map is not monotone: min symmetric eigenvalue {sym_min:.3e}")
-    M.setflags(write=False)
-    c.setflags(write=False)
-
-    def evaluate_batch(X):
-        v = X @ M.T + c
-        return np.ones(X.shape[0], dtype=bool), v, v
-
-    return MonotoneOperator(
-        dimension=d,
-        domain_set=WholeSpace(d),
-        resolvent_factory=lambda gamma: _linear_resolvent(M, c, gamma),
-        evaluate_batch_fn=evaluate_batch,
-        affine_form=(M, c),
-        name=name or "affine",
-    )
+    F = operator_bifunction(WholeSpace(M.shape[0]), M, offset)
+    return operator_from_bifunction(F, name=name or "affine")
 
 
 def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
-    """Normal cone map of C.  Its resolvent is the projection for every gamma.
+    """Normal cone map of C: the operator induced by the zero bifunction on C.
 
-    A box or the whole space has an interval cone, so membership is exact.
-    So it is for a ball, whose support function has a closed form: u is
-    normal to a ball at x iff max_y <u, y - x> = <u, center - x> +
-    radius ||u|| is at most ``tol``.  Other kinds test that inequality on a
-    seeded sample of C.
+    Its resolvent is the projection for every gamma.  Membership is exact
+    for a box, the whole space and a ball, and sampled for other kinds.
     """
-    evaluate_batch = None
-    member_batch = None
-    if C.kind in ("box", "whole-space"):
-        evaluate_batch = lambda X: _normal_cone_bounds(C, X)
-    else:
-        if C.kind == "ball":
-            support = lambda x, U: U @ (C.center - x) + C.radius * np.linalg.norm(U, axis=1)
-        else:
-            Y = sample_points(C, MEMBER_SAMPLES, 0)
-            support = lambda x, U: -_sampled_min(0.0, x, U, Y)
-
-        def member_batch(x, U, tol=MEMBER_TOL):
-            return C.contains(x, max(tol, 1e-8)) & (support(x, U) <= tol)
-
-    return MonotoneOperator(
-        dimension=C.dimension,
-        domain_set=C,
-        resolvent_factory=lambda gamma: C.project,
-        evaluate_batch_fn=evaluate_batch,
-        member_batch_fn=member_batch,
-        name=f"normal-cone[{C.kind}]",
-    )
+    return operator_from_bifunction(zero_bifunction(C), name=f"normal-cone[{C.kind}]")
 
 
 def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOperator:
-    """Subdifferential of a supported convex f on the whole space."""
-    d = f.dimension
-    H = WholeSpace(d)
-    bif = function_difference(H, f)
+    """Subdifferential of a convex f on the whole space: the operator
+    induced by f(y) - f(x).
 
-    def factory(gamma):
-        oracle = ResolventOracle(gamma, bif)
-        return lambda x: resolve(oracle, x)
-
-    def evaluate_batch(X):
-        lo, hi = _subdifferential_bounds(f, X)
-        return np.ones(X.shape[0], dtype=bool), lo, hi
-
-    affine_form = None
-    if isinstance(f, Quadratic):
-        affine_form = (f.Q, f.q)
-    elif isinstance(f, AffineFunction):
-        affine_form = (np.zeros((d, d)), f.a)
-
-    return MonotoneOperator(
-        dimension=d,
-        domain_set=H,
-        resolvent_factory=factory,
-        evaluate_batch_fn=evaluate_batch,
-        affine_form=affine_form,
-        name=name or "subdifferential",
-    )
+    Membership is exact for the shipped functions and sampled for any other
+    f, whose subgradient oracle may return one element of a larger set.
+    """
+    F = function_difference(WholeSpace(f.dimension), f)
+    return operator_from_bifunction(F, name=name or "subdifferential")
 
 
 def operator_sum(A: MonotoneOperator, B: MonotoneOperator, name: str = "") -> MonotoneOperator:
@@ -356,46 +306,9 @@ def operator_sum(A: MonotoneOperator, B: MonotoneOperator, name: str = "") -> Mo
 # the bridge
 # ---------------------------------------------------------------------------
 
-def _structural_image_fn(F: Bifunction):
-    """Exact batched interval evaluation of the operator induced by F, when
-    the family, its convex functions and the set kind allow one; otherwise
-    None."""
-    C = F.set
-    if C.kind not in ("box", "whole-space"):
-        return None
-
-    def exact(bif) -> bool:
-        if bif.family == OPERATOR_INDUCED:
-            return True
-        if bif.family == FUNCTION_DIFFERENCE:
-            return type(bif.function) in _INTERVAL_FUNCTIONS
-        if bif.family == SUM_OF_TWO:
-            return exact(bif.parts[0]) and exact(bif.parts[1])
-        return False
-
-    def base(bif, X):
-        if bif.family == OPERATOR_INDUCED:
-            v = X @ bif.matrix.T + bif.offset
-            return v, v
-        if bif.family == FUNCTION_DIFFERENCE:
-            return _subdifferential_bounds(bif.function, X)
-        left, right = base(bif.parts[0], X), base(bif.parts[1], X)
-        return left[0] + right[0], left[1] + right[1]
-
-    if not exact(F):
-        return None
-
-    def evaluate_batch(X):
-        ok, cone_lo, cone_hi = _normal_cone_bounds(C, X)
-        lo, hi = base(F, X)
-        return ok, lo + cone_lo, hi + cone_hi
-
-    return evaluate_batch
-
-
 def _sampled_membership_fn(F: Bifunction):
-    """Membership test for the operator induced by F when it has no interval
-    image: u is rejected at x when some verification point y has
+    """Membership test for the operator induced by F when it has no exact
+    one: u is rejected at x when some verification point y has
     F(x, y) + <x - y, u> < -tol.  The points are ``MEMBER_SAMPLES`` seeded
     points of C plus, for the rows that pass them, a short projected-descent
     witness search on y -> F(x, y) + <x - y, u> (a random cloud alone can
@@ -422,9 +335,15 @@ def _sampled_membership_fn(F: Bifunction):
         return best
 
     def member_batch(x, U, tol=MEMBER_TOL):
+        ok = np.zeros(U.shape[0], dtype=bool)
         if not C.contains(x, max(tol, 1e-8)):
-            return np.zeros(U.shape[0], dtype=bool)
-        ok = _sampled_min(F.eval_batch(x, Y), x, U, Y) >= -tol
+            return ok
+        # the sampled residual min_y F(x, y) + <u, x - y>, in row blocks of
+        # U so a large multiplier grid never builds its whole matrix
+        base = F.eval_batch(x, Y)
+        D = (x - Y).T
+        for rows in _row_blocks(U.shape[0], Y.shape[0]):
+            ok[rows] = (U[rows] @ D + base).min(axis=1) >= -tol
         for i in np.flatnonzero(ok):
             ok[i] = witness_min(x, U[i]) >= -tol
         return ok
@@ -440,42 +359,64 @@ def operator_from_bifunction(
     """Maximally monotone operator induced by an admissible bifunction.
 
     The resolvent oracle is exactly the bifunction resolvent.  Membership
-    is exact where an interval image exists: operator-induced bifunctions,
-    function differences of a shipped ``Quadratic``, ``WeightedL1`` or
-    ``AffineFunction``, and sums of these, over a box or the whole space.
-    There the image at x is the structural part plus the normal cone of C
-    (empty outside C), and ``evaluate_batch`` returns it; no sample is
-    drawn.  Every other bifunction gets the sampled test: u is rejected at
-    x when any verification point y has F(x, y) + <x - y, u> < -tol, the
-    points being ``MEMBER_SAMPLES`` seeded points of C plus a short
-    projected-descent witness search on the rows that pass them, so the
-    batch test agrees with the one-point test.  Membership is False outside
-    C, where the image is empty.
+    is exact wherever the normal form <M x + c, y - x> + sum f(y) - f(x)
+    of F allows:
+
+    * over a box or the whole space, with every f a shipped ``Quadratic``,
+      ``WeightedL1`` or ``AffineFunction``, the image at x is the interval
+      M x + c + sum of the subdifferentials of f, plus the normal cone of C
+      (empty outside C), and ``evaluate_batch`` returns it;
+    * over a ball, with every f a shipped ``Quadratic`` or
+      ``AffineFunction``, the structure is single-valued, g(x) say, and u
+      is in the image iff v = u - g(x) has <v, center - x> + radius ||v||
+      at most ``tol``.
+
+    Neither draws a sample.  Every other bifunction gets the sampled test:
+    u is rejected at x when any verification point y has
+    F(x, y) + <x - y, u> < -tol, the points being ``MEMBER_SAMPLES`` seeded
+    points of C plus a short projected-descent witness search on the rows
+    that pass them, so the batch test agrees with the one-point test.
+    Membership is False outside C, where the image is empty.
     """
     C = F.set
-    evaluate_batch = _structural_image_fn(F)
+    form = _normal_form(F)
+    evaluate_batch = member_batch = None
+    if (
+        C.kind in ("box", "whole-space")
+        and form is not None
+        and all(type(f) in SHIPPED_FUNCTIONS for f in form[2])
+    ):
+        M, c, fs = form
+
+        def evaluate_batch(X):
+            ok, lo, hi = _normal_cone_bounds(C, X)
+            g_lo = g_hi = X @ M.T + c
+            for f in fs:
+                f_lo, f_hi = _subdifferential_bounds(f, X)
+                g_lo, g_hi = g_lo + f_lo, g_hi + f_hi
+            return ok, g_lo + lo, g_hi + hi
+
+    elif C.kind == "ball" and (affine := _affine_map(form)) is not None:
+        M, c = affine
+
+        def member_batch(x, U, tol=MEMBER_TOL):
+            V = U - (M @ x + c)
+            support = V @ (C.center - x) + C.radius * np.linalg.norm(V, axis=1)
+            return C.contains(x, max(tol, 1e-8)) & (support <= tol)
+
+    else:
+        member_batch = _sampled_membership_fn(F)
 
     def factory(gamma):
         oracle = ResolventOracle(gamma, F)
         return lambda x: resolve(oracle, x)
-
-    affine_form = None
-    if F.family == OPERATOR_INDUCED and C.kind == "whole-space":
-        affine_form = (F.matrix, F.offset)
-    elif (
-        F.family == FUNCTION_DIFFERENCE
-        and C.kind == "whole-space"
-        and isinstance(F.function, Quadratic)
-    ):
-        affine_form = (F.function.Q, F.function.q)
 
     return MonotoneOperator(
         dimension=C.dimension,
         domain_set=C,
         resolvent_factory=factory,
         evaluate_batch_fn=evaluate_batch,
-        member_batch_fn=_sampled_membership_fn(F) if evaluate_batch is None else None,
-        affine_form=affine_form,
+        member_batch_fn=member_batch,
         source_bifunction=F,
         name=name or "induced",
     )
@@ -485,9 +426,12 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     """Bifunction (x, y) -> max_{u in Ax} <y - x, u> on C x C.
 
     Requires an interval evaluation oracle on A, and C inside the interior
-    of dom A so the maximum is attained (the caller asserts this; an
-    unbounded support value raises).  Single-valued affine operators yield
-    an operator-induced bifunction, preserving closed-form resolvents.
+    of dom A so the maximum is attained (the caller asserts this; an empty
+    image or an unbounded support value raises).  An operator induced over
+    the whole space by an affine map plus differences of shipped
+    ``Quadratic`` or ``AffineFunction`` terms is single-valued and affine,
+    and yields an operator-induced bifunction, preserving closed-form
+    resolvents.
     """
     if A.evaluate_batch_fn is None:
         raise ValueError(
@@ -497,20 +441,11 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     if A.dimension != C.dimension:
         raise ValueError("operator and set dimensions do not match")
 
-    if A.affine_form is not None:
-        M, c = A.affine_form
-        return operator_bifunction(C, M, c)
-
-    def ev(x, y):
-        image = A.evaluate(np.asarray(x, dtype=float))
-        if image is None:
-            raise ValueError(f"operator image is empty at {x!r}; C must lie inside int dom A")
-        s = image.support(np.asarray(y, dtype=float) - x)
-        if not math.isfinite(s):
-            raise ValueError(
-                f"support is unbounded at {x!r}; C must lie inside int dom A"
-            )
-        return s
+    S = A.source_bifunction
+    if S is not None and S.set.kind == "whole-space":
+        affine = _affine_map(_normal_form(S))
+        if affine is not None:
+            return operator_bifunction(C, *affine)
 
     def ev_batch(x, Y):
         image = A.evaluate(np.asarray(x, dtype=float))
@@ -526,12 +461,10 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
             neg @ (~np.isfinite(image.lo)).astype(float) < 0.0
         )
         if np.any(unbounded):
-            raise ValueError("support is unbounded; C must lie inside int dom A")
+            raise ValueError(f"support is unbounded at {x!r}; C must lie inside int dom A")
         return out
 
-    from .bifunctions import generic_bifunction
-
-    return generic_bifunction(C, ev, ev_batch)
+    return generic_bifunction(C, lambda x, y: ev_batch(x, y[None, :])[0], ev_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +509,6 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _affine_plus_difference_parts(F: Bifunction):
-    """Flatten F into operator-induced and function-difference parts, or None."""
-    if F.family == OPERATOR_INDUCED:
-        return [(F.matrix, F.offset)], []
-    if F.family == FUNCTION_DIFFERENCE:
-        return [], [F.function]
-    if F.family == SUM_OF_TWO:
-        left = _affine_plus_difference_parts(F.parts[0])
-        right = _affine_plus_difference_parts(F.parts[1])
-        if left is None or right is None:
-            return None
-        return left[0] + right[0], left[1] + right[1]
-    return None
-
-
 def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = None) -> np.ndarray:
     """Grid approximation of the solution set {x in C : min_y F(x, y) >= 0}.
 
@@ -612,16 +530,13 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     if n == 0:
         raise ValueError("grid does not intersect the set")
 
-    parts = _affine_plus_difference_parts(F)
-    if parts is None:
+    form = _normal_form(F)
+    if form is None:
         accepted = [x for x in pts if float(F.eval_batch(x, pts).min()) >= -tol]
         return np.array(accepted).reshape(-1, grid.dimension)
 
-    affines, funcs = parts
-    d = grid.dimension
-    M = sum((m for m, _ in affines), np.zeros((d, d)))
-    c = sum((off for _, off in affines), np.zeros(d))
-    f_vals = sum((f.value_batch(pts) for f in funcs), np.zeros(n))
+    M, c, fs = form
+    f_vals = sum((f.value_batch(pts) for f in fs), np.zeros(n))
     G = pts @ M.T + c
     base = np.einsum("ij,ij->i", G, pts) + f_vals
     keep = np.empty(n, dtype=bool)
@@ -631,37 +546,30 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     return pts[keep].reshape(-1, grid.dimension)
 
 
-def _pair_values_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """F(x_i, y_j) for the rows of X and Y (1-D), with D = y_j - x_i given.
-
-    Each row carries the bits of ``F.eval_batch(x_i, Y)``; generic
-    bifunctions are evaluated that way, one row at a time.
-    """
-    if F.family == OPERATOR_INDUCED:
-        return D * (X @ F.matrix.T + F.offset)
-    if F.family == FUNCTION_DIFFERENCE:
-        f = F.function
-        return f.value_batch(Y)[None, :] - f.value_batch(X)[:, None]
-    if F.family == SUM_OF_TWO:
-        V = _pair_values_1d(F.parts[0], X, Y, D)
-        V += _pair_values_1d(F.parts[1], X, Y, D)
-        return V
-    return np.array([F.eval_batch(x, Y) for x in X]).reshape(D.shape)
-
-
 def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
     """Per row x of X, the exact interval [ulo, uhi] of multipliers u with
     F(x, y) + u (x - y) >= -delta for every row y of Y (points of C, 1-D).
 
     Row blocks hold a quarter of ``BLOCK_ENTRIES`` pairs, because up to
-    four block-sized arrays are alive at once.
+    four block-sized arrays are alive at once.  The pair values F(x, y) come
+    from the normal form of F; a generic F is evaluated one row at a time.
     """
+    form = _normal_form(F)
+    if form is not None:
+        M, c, fs = form
+        affine = M.any() or c.any()
     ulo = np.empty(X.shape[0])
     uhi = np.empty(X.shape[0])
     for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
         x = X[rows]
         D = Y[None, :, 0] - x
-        V = _pair_values_1d(F, x, Y, D)
+        if form is None:
+            V = np.array([F.eval_batch(xi, Y) for xi in x]).reshape(D.shape)
+        else:
+            # a pure function difference skips the vanishing affine product
+            V = D * (x @ M.T + c) if affine or not fs else 0.0
+            for f in fs:
+                V = f.value_batch(Y)[None, :] - f.value_batch(x)[:, None] + V
         V += delta
         np.divide(V, D, out=V, where=D != 0.0)
         uhi[rows] = np.min(V, axis=1, where=D > 0.0, initial=np.inf)

@@ -305,3 +305,31 @@ def zeros_sampled_reference(FA, FB, pts, tol, u_bounds=(-10.0, 10.0)):
         if max(alo, -bhi, u_bounds[0]) <= min(ahi, -blo, u_bounds[1]):
             accepted.append(x)
     return np.array(accepted).reshape(-1, 1)
+
+
+# ---------------------------------------------------------------------------
+# normal cones by exact support functions
+# ---------------------------------------------------------------------------
+#
+# u is normal to C at x in C iff sup_{y in C} <u, y - x> <= 0.  For a
+# halfspace and the probability simplex that supremum has a closed form.
+
+def halfspace_support_gap(normal, offset, x, u, rtol=1e-12):
+    """sup over {y : <normal, y> <= offset} of <u, y - x>.
+
+    Finite only when u = s * normal with s >= 0 (up to ``rtol`` of
+    rounding), where it is s * (offset - <normal, x>); +inf otherwise.
+    """
+    a = np.asarray(normal, dtype=float)
+    u = np.asarray(u, dtype=float)
+    s = float(u @ a) / float(a @ a)
+    slack = rtol * (1.0 + np.linalg.norm(u))
+    if np.linalg.norm(u - s * a) > slack or s < -slack:
+        return np.inf
+    return s * (float(offset) - float(a @ np.asarray(x, dtype=float)))
+
+
+def simplex_support_gap(x, u):
+    """sup over the probability simplex of <u, y - x> = max_i u_i - <u, x>."""
+    u = np.asarray(u, dtype=float)
+    return float(u.max() - u @ np.asarray(x, dtype=float))

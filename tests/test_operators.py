@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from eqsplit.bifunctions import (
+    AffineFunction,
+    ConvexFunction,
     Quadratic,
     WeightedL1,
     function_difference,
@@ -11,7 +13,7 @@ from eqsplit.bifunctions import (
     sum_bifunctions,
     zero_bifunction,
 )
-from eqsplit.hilbert import Ball, Box, WholeSpace, sample_points
+from eqsplit.hilbert import Ball, Box, Halfspace, IntersectionSet, Simplex, WholeSpace, sample_points
 from eqsplit.operators import (
     GridSpec,
     IntervalImage,
@@ -30,7 +32,13 @@ from eqsplit.operators import (
 from eqsplit.problems import corpus, get_problem
 from eqsplit.resolvents import ResolventOracle, partial_second, resolve
 
-from oracles import box_vi_active_set, zeros_intervals_reference, zeros_sampled_reference
+from oracles import (
+    box_vi_active_set,
+    halfspace_support_gap,
+    simplex_support_gap,
+    zeros_intervals_reference,
+    zeros_sampled_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,17 +50,6 @@ def test_interval_image_basics():
     assert im.contains([0.0, 0.0])
     assert not im.contains([0.0, 0.1])
     assert im.contains([0.0, 0.1], tol=0.2)
-    assert im.support([1.0, 1.0]) == pytest.approx(2.0)
-    assert im.support([-1.0, 1.0]) == pytest.approx(1.0)
-    neg = im.negate()
-    assert neg.lo[0] == -2.0 and neg.hi[0] == 1.0
-
-
-def test_interval_image_unbounded_support():
-    im = IntervalImage([0.0], [np.inf])
-    assert im.support([1.0]) == np.inf
-    assert im.support([-1.0]) == 0.0
-    assert im.support([0.0]) == 0.0
 
 
 def test_normal_cone_image_box():
@@ -217,6 +214,67 @@ def test_evaluate_is_one_row_of_evaluate_batch():
         MonotoneOperator(dimension=1, domain_set=WholeSpace(1)).evaluate_batch([[0.0]])
 
 
+def test_constructor_images_match_closed_forms():
+    # the three constructors are induced operators; their images stay the
+    # closed forms, bit for bit
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.5, 1.5, size=(40, 2))
+    X[::5, 0] = 0.0
+    X[1::5] = [[1.0, -1.0]]
+    X[2::5, 1] = -1.0
+    M = np.array([[2.0, 1.0], [-1.0, 0.5]])
+    c = np.array([0.3, -0.7])
+    ok, lo, hi = affine_operator(M, c).evaluate_batch(X)
+    assert ok.all()
+    np.testing.assert_array_equal(lo, X @ M.T + c)
+    np.testing.assert_array_equal(hi, X @ M.T + c)
+
+    ok, lo, hi = normal_cone_operator(Box([-1.0, -1.0], [1.0, 1.0])).evaluate_batch(X)
+    np.testing.assert_array_equal(ok, np.all(np.abs(X) <= 1.0, axis=1))
+    np.testing.assert_array_equal(lo, np.where(X <= -1.0, -np.inf, 0.0))
+    np.testing.assert_array_equal(hi, np.where(X >= 1.0, np.inf, 0.0))
+
+    Q, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    w, a = np.array([0.5, 2.0]), np.array([3.0, -0.25])
+    kink = X == 0.0
+    expected = [
+        (Quadratic(Q, q), X @ Q.T + q, X @ Q.T + q),
+        (WeightedL1(w), np.where(kink, -w, w * np.sign(X)), np.where(kink, w, w * np.sign(X))),
+        (AffineFunction(a, 1.0), np.tile(a, (40, 1)), np.tile(a, (40, 1))),
+    ]
+    for f, want_lo, want_hi in expected:
+        ok, lo, hi = subdifferential_operator(f).evaluate_batch(X)
+        assert ok.all()
+        np.testing.assert_array_equal(lo, want_lo, err_msg=type(f).__name__)
+        np.testing.assert_array_equal(hi, want_hi, err_msg=type(f).__name__)
+
+
+class _AbsValue(ConvexFunction):
+    """|y| on the line, whose oracle returns the one subgradient 0 at the kink."""
+
+    dimension = 1
+
+    def value(self, y):
+        return float(abs(y[0]))
+
+    def value_batch(self, Y):
+        return np.abs(np.asarray(Y, dtype=float)[:, 0])
+
+    def subgradient(self, y):
+        return np.sign(np.asarray(y, dtype=float))
+
+
+def test_subdifferential_of_user_function_is_not_its_oracle_point():
+    # the subdifferential of |y| at 0 is [-1, 1], not the oracle's {0}
+    A = subdifferential_operator(_AbsValue())
+    assert A.evaluate_batch_fn is None
+    assert A.member([0.0], [0.5])
+    assert A.member([0.0], [-1.0])
+    assert not A.member([0.0], [1.5])
+    assert A.member([2.0], [1.0])
+    assert not A.member([2.0], [0.5])
+
+
 # ---------------------------------------------------------------------------
 # bifunctions induced by operators
 # ---------------------------------------------------------------------------
@@ -261,6 +319,40 @@ def test_bifunction_from_operator_requires_evaluate():
     A = MonotoneOperator(dimension=1, domain_set=C, resolvent_factory=lambda g: (lambda x: x))
     with pytest.raises(ValueError, match="interval evaluation"):
         bifunction_from_operator(A, C)
+
+
+def test_bifunction_from_operator_refuses_empty_images_and_unbounded_support():
+    # the cone of [-1, 1] bridged over [-2, 2]: empty outside [-1, 1], and
+    # unbounded towards y > 1 at the right endpoint
+    F = bifunction_from_operator(normal_cone_operator(Box([-1.0], [1.0])), Box([-2.0], [2.0]))
+    assert F.family == "generic"
+    assert F([1.0], [0.0]) == 0.0
+    np.testing.assert_array_equal(F.eval_batch([1.0], [[0.0], [-2.0]]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="empty"):
+        F([1.5], [0.0])
+    with pytest.raises(ValueError, match="empty"):
+        F.eval_batch([1.5], [[0.0]])
+    with pytest.raises(ValueError, match="unbounded"):
+        F([1.0], [2.0])
+    with pytest.raises(ValueError, match="unbounded"):
+        F.eval_batch([1.0], [[0.0], [2.0]])
+
+
+def test_bridge_of_induced_affine_plus_quadratic_is_operator_induced():
+    # <M x + c, y - x> + f(y) - f(x) over R^2 induces x -> (M + Q) x + c + q
+    H = WholeSpace(2)
+    M, c = np.array([[1.0, 2.0], [-2.0, 0.5]]), np.array([0.3, -0.1])
+    Q, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    S = sum_bifunctions(operator_bifunction(H, M, c), function_difference(H, Quadratic(Q, q)))
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    F = bifunction_from_operator(operator_from_bifunction(S), C)
+    assert F.family == "operator-induced"
+    rng = np.random.default_rng(3)
+    Y = rng.uniform(-1.0, 1.0, size=(30, 2))
+    for x in rng.uniform(-1.0, 1.0, size=(10, 2)):
+        expected = (Y - x) @ (M @ x + c + Q @ x + q)
+        np.testing.assert_allclose(F.eval_batch(x, Y), expected, rtol=1e-12, atol=1e-12)
+        assert F(x, Y[0]) == pytest.approx(expected[0], rel=1e-12, abs=1e-12)
 
 
 def test_operator_sum_membership():
@@ -434,6 +526,22 @@ def test_grid_zero_scans_match_per_point_reference(name):
                 np.testing.assert_array_equal(got, expected, err_msg=f"{step} {tol}")
 
 
+def test_sampled_zero_scan_of_summed_bifunctions_matches_reference():
+    # the pair values of a sum add its affine and function-difference parts
+    C = Box([-2.0], [2.0])
+    F = sum_bifunctions(
+        operator_bifunction(C, [[1.0]], [-0.5]), function_difference(C, WeightedL1([0.7]))
+    )
+    G = function_difference(C, Quadratic([[2.0]], [0.3]))
+    AF, AG = operator_from_bifunction(F), operator_from_bifunction(G)
+    grid = GridSpec([-2.0], [2.0], 0.01)
+    for tol in (1e-4, 1e-2, 1e-6):
+        expected = zeros_sampled_reference(F, G, grid.points(), tol)
+        assert len(expected) >= 1
+        got = zeros_bruteforce(AF, AG, grid, tol=tol, method="sampled")
+        np.testing.assert_array_equal(got, expected, err_msg=str(tol))
+
+
 def test_zeros_of_operator_plus_cone_match_per_point_reference():
     M = [[2.0, 1.0], [1.0, 2.0]]
     q = [-1.5, -2.5]
@@ -592,3 +700,75 @@ def test_ball_normal_cone_membership_is_exact():
     assert N.member([0.3, -0.2], [0.0, 0.0])
     assert not N.member([0.3, -0.2], [1e-6, 0.0])
     assert not N.member([1.1, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("structure", ["operator", "quadratic", "sum"])
+def test_ball_membership_of_single_valued_structure_is_exact(monkeypatch, structure):
+    import eqsplit.hilbert
+    import eqsplit.operators
+    from eqsplit.bifunctions import Bifunction
+
+    ball = Ball([0.0, 0.0], 1.0)
+    M, c = np.array([[2.0, 1.0], [-1.0, 0.5]]), np.array([0.3, -0.7])
+    Q, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    affine = operator_bifunction(ball, M, c)
+    quadratic = function_difference(ball, Quadratic(Q, q))
+    F, g = {
+        "operator": (affine, lambda x: M @ x + c),
+        "quadratic": (quadratic, lambda x: Q @ x + q),
+        "sum": (sum_bifunctions(affine, quadratic), lambda x: (M + Q) @ x + (c + q)),
+    }[structure]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact membership must not evaluate F or sample C")
+
+    monkeypatch.setattr(Bifunction, "__call__", forbidden)
+    monkeypatch.setattr(Bifunction, "eval_batch", forbidden)
+    monkeypatch.setattr(eqsplit.operators, "sample_points", forbidden)
+    monkeypatch.setattr(eqsplit.hilbert, "sample_points", forbidden)
+    A = operator_from_bifunction(F)
+    # the image at x on the circle is g(x) plus the cone {s x : s >= 0}
+    X, near, normals = _ball_normal_cone_draws()
+    G = np.array([g(x) for x in X])
+    assert sum(A.member(x, gx + u) for x, gx, u in zip(X, G, near)) == 0
+    assert all(A.member(x, gx + u) for x, gx, u in zip(X, G, normals))
+    assert not any(A.member_batch(x, [gx + u])[0] for x, gx, u in zip(X[:200], G, near))
+    x = np.array([0.3, -0.2])
+    assert A.member(x, g(x)) and not A.member(x, g(x) + [1e-6, 0.0])
+    assert not A.member([1.1, 0.0], g(np.array([1.1, 0.0])))
+
+
+def test_halfspace_and_intersection_cones_reject_non_normals():
+    # x interior, or on the boundary 50 to 200 units away from the origin,
+    # where the 256-point sample of C lies on the wrong side to see a tilt
+    n, b = np.array([1.0, 1.0]), 0.5
+    H = Halfspace(n, b)
+    along = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    foot = b * n / (n @ n)
+    cases = [([0.0, -10.0], [0.0, -1.0]), ([0.0, -10.0], [0.0, 0.0])]
+    for t in (50.0, 200.0, -50.0, -200.0):
+        x = foot + t * along
+        for s in (0.0, 0.5, 3.0):
+            cases.append((x, s * n))
+            cases += [(x, s * n + np.sign(t) * e * along) for e in (1e-3, 0.1, 1.0)]
+    # the second halfspace is inactive at every x above, so the cone is H's
+    for C in (H, IntersectionSet((H, Halfspace([1.0, -1.0], 300.0)))):
+        N = normal_cone_operator(C)
+        accepted = 0
+        for x, u in cases:
+            expected = halfspace_support_gap(n, b, x, u) <= 1e-8
+            assert N.member(x, u) == expected, (C.kind, x, u)
+            accepted += expected
+        assert accepted == 13, C.kind  # u = 0 and the twelve s * n
+    # the simplex: x on an edge and at a vertex
+    N = normal_cone_operator(Simplex(3))
+    for x, u in [
+        ([0.5, 0.5, 0.0], [1.0, 1.0, 0.0]),
+        ([0.5, 0.5, 0.0], [1.0, 1.0 + 1e-3, 0.0]),
+        ([0.5, 0.5, 0.0], [0.0, 0.0, -1.0]),
+        ([1.0, 0.0, 0.0], [2.0, 1.0, 1.0]),
+        ([1.0, 0.0, 0.0], [1.0, 1.01, 0.0]),
+        ([0.2, 0.3, 0.5], [1.0, 1.0, 1.0]),
+        ([0.2, 0.3, 0.5], [1.0, 1.0, 1.001]),
+    ]:
+        assert N.member(x, u) == (simplex_support_gap(x, u) <= 1e-8), (x, u)
