@@ -75,6 +75,7 @@ from .resolvents import (
     reflect,
     residual_certificate,
     resolve,
+    resolvent_map,
     soft_threshold,
 )
 

@@ -36,7 +36,7 @@ import numpy as np
 from .bifunctions import Bifunction, check_admissibility
 from .hilbert import as_vector, norm, sample_points
 from .operators import MonotoneOperator
-from .resolvents import ConvergenceFailure, ResolventOracle, resolve
+from .resolvents import ConvergenceFailure, ResolventOracle, resolve, resolvent_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -315,7 +315,7 @@ def solve(
 
     JF = ResolventOracle(cfg.gamma, F, method=method_f, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
     JG = ResolventOracle(cfg.gamma, G, method=method_g, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
-    result = _run_dr(lambda v: resolve(JF, v), lambda v: resolve(JG, v), x0, cfg)
+    result = _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg)
     Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
     return replace(result, certificate=equilibrium_certificate(F, G, result.y_star, Y))
 

@@ -50,7 +50,7 @@ from .bifunctions import (
     zero_bifunction,
 )
 from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
-from .resolvents import ResolventOracle, partial_second, resolve
+from .resolvents import ResolventOracle, partial_second, resolvent_map
 
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
@@ -182,7 +182,9 @@ class MonotoneOperator:
 
     ``resolvent_factory(gamma)`` returns the single-valued resolvent of
     ``gamma * A`` (None when no resolvent route exists, e.g. for bare
-    Minkowski sums used only in membership tests).
+    Minkowski sums used only in membership tests).  Each call returns a
+    fresh map, which may keep per-solve state: an induced operator's map
+    starts box pivoting from its previous output.
     ``evaluate_batch_fn(X)`` maps a validated (n, d) array of points to
     ``(ok, lo, hi)``: ``ok[i]`` is False where the image at row i is empty,
     and otherwise the image is the box ``[lo[i], hi[i]]`` (callers do not
@@ -408,8 +410,7 @@ def operator_from_bifunction(
         member_batch = _sampled_membership_fn(F)
 
     def factory(gamma):
-        oracle = ResolventOracle(gamma, F)
-        return lambda x: resolve(oracle, x)
+        return resolvent_map(ResolventOracle(gamma, F))
 
     return MonotoneOperator(
         dimension=C.dimension,

@@ -35,7 +35,10 @@ solve.  A singular I + gamma M (possible only for non-monotone M) raises
 ValueError when the oracle is built.
 
 The same bound makes I + gamma M a P-matrix, for which block principal
-pivoting with Murty's single-pivot backup ends in finitely many passes.
+pivoting with Murty's single-pivot backup ends in finitely many passes from
+any starting pattern.  :func:`resolvent_map` therefore starts each call
+from the pattern of the map's previous output, which along a solve rarely
+changes, and the oracle keeps the factor of the last pattern it met.
 Its answer satisfies the KKT sign conditions of the box problem, which
 certify it exactly, so no sampled check is made.  A non-monotone M can
 make the pivoting cycle or meet a singular block; the call then raises
@@ -303,14 +306,14 @@ def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
         ) from exc
 
 
-def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
+def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[..., np.ndarray]:
+    """(x, start) -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
 
     Raises ValueError when I + gamma M is singular.
     """
     K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
     shift = gamma * offset
-    return lambda x: K @ (x - shift)
+    return lambda x, start: K @ (x - shift)
 
 
 #: pivoting passes without a drop in the infeasible count before the box
@@ -320,20 +323,31 @@ BLOCK_PIVOT_PATIENCE = 3
 
 def _box_linear_resolvent(
     matrix: np.ndarray, offset: np.ndarray, gamma: float, lo: np.ndarray, hi: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> the z in [lo, hi] with (I + gamma M) z + gamma c - x in -N_box(z).
+) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+    """(x, start) -> the z in [lo, hi] with (I + gamma M) z + gamma c - x in -N_box(z).
 
     Block principal pivoting on the box linear complementarity problem
     (Judice & Pires, Comput. Oper. Res. 21, 1994).  Each coordinate is free,
-    at lo or at hi, and all start free.  Every pass solves
-    A_FF z_F = b_F - A_F,fixed z_fixed with A = I + gamma M and
-    b = x - gamma c, then flips every infeasible coordinate: a free one
-    outside the box, or a bound one whose w = A z - b has the wrong sign.
-    After ``BLOCK_PIVOT_PATIENCE`` passes without a drop in the infeasible
-    count only the largest-index one is flipped (Murty's rule), which
-    terminates for every P-matrix A; monotone M gives sym(A) >= I, hence a
-    P-matrix.  The returned point satisfies the KKT signs, which certify it
-    exactly.
+    at lo or at hi.  The starting pattern is read from ``start``, an earlier
+    output: a coordinate at or above hi is at hi, one at or below lo is at
+    lo, and every other one is free; with no ``start`` all start free.
+    Every pass evaluates z_F = A_FF^{-1} (b_F - A_F,fixed z_fixed) with
+    A = I + gamma M and b = x - gamma c, then flips every infeasible
+    coordinate: a free one outside the box, or a bound one whose
+    w = A z - b has the wrong sign.  After ``BLOCK_PIVOT_PATIENCE`` passes
+    without a drop in the infeasible count only the largest-index one is
+    flipped (Murty's rule), which terminates from any pattern for every
+    P-matrix A; monotone M gives sym(A) >= I, hence a P-matrix.  The
+    returned point satisfies the KKT signs, which certify it exactly.
+
+    The affine map b -> z of the last pattern is kept (a one-entry memo,
+    replaced as one tuple), so a pass on an unchanged pattern costs two
+    matrix-vector products.  The map is a function of the pattern alone,
+    so the output does not depend on the memo.  ``start`` is read only
+    when sym(A) is positive definite: then the problem has one solution
+    and any pattern leads to it.  Otherwise the box problem may have
+    several solutions or none, and the pivoting starts cold, as without
+    ``start``.
 
     Raises ValueError when A is singular, and :class:`ConvergenceFailure`
     carrying the clamp of b when the pivot cap is reached or a block is
@@ -346,19 +360,58 @@ def _box_linear_resolvent(
     pinned = lo == hi
     bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
     max_pivots = 10 * d + 50
+    try:
+        np.linalg.cholesky(A + A.T)
+        warm = True
+    except np.linalg.LinAlgError:
+        warm = False
+    # pattern code per coordinate: -1 at lo, 0 free, 1 at hi
+    cold = np.zeros(d, dtype=int)
+    all_free = (cold.tobytes(), K, np.zeros(d), np.zeros(d))
+    memo = all_free
 
-    def apply(x: np.ndarray) -> np.ndarray:
+    def pattern_map(side):
+        """(key, L, m, sign) of a pattern: z = L b + m on it, and the sign
+        of w that makes each bound coordinate infeasible (0 where free or
+        pinned).  Raises LinAlgError on a singular block."""
+        nonlocal memo
+        entry = memo
+        key = side.tobytes()
+        if entry[0] == key:
+            return entry
+        if key == all_free[0]:
+            entry = all_free
+        else:
+            free = side == 0
+            m = np.where(side > 0, hi, lo)
+            m[free] = 0.0
+            L = np.zeros((d, d))
+            if free.any():
+                Kf = np.linalg.inv(A[np.ix_(free, free)])
+                L[np.ix_(free, free)] = Kf
+                m[free] = -(Kf @ (A[free] @ m))
+            entry = (key, L, m, np.where(pinned, 0.0, side))
+        memo = entry
+        return entry
+
+    def apply(x: np.ndarray, start: np.ndarray | None) -> np.ndarray:
         b = x - shift
         tol = 1e-12 * (bound_scale + np.abs(b).max())
-        free = np.ones(d, dtype=bool)
-        at_hi = np.zeros(d, dtype=bool)
-        z = K @ b
+        lo_tol, hi_tol = lo - tol, hi + tol
+        if start is None or not warm:
+            side = cold
+        elif np.shape(start) != (d,):
+            raise ValueError(f"start must have shape ({d},), got {np.shape(start)}")
+        else:
+            side = np.where(start >= hi, 1, np.where(start <= lo, -1, 0))
+        _, L, m, sign = pattern_map(side)
         best, patience = d + 1, BLOCK_PIVOT_PATIENCE
         for passes in range(1, max_pivots + 1):
+            z = L @ b + m
             w = A @ z - b
-            infeasible = (free & ((z < lo - tol) | (z > hi + tol))) | (
-                ~free & ~pinned & np.where(at_hi, w > tol, w < -tol)
-            )
+            # bound coordinates hold their bound exactly, so the box test
+            # can only fail on free ones
+            infeasible = (z < lo_tol) | (z > hi_tol) | (sign * w > tol)
             count = int(np.count_nonzero(infeasible))
             if count == 0:
                 return np.minimum(np.maximum(z, lo), hi)
@@ -370,17 +423,12 @@ def _box_linear_resolvent(
                 last = np.flatnonzero(infeasible)[-1]
                 infeasible = np.zeros(d, dtype=bool)
                 infeasible[last] = True
-            at_hi = (at_hi & ~infeasible) | (infeasible & free & (z > hi))
-            free ^= infeasible
-            z = np.where(at_hi, hi, lo)
-            z[free] = 0.0
-            if free.any():
-                r = b - A @ z
-                try:
-                    z[free] = np.linalg.solve(A[free][:, free], r[free])
-                except np.linalg.LinAlgError:
-                    reason = f"singular block at pivoting pass {passes}"
-                    break
+            side = np.where(infeasible, np.where(side == 0, np.where(z > hi, 1, -1), 0), side)
+            try:
+                _, L, m, sign = pattern_map(side)
+            except np.linalg.LinAlgError:
+                reason = f"singular block at pivoting pass {passes}"
+                break
         else:
             reason = f"no solution within {max_pivots} pivoting passes"
         z = np.minimum(np.maximum(b, lo), hi)
@@ -403,8 +451,10 @@ class ResolventOracle:
     per-(family, set, gamma) work, such as inverting I + gamma M, happens
     here, once.  The verification sample ``check_points`` is drawn on first
     read; closed forms never read it.  The oracle is immutable and
-    :func:`resolve` is pure, so one oracle may be shared across concurrent
-    solves.
+    :func:`resolve` is pure for a given ``(x, start)``, so one oracle may be
+    shared across concurrent solves.  The only state it holds is box
+    pivoting's memo of the last pattern's factor, which is swapped in as one
+    tuple and does not change any output.
     """
 
     gamma: float
@@ -437,21 +487,24 @@ class ResolventOracle:
         return sample_points(self.bifunction.set, CHECK_SAMPLE_SIZE, self.seed)
 
 
-def _build(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> J x of a validated oracle, for its method."""
+def _build(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
+    """The map (x, start) -> J x of a validated oracle, for its method.
+
+    Only box pivoting reads ``start``; every other map ignores it.
+    """
     F = oracle.bifunction
     C = F.set
     gamma = oracle.gamma
     if oracle.method == CLOSED_FORM_PROJECTION:
         shift = gamma * F.offset
-        return lambda x: C.project(x - shift)
+        return lambda x, start: C.project(x - shift)
     if oracle.method == CLOSED_FORM_LINEAR_SOLVE:
         if C.kind == "box":
             return _box_linear_resolvent(F.matrix, F.offset, gamma, C.lo, C.hi)
         return _linear_resolvent(F.matrix, F.offset, gamma)
     if oracle.method == PROX_COMPOSITION:
         return _prox_composition(oracle)
-    return lambda x: _inner_resolve(oracle, x)
+    return lambda x, start: _inner_resolve(oracle, x)
 
 
 def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
@@ -465,7 +518,7 @@ def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
     )
 
 
-def resolve(oracle: ResolventOracle, x) -> np.ndarray:
+def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
     """Apply the resolvent: the unique z in C with
 
     gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
@@ -473,8 +526,32 @@ def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     the inner iterative route.  Inner-solver exhaustion (or box pivoting
     that fails on a non-monotone operator) raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
+
+    ``start`` is an optional earlier output of the same oracle.  Box
+    pivoting starts from its pattern of coordinates at lo, at hi and free,
+    which saves passes when x is near the earlier input, and raises
+    ValueError when its shape is not that of x; every other method ignores
+    it.  The call is pure for a given ``(x, start)``, and for a monotone
+    operator the answer does not depend on ``start`` beyond the 1e-12
+    pivoting tolerance.
     """
-    return oracle._apply(as_vector(x, oracle.dimension))
+    return oracle._apply(as_vector(x, oracle.dimension), start)
+
+
+def resolvent_map(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> resolve(oracle, x, start=<this map's previous output>).
+
+    The warm start lives in the returned closure, never on the oracle, so
+    make one map per solve; a failed call keeps the previous start.
+    """
+    last = None
+
+    def apply(x):
+        nonlocal last
+        last = resolve(oracle, x, start=last)
+        return last
+
+    return apply
 
 
 def reflect(oracle: ResolventOracle, x) -> np.ndarray:
@@ -498,7 +575,7 @@ def residual_certificate(oracle: ResolventOracle, x, z) -> float:
 # prox composition: minimize gamma f(y) + ||y - x||^2 / 2 over C
 # ---------------------------------------------------------------------------
 
-def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
+def _prox_composition(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
     F = oracle.bifunction
     C = F.set
     gamma = oracle.gamma
@@ -509,10 +586,10 @@ def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndar
             return _linear_resolvent(f.Q, f.q, gamma)
         if isinstance(f, WeightedL1):
             t = gamma * f.weights
-            return lambda x: soft_threshold(x, t)
+            return lambda x, start: soft_threshold(x, t)
         if isinstance(f, AffineFunction):
             shift = gamma * f.a
-            return lambda x: x - shift
+            return lambda x, start: x - shift
 
     if C.kind == "box":
         if isinstance(f, Quadratic) and not f.separable:
@@ -523,19 +600,19 @@ def _prox_composition(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndar
         if isinstance(f, Quadratic):
             shift = gamma * f.q
             scale = 1.0 + gamma * np.diag(f.Q)
-            return lambda x: C.project((x - shift) / scale)
+            return lambda x, start: C.project((x - shift) / scale)
         if isinstance(f, WeightedL1):
             t = gamma * f.weights
-            return lambda x: C.project(soft_threshold(x, t))
+            return lambda x, start: C.project(soft_threshold(x, t))
         if isinstance(f, AffineFunction):
             shift = gamma * f.a
-            return lambda x: C.project(x - shift)
+            return lambda x, start: C.project(x - shift)
 
     if f.curvature_bounds() is not None:
         max_iter = oracle.inner_max_iter
-        return lambda x: _projected_gradient_prox(C, f, gamma, x, INNER_TOL, max_iter)
+        return lambda x, start: _projected_gradient_prox(C, f, gamma, x, INNER_TOL, max_iter)
     # nonsmooth f over an unstructured set: generic variational route
-    return lambda x: _inner_resolve(oracle, x)
+    return lambda x, start: _inner_resolve(oracle, x)
 
 
 def _projected_gradient_prox(C, f, gamma, x, tol, max_iter):

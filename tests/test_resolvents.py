@@ -1,5 +1,8 @@
 """Resolvent computation: closed forms, the inner iterative solver, and contracts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from eqsplit.resolvents import (
     reflect,
     residual_certificate,
     resolve,
+    resolvent_map,
 )
 
 from oracles import box_vi_active_set, grid_golden_min, prox_oracle_1d
@@ -414,3 +418,155 @@ def test_nonseparable_box_quadratic_prox_uses_pivoting(monkeypatch):
         z = resolve(o, x)
         w = A @ z - (x - gamma * q)
         assert norm(z - np.clip(z - w, C.lo, C.hi)) <= 1e-10 * (1.0 + norm(x))
+
+
+# ---------------------------------------------------------------------------
+# warm-started box pivoting
+# ---------------------------------------------------------------------------
+
+def _dr_like(rng, d, n=12):
+    """Inputs that drift and settle, as 2 y_n - x_n does along a solve."""
+    x = rng.normal(scale=2.0, size=d)
+    out = [x]
+    for k in range(1, n):
+        x = x + rng.normal(scale=0.5 / k**2, size=d)
+        out.append(x)
+    return out
+
+
+def _assert_same(warm, cold):
+    assert norm(warm - cold) <= 1e-12 * (1.0 + norm(cold)), norm(warm - cold)
+
+
+@pytest.mark.parametrize("d", [2, 5, 20, 50])
+def test_box_warm_start_matches_cold(d):
+    M, c, rng = _box_vi(d, 100 + d)
+    lo, hi = -np.ones(d), np.ones(d)
+    pinned_lo, pinned_hi = lo.copy(), hi.copy()
+    pinned_lo[::3] = pinned_hi[::3] = rng.uniform(-0.5, 0.5, size=pinned_lo[::3].size)
+    B = rng.normal(size=(d, d))
+    Q = B @ B.T / d
+    for gamma in (0.1, 1.0, 10.0):
+        oracles = [
+            ResolventOracle(gamma, operator_bifunction(Box(lo, hi), M, c)),
+            ResolventOracle(gamma, function_difference(Box(lo, hi), Quadratic(Q, c))),
+            ResolventOracle(gamma, operator_bifunction(Box(pinned_lo, pinned_hi), M, c)),
+        ]
+        for o in oracles:
+            C = o.bifunction.set
+            xs = _dr_like(rng, d)
+            previous = None
+            for x in xs:
+                cold = resolve(o, x)
+                # the previous output along the sequence, both corners, and
+                # an output of the box with pinned sides
+                for start in (previous, C.hi.copy(), C.lo.copy(), resolve(oracles[2], xs[0])):
+                    _assert_same(resolve(o, x, start=start), cold)
+                previous = resolve(o, x, start=previous)
+
+
+@pytest.mark.parametrize("start", [None] + [np.array(s) for s in np.ndindex(3, 3)])
+def test_box_warm_start_cannot_hide_a_failure(start):
+    # every pattern of the 2-D box, read from -1, 0 or 1 per coordinate
+    start = None if start is None else start - 1.0
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    # I + M = [[1, 1], [0, -1]]: the pivoting cycles, although the hi
+    # corner meets the KKT signs; a start must not let it return that point
+    cycling = ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]]))
+    with pytest.raises(ConvergenceFailure) as err:
+        resolve(cycling, [4.0, 2.0], start=start)
+    np.testing.assert_array_equal(err.value.iterate, [1.0, 1.0])
+    singular_block = ResolventOracle(1.0, operator_bifunction(C, [[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ConvergenceFailure, match="singular block") as err:
+        resolve(singular_block, [5.0, 0.5], start=start)
+    np.testing.assert_array_equal(err.value.iterate, [1.0, 0.5])
+
+
+def test_box_warm_start_rejects_a_wrong_shape():
+    o = ResolventOracle(1.0, operator_bifunction(Box([-1.0, -1.0], [1.0, 1.0]), np.eye(2)))
+    with pytest.raises(ValueError, match="start"):
+        resolve(o, [0.5, 3.0], start=np.zeros(3))
+
+
+def test_box_warm_repeat_forms_no_factorization(monkeypatch):
+    d, gamma = 20, 0.1
+    M, c, rng = _box_vi(d, 7)
+    F = operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c)
+    o = ResolventOracle(gamma, F)
+    x1 = rng.normal(scale=2.0, size=d)
+    x2 = x1 + 1e-6 * rng.normal(size=d)
+    z1 = resolve(o, x1)
+    expected = resolve(ResolventOracle(gamma, F), x2)
+    at_bound = np.abs(z1) == 1.0
+    np.testing.assert_array_equal(np.abs(expected) == 1.0, at_bound)
+    assert 0 < np.count_nonzero(at_bound) < d
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("a repeated pattern was factored again")
+
+    monkeypatch.setattr(np.linalg, "inv", no_factorization)
+    monkeypatch.setattr(np.linalg, "solve", no_factorization)
+    _assert_same(resolve(o, x2, start=z1), expected)
+
+
+def test_resolvent_maps_keep_their_start_per_map(monkeypatch):
+    d, gamma = 20, 0.1
+    M, c, rng = _box_vi(d, 11)
+    F = operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c)
+    shared = ResolventOracle(gamma, F)
+    fresh = ResolventOracle(gamma, F)
+    starts = []
+
+    def recording_resolve(oracle, x, start=None):
+        starts.append(start)
+        return resolve(oracle, x, start=start)
+
+    monkeypatch.setattr("eqsplit.resolvents.resolve", recording_resolve)
+    first, second = resolvent_map(shared), resolvent_map(shared)
+    previous = {first: None, second: None}
+    for xa, xb in zip(_dr_like(rng, d, 30), _dr_like(rng, d, 30)):
+        for apply, x in ((first, xa), (second, xb)):
+            z = apply(x)
+            assert starts.pop() is previous[apply]
+            previous[apply] = z
+            _assert_same(z, resolve(fresh, x))
+
+
+def test_box_factor_memo_is_safe_across_threads():
+    # maps on one oracle cycle through the same few inputs, each with its
+    # own pattern, in different orders, so the one-entry memo is replaced
+    # on almost every call; each map must still give, bit for bit, what it
+    # gives alone
+    d, gamma, threads = 5, 1.0, 6
+    M, c, rng = _box_vi(d, 13)
+    shared = ResolventOracle(gamma, operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c))
+    by_pattern = {}
+    for x in rng.normal(scale=3.0, size=(50, d)):
+        z = resolve(shared, x)
+        by_pattern.setdefault((z == 1.0).tobytes() + (z == -1.0).tobytes(), x)
+    points = np.array(list(by_pattern.values())[:4])
+    assert len(points) == 4
+    sequences = [points[rng.integers(len(points), size=400)] for _ in range(threads)]
+    expected = []
+    for xs in sequences:
+        apply = resolvent_map(ResolventOracle(gamma, shared.bifunction))
+        expected.append([apply(x) for x in xs])
+    got = [None] * threads
+
+    def work(i):
+        apply = resolvent_map(shared)
+        got[i] = [apply(x) for x in sequences[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(np.array(g), np.array(e))
