@@ -10,9 +10,10 @@ from an evaluation oracle, and it runs a seeded, sampled diagnostic instead.
 Either way it reports worst violations; construction never rejects a
 bifunction.
 
-Family tags are declared by the constructor, not inferred.  They drive the
-closed-form resolvent dispatch, so a misdeclared family surfaces as a
-resolvent residual failure rather than an error here.
+Family tags are declared by the constructor, not inferred.  Through
+:func:`normal_form` they drive the closed-form resolvent dispatch, so a
+misdeclared family surfaces as a resolvent residual failure rather than an
+error here.
 """
 
 from __future__ import annotations
@@ -292,6 +293,26 @@ def sum_bifunctions(F: Bifunction, G: Bifunction) -> Bifunction:
     if F.set is not G.set:
         raise ValueError("cannot sum bifunctions over different sets; share one ConvexSet object")
     return Bifunction(set=F.set, family=SUM_OF_TWO, parts=(F, G))
+
+
+def normal_form(F: Bifunction) -> tuple[np.ndarray, np.ndarray, tuple[ConvexFunction, ...]] | None:
+    """(M, c, fs) with F(x, y) = <M x + c, y - x> + sum over f in fs of
+    f(y) - f(x); None when F has a generic part.
+
+    The resolvents and the operator bridge read a bifunction's structure
+    only through this form.
+    """
+    if F.family == OPERATOR_INDUCED:
+        return F.matrix, F.offset, ()
+    if F.family == FUNCTION_DIFFERENCE:
+        d = F.dimension
+        return np.zeros((d, d)), np.zeros(d), (F.function,)
+    if F.family == SUM_OF_TWO:
+        left, right = (normal_form(P) for P in F.parts)
+        if left is None or right is None:
+            return None
+        return left[0] + right[0], left[1] + right[1], left[2] + right[2]
+    return None
 
 
 # ---------------------------------------------------------------------------

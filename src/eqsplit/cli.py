@@ -290,6 +290,8 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
     lines += bif_lines(inst.G, "G")
     if callable(cfg.lambda_schedule):
         raise ValueError("only constant relaxation schedules are serializable")
+    if cfg.error_schedule_a is not None or cfg.error_schedule_b is not None:
+        raise ValueError("error schedules are not serializable; pass error presets on the command line")
     lines += [
         "",
         "[solver]",
@@ -297,6 +299,7 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
         f"lambda = {cfg.lambda_schedule!r}",
         f"tol = {cfg.residual_tol!r}",
         f"max_iter = {cfg.max_iter}",
+        f"trace_every = {cfg.trace_every}",
         "error_preset = none",
         f"seed = {cfg.seed}",
         "",

@@ -286,35 +286,29 @@ def solve(
     G: Bifunction,
     x0,
     cfg: SolverConfig | None = None,
-    *,
-    method_f: str | None = None,
-    method_g: str | None = None,
-    check_inputs: bool = True,
 ) -> SolveResult:
     """Solve F(x, y) + G(x, y) >= 0 for all y in C by splitting resolvents.
 
-    The two bifunctions must share their set object.  When
-    ``check_inputs`` is true an admissibility diagnostic runs first on each
-    side and only warns on failure.  It is exact for operator-induced
-    bifunctions over a whole space, ball, halfspace or box (one eigenvalue
-    of the symmetric part of M) and for function differences of shipped
-    convex functions (nothing to check); every other bifunction gets a
-    16-sample diagnostic at ``cfg.seed``, and the warning says which.
-    ``method_f``/``method_g`` force a resolvent computation method (mainly
-    to cross-check closed forms against the inner iterative route).
+    The two bifunctions must share their set object.  An admissibility
+    diagnostic runs first on each side and only warns on failure.  It is
+    exact for operator-induced bifunctions over a whole space, ball,
+    halfspace or box (one eigenvalue of the symmetric part of M) and for
+    function differences of shipped convex functions (nothing to check);
+    every other bifunction gets a 16-sample diagnostic at ``cfg.seed``, and
+    the warning says which.  Each resolvent's method follows from the
+    bifunction's structure (see :class:`~eqsplit.resolvents.ResolventOracle`).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     if F.set is not G.set:
         raise ValueError("bifunctions must share one ConvexSet object")
     x0 = as_vector(x0, F.dimension)
-    if check_inputs:
-        for tag, H in (("first", F), ("second", G)):
-            report = check_admissibility(H, samples=16, seed=cfg.seed)
-            if not report.passed:
-                warnings.warn(f"{tag} bifunction: {report}")
+    for tag, H in (("first", F), ("second", G)):
+        report = check_admissibility(H, samples=16, seed=cfg.seed)
+        if not report.passed:
+            warnings.warn(f"{tag} bifunction: {report}")
 
-    JF = ResolventOracle(cfg.gamma, F, method=method_f, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
-    JG = ResolventOracle(cfg.gamma, G, method=method_g, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
+    JF = ResolventOracle(cfg.gamma, F, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
+    JG = ResolventOracle(cfg.gamma, G, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
     result = _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg)
     Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
     return replace(result, certificate=equilibrium_certificate(F, G, result.y_star, Y))

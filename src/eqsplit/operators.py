@@ -16,7 +16,8 @@ instances, that zeros of operator sums and solutions of summed equilibrium
 problems coincide.
 
 Bifunction structure is read through one normal form,
-F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) (:func:`_normal_form`).
+F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x)
+(:func:`eqsplit.bifunctions.normal_form`).
 Over a box or the whole space, with shipped convex functions, the image is
 a per-coordinate interval (possibly unbounded), which a finite list of
 vectors could not represent; it is evaluated over arrays of points at once
@@ -35,10 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import (
-    FUNCTION_DIFFERENCE,
-    OPERATOR_INDUCED,
     SHIPPED_FUNCTIONS,
-    SUM_OF_TWO,
     AffineFunction,
     Bifunction,
     ConvexFunction,
@@ -46,6 +44,7 @@ from .bifunctions import (
     WeightedL1,
     function_difference,
     generic_bifunction,
+    normal_form,
     operator_bifunction,
     zero_bifunction,
 )
@@ -70,26 +69,6 @@ def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
     """Slices of at most ``entries // n_cols`` rows (at least one) covering n_rows."""
     step = max(1, int(entries // max(n_cols, 1)))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
-# ---------------------------------------------------------------------------
-# the normal form of a structured bifunction
-# ---------------------------------------------------------------------------
-
-def _normal_form(F: Bifunction) -> tuple[np.ndarray, np.ndarray, tuple[ConvexFunction, ...]] | None:
-    """(M, c, fs) with F(x, y) = <M x + c, y - x> + sum over f in fs of
-    f(y) - f(x); None when F has a generic part."""
-    if F.family == OPERATOR_INDUCED:
-        return F.matrix, F.offset, ()
-    if F.family == FUNCTION_DIFFERENCE:
-        d = F.dimension
-        return np.zeros((d, d)), np.zeros(d), (F.function,)
-    if F.family == SUM_OF_TWO:
-        left, right = (_normal_form(P) for P in F.parts)
-        if left is None or right is None:
-            return None
-        return left[0] + right[0], left[1] + right[1], left[2] + right[2]
-    return None
 
 
 def _affine_map(form) -> tuple[np.ndarray, np.ndarray] | None:
@@ -381,7 +360,7 @@ def operator_from_bifunction(
     Membership is False outside C, where the image is empty.
     """
     C = F.set
-    form = _normal_form(F)
+    form = normal_form(F)
     evaluate_batch = member_batch = None
     if (
         C.kind in ("box", "whole-space")
@@ -444,7 +423,7 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
 
     S = A.source_bifunction
     if S is not None and S.set.kind == "whole-space":
-        affine = _affine_map(_normal_form(S))
+        affine = _affine_map(normal_form(S))
         if affine is not None:
             return operator_bifunction(C, *affine)
 
@@ -531,7 +510,7 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     if n == 0:
         raise ValueError("grid does not intersect the set")
 
-    form = _normal_form(F)
+    form = normal_form(F)
     if form is None:
         accepted = [x for x in pts if float(F.eval_batch(x, pts).min()) >= -tol]
         return np.array(accepted).reshape(-1, grid.dimension)
@@ -555,7 +534,7 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
     four block-sized arrays are alive at once.  The pair values F(x, y) come
     from the normal form of F; a generic F is evaluated one row at a time.
     """
-    form = _normal_form(F)
+    form = normal_form(F)
     if form is not None:
         M, c, fs = form
         affine = M.any() or c.any()

@@ -8,22 +8,25 @@ to the unique z in C with
 and the reflection is 2 J x - x.  The resolvent is single valued and firmly
 nonexpansive; the reflection is nonexpansive.
 
-Dispatch by structural family, done once when a :class:`ResolventOracle`
-is built:
+The method is chosen once, when a :class:`ResolventOracle` is built, from
+the bifunction's normal form F(x, y) = <M x + c, y - x> + sum f(y) - f(x)
+(:func:`~eqsplit.bifunctions.normal_form`) and the kind of C:
 
-* zero map (operator-induced with M = 0): z = P_C(x - gamma c), a pure
-  projection after a constant shift;
-* operator-induced over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
-* operator-induced over a box: the box linear complementarity problem
+* no f and M = 0: z = P_C(x - gamma c), a pure projection after a
+  constant shift;
+* no f over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
+* no f over a box: the box linear complementarity problem
   (I + gamma M) z + gamma c - x in -N_box(z), solved exactly by block
   principal pivoting;
-* operator-induced over any other set: inner iterative solve of the
-  1-strongly-monotone variational inequality;
-* function-difference f(y) - f(x): z minimizes gamma f(y) + ||y - x||^2 / 2
+* one f with M = 0 and c = 0: z minimizes gamma f(y) + ||y - x||^2 / 2
   over C (closed forms for the whole space and for a box, where a
   non-separable quadratic goes through the same pivoting as above;
   projected gradient over other sets);
-* generic / sum-of-two: inner iterative.
+* anything else, and a bifunction with a generic part: inner iterative
+  solve of the 1-strongly-monotone variational inequality.
+
+A sum of bifunctions therefore gets the closed form of the single
+bifunction with the same normal form.
 
 Linear resolvents (the whole-space operator-induced case and the
 whole-space quadratic prox (I + gamma Q)^{-1}) are factored once per
@@ -47,29 +50,19 @@ make the pivoting cycle or meet a singular block; the call then raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .bifunctions import (
-    FUNCTION_DIFFERENCE,
-    OPERATOR_INDUCED,
-    SUM_OF_TWO,
-    AffineFunction,
-    Bifunction,
-    Quadratic,
-    WeightedL1,
-)
+from .bifunctions import AffineFunction, Bifunction, ConvexFunction, Quadratic, WeightedL1, normal_form
 from .hilbert import as_vector, norm, sample_points
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
 CLOSED_FORM_LINEAR_SOLVE = "closed-form-linear-solve"
 PROX_COMPOSITION = "prox-composition"
 INNER_ITERATIVE = "inner-iterative"
-
-METHODS = (CLOSED_FORM_PROJECTION, CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION, INNER_ITERATIVE)
 
 #: finite-difference step for subgradients of generic bifunctions
 FD_STEP = 1e-6
@@ -100,70 +93,55 @@ def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _choose_method(F: Bifunction) -> str:
-    if F.family == OPERATOR_INDUCED:
-        if not F.matrix.any() and not F.offset.any():
-            return CLOSED_FORM_PROJECTION
-        if not F.matrix.any():
-            # constant operator: the variational inequality reduces to a
-            # projection of the shifted point for any C
-            return CLOSED_FORM_PROJECTION
-        if F.set.kind in ("whole-space", "box"):
-            return CLOSED_FORM_LINEAR_SOLVE
-        return INNER_ITERATIVE
-    if F.family == FUNCTION_DIFFERENCE:
-        return PROX_COMPOSITION
-    return INNER_ITERATIVE
-
-
 def partial_second(F: Bifunction):
     """Oracle (x, y) -> one subgradient of F(x, .) at y.
 
-    Exact per family; generic bifunctions fall back to central finite
+    Exact when F has a normal form: M x + c plus one subgradient of each f
+    at y.  A generic part sends the whole of F to central finite
     differences with step ``FD_STEP``.
     """
-    if F.family == OPERATOR_INDUCED:
-        M, c = F.matrix, F.offset
-        return lambda x, y: M @ x + c
-    if F.family == FUNCTION_DIFFERENCE:
-        return lambda x, y: F.function.subgradient(y)
-    if F.family == SUM_OF_TWO:
-        f0 = partial_second(F.parts[0])
-        f1 = partial_second(F.parts[1])
-        return lambda x, y: f0(x, y) + f1(x, y)
+    form = normal_form(F)
+    if form is None:
 
-    def fd(x, y):
-        g = np.empty_like(y)
-        for i in range(y.size):
-            e = np.zeros_like(y)
-            e[i] = FD_STEP
-            g[i] = (F(x, y + e) - F(x, y - e)) / (2.0 * FD_STEP)
+        def fd(x, y):
+            g = np.empty_like(y)
+            for i in range(y.size):
+                e = np.zeros_like(y)
+                e[i] = FD_STEP
+                g[i] = (F(x, y + e) - F(x, y - e)) / (2.0 * FD_STEP)
+            return g
+
+        return fd
+    M, c, fs = form
+    if len(fs) == 1 and not (M.any() or c.any()):
+        f = fs[0]
+        return lambda x, y: f.subgradient(y)
+
+    def grad(x, y):
+        g = M @ x + c
+        for f in fs:
+            g = g + f.subgradient(y)
         return g
 
-    return fd
-
-
-def subgradient_second_arg(F: Bifunction):
-    """Oracle z -> one subgradient of y -> F(z, y) at y = z."""
-    ps = partial_second(F)
-    return lambda z: ps(z, z)
+    return grad
 
 
 def _curvature_bounds(F: Bifunction) -> tuple[float, float] | None:
     """(mu, L) bounds of the second-slot subgradient field, if known."""
-    if F.family == OPERATOR_INDUCED:
-        sym = 0.5 * (F.matrix + F.matrix.T)
-        eigs = np.linalg.eigvalsh(sym)
-        return max(float(eigs.min()), 0.0), float(np.linalg.norm(F.matrix, 2))
-    if F.family == FUNCTION_DIFFERENCE:
-        return F.function.curvature_bounds()
-    if F.family == SUM_OF_TWO:
-        b0 = _curvature_bounds(F.parts[0])
-        b1 = _curvature_bounds(F.parts[1])
-        if b0 is None or b1 is None:
-            return None
-        return b0[0] + b1[0], b0[1] + b1[1]
-    return None
+    form = normal_form(F)
+    if form is None:
+        return None
+    M, _, fs = form
+    bounds = [f.curvature_bounds() for f in fs]
+    if None in bounds:
+        return None
+    mu = L = 0.0
+    if M.any():
+        mu = max(float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()), 0.0)
+        L = float(np.linalg.norm(M, 2))
+    for f_mu, f_L in bounds:
+        mu, L = mu + f_mu, L + f_L
+    return mu, L
 
 
 def _suggest_step(F: Bifunction, gamma: float) -> float:
@@ -222,9 +200,9 @@ def inner_solve(
     """Resolvent of a bifunction by projected subgradient steps.
 
     Iterates z <- P_C(z - sigma w) with w a subgradient of
-    y -> gamma F(z, y) + <z - x, y> at y = z.  The step sigma comes from
-    curvature bounds when the family exposes them and defaults to 0.5
-    otherwise; it is halved whenever the sampled residual stops improving,
+    y -> gamma F(z, y) + <z - x, y> at y = z.  The step sigma, unless
+    given, comes from curvature bounds when the normal form gives them and
+    defaults to 0.5 otherwise; it is halved whenever the sampled residual stops improving,
     which also handles nonsmooth limit cycles.  Accepts once the worst
     violation of the resolvent inequality over a seeded 64-point
     verification sample falls below ``tol`` and the iterate has settled.
@@ -237,7 +215,7 @@ def inner_solve(
     C = F.set
     x = as_vector(x, C.dimension)
     Y = samples if samples is not None else sample_points(C, CHECK_SAMPLE_SIZE, seed)
-    sub = subgradient_second_arg(F)
+    grad = partial_second(F)
     sigma = step if step is not None else _suggest_step(F, gamma)
 
     z = C.project(x)
@@ -252,7 +230,7 @@ def inner_solve(
     disp = np.inf
     iterations = max_iter
     for k in range(1, max_iter + 1):
-        w = gamma * sub(z) + (z - x)
+        w = gamma * grad(z, z) + (z - x)
         z_new = C.project(z - sigma * w)
         disp = norm(z_new - z)
         z = z_new
@@ -444,39 +422,31 @@ def _box_linear_resolvent(
 
 @dataclass(frozen=True)
 class ResolventOracle:
-    """Resolvent of ``gamma * bifunction`` with a fixed computation method.
+    """Resolvent of ``gamma * bifunction``, built once.
 
-    ``method`` is chosen from the family and set kind when not given; a
-    forced closed form must be the one the family and set admit.  All
-    per-(family, set, gamma) work, such as inverting I + gamma M, happens
-    here, once.  The verification sample ``check_points`` is drawn on first
-    read; closed forms never read it.  The oracle is immutable and
-    :func:`resolve` is pure for a given ``(x, start)``, so one oracle may be
-    shared across concurrent solves.  The only state it holds is box
-    pivoting's memo of the last pattern's factor, which is swapped in as one
-    tuple and does not change any output.
+    The computation follows from the bifunction's normal form and the kind
+    of its set (:func:`_build`), and ``method`` names it.  All
+    per-(bifunction, set, gamma) work, such as inverting I + gamma M or the
+    inner solver's step size, happens here, once.  The verification sample
+    ``check_points`` is drawn on first read; closed forms never read it.
+    The oracle is immutable and :func:`resolve` is pure for a given
+    ``(x, start)``, so one oracle may be shared across concurrent solves.
+    The only state it holds is box pivoting's memo of the last pattern's
+    factor, which is swapped in as one tuple and does not change any output.
     """
 
     gamma: float
     bifunction: Bifunction
-    method: str | None = None
     inner_max_iter: int = 50000
     seed: int = 0
+    method: str = field(init=False)
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        natural = _choose_method(self.bifunction)
-        method = self.method or natural
-        if method not in METHODS:
-            raise ValueError(f"unknown resolvent method {method!r}")
-        if method not in (natural, INNER_ITERATIVE):
-            raise ValueError(
-                f"resolvent method {method!r} does not apply to a {self.bifunction.family} "
-                f"bifunction over a {self.bifunction.set.kind} set"
-            )
+        method, apply = _build(self)
         object.__setattr__(self, "method", method)
-        object.__setattr__(self, "_apply", _build(self))
+        object.__setattr__(self, "_apply", apply)
 
     @property
     def dimension(self) -> int:
@@ -487,34 +457,39 @@ class ResolventOracle:
         return sample_points(self.bifunction.set, CHECK_SAMPLE_SIZE, self.seed)
 
 
-def _build(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
-    """The map (x, start) -> J x of a validated oracle, for its method.
+def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
+    """(method, map (x, start) -> J x) from the normal form
+    F(x, y) = <M x + c, y - x> + sum f(y) - f(x) and the set kind.
 
     Only box pivoting reads ``start``; every other map ignores it.
     """
     F = oracle.bifunction
     C = F.set
     gamma = oracle.gamma
-    if oracle.method == CLOSED_FORM_PROJECTION:
-        shift = gamma * F.offset
-        return lambda x, start: C.project(x - shift)
-    if oracle.method == CLOSED_FORM_LINEAR_SOLVE:
-        if C.kind == "box":
-            return _box_linear_resolvent(F.matrix, F.offset, gamma, C.lo, C.hi)
-        return _linear_resolvent(F.matrix, F.offset, gamma)
-    if oracle.method == PROX_COMPOSITION:
-        return _prox_composition(oracle)
-    return lambda x, start: _inner_resolve(oracle, x)
+    form = normal_form(F)
+    if form is not None:
+        M, c, fs = form
+        if not fs and not M.any():
+            # constant operator: the variational inequality reduces to a
+            # projection of the shifted point for any C
+            shift = gamma * c
+            return CLOSED_FORM_PROJECTION, lambda x, start: C.project(x - shift)
+        if not fs and C.kind == "box":
+            return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(M, c, gamma, C.lo, C.hi)
+        if not fs and C.kind == "whole-space":
+            return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(M, c, gamma)
+        if len(fs) == 1 and not (M.any() or c.any()):
+            return PROX_COMPOSITION, _prox_composition(oracle, fs[0])
+    return INNER_ITERATIVE, _inner_resolve(oracle)
 
 
-def _inner_resolve(oracle: ResolventOracle, x: np.ndarray) -> np.ndarray:
-    return inner_solve(
-        oracle.bifunction,
-        oracle.gamma,
-        x,
-        tol=INNER_TOL,
-        max_iter=oracle.inner_max_iter,
-        samples=oracle.check_points,
+def _inner_resolve(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
+    """(x, start) -> :func:`inner_solve` at the oracle's step, found once."""
+    F, gamma = oracle.bifunction, oracle.gamma
+    step = _suggest_step(F, gamma)
+    max_iter = oracle.inner_max_iter
+    return lambda x, start: inner_solve(
+        F, gamma, x, tol=INNER_TOL, max_iter=max_iter, step=step, samples=oracle.check_points
     )
 
 
@@ -575,11 +550,9 @@ def residual_certificate(oracle: ResolventOracle, x, z) -> float:
 # prox composition: minimize gamma f(y) + ||y - x||^2 / 2 over C
 # ---------------------------------------------------------------------------
 
-def _prox_composition(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
-    F = oracle.bifunction
-    C = F.set
+def _prox_composition(oracle: ResolventOracle, f: ConvexFunction) -> Callable[..., np.ndarray]:
+    C = oracle.bifunction.set
     gamma = oracle.gamma
-    f = F.function
 
     if C.kind == "whole-space":
         if isinstance(f, Quadratic):
@@ -612,7 +585,7 @@ def _prox_composition(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
         max_iter = oracle.inner_max_iter
         return lambda x, start: _projected_gradient_prox(C, f, gamma, x, INNER_TOL, max_iter)
     # nonsmooth f over an unstructured set: generic variational route
-    return lambda x, start: _inner_resolve(oracle, x)
+    return _inner_resolve(oracle)
 
 
 def _projected_gradient_prox(C, f, gamma, x, tol, max_iter):

@@ -10,7 +10,15 @@ import itertools
 
 import numpy as np
 
+from eqsplit.bifunctions import generic_bifunction
+
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def as_generic(F):
+    """F behind a bare evaluation oracle: the same values with no structure
+    to read, so its resolvent takes the inner iterative route."""
+    return generic_bifunction(F.set, F, F.eval_batch)
 
 
 def golden_min(g, lo, hi, tol=1e-12, max_iter=200):

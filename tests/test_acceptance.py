@@ -33,6 +33,8 @@ from eqsplit.operators import (
 from eqsplit.problems import corpus, get_problem
 from eqsplit.resolvents import PROX_COMPOSITION, ResolventOracle, resolve
 
+from oracles import as_generic
+
 
 def _report(criterion: int, passed: bool, detail: str):
     status = "PASS" if passed else "FAIL"
@@ -246,9 +248,7 @@ def test_criterion_9_mixed_equilibrium_prox_path():
     default_oracle = ResolventOracle(1.0, inst.G)
     assert default_oracle.method == PROX_COMPOSITION
     via_prox = solve(inst.F, inst.G, inst.default_x0, SolverConfig())
-    via_inner = solve(
-        inst.F, inst.G, inst.default_x0, SolverConfig(), method_g="inner-iterative"
-    )
+    via_inner = solve(inst.F, as_generic(inst.G), inst.default_x0, SolverConfig())
     assert via_prox.status == CONVERGED and via_inner.status == CONVERGED
     gap = norm(via_prox.y_star - via_inner.y_star)
     _report(

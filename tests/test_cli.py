@@ -15,7 +15,7 @@ from eqsplit.cli import (
     parse_problem_spec,
     problem_to_spec_text,
 )
-from eqsplit.dr_solver import SolverConfig, solve
+from eqsplit.dr_solver import SolverConfig, geometric_errors, solve
 from eqsplit.problems import corpus, get_problem
 
 FEASIBILITY_SPEC = """
@@ -218,6 +218,20 @@ def test_spec_roundtrip_matches_direct_solve(tmp_path):
         direct = solve(inst.F, inst.G, inst.default_x0, cfg)
         reparsed = solve(F, G, x0, parsed_cfg)
         np.testing.assert_allclose(reparsed.y_star, direct.y_star, atol=1e-12)
+
+
+def test_spec_roundtrip_keeps_every_setting_or_refuses(tmp_path):
+    inst = get_problem("vi-over-box")
+    cfg = SolverConfig(gamma=0.5, lambda_schedule=1.5, max_iter=300, residual_tol=1e-7, trace_every=5, seed=4)
+    _, _, _, parsed, _ = parse_problem_spec(_write(tmp_path, problem_to_spec_text(inst, cfg)))
+    for name in ("gamma", "lambda_schedule", "max_iter", "residual_tol", "trace_every", "seed"):
+        assert getattr(parsed, name) == getattr(cfg, name), name
+    assert parsed.error_schedule_a is None and parsed.error_schedule_b is None
+    # an error schedule is a callable, which the format cannot carry
+    errors = geometric_errors(inst.set.dimension)
+    for side in ("error_schedule_a", "error_schedule_b"):
+        with pytest.raises(ValueError, match="error schedules"):
+            problem_to_spec_text(inst, replace(cfg, **{side: errors}))
 
 
 def test_parse_rejects_dimension_mismatch(tmp_path):

@@ -27,9 +27,9 @@ from eqsplit.dr_solver import (
 from eqsplit.hilbert import Box, WholeSpace, norm, sample_points
 from eqsplit.operators import GridSpec, equilibrium_bruteforce, operator_from_bifunction
 from eqsplit.problems import corpus, get_problem
-from eqsplit.resolvents import INNER_ITERATIVE, ResolventOracle, reflect, resolve
+from eqsplit.resolvents import ResolventOracle, reflect, resolve
 
-from oracles import box_vi_projected
+from oracles import as_generic, box_vi_projected
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,12 @@ def test_inner_failure_status():
     inst = get_problem("vi-over-box")
     cfg = SolverConfig(inner_max_iter=2, residual_tol=1e-12)
     JG = ResolventOracle(cfg.gamma, inst.G, seed=cfg.seed)
-    # from (2, -1) the shadow point P_C x = (1, 0) and the failed inner
-    # iterate of J_F at 2 P_C x - x differ
+    # F behind a bare oracle takes the inner route; from (2, -1) the
+    # shadow point P_C x = (1, 0) and the failed inner iterate of J_F at
+    # 2 P_C x - x differ
     for x0 in (inst.default_x0, [2.0, -1.0]):
         with pytest.warns(UserWarning, match="inner resolvent failure"):
-            res = solve(inst.F, inst.G, x0, cfg, method_f=INNER_ITERATIVE)
+            res = solve(as_generic(inst.F), inst.G, x0, cfg)
         assert res.status == INNER_FAILURE
         # J_F failed, so the reported point is the shadow point J_G x*
         np.testing.assert_array_equal(res.y_star, resolve(JG, res.x_star))
@@ -296,7 +297,7 @@ def test_residual_decay_across_gamma_sweep():
     for gamma in (0.1, 1.0, 10.0):
         for inst in corpus():
             cfg = SolverConfig(gamma=gamma, residual_tol=1e-6, max_iter=5000)
-            res = solve(inst.F, inst.G, inst.default_x0, cfg, check_inputs=False)
+            res = solve(inst.F, inst.G, inst.default_x0, cfg)
             assert res.status == CONVERGED, (inst.name, gamma)
             assert res.trace.residual_dr[-1] <= 1e-6, (inst.name, gamma)
 

@@ -12,6 +12,7 @@ from eqsplit.bifunctions import (
     function_difference,
     generic_bifunction,
     operator_bifunction,
+    sum_bifunctions,
     zero_bifunction,
 )
 from eqsplit.hilbert import Ball, Box, WholeSpace, norm, sample_points
@@ -32,7 +33,7 @@ from eqsplit.resolvents import (
     resolvent_map,
 )
 
-from oracles import box_vi_active_set, grid_golden_min, prox_oracle_1d
+from oracles import as_generic, box_vi_active_set, grid_golden_min, prox_oracle_1d
 
 
 def test_zero_bifunction_resolvent_is_projection():
@@ -176,26 +177,24 @@ def test_consistency_linear_solve_vs_inner_iterative():
     F = operator_bifunction(C, M, [0.1, -0.2])
     H = WholeSpace(2)
     F_free = operator_bifunction(H, M, [0.1, -0.2])
-    o_iter = ResolventOracle(1.0, F, method=INNER_ITERATIVE)
     o_lin = ResolventOracle(1.0, F_free)
-    assert o_iter.method == INNER_ITERATIVE and o_lin.method == CLOSED_FORM_LINEAR_SOLVE
+    assert o_lin.method == CLOSED_FORM_LINEAR_SOLVE
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.normal(scale=2.0, size=2)
         z_free = resolve(o_lin, x)
         if np.all(np.abs(z_free) < 10.0):
-            np.testing.assert_allclose(resolve(o_iter, x), z_free, atol=1e-6)
+            np.testing.assert_allclose(inner_solve(F, 1.0, x), z_free, atol=1e-6)
 
 
 def test_forced_inner_iterative_on_declared_family():
-    # forcing the generic route on a structured bifunction must agree with
-    # its closed form (single-valuedness of the resolvent)
+    # the generic route on a structured bifunction must agree with its
+    # closed form (single-valuedness of the resolvent)
     C = Box([-1.0], [1.0])
     F = function_difference(C, WeightedL1([1.0]))
     o_closed = ResolventOracle(1.0, F)
-    o_forced = ResolventOracle(1.0, F, method=INNER_ITERATIVE)
     for x in (-2.0, -0.4, 0.0, 0.8, 3.0):
-        assert resolve(o_forced, [x])[0] == pytest.approx(resolve(o_closed, [x])[0], abs=1e-6)
+        assert inner_solve(F, 1.0, [x])[0] == pytest.approx(resolve(o_closed, [x])[0], abs=1e-6)
 
 
 def test_generic_family_fd_subgradients():
@@ -204,6 +203,90 @@ def test_generic_family_fd_subgradients():
     o = ResolventOracle(1.0, F)
     assert o.method == INNER_ITERATIVE
     assert resolve(o, [1.0])[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the method follows from the normal form
+# ---------------------------------------------------------------------------
+
+def test_corpus_resolvent_methods_are_pinned():
+    # the benchmark tracer groups resolve times by these labels
+    expected = {
+        "pure-feasibility": (CLOSED_FORM_PROJECTION, CLOSED_FORM_PROJECTION),
+        "quadratic-1d": (PROX_COMPOSITION, CLOSED_FORM_PROJECTION),
+        "vi-over-box": (CLOSED_FORM_LINEAR_SOLVE, CLOSED_FORM_PROJECTION),
+        "mixed-equilibrium": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
+        "skew-saddle": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
+        "operator-bridge": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
+    }
+    methods = dict.fromkeys(expected, ())
+    for name, o in _corpus_oracles(1.0):
+        methods[name] += (o.method,)
+    assert methods == expected
+
+
+@pytest.mark.parametrize("kind", ["box", "whole-space"])
+def test_sum_of_operator_parts_gets_the_linear_closed_form(kind):
+    d, gamma = 6, 0.7
+    C = Box(-np.ones(d), np.ones(d)) if kind == "box" else WholeSpace(d)
+    M0, c0, _ = _skew_plus_shift(d, 5)
+    M1, c1, _ = _skew_plus_shift(d, 6)
+    S = sum_bifunctions(operator_bifunction(C, M0, c0), operator_bifunction(C, M1, c1))
+    summed = ResolventOracle(gamma, S)
+    single = ResolventOracle(gamma, operator_bifunction(C, M0 + M1, c0 + c1))
+    assert summed.method == single.method == CLOSED_FORM_LINEAR_SOLVE
+    for x in np.random.default_rng(7).normal(scale=2.0, size=(10, d)):
+        expected = resolve(single, x)
+        assert norm(resolve(summed, x) - expected) <= 1e-12 * (1.0 + norm(expected))
+
+
+def test_zero_plus_l1_over_box_is_the_l1_prox():
+    C = Box([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
+    w, gamma = np.array([0.3, 1.0, 0.0]), 1.5
+    o = ResolventOracle(gamma, sum_bifunctions(zero_bifunction(C), function_difference(C, WeightedL1(w))))
+    assert o.method == PROX_COMPOSITION
+    for x in np.random.default_rng(8).normal(scale=2.0, size=(20, 3)):
+        shrunk = np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
+        np.testing.assert_allclose(resolve(o, x), np.clip(shrunk, C.lo, C.hi), rtol=0.0, atol=1e-15)
+
+
+def test_sum_with_a_generic_part_takes_the_inner_route():
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    M, c = np.array([[2.0, 1.0], [-1.0, 1.0]]), np.array([0.3, -0.2])
+    op = operator_bifunction(C, M, c)
+    S = sum_bifunctions(as_generic(op), function_difference(C, WeightedL1([0.5, 0.2])))
+    o = ResolventOracle(1.0, S)
+    assert o.method == INNER_ITERATIVE
+    solved = 0
+    for x in np.random.default_rng(9).normal(scale=2.0, size=(8, 2)):
+        # finite differences of the whole sum can stall at a kink of |y|;
+        # the oracle must then fail as the bare-oracle route does
+        try:
+            z = resolve(o, x)
+        except ConvergenceFailure:
+            with pytest.raises(ConvergenceFailure):
+                inner_solve(as_generic(S), 1.0, x)
+            continue
+        np.testing.assert_allclose(z, inner_solve(as_generic(S), 1.0, x), rtol=0.0, atol=1e-6)
+        solved += 1
+    assert solved > 0
+
+
+def test_inner_route_finds_its_step_once_per_oracle(monkeypatch):
+    import eqsplit.resolvents as R
+
+    F = operator_bifunction(Ball([0.0, 0.0], 1.0), [[1.0, 2.0], [-2.0, 1.0]], [0.5, -0.5])
+    o = ResolventOracle(0.5, F)
+    assert o.method == INNER_ITERATIVE
+    x = np.array([1.5, 0.3])
+    step = R._suggest_step(F, 0.5)
+    expected = inner_solve(F, 0.5, x, step=step)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("step size computed per resolve")
+
+    monkeypatch.setattr(R, "_suggest_step", no_step)
+    np.testing.assert_array_equal(resolve(o, x), expected)
 
 
 def _corpus_oracles(gamma):
@@ -319,12 +402,6 @@ def test_singular_linear_resolvent_rejected_at_construction():
     F = operator_bifunction(WholeSpace(2), -np.eye(2))
     with pytest.raises(ValueError, match="singular"):
         ResolventOracle(1.0, F)
-
-
-def test_forced_closed_form_must_apply():
-    F = operator_bifunction(Ball([0.0, 0.0], 1.0), np.eye(2))
-    with pytest.raises(ValueError, match="does not apply"):
-        ResolventOracle(1.0, F, method=CLOSED_FORM_LINEAR_SOLVE)
 
 
 def test_affine_operator_and_induced_operator_share_linear_resolvent():
