@@ -1,19 +1,22 @@
-"""Bifunctions H(x, y) on C x C with structural family tags.
+"""Bifunctions H(x, y) on C x C, stored as their normal form
+
+    H(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) + sum_g g(x, y),
+
+with an affine operator part x -> M x + c, convex functions f with exact
+oracles, and generic parts g known only through evaluation oracles.  The
+constructors build the form, a sum adds the operator parts and joins the
+rest, and every reader of structure (the resolvents, the operator bridge,
+the admissibility check and the spec writer) reads these fields.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
-its second argument, and is hemicontinuous in its first.  For the
-operator-induced and function-difference families these conditions hold by
-construction or come down to one eigenvalue, and :func:`check_admissibility`
+its second argument, and is hemicontinuous in its first.  With no generic
+part and only shipped convex functions these conditions come down to one
+eigenvalue of the symmetric part of M, and :func:`check_admissibility`
 decides them exactly; for every other bifunction they cannot be certified
 from an evaluation oracle, and it runs a seeded, sampled diagnostic instead.
 Either way it reports worst violations; construction never rejects a
 bifunction.
-
-Family tags are declared by the constructor, not inferred.  Through
-:func:`normal_form` they drive the closed-form resolvent dispatch, so a
-misdeclared family surfaces as a resolvent residual failure rather than an
-error here.
 """
 
 from __future__ import annotations
@@ -25,14 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import ConvexSet, as_vector, sample_points
-
-GENERIC = "generic"
-OPERATOR_INDUCED = "operator-induced"
-FUNCTION_DIFFERENCE = "function-difference"
-SUM_OF_TWO = "sum-of-two"
-
-FAMILIES = (GENERIC, OPERATOR_INDUCED, FUNCTION_DIFFERENCE, SUM_OF_TWO)
-
 
 # ---------------------------------------------------------------------------
 # Supported convex functions (the f in bifunctions of the form f(y) - f(x))
@@ -189,29 +184,24 @@ class AffineFunction(ConvexFunction):
 
 @dataclass(frozen=True)
 class Bifunction:
-    """Evaluation oracle (x, y) -> H(x, y) on C x C with a family tag.
+    """Evaluation oracle (x, y) -> H(x, y) on C x C, stored as its normal form.
 
-    Exactly one structural payload is populated per family:
-
-    * ``operator-induced``: H(x,y) = <M x + c, y - x>; payload ``matrix``,
-      ``offset``.
-    * ``function-difference``: H(x,y) = f(y) - f(x); payload ``function``.
-    * ``sum-of-two``: pointwise sum; payload ``parts``.
-    * ``generic``: payload ``eval_fn`` (and optional ``batch_fn``).
+    H(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) + sum_g g(x, y), where
+    ``matrix`` and ``offset`` hold M and c (both None when H has no
+    operator part), ``functions`` the convex f, and ``oracles`` the generic
+    parts g as ``(fn, batch_fn)`` pairs: fn(x, y) is one value and
+    batch_fn(x, Y) the values at the rows of Y.
     """
 
     set: ConvexSet
-    family: str
-    matrix: np.ndarray | None = None
-    offset: np.ndarray | None = None
-    function: ConvexFunction | None = None
-    parts: tuple["Bifunction", "Bifunction"] | None = None
-    eval_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
-    batch_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    matrix: np.ndarray | None
+    offset: np.ndarray | None
+    functions: tuple[ConvexFunction, ...] = ()
+    oracles: tuple[tuple[Callable, Callable], ...] = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown bifunction family {self.family!r}")
+        if (self.matrix is None) != (self.offset is None):
+            raise ValueError("matrix and offset must both be given or both be None")
 
     @property
     def dimension(self) -> int:
@@ -220,27 +210,20 @@ class Bifunction:
     def __call__(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.family == OPERATOR_INDUCED:
-            return float((self.matrix @ x + self.offset) @ (y - x))
-        if self.family == FUNCTION_DIFFERENCE:
-            return self.function.value(y) - self.function.value(x)
-        if self.family == SUM_OF_TWO:
-            return self.parts[0](x, y) + self.parts[1](x, y)
-        return float(self.eval_fn(x, y))
+        return float(sum(
+            [f.value(y) - f.value(x) for f in self.functions] + [fn(x, y) for fn, _ in self.oracles],
+            0.0 if self.matrix is None else (self.matrix @ x + self.offset) @ (y - x),
+        ))
 
     def eval_batch(self, x, Y) -> np.ndarray:
         """Evaluate H(x, y_j) for every row y_j of ``Y``."""
         x = np.asarray(x, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if self.family == OPERATOR_INDUCED:
-            return (Y - x) @ (self.matrix @ x + self.offset)
-        if self.family == FUNCTION_DIFFERENCE:
-            return self.function.value_batch(Y) - self.function.value(x)
-        if self.family == SUM_OF_TWO:
-            return self.parts[0].eval_batch(x, Y) + self.parts[1].eval_batch(x, Y)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(x, Y), dtype=float)
-        return np.array([float(self.eval_fn(x, y)) for y in Y])
+        return sum(
+            [f.value_batch(Y) - f.value(x) for f in self.functions]
+            + [np.asarray(batch(x, Y), dtype=float) for _, batch in self.oracles],
+            np.zeros(Y.shape[0]) if self.matrix is None else (Y - x) @ (self.matrix @ x + self.offset),
+        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -258,20 +241,19 @@ def operator_bifunction(C: ConvexSet, matrix, offset=None) -> Bifunction:
     if M.ndim != 2 or M.shape != (C.dimension, C.dimension):
         raise ValueError(f"matrix must be {C.dimension}x{C.dimension}")
     c = as_vector(offset, C.dimension) if offset is not None else np.zeros(C.dimension)
-    return Bifunction(set=C, family=OPERATOR_INDUCED, matrix=_freeze(M), offset=_freeze(c))
+    return Bifunction(C, _freeze(M), _freeze(c))
 
 
 def zero_bifunction(C: ConvexSet) -> Bifunction:
-    """The identically-zero bifunction (operator induced by the zero map)."""
-    d = C.dimension
-    return operator_bifunction(C, np.zeros((d, d)), np.zeros(d))
+    """The identically-zero bifunction: the normal form with no part."""
+    return Bifunction(C, None, None)
 
 
 def function_difference(C: ConvexSet, f: ConvexFunction) -> Bifunction:
     """H(x, y) = f(y) - f(x) for a supported convex f with C inside dom f."""
     if f.dimension != C.dimension:
         raise ValueError(f"function dimension {f.dimension} does not match set dimension {C.dimension}")
-    return Bifunction(set=C, family=FUNCTION_DIFFERENCE, function=f)
+    return Bifunction(C, None, None, functions=(f,))
 
 
 def generic_bifunction(C: ConvexSet, fn, batch_fn=None) -> Bifunction:
@@ -279,44 +261,42 @@ def generic_bifunction(C: ConvexSet, fn, batch_fn=None) -> Bifunction:
 
     ``fn`` must be pure and tolerate second arguments in a small
     neighborhood of C (finite-difference subgradient probes step 1e-6
-    outside the set near its boundary).
+    outside the set near its boundary).  Without ``batch_fn``, batches are
+    evaluated one row at a time.
     """
-    return Bifunction(set=C, family=GENERIC, eval_fn=fn, batch_fn=batch_fn)
+    if batch_fn is None:
+        def batch_fn(x, Y):
+            return np.array([float(fn(x, y)) for y in Y])
+    return Bifunction(C, None, None, oracles=((fn, batch_fn),))
+
+
+def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """a + b, where None stands for an absent operator part."""
+    if a is None or b is None:
+        return b if a is None else a
+    return _freeze(a + b)
 
 
 def sum_bifunctions(F: Bifunction, G: Bifunction) -> Bifunction:
-    """Pointwise sum of two bifunctions over the same set.
+    """Pointwise sum of two bifunctions over the same set: the operator
+    parts add, and the functions and the generic parts are joined.
 
     The sets must be the same object; value-equality of oracle-backed sets
     is not decidable.
     """
     if F.set is not G.set:
         raise ValueError("cannot sum bifunctions over different sets; share one ConvexSet object")
-    return Bifunction(set=F.set, family=SUM_OF_TWO, parts=(F, G))
-
-
-def normal_form(F: Bifunction) -> tuple[np.ndarray, np.ndarray, tuple[ConvexFunction, ...]] | None:
-    """(M, c, fs) with F(x, y) = <M x + c, y - x> + sum over f in fs of
-    f(y) - f(x); None when F has a generic part.
-
-    The resolvents and the operator bridge read a bifunction's structure
-    only through this form.
-    """
-    if F.family == OPERATOR_INDUCED:
-        return F.matrix, F.offset, ()
-    if F.family == FUNCTION_DIFFERENCE:
-        d = F.dimension
-        return np.zeros((d, d)), np.zeros(d), (F.function,)
-    if F.family == SUM_OF_TWO:
-        left, right = (normal_form(P) for P in F.parts)
-        if left is None or right is None:
-            return None
-        return left[0] + right[0], left[1] + right[1], left[2] + right[2]
-    return None
+    return Bifunction(
+        F.set,
+        _add(F.matrix, G.matrix),
+        _add(F.offset, G.offset),
+        F.functions + G.functions,
+        F.oracles + G.oracles,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Admissibility diagnostic: exact for structured families, sampled otherwise
+# Admissibility diagnostic: exact without generic parts, sampled otherwise
 # ---------------------------------------------------------------------------
 
 #: epsilon ladder for the hemicontinuity probe
@@ -330,7 +310,7 @@ _THRESHOLDS = {
     "hemicontinuity": 1e-6,
 }
 
-#: set kinds over which an operator-induced bifunction is monotone exactly
+#: set kinds over which a form with operator part M is monotone exactly
 #: when the symmetric part of M is positive semidefinite on the directions
 #: the set spans (all of them, or a box's coordinates with lo < hi)
 _EXACT_SET_KINDS = ("whole-space", "ball", "halfspace", "box")
@@ -364,25 +344,28 @@ class AdmissibilityReport:
 
 
 def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
-    """Exact report for the structured families, or None to sample.
+    """Exact report for a form with no generic part and only shipped
+    functions, or None to sample.
 
-    An operator-induced H(x, y) = <M x + c, y - x> vanishes on the diagonal,
-    is linear in y and continuous in x, and H(x,y) + H(y,x) =
-    -(x - y)' M (x - y), so it is monotone on C iff sym M is positive
-    semidefinite on the span of C - C; the monotone violation is
-    max(0, -lambda_min) of sym M restricted there, accepted up to
-    1e-10 * max(1, ||restricted sym M||).  A function difference f(y) - f(x)
-    of a shipped convex f meets every condition by construction.
+    Such an H vanishes on the diagonal, is convex in y and continuous in x,
+    and H(x,y) + H(y,x) = -(x - y)' M (x - y), since each f(y) - f(x)
+    cancels; so it is monotone on C iff sym M is positive semidefinite on
+    the span of C - C.  The monotone violation is max(0, -lambda_min) of
+    sym M restricted there, accepted up to
+    1e-10 * max(1, ||restricted sym M||).  A nonzero M needs a whole space,
+    ball, halfspace or box, whose span is known.
     """
-    zero = dict.fromkeys(_THRESHOLDS, 0.0)
-    if F.family == FUNCTION_DIFFERENCE and type(F.function) in SHIPPED_FUNCTIONS:
-        return AdmissibilityReport(passed=True, worst_violations=zero, samples=0, seed=seed, exact=True)
-    C = F.set
-    if F.family != OPERATOR_INDUCED or C.kind not in _EXACT_SET_KINDS:
+    if F.oracles or any(type(f) not in SHIPPED_FUNCTIONS for f in F.functions):
         return None
-    S = 0.5 * (F.matrix + F.matrix.T)
-    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(F.offset))):
+    zero = dict.fromkeys(_THRESHOLDS, 0.0)
+    M, C = F.matrix, F.set
+    if M is not None and not (np.all(np.isfinite(M)) and np.all(np.isfinite(F.offset))):
         return None  # the sampled path names the offending pair
+    if M is None or not M.any():
+        return AdmissibilityReport(passed=True, worst_violations=zero, samples=0, seed=seed, exact=True)
+    if C.kind not in _EXACT_SET_KINDS:
+        return None
+    S = 0.5 * (M + M.T)
     if C.kind == "box":
         free = C.lo < C.hi
         S = S[np.ix_(free, free)]
@@ -396,12 +379,13 @@ def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
 def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> AdmissibilityReport:
     """Diagnostic of the four admissibility conditions, exact where it can be.
 
-    Operator-induced F over a whole space, ball, halfspace or box, and
-    function differences of a shipped ``Quadratic``, ``WeightedL1`` or
-    ``AffineFunction``, get an exact report (``exact`` true): one eigenvalue
-    of the symmetric part of M, or nothing at all, and no call to the
-    oracle.  Every other bifunction (generic, sums, user-defined convex
-    functions, other set kinds) gets the sampled diagnostic.
+    A bifunction with no generic part whose functions are all a shipped
+    ``Quadratic``, ``WeightedL1`` or ``AffineFunction``, sums included, gets
+    an exact report (``exact`` true) and no call to the oracle: one
+    eigenvalue of the symmetric part of M, which needs a whole space, ball,
+    halfspace or box when M is nonzero, or nothing at all when M is zero.
+    Every other bifunction (generic parts, user-defined convex functions, a
+    nonzero M over other set kinds) gets the sampled diagnostic.
 
     The sampled diagnostic draws points of C by projecting seeded gaussians
     and reports the maximum violation of: (diagonal) H(x,x) = 0; (monotone)

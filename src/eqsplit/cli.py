@@ -259,32 +259,37 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 
     def bif_lines(H: Bifunction, label: str) -> list[str]:
         out = ["", f"[{label}]"]
-        if H.family == "operator-induced":
-            if not H.matrix.any() and not H.offset.any():
-                out.append("family = zero")
-                return out
+        operator = H.matrix is not None and (H.matrix.any() or H.offset.any())
+        if H.oracles:
+            raise ValueError(f"[{label}]: the spec format cannot hold a generic part")
+        if len(H.functions) > 1:
+            raise ValueError(f"[{label}]: the spec format cannot hold two functions")
+        if H.functions and operator:
+            raise ValueError(f"[{label}]: the spec format cannot hold a function plus an operator part")
+        if operator:
             out.append("family = operator-induced")
             out.append("matrix = " + "; ".join(" ".join(repr(float(v)) for v in row) for row in H.matrix))
             out.append("offset = " + " ".join(repr(float(v)) for v in H.offset))
             return out
-        if H.family == "function-difference":
-            out.append("family = function-difference")
-            f = H.function
-            if isinstance(f, Quadratic):
-                out.append("function = quadratic")
-                out.append("q_matrix = " + "; ".join(" ".join(repr(float(v)) for v in row) for row in f.Q))
-                out.append("q_linear = " + " ".join(repr(float(v)) for v in f.q))
-            elif isinstance(f, WeightedL1):
-                out.append("function = weighted-l1")
-                out.append("weights = " + " ".join(repr(float(v)) for v in f.weights))
-            elif isinstance(f, AffineFunction):
-                out.append("function = affine")
-                out.append("linear = " + " ".join(repr(float(v)) for v in f.a))
-                out.append(f"constant = {float(f.b)!r}")
-            else:
-                raise ValueError("unsupported convex function")
+        if not H.functions:
+            out.append("family = zero")
             return out
-        raise ValueError(f"corpus serialization does not cover family {H.family!r}")
+        out.append("family = function-difference")
+        f = H.functions[0]
+        if isinstance(f, Quadratic):
+            out.append("function = quadratic")
+            out.append("q_matrix = " + "; ".join(" ".join(repr(float(v)) for v in row) for row in f.Q))
+            out.append("q_linear = " + " ".join(repr(float(v)) for v in f.q))
+        elif isinstance(f, WeightedL1):
+            out.append("function = weighted-l1")
+            out.append("weights = " + " ".join(repr(float(v)) for v in f.weights))
+        elif isinstance(f, AffineFunction):
+            out.append("function = affine")
+            out.append("linear = " + " ".join(repr(float(v)) for v in f.a))
+            out.append(f"constant = {float(f.b)!r}")
+        else:
+            raise ValueError("unsupported convex function")
+        return out
 
     lines += bif_lines(inst.F, "F")
     lines += bif_lines(inst.G, "G")

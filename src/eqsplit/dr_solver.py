@@ -291,9 +291,9 @@ def solve(
 
     The two bifunctions must share their set object.  An admissibility
     diagnostic runs first on each side and only warns on failure.  It is
-    exact for operator-induced bifunctions over a whole space, ball,
-    halfspace or box (one eigenvalue of the symmetric part of M) and for
-    function differences of shipped convex functions (nothing to check);
+    exact for every bifunction with no generic part whose convex functions
+    are shipped ones (one eigenvalue of the symmetric part of M, which for
+    a nonzero M needs a whole space, ball, halfspace or box);
     every other bifunction gets a 16-sample diagnostic at ``cfg.seed``, and
     the warning says which.  Each resolvent's method follows from the
     bifunction's structure (see :class:`~eqsplit.resolvents.ResolventOracle`).

@@ -15,10 +15,10 @@ directions are built here, along with grid oracles that certify, on small
 instances, that zeros of operator sums and solutions of summed equilibrium
 problems coincide.
 
-Bifunction structure is read through one normal form,
-F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x)
-(:func:`eqsplit.bifunctions.normal_form`).
-Over a box or the whole space, with shipped convex functions, the image is
+Bifunction structure is read from the normal form each bifunction stores,
+F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) + sum_g g(x, y).
+Over a box or the whole space, with no generic part g and shipped convex
+functions f, the image is
 a per-coordinate interval (possibly unbounded), which a finite list of
 vectors could not represent; it is evaluated over arrays of points at once
 (:meth:`MonotoneOperator.evaluate_batch`) and decides membership exactly.
@@ -44,7 +44,6 @@ from .bifunctions import (
     WeightedL1,
     function_difference,
     generic_bifunction,
-    normal_form,
     operator_bifunction,
     zero_bifunction,
 )
@@ -71,14 +70,16 @@ def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _affine_map(form) -> tuple[np.ndarray, np.ndarray] | None:
-    """(M, c) with x -> M x + c the single-valued operator of a normal form
-    over the whole space; None unless every function is a shipped
-    ``Quadratic`` or ``AffineFunction``."""
-    if form is None:
+def _affine_map(F: Bifunction) -> tuple[np.ndarray, np.ndarray] | None:
+    """(M, c) with x -> M x + c the single-valued operator of F over the
+    whole space; None unless F has no generic part and every function is a
+    shipped ``Quadratic`` or ``AffineFunction``."""
+    if F.oracles:
         return None
-    M, c, fs = form
-    for f in fs:
+    d = F.dimension
+    M = np.zeros((d, d)) if F.matrix is None else F.matrix
+    c = np.zeros(d) if F.offset is None else F.offset
+    for f in F.functions:
         if type(f) is Quadratic:
             M, c = M + f.Q, c + f.q
         elif type(f) is AffineFunction:
@@ -341,7 +342,7 @@ def operator_from_bifunction(
 
     The resolvent oracle is exactly the bifunction resolvent.  Membership
     is exact wherever the normal form <M x + c, y - x> + sum f(y) - f(x)
-    of F allows:
+    + sum g(x, y) of F allows, which needs F to have no generic part g:
 
     * over a box or the whole space, with every f a shipped ``Quadratic``,
       ``WeightedL1`` or ``AffineFunction``, the image at x is the interval
@@ -360,24 +361,23 @@ def operator_from_bifunction(
     Membership is False outside C, where the image is empty.
     """
     C = F.set
-    form = normal_form(F)
     evaluate_batch = member_batch = None
     if (
         C.kind in ("box", "whole-space")
-        and form is not None
-        and all(type(f) in SHIPPED_FUNCTIONS for f in form[2])
+        and not F.oracles
+        and all(type(f) in SHIPPED_FUNCTIONS for f in F.functions)
     ):
-        M, c, fs = form
+        M, c, fs = F.matrix, F.offset, F.functions
 
         def evaluate_batch(X):
             ok, lo, hi = _normal_cone_bounds(C, X)
-            g_lo = g_hi = X @ M.T + c
+            g_lo = g_hi = 0.0 if M is None else X @ M.T + c
             for f in fs:
                 f_lo, f_hi = _subdifferential_bounds(f, X)
                 g_lo, g_hi = g_lo + f_lo, g_hi + f_hi
             return ok, g_lo + lo, g_hi + hi
 
-    elif C.kind == "ball" and (affine := _affine_map(form)) is not None:
+    elif C.kind == "ball" and (affine := _affine_map(F)) is not None:
         M, c = affine
 
         def member_batch(x, U, tol=MEMBER_TOL):
@@ -410,8 +410,8 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     image or an unbounded support value raises).  An operator induced over
     the whole space by an affine map plus differences of shipped
     ``Quadratic`` or ``AffineFunction`` terms is single-valued and affine,
-    and yields an operator-induced bifunction, preserving closed-form
-    resolvents.
+    and yields a bifunction with an operator part only, preserving
+    closed-form resolvents.
     """
     if A.evaluate_batch_fn is None:
         raise ValueError(
@@ -423,7 +423,7 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
 
     S = A.source_bifunction
     if S is not None and S.set.kind == "whole-space":
-        affine = _affine_map(normal_form(S))
+        affine = _affine_map(S)
         if affine is not None:
             return operator_bifunction(C, *affine)
 
@@ -496,8 +496,8 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     at least ``-tol``.  The default slack 10 * step absorbs the Lipschitz
     quantization of the grid; degenerate instances whose residual is
     quadratic around the solution need a tighter, matched tolerance.
-    Structured families run as blocked matrix products; generic oracles
-    fall back to one ``eval_batch`` per grid point.
+    A form with no generic part runs as blocked matrix products; one with a
+    generic part falls back to one ``eval_batch`` per grid point.
     """
     if grid.dimension > 2:
         raise ValueError("brute-force oracles are limited to dimension <= 2")
@@ -510,14 +510,12 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     if n == 0:
         raise ValueError("grid does not intersect the set")
 
-    form = normal_form(F)
-    if form is None:
+    if F.oracles:
         accepted = [x for x in pts if float(F.eval_batch(x, pts).min()) >= -tol]
         return np.array(accepted).reshape(-1, grid.dimension)
 
-    M, c, fs = form
-    f_vals = sum((f.value_batch(pts) for f in fs), np.zeros(n))
-    G = pts @ M.T + c
+    f_vals = sum((f.value_batch(pts) for f in F.functions), np.zeros(n))
+    G = np.zeros_like(pts) if F.matrix is None else pts @ F.matrix.T + F.offset
     base = np.einsum("ij,ij->i", G, pts) + f_vals
     keep = np.empty(n, dtype=bool)
     for rows in _row_blocks(n, n):
@@ -532,22 +530,21 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
 
     Row blocks hold a quarter of ``BLOCK_ENTRIES`` pairs, because up to
     four block-sized arrays are alive at once.  The pair values F(x, y) come
-    from the normal form of F; a generic F is evaluated one row at a time.
+    from the normal form of F; an F with a generic part is evaluated one row
+    at a time.
     """
-    form = normal_form(F)
-    if form is not None:
-        M, c, fs = form
-        affine = M.any() or c.any()
+    M, c, fs = F.matrix, F.offset, F.functions
+    affine = M is not None and (M.any() or c.any())
     ulo = np.empty(X.shape[0])
     uhi = np.empty(X.shape[0])
     for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
         x = X[rows]
         D = Y[None, :, 0] - x
-        if form is None:
+        if F.oracles:
             V = np.array([F.eval_batch(xi, Y) for xi in x]).reshape(D.shape)
         else:
             # a pure function difference skips the vanishing affine product
-            V = D * (x @ M.T + c) if affine or not fs else 0.0
+            V = D * (x @ M.T + c) if affine else 0.0 if fs else np.zeros(D.shape)
             for f in fs:
                 V = f.value_batch(Y)[None, :] - f.value_batch(x)[:, None] + V
         V += delta

@@ -10,20 +10,22 @@ nonexpansive; the reflection is nonexpansive.
 
 The method is chosen once, when a :class:`ResolventOracle` is built, from
 the bifunction's normal form F(x, y) = <M x + c, y - x> + sum f(y) - f(x)
-(:func:`~eqsplit.bifunctions.normal_form`) and the kind of C:
++ sum g(x, y) (the fields of :class:`~eqsplit.bifunctions.Bifunction`)
+and the kind of C:
 
-* no f and M = 0: z = P_C(x - gamma c), a pure projection after a
+* no f, no g and M = 0: z = P_C(x - gamma c), a pure projection after a
   constant shift;
-* no f over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
-* no f over a box: the box linear complementarity problem
+* no f and no g over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
+* no f and no g over a box: the box linear complementarity problem
   (I + gamma M) z + gamma c - x in -N_box(z), solved exactly by block
   principal pivoting;
-* one f with M = 0 and c = 0: z minimizes gamma f(y) + ||y - x||^2 / 2
+* one f, no g, M = 0 and c = 0: z minimizes gamma f(y) + ||y - x||^2 / 2
   over C (closed forms for the whole space and for a box, where a
   non-separable quadratic goes through the same pivoting as above;
   projected gradient over other sets);
-* anything else, and a bifunction with a generic part: inner iterative
-  solve of the 1-strongly-monotone variational inequality.
+* anything else: inner iterative solve of the 1-strongly-monotone
+  variational inequality, with exact subgradients of the structured parts
+  and finite differences of the generic parts g only.
 
 A sum of bifunctions therefore gets the closed form of the single
 bifunction with the same normal form.
@@ -56,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bifunctions import AffineFunction, Bifunction, ConvexFunction, Quadratic, WeightedL1, normal_form
+from .bifunctions import AffineFunction, Bifunction, ConvexFunction, Quadratic, WeightedL1
 from .hilbert import as_vector, norm, sample_points
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
@@ -93,34 +95,34 @@ def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _central_difference(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Central finite differences of y -> fn(x, y) with step ``FD_STEP``."""
+    g = np.empty_like(y)
+    for i in range(y.size):
+        e = np.zeros_like(y)
+        e[i] = FD_STEP
+        g[i] = (fn(x, y + e) - fn(x, y - e)) / (2.0 * FD_STEP)
+    return g
+
+
 def partial_second(F: Bifunction):
     """Oracle (x, y) -> one subgradient of F(x, .) at y.
 
-    Exact when F has a normal form: M x + c plus one subgradient of each f
-    at y.  A generic part sends the whole of F to central finite
-    differences with step ``FD_STEP``.
+    Exact for the structured parts: M x + c plus one subgradient of each f
+    at y.  Each generic part g adds central finite differences of g(x, .)
+    with step ``FD_STEP``.
     """
-    form = normal_form(F)
-    if form is None:
-
-        def fd(x, y):
-            g = np.empty_like(y)
-            for i in range(y.size):
-                e = np.zeros_like(y)
-                e[i] = FD_STEP
-                g[i] = (F(x, y + e) - F(x, y - e)) / (2.0 * FD_STEP)
-            return g
-
-        return fd
-    M, c, fs = form
-    if len(fs) == 1 and not (M.any() or c.any()):
-        f = fs[0]
-        return lambda x, y: f.subgradient(y)
+    M, c, fs, gs = F.matrix, F.offset, F.functions, F.oracles
+    if M is None and not gs and len(fs) == 1:
+        # the inner solver calls this once per iteration; skip the sum
+        return lambda x, y: fs[0].subgradient(y)
 
     def grad(x, y):
-        g = M @ x + c
+        g = 0.0 if M is None else M @ x + c
         for f in fs:
             g = g + f.subgradient(y)
+        for fn, _ in gs:
+            g = g + _central_difference(fn, x, y)
         return g
 
     return grad
@@ -128,15 +130,12 @@ def partial_second(F: Bifunction):
 
 def _curvature_bounds(F: Bifunction) -> tuple[float, float] | None:
     """(mu, L) bounds of the second-slot subgradient field, if known."""
-    form = normal_form(F)
-    if form is None:
+    bounds = [f.curvature_bounds() for f in F.functions]
+    if F.oracles or None in bounds:
         return None
-    M, _, fs = form
-    bounds = [f.curvature_bounds() for f in fs]
-    if None in bounds:
-        return None
+    M = F.matrix
     mu = L = 0.0
-    if M.any():
+    if M is not None and M.any():
         mu = max(float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()), 0.0)
         L = float(np.linalg.norm(M, 2))
     for f_mu, f_L in bounds:
@@ -459,26 +458,26 @@ class ResolventOracle:
 
 def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     """(method, map (x, start) -> J x) from the normal form
-    F(x, y) = <M x + c, y - x> + sum f(y) - f(x) and the set kind.
+    F(x, y) = <M x + c, y - x> + sum f(y) - f(x) + sum g(x, y) and the set kind.
 
     Only box pivoting reads ``start``; every other map ignores it.
     """
     F = oracle.bifunction
     C = F.set
     gamma = oracle.gamma
-    form = normal_form(F)
-    if form is not None:
-        M, c, fs = form
-        if not fs and not M.any():
+    M, c, fs = F.matrix, F.offset, F.functions
+    linear = M is not None and M.any()
+    if not F.oracles:
+        if not fs and not linear:
             # constant operator: the variational inequality reduces to a
             # projection of the shifted point for any C
-            shift = gamma * c
+            shift = 0.0 if c is None else gamma * c
             return CLOSED_FORM_PROJECTION, lambda x, start: C.project(x - shift)
         if not fs and C.kind == "box":
             return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(M, c, gamma, C.lo, C.hi)
         if not fs and C.kind == "whole-space":
             return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(M, c, gamma)
-        if len(fs) == 1 and not (M.any() or c.any()):
+        if len(fs) == 1 and not linear and (c is None or not c.any()):
             return PROX_COMPOSITION, _prox_composition(oracle, fs[0])
     return INNER_ITERATIVE, _inner_resolve(oracle)
 

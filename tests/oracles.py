@@ -197,11 +197,11 @@ def sample_simplex(rng, dim, n):
 # grid zero scans, one grid point at a time
 # ---------------------------------------------------------------------------
 #
-# The per-point loops below read only the structural payload of a bifunction
-# (family tag, matrix and offset, the convex function's coefficients, the
-# set's kind and bounds) and redo the arithmetic in numpy.  They cover the
-# operator-induced and function-difference families (quadratic, weighted L1
-# and affine functions) and their sums, over a box or the whole space.
+# The per-point loops below read only the stored normal form of a bifunction
+# (matrix and offset, the convex functions' coefficients, the set's kind and
+# bounds) and redo the arithmetic in numpy.  They cover forms with no generic
+# part whose functions are quadratic, weighted L1 or affine, over a box or
+# the whole space.
 
 def _in_set(C, x, tol=1e-9):
     if C.kind == "whole-space":
@@ -226,22 +226,20 @@ def _function_values(f, Y):
 
 
 def _structural_interval(F, x):
-    if F.family == "operator-induced":
-        v = F.matrix @ x + F.offset
-        return v, v
-    if F.family == "function-difference":
-        f = F.function
+    if F.oracles:
+        raise ValueError("no interval image for a bifunction with a generic part")
+    lo = np.zeros(x.size) if F.matrix is None else F.matrix @ x + F.offset
+    hi = lo.copy()
+    for f in F.functions:
         if hasattr(f, "weights"):
             kink = np.abs(x) <= 1e-9
             s = np.sign(x)
-            return (np.where(kink, -f.weights, f.weights * s),
-                    np.where(kink, f.weights, f.weights * s))
-        v = f.Q @ x + f.q if hasattr(f, "Q") else f.a.copy()
-        return v, v
-    if F.family == "sum-of-two":
-        (llo, lhi), (rlo, rhi) = (_structural_interval(P, x) for P in F.parts)
-        return llo + rlo, lhi + rhi
-    raise ValueError(f"no interval image for family {F.family!r}")
+            lo = lo + np.where(kink, -f.weights, f.weights * s)
+            hi = hi + np.where(kink, f.weights, f.weights * s)
+        else:
+            v = f.Q @ x + f.q if hasattr(f, "Q") else f.a
+            lo, hi = lo + v, hi + v
+    return lo, hi
 
 
 def induced_interval(F, x, tol=1e-9):
@@ -279,13 +277,12 @@ def zeros_intervals_reference(FA, FB, pts, tol, u_bounds=(-10.0, 10.0)):
 
 def _pair_values(F, x, Y):
     """F(x, y) for the rows y of Y."""
-    if F.family == "operator-induced":
-        return (Y - x) @ (F.matrix @ x + F.offset)
-    if F.family == "function-difference":
-        return _function_values(F.function, Y) - _function_value(F.function, x)
-    if F.family == "sum-of-two":
-        return _pair_values(F.parts[0], x, Y) + _pair_values(F.parts[1], x, Y)
-    raise ValueError(f"no pair values for family {F.family!r}")
+    if F.oracles:
+        raise ValueError("no pair values for a bifunction with a generic part")
+    vals = np.zeros(Y.shape[0]) if F.matrix is None else (Y - x) @ (F.matrix @ x + F.offset)
+    for f in F.functions:
+        vals = vals + _function_values(f, Y) - _function_value(f, x)
+    return vals
 
 
 def _admissible_interval_1d(F, x, Y, delta):

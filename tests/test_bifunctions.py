@@ -140,14 +140,95 @@ def test_sum_commutative_associative():
         assert c == pytest.approx(d, abs=1e-12)
 
 
-def test_family_tags():
-    C = WholeSpace(1)
-    assert zero_bifunction(C).family == "operator-induced"
-    assert operator_bifunction(C, [[1.0]]).family == "operator-induced"
-    assert function_difference(C, WeightedL1([1.0])).family == "function-difference"
-    assert generic_bifunction(C, lambda x, y: 0.0).family == "generic"
-    F = operator_bifunction(C, [[1.0]])
-    assert sum_bifunctions(F, zero_bifunction(C)).family == "sum-of-two"
+def _same_form(F, G):
+    for a, b in ((F.matrix, G.matrix), (F.offset, G.offset)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+    assert F.set is G.set and F.functions == G.functions and F.oracles == G.oracles
+
+
+def _random_part(rng, C):
+    """(bifunction, independent numpy reference of its values) for one
+    randomly chosen constructor."""
+    d = C.dimension
+    kind = rng.integers(6)
+    if kind == 0:
+        M, c = rng.normal(size=(d, d)), rng.normal(size=d)
+        return operator_bifunction(C, M, c), lambda x, y: (M @ x + c) @ (y - x)
+    if kind == 1:
+        B, q = rng.normal(size=(d, d)), rng.normal(size=d)
+        Q = B @ B.T
+        val = lambda y: 0.5 * y @ Q @ y + q @ y
+        return function_difference(C, Quadratic(Q, q)), lambda x, y: val(y) - val(x)
+    if kind == 2:
+        w = rng.uniform(0.0, 2.0, size=d)
+        return function_difference(C, WeightedL1(w)), lambda x, y: w @ (np.abs(y) - np.abs(x))
+    if kind == 3:
+        a = rng.normal(size=d)
+        return function_difference(C, AffineFunction(a, 2.0)), lambda x, y: a @ (y - x)
+    if kind == 4:
+        # generic part with a batch oracle: <x, y - x> + ||y||^2 - ||x||^2
+        ref = lambda x, y: x @ (y - x) + y @ y - x @ x
+        batch = lambda x, Y: (Y - x) @ x + np.einsum("ij,ij->i", Y, Y) - x @ x
+        return generic_bifunction(C, ref, batch), ref
+    # generic part evaluated row by row
+    ref = lambda x, y: float(np.sum(np.abs(y - x)) * np.sum(x))
+    return generic_bifunction(C, ref), ref
+
+
+def test_constructors_store_the_normal_form():
+    from dataclasses import fields
+
+    from eqsplit.bifunctions import Bifunction
+
+    assert [f.name for f in fields(Bifunction)] == ["set", "matrix", "offset", "functions", "oracles"]
+    C = WholeSpace(2)
+    M, c = np.array([[1.0, 2.0], [-2.0, 0.5]]), np.array([0.3, -0.1])
+    op = operator_bifunction(C, M, c)
+    np.testing.assert_array_equal(op.matrix, M)
+    np.testing.assert_array_equal(op.offset, c)
+    assert not op.matrix.flags.writeable and not op.offset.flags.writeable
+    assert op.functions == () and op.oracles == ()
+    np.testing.assert_array_equal(operator_bifunction(C, M).offset, [0.0, 0.0])
+
+    zero = zero_bifunction(C)
+    assert (zero.matrix, zero.offset, zero.functions, zero.oracles) == (None, None, (), ())
+    f = WeightedL1([1.0, 0.5])
+    fd = function_difference(C, f)
+    assert (fd.matrix, fd.offset, fd.functions, fd.oracles) == (None, None, (f,), ())
+    fn = lambda x, y: float(x @ (y - x))
+    batch = lambda x, Y: (Y - x) @ x
+    g = generic_bifunction(C, fn, batch)
+    assert (g.matrix, g.offset, g.functions, g.oracles) == (None, None, (), ((fn, batch),))
+    rowwise = generic_bifunction(C, fn)
+    assert rowwise.oracles[0][0] is fn
+    np.testing.assert_array_equal(rowwise.oracles[0][1](np.ones(2), np.eye(2)), [-1.0, -1.0])
+
+    # a sum adds the operator parts and joins the functions and the oracles;
+    # an absent operator part is not built as a zero matrix
+    S = sum_bifunctions(sum_bifunctions(op, zero), sum_bifunctions(fd, g))
+    assert S.matrix is op.matrix and S.offset is op.offset
+    assert S.functions == (f,) and S.oracles == ((fn, batch),)
+    assert sum_bifunctions(zero, fd).matrix is None
+    two = sum_bifunctions(op, operator_bifunction(C, np.eye(2), [1.0, 1.0]))
+    np.testing.assert_array_equal(two.matrix, M + np.eye(2))
+    np.testing.assert_array_equal(two.offset, c + 1.0)
+    with pytest.raises(ValueError, match="both"):
+        Bifunction(C, M, None)
+
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        C = WholeSpace(d)
+        (F, rf), (G, rg), (H, rh) = (_random_part(rng, C) for _ in range(3))
+        left = sum_bifunctions(sum_bifunctions(F, G), H)
+        _same_form(left, sum_bifunctions(F, sum_bifunctions(G, H)))
+        x = rng.normal(size=d)
+        Y = rng.normal(size=(5, d))
+        expected = [rf(x, y) + rg(x, y) + rh(x, y) for y in Y]
+        np.testing.assert_allclose(left.eval_batch(x, Y), expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([left(x, y) for y in Y], expected, rtol=0.0, atol=1e-12)
 
 
 def _barely_nonmonotone(d=20):
@@ -181,7 +262,7 @@ def test_exact_admissibility_ignores_pinned_box_coordinates():
 
 def test_exact_admissibility_calls_no_oracle(monkeypatch):
     from eqsplit import bifunctions
-    from eqsplit.hilbert import Ball, Halfspace
+    from eqsplit.hilbert import Ball, Halfspace, Simplex
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact report must not sample or evaluate")
@@ -194,14 +275,26 @@ def test_exact_admissibility_calls_no_oracle(monkeypatch):
         for C in (WholeSpace(2), Box([0.0, 0.0], [1.0, 2.0]), Ball([0.0, 0.0], 1.0), Halfspace([1.0, 1.0], 0.0))
     ]
     C = WholeSpace(2)
+    quad = function_difference(C, Quadratic([[2.0, 1.0], [1.0, 1.0]], [0.0, 1.0]))
+    l1 = function_difference(C, WeightedL1([1.0, 0.5]))
     cases += [
-        function_difference(C, Quadratic([[2.0, 1.0], [1.0, 1.0]], [0.0, 1.0])),
-        function_difference(C, WeightedL1([1.0, 0.5])),
+        quad,
+        l1,
         function_difference(C, AffineFunction([1.0, -1.0], 3.0)),
+        sum_bifunctions(operator_bifunction(C, np.eye(2)), zero_bifunction(C)),
+        sum_bifunctions(sum_bifunctions(operator_bifunction(C, M, [1.0, 0.0]), quad), l1),
+        # no operator part: nothing to check over any set kind
+        function_difference(Simplex(2), WeightedL1([1.0, 0.5])),
+        operator_bifunction(Simplex(2), np.zeros((2, 2)), [1.0, -1.0]),
     ]
-    for F in cases:
+    for i, F in enumerate(cases):
         report = check_admissibility(F)
-        assert report.exact and report.passed and report.samples == 0, F.family
+        assert report.exact and report.passed and report.samples == 0, i
+    # the eigenvalue of the summed sym M decides a sum
+    S = sum_bifunctions(operator_bifunction(C, [[1.0, 0.0], [0.0, -1.0]]), quad)
+    report = check_admissibility(S)
+    assert report.exact and not report.passed
+    assert report.worst_violations["monotone"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unstructured_bifunctions_keep_the_sampled_check():
@@ -214,12 +307,12 @@ def test_unstructured_bifunctions_keep_the_sampled_check():
     cases = [
         operator_bifunction(Simplex(2), np.eye(2)),
         function_difference(C, Square(np.eye(2), [0.0, 0.0])),
-        sum_bifunctions(operator_bifunction(C, np.eye(2)), zero_bifunction(C)),
         generic_bifunction(C, lambda x, y: float(np.dot(x, y - x))),
+        sum_bifunctions(operator_bifunction(C, np.eye(2)), generic_bifunction(C, lambda x, y: 0.0)),
     ]
-    for F in cases:
+    for i, F in enumerate(cases):
         report = check_admissibility(F, samples=8, seed=3)
-        assert not report.exact and report.samples == 8 and report.passed, F.family
+        assert not report.exact and report.samples == 8 and report.passed, i
 
 
 def test_affine_function_offset_must_be_finite():

@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqsplit.bifunctions import AffineFunction, function_difference
+from eqsplit.bifunctions import (
+    AffineFunction,
+    WeightedL1,
+    function_difference,
+    generic_bifunction,
+    operator_bifunction,
+    sum_bifunctions,
+    zero_bifunction,
+)
 from eqsplit.cli import (
     EXIT_CONVERGED,
     EXIT_MAX_ITER,
@@ -232,6 +240,34 @@ def test_spec_roundtrip_keeps_every_setting_or_refuses(tmp_path):
     for side in ("error_schedule_a", "error_schedule_b"):
         with pytest.raises(ValueError, match="error schedules"):
             problem_to_spec_text(inst, replace(cfg, **{side: errors}))
+
+
+def test_spec_is_written_from_the_normal_form(tmp_path):
+    # a sum whose form is one operator part is written as that operator
+    base = get_problem("vi-over-box")
+    C = base.set
+    F = sum_bifunctions(operator_bifunction(C, base.F.matrix, base.F.offset), zero_bifunction(C))
+    G = sum_bifunctions(zero_bifunction(C), function_difference(C, WeightedL1([0.5, 0.25])))
+    inst = replace(base, name="summed", F=F, G=G)
+    text = problem_to_spec_text(inst)
+    assert text.count("family = operator-induced") == 1 and "function = weighted-l1" in text
+    parsed_F, parsed_G, _, cfg, x0 = parse_problem_spec(_write(tmp_path, text))
+    np.testing.assert_array_equal(parsed_F.matrix, base.F.matrix)
+    np.testing.assert_array_equal(parsed_F.offset, base.F.offset)
+    assert parsed_G.functions[0].weights.tolist() == [0.5, 0.25]
+    direct = solve(F, G, inst.default_x0, cfg)
+    reparsed = solve(parsed_F, parsed_G, x0, cfg)
+    np.testing.assert_array_equal(reparsed.y_star, direct.y_star)
+    # forms the format cannot hold are refused, naming the part
+    l1 = function_difference(C, WeightedL1([1.0, 1.0]))
+    refused = {
+        "two functions": sum_bifunctions(l1, l1),
+        "a function plus an operator part": sum_bifunctions(base.F, l1),
+        "a generic part": generic_bifunction(C, base.F, base.F.eval_batch),
+    }
+    for part, H in refused.items():
+        with pytest.raises(ValueError, match=part):
+            problem_to_spec_text(replace(base, G=H))
 
 
 def test_parse_rejects_dimension_mismatch(tmp_path):

@@ -164,8 +164,8 @@ def test_structured_membership_calls_no_oracle_and_draws_no_sample(monkeypatch):
     for F, cases in _structured_operators():
         A = operator_from_bifunction(F)
         for x, u, expected in cases:
-            assert A.member(x, u) == expected, (F.family, x, u)
-            assert A.member_batch(x, [u, u])[0] == expected, (F.family, x, u)
+            assert A.member(x, u) == expected, (F.set.kind, x, u)
+            assert A.member_batch(x, [u, u])[0] == expected, (F.set.kind, x, u)
 
 
 @pytest.mark.parametrize(
@@ -284,7 +284,7 @@ def test_bifunction_from_affine_operator():
     C = WholeSpace(1)
     A = affine_operator([[2.0]])
     F = bifunction_from_operator(A, C)
-    assert F.family == "operator-induced"
+    assert F.matrix is not None and F.functions == () and F.oracles == ()
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, y = rng.normal(size=2)
@@ -325,7 +325,7 @@ def test_bifunction_from_operator_refuses_empty_images_and_unbounded_support():
     # the cone of [-1, 1] bridged over [-2, 2]: empty outside [-1, 1], and
     # unbounded towards y > 1 at the right endpoint
     F = bifunction_from_operator(normal_cone_operator(Box([-1.0], [1.0])), Box([-2.0], [2.0]))
-    assert F.family == "generic"
+    assert F.matrix is None and F.functions == () and len(F.oracles) == 1
     assert F([1.0], [0.0]) == 0.0
     np.testing.assert_array_equal(F.eval_batch([1.0], [[0.0], [-2.0]]), [0.0, 0.0])
     with pytest.raises(ValueError, match="empty"):
@@ -346,7 +346,7 @@ def test_bridge_of_induced_affine_plus_quadratic_is_operator_induced():
     S = sum_bifunctions(operator_bifunction(H, M, c), function_difference(H, Quadratic(Q, q)))
     C = Box([-1.0, -1.0], [1.0, 1.0])
     F = bifunction_from_operator(operator_from_bifunction(S), C)
-    assert F.family == "operator-induced"
+    assert F.matrix is not None and F.functions == () and F.oracles == ()
     rng = np.random.default_rng(3)
     Y = rng.uniform(-1.0, 1.0, size=(30, 2))
     for x in rng.uniform(-1.0, 1.0, size=(10, 2)):
@@ -668,7 +668,7 @@ def test_bridge_of_nonsmooth_operator_sum():
     assert set_distance(zeros, np.array([[0.0]])) <= 2e-3
 
     FA = bifunction_from_operator(A, C)
-    assert FA.family == "generic"
+    assert FA.matrix is None and FA.functions == () and len(FA.oracles) == 1
     sols = equilibrium_bruteforce(FA, grid, tol=1e-6)
     assert len(sols) >= 1
     assert set_distance(sols, np.array([[0.0]])) <= 2e-3
