@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -182,7 +183,7 @@ class AffineFunction(ConvexFunction):
 # Bifunction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bifunction:
     """Evaluation oracle (x, y) -> H(x, y) on C x C, stored as its normal form.
 
@@ -190,7 +191,8 @@ class Bifunction:
     ``matrix`` and ``offset`` hold M and c (both None when H has no
     operator part), ``functions`` the convex f, and ``oracles`` the generic
     parts g as ``(fn, batch_fn)`` pairs: fn(x, y) is one value and
-    batch_fn(x, Y) the values at the rows of Y.
+    batch_fn(x, Y) the values at the rows of Y.  Equality and hashing are
+    by identity, so a bifunction can key a cache.
     """
 
     set: ConvexSet
@@ -206,6 +208,23 @@ class Bifunction:
     @property
     def dimension(self) -> int:
         return self.set.dimension
+
+    @cached_property
+    def curvature(self) -> tuple[float, float, bool] | None:
+        """(mu, L, symmetric): u(y) = M y + c + sum grad f(y) is mu-strongly
+        monotone (mu is not clipped at 0) and L-Lipschitz, and a gradient
+        field when M is absent or symmetric; None with a generic part or a
+        function without curvature bounds.  Computed once, on first read."""
+        bounds = [f.curvature_bounds() for f in self.functions]
+        if self.oracles or None in bounds:
+            return None
+        M = self.matrix
+        mu = L = 0.0
+        if M is not None:
+            mu, L = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]), float(np.linalg.norm(M, 2))
+        for f_mu, f_L in bounds:
+            mu, L = mu + f_mu, L + f_L
+        return mu, L, M is None or bool(np.array_equal(M, M.T))
 
     def __call__(self, x, y) -> float:
         x = np.asarray(x, dtype=float)

@@ -20,12 +20,14 @@ and the kind of C:
   (I + gamma M) z + gamma c - x in -N_box(z), solved exactly by block
   principal pivoting;
 * one f, no g, M = 0 and c = 0: z minimizes gamma f(y) + ||y - x||^2 / 2
-  over C (closed forms for the whole space and for a box, where a
-  non-separable quadratic goes through the same pivoting as above;
-  projected gradient over other sets);
-* anything else: inner iterative solve of the 1-strongly-monotone
-  variational inequality, with exact subgradients of the structured parts
-  and finite differences of the generic parts g only.
+  over C (closed forms for an affine f, for the whole space, a box, where
+  a non-separable quadratic goes through the same pivoting as above, and
+  a weighted L1 over a ball centred at 0; the inner solver otherwise);
+* anything else: :func:`inner_solve`, a certified contraction when every
+  part has curvature bounds (no g, no weighted L1), and otherwise a
+  projected subgradient search with exact subgradients of the structured
+  parts and finite differences of the generic parts g, accepted on a
+  seeded sample.
 
 A sum of bifunctions therefore gets the closed form of the single
 bifunction with the same normal form.
@@ -72,7 +74,7 @@ FD_STEP = 1e-6
 #: number of points in the residual verification sample
 CHECK_SAMPLE_SIZE = 64
 
-#: accepted violation of the resolvent inequality for iterative resolvents
+#: inner solver tolerance (see :func:`inner_solve` for what it bounds)
 INNER_TOL = 1e-9
 
 
@@ -128,38 +130,6 @@ def partial_second(F: Bifunction):
     return grad
 
 
-def _curvature_bounds(F: Bifunction) -> tuple[float, float] | None:
-    """(mu, L) bounds of the second-slot subgradient field, if known."""
-    bounds = [f.curvature_bounds() for f in F.functions]
-    if F.oracles or None in bounds:
-        return None
-    M = F.matrix
-    mu = L = 0.0
-    if M is not None and M.any():
-        mu = max(float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()), 0.0)
-        L = float(np.linalg.norm(M, 2))
-    for f_mu, f_L in bounds:
-        mu, L = mu + f_mu, L + f_L
-    return mu, L
-
-
-def _suggest_step(F: Bifunction, gamma: float) -> float:
-    """Step size for the projected subgradient iteration.
-
-    The auxiliary map T(z) = z - x + gamma * u(z) is (1 + gamma mu)-strongly
-    monotone with Lipschitz constant at most 1 + gamma L, so the projected
-    iteration contracts for step mu_T / L_T^2.  Without curvature bounds the
-    default 0.5 is used and the solver halves it whenever progress stalls.
-    """
-    bounds = _curvature_bounds(F)
-    if bounds is None:
-        return 0.5
-    mu_u, L_u = bounds
-    mu_t = 1.0 + gamma * mu_u
-    L_t = 1.0 + gamma * L_u
-    return mu_t / (L_t * L_t)
-
-
 def _resolvent_residuals(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """gamma F(z, y) + <z - x, y - z> for every row y of Y; all >= 0 at z = J x."""
     return gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)
@@ -191,42 +161,51 @@ def inner_solve(
     tol: float = INNER_TOL,
     max_iter: int = 50000,
     *,
-    step: float | None = None,
     seed: int = 0,
     samples: np.ndarray | None = None,
     return_info: bool = False,
 ):
-    """Resolvent of a bifunction by projected subgradient steps.
+    """Resolvent of a bifunction by projected steps on the 1-strongly
+    monotone inequality T(z) = gamma u(z) + z - x, u a subgradient of F(z, .).
 
-    Iterates z <- P_C(z - sigma w) with w a subgradient of
-    y -> gamma F(z, y) + <z - x, y> at y = z.  The step sigma, unless
-    given, comes from curvature bounds when the normal form gives them and
-    defaults to 0.5 otherwise; it is halved whenever the sampled residual stops improving,
-    which also handles nonsmooth limit cycles.  Accepts once the worst
-    violation of the resolvent inequality over a seeded 64-point
-    verification sample falls below ``tol`` and the iterate has settled.
+    With ``F.curvature`` (no generic part, bounds for every function) the
+    steps are a contraction, and ``tol`` bounds ||z - J x|| through the
+    proven a-posteriori bound rho / (1 - rho) ||z_k - z_{k-1}||
+    <= max(1e-3 tol, 1e-15) (1 + ||z_k||); over an ``IntersectionSet`` it
+    holds up to Dykstra's tolerance.  No sample is drawn, and a non-monotone
+    M with 1 + gamma mu <= 0 raises :class:`ConvergenceFailure` at P_C(x).
 
-    Raises :class:`ConvergenceFailure` carrying the last iterate and its
-    residual when ``max_iter`` is exhausted.
+    Otherwise ``tol`` bounds the worst violation of the resolvent inequality
+    over a seeded 64-point verification sample plus kink probes, which can
+    miss one between its points.  The step starts at 0.5 and is halved
+    whenever the sampled residual stops improving; the iterate is accepted
+    once it meets ``tol`` and has settled, or failing that the best one that
+    met it.
+
+    ``info["violation"]`` is the bound or the sampled violation.  Raises
+    :class:`ConvergenceFailure` carrying the last iterate and that measure
+    when ``max_iter`` is exhausted.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     C = F.set
     x = as_vector(x, C.dimension)
+    if F.curvature is not None:
+        z, info = _contraction(F, gamma, x, tol, max_iter)
+        return (z, info) if return_info else z
     Y = samples if samples is not None else sample_points(C, CHECK_SAMPLE_SIZE, seed)
     grad = partial_second(F)
-    sigma = step if step is not None else _suggest_step(F, gamma)
+    sigma = 0.5
 
     z = C.project(x)
     viol = _violation(F, gamma, x, z, Y)
     settle_tol = max(tol * 1e-3, 1e-15)
     if viol <= tol:
-        return (z, {"iterations": 0, "violation": viol, "step": sigma}) if return_info else z
+        return (z, {"iterations": 0, "violation": viol}) if return_info else z
 
     best_z, best_viol = z, viol
     feasible = None  # best iterate already meeting the certificate
     stall = 0
-    disp = np.inf
     iterations = max_iter
     for k in range(1, max_iter + 1):
         w = gamma * grad(z, z) + (z - x)
@@ -238,8 +217,7 @@ def inner_solve(
             viol = _violation(F, gamma, x, z, Y)
             if viol <= tol:
                 if settled:
-                    info = {"iterations": k, "violation": viol, "step": sigma}
-                    return (z, info) if return_info else z
+                    return (z, {"iterations": k, "violation": viol}) if return_info else z
                 if feasible is None or viol < feasible[1]:
                     feasible = (z.copy(), viol, k)
             if viol < best_viol * (1.0 - 1e-12) - 1e-18:
@@ -262,8 +240,7 @@ def inner_solve(
         # certified but never settled (nonsmooth limit cycle shrunk onto the
         # solution); the certificate is the contract, so accept
         z, viol, k = feasible
-        info = {"iterations": k, "violation": viol, "step": sigma}
-        return (z, info) if return_info else z
+        return (z, {"iterations": k, "violation": viol}) if return_info else z
     raise ConvergenceFailure(
         f"inner resolvent solve did not reach tolerance {tol:.1e} within {iterations} iterations "
         f"(residual {best_viol:.3e})",
@@ -271,6 +248,38 @@ def inner_solve(
         residual=best_viol,
         iterations=iterations,
     )
+
+
+def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_iter: int):
+    """z <- P_C(z - sigma T(z)) with T mu_T-strongly monotone and L_T-Lipschitz,
+    mu_T = 1 + gamma mu and L_T = 1 + gamma L.  A gradient field contracts
+    by rho = (L_T - mu_T) / (L_T + mu_T) at sigma = 2 / (mu_T + L_T), any
+    other by rho = sqrt(1 - (mu_T / L_T)^2) at sigma = mu_T / L_T^2
+    (Facchinei & Pang 2003, ch. 12).  mu_T <= 0 fails at once with P_C(x)."""
+    C = F.set
+    mu, L, symmetric = F.curvature
+    mu_t, L_t = 1.0 + gamma * mu, 1.0 + gamma * L
+    z = C.project(x)
+    if mu_t <= 0.0:
+        msg = f"inner resolvent at gamma = {gamma}: 1 + gamma mu = {mu_t:.3e} <= 0; the operator is not monotone"
+        raise ConvergenceFailure(msg, iterate=z, residual=np.inf, iterations=0)
+    # factor = rho / (1 - rho), written without the cancellation in 1 - rho
+    if symmetric:
+        sigma, factor = 2.0 / (mu_t + L_t), (L_t - mu_t) / (2.0 * mu_t)
+    else:
+        q = mu_t / L_t
+        rho = np.sqrt(1.0 - q * q)
+        sigma, factor = q / L_t, rho * (1.0 + rho) / (q * q)
+    grad = partial_second(F)
+    target = max(1e-3 * tol, 1e-15)
+    for k in range(1, max_iter + 1):
+        z_new = C.project(z - sigma * (gamma * grad(z, z) + z - x))
+        bound = factor * norm(z_new - z)
+        z = z_new
+        if bound <= target * (1.0 + norm(z)):
+            return z, {"iterations": k, "violation": bound}
+    msg = f"inner resolvent solve did not certify {target:.1e} within {max_iter} iterations (bound {bound:.3e})"
+    raise ConvergenceFailure(msg, iterate=z, residual=bound, iterations=max_iter)
 
 
 def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
@@ -419,15 +428,15 @@ def _box_linear_resolvent(
     return apply
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventOracle:
     """Resolvent of ``gamma * bifunction``, built once.
 
     The computation follows from the bifunction's normal form and the kind
     of its set (:func:`_build`), and ``method`` names it.  All
-    per-(bifunction, set, gamma) work, such as inverting I + gamma M or the
-    inner solver's step size, happens here, once.  The verification sample
-    ``check_points`` is drawn on first read; closed forms never read it.
+    per-(bifunction, set, gamma) work, such as inverting I + gamma M,
+    happens here, once.  The verification sample ``check_points`` is drawn
+    on first read; closed forms and the certified inner route never read it.
     The oracle is immutable and :func:`resolve` is pure for a given
     ``(x, start)``, so one oracle may be shared across concurrent solves.
     The only state it holds is box pivoting's memo of the last pattern's
@@ -483,22 +492,20 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
 
 
 def _inner_resolve(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
-    """(x, start) -> :func:`inner_solve` at the oracle's step, found once."""
-    F, gamma = oracle.bifunction, oracle.gamma
-    step = _suggest_step(F, gamma)
-    max_iter = oracle.inner_max_iter
-    return lambda x, start: inner_solve(
-        F, gamma, x, tol=INNER_TOL, max_iter=max_iter, step=step, samples=oracle.check_points
-    )
+    """(x, start) -> :func:`inner_solve`; only the sampled route reads ``check_points``."""
+    F, gamma, max_iter = oracle.bifunction, oracle.gamma, oracle.inner_max_iter
+    if F.curvature is not None:
+        return lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
+    return lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter, samples=oracle.check_points)
 
 
 def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
     """Apply the resolvent: the unique z in C with
 
     gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
-    forms and certified up to -INNER_TOL over the verification sample for
-    the inner iterative route.  Inner-solver exhaustion (or box pivoting
-    that fails on a non-monotone operator) raises :class:`ConvergenceFailure`
+    forms and within :func:`inner_solve`'s tolerance on the inner route.
+    Inner-solver exhaustion (or a non-monotone operator that breaks the
+    inner contraction or box pivoting) raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
 
     ``start`` is an optional earlier output of the same oracle.  Box
@@ -553,56 +560,29 @@ def _prox_composition(oracle: ResolventOracle, f: ConvexFunction) -> Callable[..
     C = oracle.bifunction.set
     gamma = oracle.gamma
 
+    if isinstance(f, AffineFunction):
+        # <a, y - x> is the constant operator a: a shifted projection
+        shift = gamma * f.a
+        return lambda x, start: C.project(x - shift)
     if C.kind == "whole-space":
         if isinstance(f, Quadratic):
             return _linear_resolvent(f.Q, f.q, gamma)
         if isinstance(f, WeightedL1):
             t = gamma * f.weights
             return lambda x, start: soft_threshold(x, t)
-        if isinstance(f, AffineFunction):
-            shift = gamma * f.a
-            return lambda x, start: x - shift
-
-    if C.kind == "box":
-        if isinstance(f, Quadratic) and not f.separable:
+    # the constrained minimizer of a separable objective over a box is the
+    # clamp of its unconstrained minimizer, coordinate by coordinate
+    if C.kind == "box" and isinstance(f, Quadratic):
+        if not f.separable:
             return _box_linear_resolvent(f.Q, f.q, gamma, C.lo, C.hi)
-        # the other objectives are separable over a box, and the
-        # constrained minimizer of a 1-D convex function on an interval is
-        # the clamp of its unconstrained minimizer
-        if isinstance(f, Quadratic):
-            shift = gamma * f.q
-            scale = 1.0 + gamma * np.diag(f.Q)
-            return lambda x, start: C.project((x - shift) / scale)
-        if isinstance(f, WeightedL1):
-            t = gamma * f.weights
-            return lambda x, start: C.project(soft_threshold(x, t))
-        if isinstance(f, AffineFunction):
-            shift = gamma * f.a
-            return lambda x, start: C.project(x - shift)
-
-    if f.curvature_bounds() is not None:
-        max_iter = oracle.inner_max_iter
-        return lambda x, start: _projected_gradient_prox(C, f, gamma, x, INNER_TOL, max_iter)
-    # nonsmooth f over an unstructured set: generic variational route
+        shift = gamma * f.q
+        scale = 1.0 + gamma * np.diag(f.Q)
+        return lambda x, start: C.project((x - shift) / scale)
+    if isinstance(f, WeightedL1) and (C.kind == "box" or C.kind == "ball" and not C.center.any()):
+        # over a ball centred at 0, KKT gives z = s / (1 + mu) with
+        # s = soft_threshold(x, gamma w) and mu = max(0, ||s|| / r - 1): P_B(s)
+        t = gamma * f.weights
+        return lambda x, start: C.project(soft_threshold(x, t))
+    # every other form goes through the inner solver: the certified
+    # contraction when f has curvature bounds, the sampled route otherwise
     return _inner_resolve(oracle)
-
-
-def _projected_gradient_prox(C, f, gamma, x, tol, max_iter):
-    """Projected gradient on the 1-strongly-convex prox objective."""
-    _, L = f.curvature_bounds()
-    sigma = 1.0 / (1.0 + gamma * L)
-    z = C.project(x)
-    target = max(tol * 1e-3, 1e-15)
-    for k in range(max_iter):
-        g = (z - x) + gamma * f.subgradient(z)
-        z_new = C.project(z - sigma * g)
-        disp = norm(z_new - z)
-        z = z_new
-        if disp <= target:
-            return z
-    raise ConvergenceFailure(
-        f"projected-gradient prox did not settle within {max_iter} iterations",
-        iterate=z,
-        residual=disp,
-        iterations=max_iter,
-    )

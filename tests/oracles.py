@@ -338,3 +338,72 @@ def simplex_support_gap(x, u):
     """sup over the probability simplex of <u, y - x> = max_i u_i - <u, x>."""
     u = np.asarray(u, dtype=float)
     return float(u.max() - u @ np.asarray(x, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# resolvents of operator-induced bifunctions by projected iteration
+# ---------------------------------------------------------------------------
+
+def project_ball_ref(v, center, radius):
+    """Projection onto {y : ||y - center|| <= radius}."""
+    d = v - center
+    r = np.linalg.norm(d)
+    return v if r <= radius else center + (radius / r) * d
+
+
+def project_halfspace_ref(v, a, b):
+    """Projection onto {y : <a, y> <= b}."""
+    excess = a @ v - b
+    return v if excess <= 0.0 else v - (excess / (a @ a)) * a
+
+
+def project_simplex_ref(v):
+    """Projection onto the probability simplex by Michelot's algorithm:
+    project onto the hyperplane sum y = 1 of the active coordinates, drop
+    the negative ones, and repeat until none is negative."""
+    active = np.ones(v.size, dtype=bool)
+    while True:
+        y = np.zeros_like(v)
+        y[active] = v[active] - (v[active].sum() - 1.0) / np.count_nonzero(active)
+        if np.all(y[active] >= 0.0):
+            return y
+        active &= y > 0.0
+
+
+def affine_projector_ref(A, b):
+    """Projection onto {y : A y = b}, through an orthonormal basis N of the
+    null space of A (from its SVD): v -> p + N N'(v - p) with p the
+    least-norm solution (the library projects through a pseudoinverse)."""
+    A = np.asarray(A, dtype=float)
+    _, s, Vt = np.linalg.svd(A)
+    N = Vt[np.count_nonzero(s > 1e-12 * s[0]):].T
+    p = np.linalg.lstsq(A, b, rcond=None)[0]
+    return lambda v: p + N @ (N.T @ (v - p))
+
+
+def resolvent_projected(M, c, gamma, x, project, max_iter=200_000):
+    """The z in C with <gamma (M z + c) + z - x, y - z> >= 0 for all y in C.
+
+    Projected iteration z <- P_C(z - t T(z)) on T(z) = (I + gamma M) z
+    + gamma c - x with t = mu / L^2, mu > 0 the smallest eigenvalue of
+    sym(I + gamma M) and L = ||I + gamma M||_2, a contraction; it runs until
+    the step is at most 1e-16 (1 + ||z||).  The iteration runs in
+    np.longdouble (a 64-bit mantissa on x86-64), since float64 rounding
+    alone moves a projection onto a sphere by about 1e-16.
+    """
+    A = np.eye(len(x)) + gamma * np.asarray(M, dtype=float)
+    b = x - gamma * np.asarray(c, dtype=float)
+    mu = float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
+    if mu <= 0.0:
+        raise ValueError("the projected reference needs 1 + gamma lambda_min(sym M) > 0")
+    L = float(np.linalg.norm(A, 2))
+    t = np.longdouble(mu / (L * L))
+    A, b = A.astype(np.longdouble), b.astype(np.longdouble)
+    z = project(np.asarray(x, dtype=np.longdouble))
+    for _ in range(max_iter):
+        z_new = project(z - t * (A @ z - b))
+        step = np.linalg.norm(z_new - z)
+        z = z_new
+        if step <= 1e-16 * (1.0 + np.linalg.norm(z)):
+            return z.astype(float)
+    raise RuntimeError("projected reference did not settle")

@@ -1,5 +1,6 @@
 """Resolvent computation: closed forms, the inner iterative solver, and contracts."""
 
+import itertools
 import sys
 import threading
 
@@ -15,7 +16,18 @@ from eqsplit.bifunctions import (
     sum_bifunctions,
     zero_bifunction,
 )
-from eqsplit.hilbert import Ball, Box, WholeSpace, norm, sample_points
+from eqsplit.dr_solver import INNER_FAILURE, SolverConfig, solve
+from eqsplit.hilbert import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Halfspace,
+    IntersectionSet,
+    Simplex,
+    WholeSpace,
+    norm,
+    sample_points,
+)
 from eqsplit.operators import affine_operator, operator_from_bifunction
 from eqsplit.resolvents import (
     CHECK_SAMPLE_SIZE,
@@ -33,7 +45,17 @@ from eqsplit.resolvents import (
     resolvent_map,
 )
 
-from oracles import as_generic, box_vi_active_set, grid_golden_min, prox_oracle_1d
+from oracles import (
+    affine_projector_ref,
+    as_generic,
+    box_vi_active_set,
+    grid_golden_min,
+    project_ball_ref,
+    project_halfspace_ref,
+    project_simplex_ref,
+    prox_oracle_1d,
+    resolvent_projected,
+)
 
 
 def test_zero_bifunction_resolvent_is_projection():
@@ -280,20 +302,26 @@ def test_sum_with_a_generic_part_takes_the_inner_route():
 
 
 def test_inner_route_finds_its_step_once_per_oracle(monkeypatch):
-    import eqsplit.resolvents as R
-
-    F = operator_bifunction(Ball([0.0, 0.0], 1.0), [[1.0, 2.0], [-2.0, 1.0]], [0.5, -0.5])
+    # the contraction's spectral constants (lambda_min of sym M and ||M||_2)
+    # are computed once per bifunction, never per resolve
+    M, c = [[1.0, 2.0], [-2.0, 1.0]], [0.5, -0.5]
+    F = operator_bifunction(Ball([0.0, 0.0], 1.0), M, c)
     o = ResolventOracle(0.5, F)
     assert o.method == INNER_ITERATIVE
     x = np.array([1.5, 0.3])
-    step = R._suggest_step(F, 0.5)
-    expected = inner_solve(F, 0.5, x, step=step)
+    expected = {g: inner_solve(operator_bifunction(Ball([0.0, 0.0], 1.0), M, c), g, x) for g in (0.5, 2.0)}
+    vector_norm = np.linalg.norm
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("step size computed per resolve")
+    def no_spectrum(a, *args, **kwargs):
+        if np.ndim(a) > 1:
+            raise AssertionError("spectral constants computed per resolve")
+        return vector_norm(a, *args, **kwargs)
 
-    monkeypatch.setattr(R, "_suggest_step", no_step)
-    np.testing.assert_array_equal(resolve(o, x), expected)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    monkeypatch.setattr(np.linalg, "norm", no_spectrum)
+    for _ in range(2):
+        np.testing.assert_array_equal(resolve(o, x), expected[0.5])
+    np.testing.assert_array_equal(resolve(ResolventOracle(2.0, F), x), expected[2.0])
 
 
 def _corpus_oracles(gamma):
@@ -487,9 +515,9 @@ def test_box_vi_resolvent_non_monotone_never_returns_a_point():
 
 def test_nonseparable_box_quadratic_prox_uses_pivoting(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("projected-gradient prox reached over a box")
+        raise AssertionError("inner solver reached over a box")
 
-    monkeypatch.setattr("eqsplit.resolvents._projected_gradient_prox", forbidden)
+    monkeypatch.setattr("eqsplit.resolvents.inner_solve", forbidden)
     d = 20
     M, q, rng = _box_vi(d, 5)
     Q = 0.5 * (M + M.T)
@@ -654,3 +682,166 @@ def test_box_factor_memo_is_safe_across_threads():
     assert not any(w.is_alive() for w in workers)
     for g, e in zip(got, expected):
         np.testing.assert_array_equal(np.array(g), np.array(e))
+
+
+# ---------------------------------------------------------------------------
+# the certified contraction: forms with curvature bounds over any set
+# ---------------------------------------------------------------------------
+
+def _vi_matrix(rng, d):
+    """The benchmark's strongly monotone VI data: M = AA'/d + I + (A - A')/d."""
+    A = rng.normal(size=(d, d))
+    return A @ A.T / d + np.eye(d) + (A - A.T) / d, 3.0 * rng.normal(size=d)
+
+
+def _set_and_reference(kind, d, rng):
+    """(C, the independent projection onto C) for one set kind."""
+    if kind == "ball":
+        return Ball(np.zeros(d), 1.0), lambda v: project_ball_ref(v, np.zeros(d), 1.0)
+    if kind == "halfspace":
+        a = rng.normal(size=d)
+        return Halfspace(a, 0.0), lambda v: project_halfspace_ref(v, a, 0.0)
+    if kind == "simplex":
+        return Simplex(d), project_simplex_ref
+    A = rng.normal(size=(d // 2, d))
+    b = A @ rng.normal(size=d)
+    return AffineSubspace(A, b), affine_projector_ref(A, b)
+
+
+@pytest.mark.parametrize("kind", ["ball", "halfspace", "simplex", "affine"])
+def test_operator_resolvent_matches_projected_reference(kind):
+    # a 64-point sampled acceptance misses violations from d = 5 on, so
+    # every cell is compared with a reference that shares no code with src
+    for d, gamma, draw in itertools.product((5, 20, 50), (0.1, 1.0, 10.0), range(3)):
+        rng = np.random.default_rng([d, int(10 * gamma), draw])
+        M, c = _vi_matrix(rng, d)
+        C, project = _set_and_reference(kind, d, rng)
+        o = ResolventOracle(gamma, operator_bifunction(C, M, c))
+        assert o.method == INNER_ITERATIVE
+        x = rng.normal(size=d)
+        ref = resolvent_projected(M, c, gamma, x, project)
+        assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref)), (d, gamma, draw)
+
+
+def _structured_cases():
+    """(name, bifunction, T) over ball, halfspace, simplex, affine and
+    intersection sets, with T(z, x, gamma) the auxiliary map whose zero of
+    z - P_C(z - T) is the resolvent."""
+    d = 5
+    rng = np.random.default_rng(40)
+    M, c = _vi_matrix(rng, d)
+    B = rng.normal(size=(d, d))
+    Q, q = B @ B.T / d, rng.normal(size=d)
+    sets = {
+        "ball": Ball(0.1 * rng.normal(size=d), 1.0),
+        "halfspace": Halfspace(rng.normal(size=d), 0.2),
+        "simplex": Simplex(d),
+        "affine": AffineSubspace(rng.normal(size=(2, d)), rng.normal(size=2)),
+        "intersection": IntersectionSet((Ball(np.zeros(d), 1.0), Halfspace(np.ones(d), 0.5))),
+    }
+    for name, C in sets.items():
+        op = operator_bifunction(C, M, c)
+        quad = function_difference(C, Quadratic(Q, q))
+        yield f"operator/{name}", op, lambda z, x, g: g * (M @ z + c) + z - x
+        yield f"quadratic/{name}", quad, lambda z, x, g: g * (Q @ z + q) + z - x
+        yield f"sum/{name}", sum_bifunctions(op, quad), lambda z, x, g: g * ((M + Q) @ z + c + q) + z - x
+
+
+def test_certified_route_draws_no_sample(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled check reached on the certified route")
+
+    monkeypatch.setattr("eqsplit.hilbert.sample_points", forbidden)
+    monkeypatch.setattr("eqsplit.resolvents.sample_points", forbidden)
+    monkeypatch.setattr("eqsplit.resolvents._violation", forbidden)
+    rng = np.random.default_rng(41)
+    for name, F, T in _structured_cases():
+        C = F.set
+        # the Dykstra projection onto an intersection stops at 1e-10
+        tol = 1e-8 if C.kind == "intersection" else 1e-10
+        for gamma in (0.1, 1.0, 10.0):
+            o = ResolventOracle(gamma, F)
+            assert o.method in (INNER_ITERATIVE, PROX_COMPOSITION), name
+            for x in rng.normal(scale=2.0, size=(2, C.dimension)):
+                z, info = inner_solve(F, gamma, x, return_info=True)
+                np.testing.assert_array_equal(resolve(o, x), z)
+                assert info["violation"] <= 1e-12 * (1.0 + norm(z)), name
+                assert C.contains(z, tol), name
+                assert norm(z - C.project(z - T(z, x, gamma))) <= tol * (1.0 + norm(x)), (name, gamma)
+
+
+def test_quadratic_prox_over_halfspace_matches_kkt():
+    d = 20
+    rng = np.random.default_rng(42)
+    B = rng.normal(size=(d, d))
+    Q, q, a = B @ B.T / d, rng.normal(size=d), rng.normal(size=d)
+    C = Halfspace(a, -0.5)
+    for gamma in (0.1, 1.0, 10.0):
+        o = ResolventOracle(gamma, function_difference(C, Quadratic(Q, q)))
+        K = np.linalg.inv(np.eye(d) + gamma * Q)
+        for x in rng.normal(scale=2.0, size=(4, d)):
+            # one multiplier: z = K (x - gamma q - lam a), lam >= 0
+            free = K @ (x - gamma * q)
+            lam = max(0.0, (a @ free + 0.5) / (a @ K @ a))
+            exact = free - lam * (K @ a)
+            assert norm(resolve(o, x) - exact) <= 1e-12 * (1.0 + norm(exact))
+
+
+def test_non_monotone_operator_fails_at_once_with_the_projection():
+    C = Ball(np.zeros(3), 1.0)
+    x = np.array([2.0, -1.0, 0.5])
+    # 1 + gamma lambda_min(sym M) = -1: no contraction, no sample fallback
+    F = operator_bifunction(C, -2.0 * np.eye(3))
+    with pytest.raises(ConvergenceFailure) as err:
+        resolve(ResolventOracle(1.0, F), x)
+    np.testing.assert_array_equal(err.value.iterate, C.project(x))
+    assert err.value.iterations == 0
+    with pytest.warns(UserWarning) as caught:
+        res = solve(F, zero_bifunction(C), x, SolverConfig(gamma=1.0))
+    assert res.status == INNER_FAILURE
+    assert any("inner resolvent failure" in str(w.message) for w in caught)
+    # 1 + gamma lambda_min = 0.5 still contracts
+    M = -0.5 * np.eye(3)
+    o = ResolventOracle(1.0, operator_bifunction(C, M))
+    ref = resolvent_projected(M, np.zeros(3), 1.0, x, lambda v: project_ball_ref(v, np.zeros(3), 1.0))
+    assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref))
+
+
+@pytest.mark.parametrize("d", [5, 20, 200])
+def test_l1_prox_over_centred_ball_meets_kkt(d, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inner solver reached for an L1 prox over a centred ball")
+
+    monkeypatch.setattr("eqsplit.resolvents.inner_solve", forbidden)
+    rng = np.random.default_rng(d)
+    r, w, gamma = 1.0, rng.uniform(0.0, 0.2, size=d), 1.0
+    o = ResolventOracle(gamma, function_difference(Ball(np.zeros(d), r), WeightedL1(w)))
+    assert o.method == PROX_COMPOSITION
+    for scale in (0.05, 0.3, 2.0):
+        x = rng.normal(scale=scale, size=d)
+        z = resolve(o, x)
+        t = gamma * w
+        # KKT of min gamma sum w |y| + ||y - x||^2 / 2 over ||y|| <= r:
+        # x - (1 + mu) z in t * d|z|, mu >= 0, mu (||z|| - r) = 0
+        support = z != 0.0
+        s = np.sign(z[support])
+        mu = 0.0
+        if support.any():
+            mu = (x[support] - t[support] * s) @ z[support] / (z[support] @ z[support]) - 1.0
+        g = x - (1.0 + mu) * z
+        tol = 1e-12 * (1.0 + norm(x))
+        assert norm(z) <= r + tol
+        assert mu >= -tol
+        assert abs(mu * (norm(z) - r)) <= tol
+        assert np.all(np.abs(g[~support]) <= t[~support] + tol)
+        assert norm(g[support] - t[support] * s) <= tol
+
+
+def test_bifunctions_and_oracles_compare_by_identity():
+    C = WholeSpace(2)
+    F, F2 = operator_bifunction(C, np.eye(2)), operator_bifunction(C, np.eye(2))
+    assert F == F and F != F2
+    assert {F: 1, F2: 2}[F] == 1 and hash(F) == hash(F)
+    o, o2 = ResolventOracle(1.0, F), ResolventOracle(1.0, F)
+    assert o == o and o != o2
+    assert {o: "a", o2: "b"}[o2] == "b"
