@@ -5,8 +5,16 @@
 with an affine operator part x -> M x + c, convex functions f with exact
 oracles, and generic parts g known only through evaluation oracles.  The
 constructors build the form, a sum adds the operator parts and joins the
-rest, and every reader of structure (the resolvents, the operator bridge,
-the admissibility check and the spec writer) reads these fields.
+rest, and the spec writer reads these fields.
+
+Without a generic part the form induces the maximally monotone operator
+A z + b + d l1(z) + sum d f(z) + N_C(z), which has the same resolvent as
+the bifunction.  :attr:`Bifunction.induced` computes it once: A and b
+gather M, c and every shipped ``Quadratic`` and ``AffineFunction``, l1 is
+one ``WeightedL1`` with the summed weights, and the rest are the other
+functions.  Shipped types are matched by exact type there and nowhere
+else, since a subclass may override their oracles.  The resolvents, the
+operator bridge and the admissibility check read ``induced``.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
@@ -52,10 +60,6 @@ class ConvexFunction(ABC):
         """(mu, L) bounds on the (sub)gradient field, or None if unbounded."""
         return None
 
-    @property
-    def separable(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Quadratic(ConvexFunction):
@@ -97,10 +101,6 @@ class Quadratic(ConvexFunction):
 
     def curvature_bounds(self):
         return self._eig_range
-
-    @property
-    def separable(self) -> bool:
-        return bool(np.allclose(self.Q, np.diag(np.diag(self.Q)), atol=0.0))
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,6 @@ class AffineFunction(ConvexFunction):
     def curvature_bounds(self):
         return (0.0, 0.0)
 
-    @property
-    def separable(self) -> bool:
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Bifunction
@@ -210,21 +206,48 @@ class Bifunction:
         return self.set.dimension
 
     @cached_property
-    def curvature(self) -> tuple[float, float, bool] | None:
-        """(mu, L, symmetric): u(y) = M y + c + sum grad f(y) is mu-strongly
-        monotone (mu is not clipped at 0) and L-Lipschitz, and a gradient
-        field when M is absent or symmetric; None with a generic part or a
-        function without curvature bounds.  Computed once, on first read."""
-        bounds = [f.curvature_bounds() for f in self.functions]
-        if self.oracles or None in bounds:
+    def induced(self) -> tuple[np.ndarray | None, np.ndarray | None, WeightedL1 | None, tuple] | None:
+        """(A, b, l1, rest): the induced operator A z + b + d l1(z)
+        + sum_rest d f(z) + N_C(z), or None with a generic part.
+
+        A and b sum M, c and the (Q, q) of every ``Quadratic`` and the a of
+        every ``AffineFunction`` (None where no part adds one), l1 is one
+        ``WeightedL1`` with the summed weights (None without one), and rest
+        holds every other function.  The shipped types are matched by exact
+        type.  Computed once, on first read."""
+        if self.oracles:
             return None
-        M = self.matrix
+        A, b, l1, rest = self.matrix, self.offset, None, ()
+        for f in self.functions:
+            if type(f) is Quadratic:
+                A, b = _add(A, f.Q), _add(b, f.q)
+            elif type(f) is AffineFunction:
+                b = _add(b, f.a)
+            elif type(f) is WeightedL1:
+                l1 = f if l1 is None else WeightedL1(l1.weights + f.weights)
+            else:
+                rest += (f,)
+        return A, b, l1, rest
+
+    @cached_property
+    def curvature(self) -> tuple[float, float, bool] | None:
+        """(mu, L, symmetric) of the smooth part u(z) = A z + b + sum_rest
+        grad f(z) of :attr:`induced`: u is mu-strongly monotone (mu is not
+        clipped at 0) and L-Lipschitz, and a gradient field when A is absent
+        or symmetric; None with a generic part or a rest function without
+        curvature bounds.  Computed once, on first read."""
+        if self.induced is None:
+            return None
+        A, _, _, rest = self.induced
+        bounds = [f.curvature_bounds() for f in rest]
+        if None in bounds:
+            return None
         mu = L = 0.0
-        if M is not None:
-            mu, L = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]), float(np.linalg.norm(M, 2))
+        if A is not None:
+            mu, L = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0]), float(np.linalg.norm(A, 2))
         for f_mu, f_L in bounds:
             mu, L = mu + f_mu, L + f_L
-        return mu, L, M is None or bool(np.array_equal(M, M.T))
+        return mu, L, A is None or bool(np.array_equal(A, A.T))
 
     def __call__(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
@@ -334,12 +357,6 @@ _THRESHOLDS = {
 #: the set spans (all of them, or a box's coordinates with lo < hi)
 _EXACT_SET_KINDS = ("whole-space", "ball", "halfspace", "box")
 
-#: shipped convex functions, matched by exact type: a user subclass may
-#: override their oracles (a subgradient oracle may return one element of a
-#: larger subdifferential), so it gets the sampled treatment
-SHIPPED_FUNCTIONS = (Quadratic, WeightedL1, AffineFunction)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Worst violations of the admissibility conditions.
@@ -363,8 +380,8 @@ class AdmissibilityReport:
 
 
 def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
-    """Exact report for a form with no generic part and only shipped
-    functions, or None to sample.
+    """Exact report for a form whose :attr:`~Bifunction.induced` operator
+    has no rest (no generic part, only shipped functions), or None to sample.
 
     Such an H vanishes on the diagonal, is convex in y and continuous in x,
     and H(x,y) + H(y,x) = -(x - y)' M (x - y), since each f(y) - f(x)
@@ -374,7 +391,7 @@ def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
     1e-10 * max(1, ||restricted sym M||).  A nonzero M needs a whole space,
     ball, halfspace or box, whose span is known.
     """
-    if F.oracles or any(type(f) not in SHIPPED_FUNCTIONS for f in F.functions):
+    if F.induced is None or F.induced[3]:
         return None
     zero = dict.fromkeys(_THRESHOLDS, 0.0)
     M, C = F.matrix, F.set

@@ -15,17 +15,17 @@ directions are built here, along with grid oracles that certify, on small
 instances, that zeros of operator sums and solutions of summed equilibrium
 problems coincide.
 
-Bifunction structure is read from the normal form each bifunction stores,
-F(x, y) = <M x + c, y - x> + sum_f f(y) - f(x) + sum_g g(x, y).
-Over a box or the whole space, with no generic part g and shipped convex
-functions f, the image is
-a per-coordinate interval (possibly unbounded), which a finite list of
-vectors could not represent; it is evaluated over arrays of points at once
+Bifunction structure is read from the operator each bifunction induces,
+A z + b + d l1(z) + sum d f(z) + N_C(z)
+(:attr:`~eqsplit.bifunctions.Bifunction.induced`).  With no generic part
+and no rest f, the image over a box or the whole space is a per-coordinate
+interval (possibly unbounded), which a finite list of vectors could not
+represent; it is evaluated over arrays of points at once
 (:meth:`MonotoneOperator.evaluate_batch`) and decides membership exactly.
-Over a ball, a single-valued structure decides membership exactly through
-the ball's support function.  Every other operator gets a sampled
-membership test.  The grid oracles are array operations over the whole
-grid, blocked so that no pair-value matrix outgrows a few tens of MB.
+Over a ball, A z + b with no l1 is single-valued and decides membership
+exactly through the ball's support function.  Every other operator gets a
+sampled membership test.  The grid oracles are array operations over the
+whole grid, blocked so that no pair-value matrix outgrows a few tens of MB.
 """
 
 from __future__ import annotations
@@ -36,12 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import (
-    SHIPPED_FUNCTIONS,
-    AffineFunction,
     Bifunction,
     ConvexFunction,
-    Quadratic,
-    WeightedL1,
     function_difference,
     generic_bifunction,
     operator_bifunction,
@@ -68,33 +64,6 @@ def _row_blocks(n_rows: int, n_cols: int, entries: int = BLOCK_ENTRIES):
     """Slices of at most ``entries // n_cols`` rows (at least one) covering n_rows."""
     step = max(1, int(entries // max(n_cols, 1)))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
-def _affine_map(F: Bifunction) -> tuple[np.ndarray, np.ndarray] | None:
-    """(M, c) with x -> M x + c the single-valued operator of F over the
-    whole space; None unless F has no generic part and every function is a
-    shipped ``Quadratic`` or ``AffineFunction``."""
-    if F.oracles:
-        return None
-    d = F.dimension
-    M = np.zeros((d, d)) if F.matrix is None else F.matrix
-    c = np.zeros(d) if F.offset is None else F.offset
-    for f in F.functions:
-        if type(f) is Quadratic:
-            M, c = M + f.Q, c + f.q
-        elif type(f) is AffineFunction:
-            c = c + f.a
-        else:
-            return None
-    return M, c
-
-
-def _subdifferential_bounds(f: ConvexFunction, X: np.ndarray):
-    """(lo, hi) of the subdifferential of a shipped f at the rows of X."""
-    if type(f) is WeightedL1:
-        return f.subdifferential_bounds(X)
-    G = X @ f.Q.T + f.q if type(f) is Quadratic else np.broadcast_to(f.a, X.shape)
-    return G, G
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +310,16 @@ def operator_from_bifunction(
     """Maximally monotone operator induced by an admissible bifunction.
 
     The resolvent oracle is exactly the bifunction resolvent.  Membership
-    is exact wherever the normal form <M x + c, y - x> + sum f(y) - f(x)
-    + sum g(x, y) of F allows, which needs F to have no generic part g:
+    is exact wherever the induced operator A z + b + d l1(z)
+    + sum_rest d f(z) + N_C(z) of F (:attr:`~Bifunction.induced`) allows,
+    which needs F to have no generic part and no rest f:
 
-    * over a box or the whole space, with every f a shipped ``Quadratic``,
-      ``WeightedL1`` or ``AffineFunction``, the image at x is the interval
-      M x + c + sum of the subdifferentials of f, plus the normal cone of C
-      (empty outside C), and ``evaluate_batch`` returns it;
-    * over a ball, with every f a shipped ``Quadratic`` or
-      ``AffineFunction``, the structure is single-valued, g(x) say, and u
-      is in the image iff v = u - g(x) has <v, center - x> + radius ||v||
-      at most ``tol``.
+    * over a box or the whole space the image at x is the interval
+      A x + b + d l1(x), plus the normal cone of C (empty outside C), and
+      ``evaluate_batch`` returns it;
+    * over a ball with no l1 the structure is single-valued, g(x) = A x + b,
+      and u is in the image iff v = u - g(x) has
+      <v, center - x> + radius ||v|| at most ``tol``.
 
     Neither draws a sample.  Every other bifunction gets the sampled test:
     u is rejected at x when any verification point y has
@@ -362,26 +330,26 @@ def operator_from_bifunction(
     """
     C = F.set
     evaluate_batch = member_batch = None
-    if (
-        C.kind in ("box", "whole-space")
-        and not F.oracles
-        and all(type(f) in SHIPPED_FUNCTIONS for f in F.functions)
-    ):
-        M, c, fs = F.matrix, F.offset, F.functions
+    exact = F.induced is not None and not F.induced[3]
+    if exact:
+        A, b, l1, _ = F.induced
+    if exact and C.kind in ("box", "whole-space"):
 
         def evaluate_batch(X):
             ok, lo, hi = _normal_cone_bounds(C, X)
-            g_lo = g_hi = 0.0 if M is None else X @ M.T + c
-            for f in fs:
-                f_lo, f_hi = _subdifferential_bounds(f, X)
-                g_lo, g_hi = g_lo + f_lo, g_hi + f_hi
-            return ok, g_lo + lo, g_hi + hi
+            g = 0.0 if A is None else X @ A.T
+            if b is not None:
+                g = g + b
+            if l1 is None:
+                return ok, g + lo, g + hi
+            l1_lo, l1_hi = l1.subdifferential_bounds(X)
+            return ok, g + l1_lo + lo, g + l1_hi + hi
 
-    elif C.kind == "ball" and (affine := _affine_map(F)) is not None:
-        M, c = affine
+    elif exact and l1 is None and C.kind == "ball":
 
         def member_batch(x, U, tol=MEMBER_TOL):
-            V = U - (M @ x + c)
+            g = 0.0 if A is None else A @ x
+            V = U - (g if b is None else g + b)
             support = V @ (C.center - x) + C.radius * np.linalg.norm(V, axis=1)
             return C.contains(x, max(tol, 1e-8)) & (support <= tol)
 
@@ -408,10 +376,9 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     Requires an interval evaluation oracle on A, and C inside the interior
     of dom A so the maximum is attained (the caller asserts this; an empty
     image or an unbounded support value raises).  An operator induced over
-    the whole space by an affine map plus differences of shipped
-    ``Quadratic`` or ``AffineFunction`` terms is single-valued and affine,
-    and yields a bifunction with an operator part only, preserving
-    closed-form resolvents.
+    the whole space by a bifunction whose induced operator is A z + b alone
+    (no generic part, l1 or rest f) is single-valued and affine, and yields
+    the bifunction <A x + b, y - x>, preserving closed-form resolvents.
     """
     if A.evaluate_batch_fn is None:
         raise ValueError(
@@ -422,10 +389,10 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
         raise ValueError("operator and set dimensions do not match")
 
     S = A.source_bifunction
-    if S is not None and S.set.kind == "whole-space":
-        affine = _affine_map(S)
-        if affine is not None:
-            return operator_bifunction(C, *affine)
+    if S is not None and S.set.kind == "whole-space" and S.induced is not None:
+        M, c, l1, rest = S.induced
+        if l1 is None and not rest:
+            return operator_bifunction(C, np.zeros((C.dimension,) * 2) if M is None else M, c)
 
     def ev_batch(x, Y):
         image = A.evaluate(np.asarray(x, dtype=float))

@@ -9,39 +9,40 @@ and the reflection is 2 J x - x.  The resolvent is single valued and firmly
 nonexpansive; the reflection is nonexpansive.
 
 The method is chosen once, when a :class:`ResolventOracle` is built, from
-the bifunction's normal form F(x, y) = <M x + c, y - x> + sum f(y) - f(x)
-+ sum g(x, y) (the fields of :class:`~eqsplit.bifunctions.Bifunction`)
-and the kind of C:
+the operator A z + b + d l1(z) + sum d f(z) + N_C(z) that the bifunction's
+normal form induces (:attr:`~eqsplit.bifunctions.Bifunction.induced`), which
+has the same resolvent as the bifunction:
 
-* no f, no g and M = 0: z = P_C(x - gamma c), a pure projection after a
-  constant shift;
-* no f and no g over the whole space: z = (I + gamma M)^{-1} (x - gamma c);
-* no f and no g over a box: the box linear complementarity problem
-  (I + gamma M) z + gamma c - x in -N_box(z), solved exactly by block
+* no rest f, A = 0 and no l1: z = P_C(x - gamma b), a pure projection after
+  a constant shift;
+* no rest f, A = 0 and an l1 over the whole space, a box or a ball centred
+  at 0: z = P_C(soft_threshold(x - gamma b, gamma w)), the prox of the
+  weighted L1 plus the indicator of C;
+* no rest f and no l1 over a box: the box linear complementarity problem
+  (I + gamma A) z + gamma b - x in -N_box(z), solved exactly by block
   principal pivoting;
-* one f, no g, M = 0 and c = 0: z minimizes gamma f(y) + ||y - x||^2 / 2
-  over C (closed forms for an affine f, for the whole space, a box, where
-  a non-separable quadratic goes through the same pivoting as above, and
-  a weighted L1 over a ball centred at 0; the inner solver otherwise);
-* anything else: :func:`inner_solve`, a certified contraction when every
-  part has curvature bounds (no g, no weighted L1), and otherwise a
+* no rest f and no l1 over the whole space: z = (I + gamma A)^{-1}
+  (x - gamma b);
+* anything else: :func:`inner_solve`, a certified forward-backward
+  contraction when the smooth part A z + b + sum grad f has curvature
+  bounds and the l1 prox above is closed-form over C, and otherwise a
   projected subgradient search with exact subgradients of the structured
   parts and finite differences of the generic parts g, accepted on a
   seeded sample.
 
-A sum of bifunctions therefore gets the closed form of the single
-bifunction with the same normal form.
+So the method depends only on the induced operator: a sum of bifunctions,
+or an operator part written as a ``Quadratic`` or ``AffineFunction``, gets
+the closed form of the single operator with the same A, b and l1.
 
-Linear resolvents (the whole-space operator-induced case and the
-whole-space quadratic prox (I + gamma Q)^{-1}) are factored once per
-oracle: the inverse of I + gamma M is formed at construction and each call
-is one matrix-vector product.  For monotone M, sym(I + gamma M) >= I, so
-||(I + gamma M)^{-1}|| <= 1 and the condition number is at most
-1 + gamma ||M||; the explicit inverse loses nothing against a per-call
-solve.  A singular I + gamma M (possible only for non-monotone M) raises
+Whole-space linear resolvents are factored once per oracle: the inverse of
+I + gamma A is formed at construction and each call is one matrix-vector
+product.  For monotone A, sym(I + gamma A) >= I, so
+||(I + gamma A)^{-1}|| <= 1 and the condition number is at most
+1 + gamma ||A||; the explicit inverse loses nothing against a per-call
+solve.  A singular I + gamma A (possible only for non-monotone A) raises
 ValueError when the oracle is built.
 
-The same bound makes I + gamma M a P-matrix, for which block principal
+The same bound makes I + gamma A a P-matrix, for which block principal
 pivoting with Murty's single-pivot backup ends in finitely many passes from
 any starting pattern.  :func:`resolvent_map` therefore starts each call
 from the pattern of the map's previous output, which along a solve rarely
@@ -60,8 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bifunctions import AffineFunction, Bifunction, ConvexFunction, Quadratic, WeightedL1
-from .hilbert import as_vector, norm, sample_points
+from .bifunctions import Bifunction
+from .hilbert import ConvexSet, as_vector, norm, sample_points
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
 CLOSED_FORM_LINEAR_SOLVE = "closed-form-linear-solve"
@@ -97,14 +98,12 @@ def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _central_difference(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Central finite differences of y -> fn(x, y) with step ``FD_STEP``."""
-    g = np.empty_like(y)
-    for i in range(y.size):
-        e = np.zeros_like(y)
-        e[i] = FD_STEP
-        g[i] = (fn(x, y + e) - fn(x, y - e)) / (2.0 * FD_STEP)
-    return g
+def _central_difference(batch_fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Central finite differences of y -> g(x, y) with step ``FD_STEP``,
+    from two calls of g's batch oracle on the rows of y +- FD_STEP I."""
+    E = FD_STEP * np.eye(y.size)
+    up = np.asarray(batch_fn(x, y + E), dtype=float)
+    return (up - np.asarray(batch_fn(x, y - E), dtype=float)) / (2.0 * FD_STEP)
 
 
 def partial_second(F: Bifunction):
@@ -112,7 +111,7 @@ def partial_second(F: Bifunction):
 
     Exact for the structured parts: M x + c plus one subgradient of each f
     at y.  Each generic part g adds central finite differences of g(x, .)
-    with step ``FD_STEP``.
+    with step ``FD_STEP``, taken from its batch oracle.
     """
     M, c, fs, gs = F.matrix, F.offset, F.functions, F.oracles
     if M is None and not gs and len(fs) == 1:
@@ -123,8 +122,8 @@ def partial_second(F: Bifunction):
         g = 0.0 if M is None else M @ x + c
         for f in fs:
             g = g + f.subgradient(y)
-        for fn, _ in gs:
-            g = g + _central_difference(fn, x, y)
+        for _, batch_fn in gs:
+            g = g + _central_difference(batch_fn, x, y)
         return g
 
     return grad
@@ -168,12 +167,13 @@ def inner_solve(
     """Resolvent of a bifunction by projected steps on the 1-strongly
     monotone inequality T(z) = gamma u(z) + z - x, u a subgradient of F(z, .).
 
-    With ``F.curvature`` (no generic part, bounds for every function) the
-    steps are a contraction, and ``tol`` bounds ||z - J x|| through the
-    proven a-posteriori bound rho / (1 - rho) ||z_k - z_{k-1}||
+    With ``F.curvature`` (bounds for the smooth part of ``F.induced``) and
+    an l1 part that is absent or has a closed-form prox over C, the steps
+    are a contraction, and ``tol`` bounds ||z - J x|| through the proven
+    a-posteriori bound rho / (1 - rho) ||z_k - z_{k-1}||
     <= max(1e-3 tol, 1e-15) (1 + ||z_k||); over an ``IntersectionSet`` it
     holds up to Dykstra's tolerance.  No sample is drawn, and a non-monotone
-    M with 1 + gamma mu <= 0 raises :class:`ConvergenceFailure` at P_C(x).
+    A with 1 + gamma mu <= 0 raises :class:`ConvergenceFailure` at P_C(x).
 
     Otherwise ``tol`` bounds the worst violation of the resolvent inequality
     over a seeded 64-point verification sample plus kink probes, which can
@@ -190,7 +190,7 @@ def inner_solve(
         raise ValueError("gamma must be positive")
     C = F.set
     x = as_vector(x, C.dimension)
-    if F.curvature is not None:
+    if _certified(F):
         z, info = _contraction(F, gamma, x, tol, max_iter)
         return (z, info) if return_info else z
     Y = samples if samples is not None else sample_points(C, CHECK_SAMPLE_SIZE, seed)
@@ -250,13 +250,43 @@ def inner_solve(
     )
 
 
+def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | None:
+    """(v, start=None) -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over C
+    where it is P_C(soft_threshold(v, t)), else None; ``start`` is ignored,
+    so the map is also a resolvent map.
+
+    That holds over the whole space (no projection), a box (the objective
+    separates) and a ball centred at 0, where KKT gives z = s / (1 + mu)
+    with s = soft_threshold(v, t) and mu = max(0, ||s|| / r - 1): P_B(s).
+    """
+    if C.kind == "whole-space":
+        return lambda v, start=None: soft_threshold(v, t)
+    if C.kind == "box" or C.kind == "ball" and not C.center.any():
+        return lambda v, start=None: C.project(soft_threshold(v, t))
+    return None
+
+
+def _certified(F: Bifunction) -> bool:
+    """Whether :func:`inner_solve` runs the certified contraction: the smooth
+    part has curvature bounds and the l1 part, if any, a closed-form prox."""
+    if F.curvature is None:
+        return False
+    l1 = F.induced[2]
+    return l1 is None or _shrink_project(F.set, l1.weights) is not None
+
+
 def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_iter: int):
-    """z <- P_C(z - sigma T(z)) with T mu_T-strongly monotone and L_T-Lipschitz,
-    mu_T = 1 + gamma mu and L_T = 1 + gamma L.  A gradient field contracts
-    by rho = (L_T - mu_T) / (L_T + mu_T) at sigma = 2 / (mu_T + L_T), any
-    other by rho = sqrt(1 - (mu_T / L_T)^2) at sigma = mu_T / L_T^2
-    (Facchinei & Pang 2003, ch. 12).  mu_T <= 0 fails at once with P_C(x)."""
+    """z <- prox(z - sigma T(z)), the prox of sigma gamma l1 plus the
+    indicator of C (:func:`_shrink_project`), with T(z) = gamma u(z) + z - x
+    for the smooth part u(z) = A z + b + sum_rest grad f(z) of ``F.induced``.
+    T is mu_T-strongly monotone and L_T-Lipschitz, mu_T = 1 + gamma mu and
+    L_T = 1 + gamma L.  A gradient field contracts by
+    rho = (L_T - mu_T) / (L_T + mu_T) at sigma = 2 / (mu_T + L_T), any other
+    by rho = sqrt(1 - (mu_T / L_T)^2) at sigma = mu_T / L_T^2 (Facchinei &
+    Pang 2003, ch. 12), and the prox is nonexpansive, so the same rho
+    holds.  mu_T <= 0 fails at once with P_C(x)."""
     C = F.set
+    A, b, l1, rest = F.induced
     mu, L, symmetric = F.curvature
     mu_t, L_t = 1.0 + gamma * mu, 1.0 + gamma * L
     z = C.project(x)
@@ -270,10 +300,19 @@ def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_ite
         q = mu_t / L_t
         rho = np.sqrt(1.0 - q * q)
         sigma, factor = q / L_t, rho * (1.0 + rho) / (q * q)
-    grad = partial_second(F)
+    prox = C.project if l1 is None else _shrink_project(C, sigma * gamma * l1.weights)
+
+    def smooth(z):
+        u = 0.0 if A is None else A @ z
+        if b is not None:
+            u = u + b
+        for f in rest:
+            u = u + f.subgradient(z)
+        return u
+
     target = max(1e-3 * tol, 1e-15)
     for k in range(1, max_iter + 1):
-        z_new = C.project(z - sigma * (gamma * grad(z, z) + z - x))
+        z_new = prox(z - sigma * (gamma * smooth(z) + z - x))
         bound = factor * norm(z_new - z)
         z = z_new
         if bound <= target * (1.0 + norm(z)):
@@ -432,9 +471,9 @@ def _box_linear_resolvent(
 class ResolventOracle:
     """Resolvent of ``gamma * bifunction``, built once.
 
-    The computation follows from the bifunction's normal form and the kind
-    of its set (:func:`_build`), and ``method`` names it.  All
-    per-(bifunction, set, gamma) work, such as inverting I + gamma M,
+    The computation follows from the bifunction's induced operator and the
+    kind of its set (:func:`_build`), and ``method`` names it.  All
+    per-(bifunction, set, gamma) work, such as inverting I + gamma A,
     happens here, once.  The verification sample ``check_points`` is drawn
     on first read; closed forms and the certified inner route never read it.
     The oracle is immutable and :func:`resolve` is pure for a given
@@ -466,37 +505,35 @@ class ResolventOracle:
 
 
 def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
-    """(method, map (x, start) -> J x) from the normal form
-    F(x, y) = <M x + c, y - x> + sum f(y) - f(x) + sum g(x, y) and the set kind.
+    """(method, map (x, start) -> J x) from the induced operator
+    A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set kind.
 
     Only box pivoting reads ``start``; every other map ignores it.
     """
     F = oracle.bifunction
-    C = F.set
-    gamma = oracle.gamma
-    M, c, fs = F.matrix, F.offset, F.functions
-    linear = M is not None and M.any()
-    if not F.oracles:
-        if not fs and not linear:
-            # constant operator: the variational inequality reduces to a
-            # projection of the shifted point for any C
-            shift = 0.0 if c is None else gamma * c
-            return CLOSED_FORM_PROJECTION, lambda x, start: C.project(x - shift)
-        if not fs and C.kind == "box":
-            return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(M, c, gamma, C.lo, C.hi)
-        if not fs and C.kind == "whole-space":
-            return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(M, c, gamma)
-        if len(fs) == 1 and not linear and (c is None or not c.any()):
-            return PROX_COMPOSITION, _prox_composition(oracle, fs[0])
-    return INNER_ITERATIVE, _inner_resolve(oracle)
-
-
-def _inner_resolve(oracle: ResolventOracle) -> Callable[..., np.ndarray]:
-    """(x, start) -> :func:`inner_solve`; only the sampled route reads ``check_points``."""
-    F, gamma, max_iter = oracle.bifunction, oracle.gamma, oracle.inner_max_iter
-    if F.curvature is not None:
-        return lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
-    return lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter, samples=oracle.check_points)
+    C, gamma = F.set, oracle.gamma
+    if F.induced is not None and not F.induced[3]:
+        A, b, l1, _ = F.induced
+        if A is None or not A.any():
+            shift = 0.0 if b is None else gamma * b
+            if l1 is None:
+                return CLOSED_FORM_PROJECTION, lambda x, start: C.project(x - shift)
+            prox = _shrink_project(C, gamma * l1.weights)
+            if prox is not None:
+                if b is None or not b.any():
+                    return PROX_COMPOSITION, prox
+                return PROX_COMPOSITION, lambda x, start: prox(x - shift)
+        elif l1 is None and C.kind == "box":
+            return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, C.lo, C.hi)
+        elif l1 is None and C.kind == "whole-space":
+            return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(A, b, gamma)
+    max_iter = oracle.inner_max_iter
+    if _certified(F):
+        return INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
+    # only the sampled route reads the verification sample
+    return INNER_ITERATIVE, lambda x, start: inner_solve(
+        F, gamma, x, max_iter=max_iter, samples=oracle.check_points
+    )
 
 
 def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
@@ -550,39 +587,3 @@ def residual_certificate(oracle: ResolventOracle, x, z) -> float:
     z = as_vector(z, oracle.dimension)
     residuals = _resolvent_residuals(oracle.bifunction, oracle.gamma, x, z, oracle.check_points)
     return float(residuals.min())
-
-
-# ---------------------------------------------------------------------------
-# prox composition: minimize gamma f(y) + ||y - x||^2 / 2 over C
-# ---------------------------------------------------------------------------
-
-def _prox_composition(oracle: ResolventOracle, f: ConvexFunction) -> Callable[..., np.ndarray]:
-    C = oracle.bifunction.set
-    gamma = oracle.gamma
-
-    if isinstance(f, AffineFunction):
-        # <a, y - x> is the constant operator a: a shifted projection
-        shift = gamma * f.a
-        return lambda x, start: C.project(x - shift)
-    if C.kind == "whole-space":
-        if isinstance(f, Quadratic):
-            return _linear_resolvent(f.Q, f.q, gamma)
-        if isinstance(f, WeightedL1):
-            t = gamma * f.weights
-            return lambda x, start: soft_threshold(x, t)
-    # the constrained minimizer of a separable objective over a box is the
-    # clamp of its unconstrained minimizer, coordinate by coordinate
-    if C.kind == "box" and isinstance(f, Quadratic):
-        if not f.separable:
-            return _box_linear_resolvent(f.Q, f.q, gamma, C.lo, C.hi)
-        shift = gamma * f.q
-        scale = 1.0 + gamma * np.diag(f.Q)
-        return lambda x, start: C.project((x - shift) / scale)
-    if isinstance(f, WeightedL1) and (C.kind == "box" or C.kind == "ball" and not C.center.any()):
-        # over a ball centred at 0, KKT gives z = s / (1 + mu) with
-        # s = soft_threshold(x, gamma w) and mu = max(0, ||s|| / r - 1): P_B(s)
-        t = gamma * f.weights
-        return lambda x, start: C.project(soft_threshold(x, t))
-    # every other form goes through the inner solver: the certified
-    # contraction when f has curvature bounds, the sampled route otherwise
-    return _inner_resolve(oracle)

@@ -381,15 +381,20 @@ def affine_projector_ref(A, b):
     return lambda v: p + N @ (N.T @ (v - p))
 
 
-def resolvent_projected(M, c, gamma, x, project, max_iter=200_000):
-    """The z in C with <gamma (M z + c) + z - x, y - z> >= 0 for all y in C.
+def resolvent_projected(M, c, gamma, x, project, weights=None, max_iter=200_000):
+    """The z in C with <gamma (M z + c) + z - x, y - z>
+    + gamma sum_i w_i (|y_i| - |z_i|) >= 0 for all y in C (w = 0 without
+    ``weights``).
 
-    Projected iteration z <- P_C(z - t T(z)) on T(z) = (I + gamma M) z
-    + gamma c - x with t = mu / L^2, mu > 0 the smallest eigenvalue of
-    sym(I + gamma M) and L = ||I + gamma M||_2, a contraction; it runs until
-    the step is at most 1e-16 (1 + ||z||).  The iteration runs in
-    np.longdouble (a 64-bit mantissa on x86-64), since float64 rounding
-    alone moves a projection onto a sphere by about 1e-16.
+    Forward-backward iteration z <- project(shrink(z - t T(z), t gamma w))
+    on T(z) = (I + gamma M) z + gamma c - x with t = mu / L^2, mu > 0 the
+    smallest eigenvalue of sym(I + gamma M) and L = ||I + gamma M||_2, a
+    contraction; shrink is the soft threshold, and project after shrink is
+    the prox of the weighted L1 plus the indicator of C only over a box or
+    a ball centred at 0.  It runs until the step is at most
+    1e-16 (1 + ||z||).  The iteration runs in np.longdouble (a 64-bit
+    mantissa on x86-64), since float64 rounding alone moves a projection
+    onto a sphere by about 1e-16.
     """
     A = np.eye(len(x)) + gamma * np.asarray(M, dtype=float)
     b = x - gamma * np.asarray(c, dtype=float)
@@ -399,9 +404,16 @@ def resolvent_projected(M, c, gamma, x, project, max_iter=200_000):
     L = float(np.linalg.norm(A, 2))
     t = np.longdouble(mu / (L * L))
     A, b = A.astype(np.longdouble), b.astype(np.longdouble)
+    threshold = None if weights is None else t * np.longdouble(gamma) * np.asarray(weights, dtype=np.longdouble)
+
+    def prox(v):
+        if threshold is not None:
+            v = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+        return project(v)
+
     z = project(np.asarray(x, dtype=np.longdouble))
     for _ in range(max_iter):
-        z_new = project(z - t * (A @ z - b))
+        z_new = prox(z - t * (A @ z - b))
         step = np.linalg.norm(z_new - z)
         z = z_new
         if step <= 1e-16 * (1.0 + np.linalg.norm(z)):

@@ -34,7 +34,6 @@ def test_convex_function_values():
     y = np.array([1.0, 2.0])
     assert f.value(y) == pytest.approx(1.0 + 8.0 + 1.0 - 2.0)
     np.testing.assert_allclose(f.subgradient(y), [2.0 + 1.0, 8.0 - 1.0])
-    assert f.separable
 
     g = WeightedL1([1.0, 2.0])
     assert g.value([-1.0, 0.5]) == pytest.approx(2.0)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from eqsplit.bifunctions import (
+    AffineFunction,
     Quadratic,
     WeightedL1,
+    check_admissibility,
     function_difference,
     generic_bifunction,
     operator_bifunction,
@@ -33,12 +35,14 @@ from eqsplit.resolvents import (
     CHECK_SAMPLE_SIZE,
     CLOSED_FORM_LINEAR_SOLVE,
     CLOSED_FORM_PROJECTION,
+    FD_STEP,
     INNER_ITERATIVE,
     INNER_TOL,
     PROX_COMPOSITION,
     ConvergenceFailure,
     ResolventOracle,
     inner_solve,
+    partial_second,
     reflect,
     residual_certificate,
     resolve,
@@ -70,7 +74,7 @@ def test_quadratic_difference_resolvent_scalar():
     C = WholeSpace(1)
     F = function_difference(C, Quadratic([[2.0]], [0.0]))
     o = ResolventOracle(1.0, F)
-    assert o.method == PROX_COMPOSITION
+    assert o.method == CLOSED_FORM_LINEAR_SOLVE
     oracle = grid_golden_min(lambda y: 1.0 * y * y + 0.5 * (y - 1.0) ** 2, -3.0, 3.0)
     assert oracle == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert resolve(o, [1.0])[0] == pytest.approx(oracle, abs=1e-9)
@@ -227,6 +231,28 @@ def test_generic_family_fd_subgradients():
     assert resolve(o, [1.0])[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+def test_generic_differences_come_from_the_batch_oracle():
+    # two batch calls on y +- FD_STEP I replace 2 d scalar calls; without a
+    # batch oracle the rows are evaluated one at a time, as the scalar loop
+    d = 20
+    rng = np.random.default_rng(23)
+    M, c = _vi_matrix(rng, d)
+    op = operator_bifunction(WholeSpace(d), M, c)
+    calls = []
+
+    def fn(x, y):
+        calls.append(1)
+        return op(x, y)
+
+    x, y = rng.normal(size=(2, d))
+    batched = partial_second(generic_bifunction(op.set, fn, op.eval_batch))(x, y)
+    assert calls == []
+    scalar = np.array([(fn(x, y + e) - fn(x, y - e)) / (2.0 * FD_STEP) for e in FD_STEP * np.eye(d)])
+    # one ulp of a value of about 10, over 2 FD_STEP, is about 1e-9
+    assert norm(batched - scalar) <= 1e-9 * (1.0 + norm(scalar))
+    np.testing.assert_array_equal(partial_second(generic_bifunction(op.set, fn))(x, y), scalar)
+
+
 # ---------------------------------------------------------------------------
 # the method follows from the normal form
 # ---------------------------------------------------------------------------
@@ -235,11 +261,11 @@ def test_corpus_resolvent_methods_are_pinned():
     # the benchmark tracer groups resolve times by these labels
     expected = {
         "pure-feasibility": (CLOSED_FORM_PROJECTION, CLOSED_FORM_PROJECTION),
-        "quadratic-1d": (PROX_COMPOSITION, CLOSED_FORM_PROJECTION),
+        "quadratic-1d": (CLOSED_FORM_LINEAR_SOLVE, CLOSED_FORM_PROJECTION),
         "vi-over-box": (CLOSED_FORM_LINEAR_SOLVE, CLOSED_FORM_PROJECTION),
         "mixed-equilibrium": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
-        "skew-saddle": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
-        "operator-bridge": (CLOSED_FORM_LINEAR_SOLVE, PROX_COMPOSITION),
+        "skew-saddle": (CLOSED_FORM_LINEAR_SOLVE, CLOSED_FORM_LINEAR_SOLVE),
+        "operator-bridge": (CLOSED_FORM_LINEAR_SOLVE, CLOSED_FORM_LINEAR_SOLVE),
     }
     methods = dict.fromkeys(expected, ())
     for name, o in _corpus_oracles(1.0):
@@ -260,6 +286,18 @@ def test_sum_of_operator_parts_gets_the_linear_closed_form(kind):
     for x in np.random.default_rng(7).normal(scale=2.0, size=(10, d)):
         expected = resolve(single, x)
         assert norm(resolve(summed, x) - expected) <= 1e-12 * (1.0 + norm(expected))
+    # an operator part written as a Quadratic or an AffineFunction joins
+    # A and b: the sum is the single operator, bit for bit
+    rng = np.random.default_rng(9)
+    B, (q, a) = rng.normal(size=(d, d)), rng.normal(size=(2, d))
+    Q = B @ B.T / d
+    op = operator_bifunction(C, M0, c0)
+    for part, A, b in ((Quadratic(Q, q), M0 + Q, c0 + q), (AffineFunction(a, 2.0), M0, c0 + a)):
+        summed = ResolventOracle(gamma, sum_bifunctions(op, function_difference(C, part)))
+        single = ResolventOracle(gamma, operator_bifunction(C, A, b))
+        assert summed.method == single.method == CLOSED_FORM_LINEAR_SOLVE
+        for x in np.random.default_rng(10).normal(scale=2.0, size=(10, d)):
+            np.testing.assert_array_equal(resolve(summed, x), resolve(single, x))
 
 
 def test_zero_plus_l1_over_box_is_the_l1_prox():
@@ -270,6 +308,45 @@ def test_zero_plus_l1_over_box_is_the_l1_prox():
     for x in np.random.default_rng(8).normal(scale=2.0, size=(20, 3)):
         shrunk = np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
         np.testing.assert_allclose(resolve(o, x), np.clip(shrunk, C.lo, C.hi), rtol=0.0, atol=1e-15)
+
+
+class _DoubledQuadratic(Quadratic):
+    """2 (y'Qy / 2 + q'y): a subclass whose oracles are not the shipped ones."""
+
+    def value(self, y):
+        return 2.0 * super().value(y)
+
+    def value_batch(self, Y):
+        return 2.0 * super().value_batch(Y)
+
+    def subgradient(self, y):
+        return 2.0 * super().subgradient(y)
+
+    def curvature_bounds(self):
+        mu, L = super().curvature_bounds()
+        return 2.0 * mu, 2.0 * L
+
+
+def test_a_subclass_of_a_shipped_type_is_read_through_its_oracles():
+    # the closed forms, the exact membership and the exact admissibility
+    # report all hold for the shipped types only, matched by exact type
+    d = 3
+    rng = np.random.default_rng(24)
+    B = rng.normal(size=(d, d))
+    Q, q = B @ B.T / d + 0.5 * np.eye(d), rng.normal(size=d)
+    F = function_difference(WholeSpace(d), _DoubledQuadratic(Q, q))
+    o = ResolventOracle(1.0, F)
+    assert o.method == INNER_ITERATIVE
+    for x in rng.normal(scale=2.0, size=(5, d)):
+        expected = np.linalg.solve(np.eye(d) + 2.0 * Q, x - 2.0 * q)
+        assert norm(resolve(o, x) - expected) <= 1e-10 * (1.0 + norm(expected))
+    A = operator_from_bifunction(F)
+    assert A.evaluate_batch_fn is None
+    x = rng.normal(size=d)
+    g = Q @ x + q
+    assert A.member(x, 2.0 * g) and not A.member(x, g)
+    report = check_admissibility(F)
+    assert not report.exact and report.samples > 0 and report.passed
 
 
 def test_sum_with_a_generic_part_takes_the_inner_route():
@@ -396,7 +473,7 @@ def test_linear_resolvent_matches_direct_solve_at_d200():
     B = rng.normal(size=(d, d))
     Q, q = B @ B.T / d, rng.normal(size=d)
     o = ResolventOracle(gamma, function_difference(WholeSpace(d), Quadratic(Q, q)))
-    assert o.method == PROX_COMPOSITION
+    assert o.method == CLOSED_FORM_LINEAR_SOLVE
     expected = np.linalg.solve(np.eye(d) + gamma * Q, x - gamma * q)
     assert norm(resolve(o, x) - expected) <= 1e-12 * norm(expected)
 
@@ -524,7 +601,7 @@ def test_nonseparable_box_quadratic_prox_uses_pivoting(monkeypatch):
     C = Box(-np.ones(d), np.ones(d))
     gamma = 2.0
     o = ResolventOracle(gamma, function_difference(C, Quadratic(Q, q)))
-    assert o.method == PROX_COMPOSITION
+    assert o.method == CLOSED_FORM_LINEAR_SOLVE
     A = np.eye(d) + gamma * Q
     for x in rng.normal(scale=3.0, size=(5, d)):
         z = resolve(o, x)
@@ -723,10 +800,31 @@ def test_operator_resolvent_matches_projected_reference(kind):
         assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref)), (d, gamma, draw)
 
 
+@pytest.mark.parametrize("kind", ["ball", "box"])
+def test_operator_plus_l1_resolvent_matches_forward_backward_reference(kind):
+    # an L1 part with a closed-form prox over C keeps the certified route
+    for d, gamma, draw in itertools.product((5, 20), (0.1, 1.0, 10.0), range(3)):
+        rng = np.random.default_rng([d, int(10 * gamma), draw, 1])
+        M, c = _vi_matrix(rng, d)
+        w = rng.uniform(0.5, 2.0, size=d)
+        if kind == "ball":
+            C, project = Ball(np.zeros(d), 1.0), lambda v: project_ball_ref(v, np.zeros(d), 1.0)
+        else:
+            C, project = Box(-np.ones(d), np.ones(d)), lambda v: np.minimum(np.maximum(v, -1.0), 1.0)
+        F = sum_bifunctions(operator_bifunction(C, M, c), function_difference(C, WeightedL1(w)))
+        o = ResolventOracle(gamma, F)
+        assert o.method == INNER_ITERATIVE
+        x = rng.normal(size=d)
+        ref = resolvent_projected(M, c, gamma, x, project, weights=w)
+        assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref)), (d, gamma, draw)
+
+
 def _structured_cases():
-    """(name, bifunction, T) over ball, halfspace, simplex, affine and
-    intersection sets, with T(z, x, gamma) the auxiliary map whose zero of
-    z - P_C(z - T) is the resolvent."""
+    """(name, bifunction, T, w) over ball, halfspace, simplex, affine and
+    intersection sets, plus operator + L1 sums over a centred ball and a
+    box, with T(z, x, gamma) the auxiliary map and w the L1 weights (0
+    without an L1 part): the resolvent is the fixed point of
+    z -> P_C(soft_threshold(z - T, gamma w))."""
     d = 5
     rng = np.random.default_rng(40)
     M, c = _vi_matrix(rng, d)
@@ -739,12 +837,17 @@ def _structured_cases():
         "affine": AffineSubspace(rng.normal(size=(2, d)), rng.normal(size=2)),
         "intersection": IntersectionSet((Ball(np.zeros(d), 1.0), Halfspace(np.ones(d), 0.5))),
     }
+    no_l1 = np.zeros(d)
     for name, C in sets.items():
         op = operator_bifunction(C, M, c)
         quad = function_difference(C, Quadratic(Q, q))
-        yield f"operator/{name}", op, lambda z, x, g: g * (M @ z + c) + z - x
-        yield f"quadratic/{name}", quad, lambda z, x, g: g * (Q @ z + q) + z - x
-        yield f"sum/{name}", sum_bifunctions(op, quad), lambda z, x, g: g * ((M + Q) @ z + c + q) + z - x
+        yield f"operator/{name}", op, lambda z, x, g: g * (M @ z + c) + z - x, no_l1
+        yield f"quadratic/{name}", quad, lambda z, x, g: g * (Q @ z + q) + z - x, no_l1
+        yield f"sum/{name}", sum_bifunctions(op, quad), lambda z, x, g: g * ((M + Q) @ z + c + q) + z - x, no_l1
+    w = rng.uniform(0.5, 2.0, size=d)
+    for name, C in (("centred-ball", Ball(np.zeros(d), 1.0)), ("box", Box(-np.ones(d), np.ones(d)))):
+        l1_sum = sum_bifunctions(operator_bifunction(C, M, c), function_difference(C, WeightedL1(w)))
+        yield f"operator+l1/{name}", l1_sum, lambda z, x, g: g * (M @ z + c) + z - x, w
 
 
 def test_certified_route_draws_no_sample(monkeypatch):
@@ -755,7 +858,7 @@ def test_certified_route_draws_no_sample(monkeypatch):
     monkeypatch.setattr("eqsplit.resolvents.sample_points", forbidden)
     monkeypatch.setattr("eqsplit.resolvents._violation", forbidden)
     rng = np.random.default_rng(41)
-    for name, F, T in _structured_cases():
+    for name, F, T, w in _structured_cases():
         C = F.set
         # the Dykstra projection onto an intersection stops at 1e-10
         tol = 1e-8 if C.kind == "intersection" else 1e-10
@@ -767,7 +870,9 @@ def test_certified_route_draws_no_sample(monkeypatch):
                 np.testing.assert_array_equal(resolve(o, x), z)
                 assert info["violation"] <= 1e-12 * (1.0 + norm(z)), name
                 assert C.contains(z, tol), name
-                assert norm(z - C.project(z - T(z, x, gamma))) <= tol * (1.0 + norm(x)), (name, gamma)
+                v = z - T(z, x, gamma)
+                fixed = C.project(np.sign(v) * np.maximum(np.abs(v) - gamma * w, 0.0))
+                assert norm(z - fixed) <= tol * (1.0 + norm(x)), (name, gamma)
 
 
 def test_quadratic_prox_over_halfspace_matches_kkt():
