@@ -33,7 +33,8 @@ The spec file is flat INI text with sections [space], [set], [F], [G],
 
 The trace is comma-separated text with header ``n,residual_dr,step,
 certificate`` followed by a commented final-solution block.  Exit codes:
-0 converged, 1 spec error, 2 iteration limit, 3 inner resolvent failure.
+0 converged, 1 spec error (a spec that cannot be read, or one whose
+resolvent cannot be built), 2 iteration limit, 3 inner resolvent failure.
 """
 
 from __future__ import annotations
@@ -362,10 +363,12 @@ def run(spec_path, trace_out_path, args=None) -> int:
     try:
         F, G, C, cfg, x0 = parse_problem_spec(spec_path)
         cfg = _apply_overrides(cfg, args, C.dimension)
+        # solve raises ValueError when a resolvent cannot be built, e.g. a
+        # singular I + gamma M from a non-monotone matrix
+        result = solve(F, G, x0, cfg)
     except (SpecFileError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    result = solve(F, G, x0, cfg)
     if trace_out_path is not None:
         _write_trace(trace_out_path, result, F, G, cfg)
     print(f"status = {result.status}")

@@ -326,13 +326,10 @@ def solve_operator_form(
     point is the reported solution).  When A and B are the operators
     induced by two bifunctions this produces the same float sequence as
     :func:`solve` on those bifunctions.  Bare operators give no
-    equilibrium certificate, so ``certificate`` is None.
+    equilibrium certificate, so ``certificate`` is None.  A sum of terms
+    has no resolvent and raises ``ValueError``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, A.dimension)
-    if A.resolvent_factory is None or B.resolvent_factory is None:
-        raise ValueError("both operators must expose resolvents")
-    jf = A.resolvent_factory(cfg.gamma)
-    jg = B.resolvent_factory(cfg.gamma)
-    return _run_dr(jf, jg, x0, cfg)
+    return _run_dr(A.resolvent_map(cfg.gamma), B.resolvent_map(cfg.gamma), x0, cfg)
 

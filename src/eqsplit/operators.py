@@ -4,33 +4,35 @@ An admissible bifunction F over C induces the maximally monotone operator
 
     x -> { u : F(x, y) + <x - y, u> >= 0 for all y in C }   (empty outside C)
 
-whose resolvent coincides with the resolvent of F.  Every operator
-constructor here builds one of these (:func:`operator_from_bifunction`):
-the affine map x -> M x + c is induced by <M x + c, y - x> over the whole
-space, the normal cone of C by the zero bifunction on C, and the
-subdifferential of f by f(y) - f(x); only Minkowski sums, kept for
-membership tests, are not.  Conversely a monotone operator A with C inside the interior of
-its domain induces the bifunction (x, y) -> max_{u in Ax} <y - x, u>.  Both
-directions are built here, along with grid oracles that certify, on small
-instances, that zeros of operator sums and solutions of summed equilibrium
-problems coincide.
+whose resolvent coincides with the resolvent of F.  Every operator here is
+the sum of the operators induced by its terms, a tuple of bifunctions
+(:class:`MonotoneOperator`): the affine map x -> M x + c is induced by
+<M x + c, y - x> over the whole space, the normal cone of C by the zero
+bifunction on C, the subdifferential of f by f(y) - f(x), and a Minkowski
+sum joins the terms of its operands.  Conversely a monotone operator A with
+C inside the interior of its domain induces the bifunction
+(x, y) -> max_{u in Ax} <y - x, u>.  Both directions are built here, along
+with grid oracles that certify, on small instances, that zeros of operator
+sums and solutions of summed equilibrium problems coincide.
 
-Bifunction structure is read from the operator each bifunction induces,
+Each term is read from the operator it induces,
 A z + b + d l1(z) + sum d f(z) + N_C(z)
 (:attr:`~eqsplit.bifunctions.Bifunction.induced`).  With no generic part
 and no rest f, the image over a box or the whole space is a per-coordinate
 interval (possibly unbounded), which a finite list of vectors could not
 represent; it is evaluated over arrays of points at once
-(:meth:`MonotoneOperator.evaluate_batch`) and decides membership exactly.
-Over a ball, A z + b with no l1 is single-valued and decides membership
-exactly through the ball's support function.  Every other operator gets a
-sampled membership test.  The grid oracles are array operations over the
-whole grid, blocked so that no pair-value matrix outgrows a few tens of MB.
+(:meth:`MonotoneOperator.evaluate_batch`), and a sum of such terms adds
+their intervals and decides membership exactly.  Over a ball, A z + b with
+no l1 is single-valued and decides membership exactly through the ball's
+support function.  Every other one-term operator gets a sampled membership
+test.  The grid oracles are array operations over the whole grid, blocked
+so that no pair-value matrix outgrows a few tens of MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,62 +100,104 @@ class IntervalImage:
         return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
 
 
-def _normal_cone_bounds(C: ConvexSet, X: np.ndarray, tol: float = 1e-9):
-    """(ok, lo, hi) of the normal cone of a box or the whole space at the
-    rows of X; ok is False at rows outside C, where the cone is empty."""
+def _has_intervals(F: Bifunction) -> bool:
+    """Whether the operator induced by F has an interval image: no generic
+    part and no rest f, over a box or the whole space."""
+    return F.induced is not None and not F.induced[3] and F.set.kind in ("box", "whole-space")
+
+
+def _interval_image(F: Bifunction, X: np.ndarray, tol: float = 1e-9):
+    """(ok, lo, hi) of the operator induced by F (:func:`_has_intervals`)
+    at the rows of X: A x + b + d l1(x) plus the normal cone of C, with ok
+    False at rows outside C, where the image is empty."""
+    C = F.set
+    A, b, l1, _ = F.induced
     if C.kind == "whole-space":
-        return np.ones(X.shape[0], dtype=bool), np.zeros(X.shape), np.zeros(X.shape)
-    if C.kind != "box":
-        raise ValueError(f"no interval normal cone for set kind {C.kind!r}")
-    ok = C.contains_batch(X, tol)
-    lo = np.where(X <= C.lo + tol, -np.inf, 0.0)
-    hi = np.where(X >= C.hi - tol, np.inf, 0.0)
-    return ok, lo, hi
+        ok, lo, hi = np.ones(X.shape[0], dtype=bool), np.zeros(X.shape), np.zeros(X.shape)
+    else:
+        ok = C.contains_batch(X, tol)
+        lo = np.where(X <= C.lo + tol, -np.inf, 0.0)
+        hi = np.where(X >= C.hi - tol, np.inf, 0.0)
+    g = 0.0 if A is None else X @ A.T
+    if b is not None:
+        g = g + b
+    if l1 is None:
+        return ok, g + lo, g + hi
+    l1_lo, l1_hi = l1.subdifferential_bounds(X)
+    return ok, g + l1_lo + lo, g + l1_hi + hi
 
 
-def normal_cone_image(C: ConvexSet, x, tol: float = 1e-9) -> IntervalImage | None:
-    """Normal cone of a box or the whole space at ``x``; None when x is outside.
-
-    Only these kinds have axis-aligned cones; :func:`normal_cone_operator`
-    decides membership for the others.
-    """
-    ok, lo, hi = _normal_cone_bounds(C, as_vector(x, C.dimension)[None, :], tol)
-    return IntervalImage(lo[0], hi[0]) if ok[0] else None
+def _witness_min(F: Bifunction, x: np.ndarray, u: np.ndarray) -> float:
+    """Smallest value of y -> F(x, y) + <x - y, u> met by a short projected
+    subgradient descent from P_C(x)."""
+    C, grad = F.set, partial_second(F)
+    y = C.project(x)
+    best = float(F(x, y) + (x - y) @ u)
+    step = 0.5
+    for _ in range(60):
+        y_new = C.project(y - step * (grad(x, y) - u))
+        val = float(F(x, y_new) + (x - y_new) @ u)
+        if val < best - 1e-16:
+            best = val
+        else:
+            step *= 0.5
+            if step < 1e-6:
+                break
+        y = y_new
+    return best
 
 
 # ---------------------------------------------------------------------------
 # monotone operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneOperator:
-    """Set-valued monotone map given through oracles.
+    """The sum of the maximally monotone operators induced by ``terms``,
+    admissible bifunctions of one dimension (at least one of them).
 
-    ``resolvent_factory(gamma)`` returns the single-valued resolvent of
-    ``gamma * A`` (None when no resolvent route exists, e.g. for bare
-    Minkowski sums used only in membership tests).  Each call returns a
-    fresh map, which may keep per-solve state: an induced operator's map
-    starts box pivoting from its previous output.
-    ``evaluate_batch_fn(X)`` maps a validated (n, d) array of points to
-    ``(ok, lo, hi)``: ``ok[i]`` is False where the image at row i is empty,
-    and otherwise the image is the box ``[lo[i], hi[i]]`` (callers do not
-    write to these arrays).  It is None when no finite representation
-    exists; then ``member_batch_fn(x, U, tol)`` decides membership.
-    ``source_bifunction`` is the bifunction that induces the operator.
+    Equality and hashing are by identity.  A one-term operator has the
+    resolvent of its bifunction (:meth:`resolvent_map`); a sum has none.
+    When every term has an interval image (no generic part and no rest f,
+    over a box or the whole space) the image is their sum
+    (:meth:`evaluate_batch`) and decides membership exactly.
     """
 
-    dimension: int
-    domain_set: ConvexSet
-    resolvent_factory: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None
-    evaluate_batch_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-    member_batch_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
-    source_bifunction: Bifunction | None = None
+    terms: tuple[Bifunction, ...]
     name: str = ""
 
-    def resolvent(self, gamma: float, x) -> np.ndarray:
-        if self.resolvent_factory is None:
+    def __post_init__(self):
+        terms = tuple(self.terms)
+        if not terms:
+            raise ValueError("an operator needs at least one term")
+        if any(H.dimension != terms[0].dimension for H in terms):
+            raise ValueError("operator dimensions do not match")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def dimension(self) -> int:
+        return self.terms[0].dimension
+
+    @property
+    def _intervals(self) -> bool:
+        return all(map(_has_intervals, self.terms))
+
+    @cached_property
+    def _member_points(self) -> np.ndarray:
+        # the sampled membership test's points, drawn on its first call
+        return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
+
+    def resolvent_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
+        raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
+        which starts box pivoting from its previous output, so make one per
+        solve."""
+        if len(self.terms) != 1:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        return self.resolvent_factory(gamma)(as_vector(x, self.dimension))
+        return resolvent_map(ResolventOracle(gamma, self.terms[0]))
+
+    def resolvent(self, gamma: float, x) -> np.ndarray:
+        return self.resolvent_map(gamma)(as_vector(x, self.dimension))
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interval images at the rows of ``X``: ``(ok, lo, hi)``.
@@ -164,9 +208,14 @@ class MonotoneOperator:
         directions.  Raises ``ValueError`` when the operator has no
         interval form or ``X`` is not a finite (n, dimension) array.
         """
-        if self.evaluate_batch_fn is None:
+        if not self._intervals:
             raise ValueError(f"operator {self.name!r} exposes no interval evaluation")
-        return self.evaluate_batch_fn(as_points(X, self.dimension))
+        X = as_points(X, self.dimension)
+        ok, lo, hi = _interval_image(self.terms[0], X)
+        for H in self.terms[1:]:
+            ok_h, lo_h, hi_h = _interval_image(H, X)
+            ok, lo, hi = ok & ok_h, lo + lo_h, hi + hi_h
+        return ok, lo, hi
 
     def evaluate(self, x) -> IntervalImage | None:
         """Interval image at ``x`` (None when empty): one row of ``evaluate_batch``."""
@@ -181,20 +230,42 @@ class MonotoneOperator:
         """Membership of each row of ``U`` in the image at ``x``, up to ``tol``.
 
         Exact, from the interval image, for every operator that has one;
-        otherwise the operator's own test (exact over a ball for
-        single-valued structures, sampled for the rest, see
-        :func:`operator_from_bifunction`).  ``x`` must be a finite vector
-        and ``U`` a finite 2-D array, both of width ``dimension``; anything
-        else raises ``ValueError``.
+        otherwise, for a one-term operator, the ball support test for
+        single-valued structures or the sampled test (see
+        :func:`operator_from_bifunction`).  A sum of terms without interval
+        images has no test.  ``x`` must be a finite vector and ``U`` a
+        finite 2-D array, both of width ``dimension``; anything else raises
+        ``ValueError``.
         """
         x = as_vector(x, self.dimension)
         U = as_points(U, self.dimension)
-        if self.evaluate_batch_fn is not None:
-            ok, lo, hi = self.evaluate_batch_fn(x[None, :])
+        if self._intervals:
+            ok, lo, hi = self.evaluate_batch(x[None, :])
             return ok[0] & np.all((U >= lo - tol) & (U <= hi + tol), axis=1)
-        if self.member_batch_fn is not None:
-            return self.member_batch_fn(x, U, tol)
-        raise ValueError(f"operator {self.name!r} supports no membership test")
+        if len(self.terms) != 1:
+            raise ValueError(f"operator {self.name!r} supports no membership test")
+        F = self.terms[0]
+        C = F.set
+        inside = C.contains(x, max(tol, 1e-8))
+        if C.kind == "ball" and F.induced is not None and not F.induced[3] and F.induced[2] is None:
+            A, b, _, _ = F.induced
+            g = 0.0 if A is None else A @ x
+            V = U - (g if b is None else g + b)
+            support = V @ (C.center - x) + C.radius * np.linalg.norm(V, axis=1)
+            return inside & (support <= tol)
+        ok = np.zeros(U.shape[0], dtype=bool)
+        if not inside:
+            return ok
+        # the sampled residual min_y F(x, y) + <u, x - y>, in row blocks of
+        # U so a large multiplier grid never builds its whole matrix
+        Y = self._member_points
+        base = F.eval_batch(x, Y)
+        D = (x - Y).T
+        for rows in _row_blocks(U.shape[0], Y.shape[0]):
+            ok[rows] = (U[rows] @ D + base).min(axis=1) >= -tol
+        for i in np.flatnonzero(ok):
+            ok[i] = _witness_min(F, x, U[i]) >= -tol
+        return ok
 
 
 def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
@@ -234,73 +305,16 @@ def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOpera
 
 
 def operator_sum(A: MonotoneOperator, B: MonotoneOperator, name: str = "") -> MonotoneOperator:
-    """Pointwise Minkowski sum, for membership tests; exposes no resolvent."""
-    if A.dimension != B.dimension:
-        raise ValueError("operator dimensions do not match")
-    if A.evaluate_batch_fn is None or B.evaluate_batch_fn is None:
+    """Pointwise Minkowski sum, for membership tests; exposes no resolvent.
+    Its terms are those of A, then those of B; both need interval images."""
+    if not (A._intervals and B._intervals):
         raise ValueError("operator sum needs interval evaluation on both terms")
-
-    def evaluate_batch(X):
-        ok_a, lo_a, hi_a = A.evaluate_batch_fn(X)
-        ok_b, lo_b, hi_b = B.evaluate_batch_fn(X)
-        return ok_a & ok_b, lo_a + lo_b, hi_a + hi_b
-
-    return MonotoneOperator(
-        dimension=A.dimension,
-        domain_set=A.domain_set if A.domain_set.kind != "whole-space" else B.domain_set,
-        evaluate_batch_fn=evaluate_batch,
-        name=name or f"{A.name}+{B.name}",
-    )
+    return MonotoneOperator(A.terms + B.terms, name or f"{A.name}+{B.name}")
 
 
 # ---------------------------------------------------------------------------
 # the bridge
 # ---------------------------------------------------------------------------
-
-def _sampled_membership_fn(F: Bifunction):
-    """Membership test for the operator induced by F when it has no exact
-    one: u is rejected at x when some verification point y has
-    F(x, y) + <x - y, u> < -tol.  The points are ``MEMBER_SAMPLES`` seeded
-    points of C plus, for the rows that pass them, a short projected-descent
-    witness search on y -> F(x, y) + <x - y, u> (a random cloud alone can
-    straddle the narrow violation window of a near-member u)."""
-    C = F.set
-    Y = sample_points(C, MEMBER_SAMPLES, 0)
-    grad = partial_second(F)
-
-    def witness_min(x, u):
-        # projected subgradient descent on the membership residual
-        y = C.project(x)
-        best = float(F(x, y) + (x - y) @ u)
-        step = 0.5
-        for _ in range(60):
-            y_new = C.project(y - step * (grad(x, y) - u))
-            val = float(F(x, y_new) + (x - y_new) @ u)
-            if val < best - 1e-16:
-                best = val
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
-            y = y_new
-        return best
-
-    def member_batch(x, U, tol=MEMBER_TOL):
-        ok = np.zeros(U.shape[0], dtype=bool)
-        if not C.contains(x, max(tol, 1e-8)):
-            return ok
-        # the sampled residual min_y F(x, y) + <u, x - y>, in row blocks of
-        # U so a large multiplier grid never builds its whole matrix
-        base = F.eval_batch(x, Y)
-        D = (x - Y).T
-        for rows in _row_blocks(U.shape[0], Y.shape[0]):
-            ok[rows] = (U[rows] @ D + base).min(axis=1) >= -tol
-        for i in np.flatnonzero(ok):
-            ok[i] = witness_min(x, U[i]) >= -tol
-        return ok
-
-    return member_batch
-
 
 def operator_from_bifunction(
     F: Bifunction,
@@ -324,50 +338,13 @@ def operator_from_bifunction(
     Neither draws a sample.  Every other bifunction gets the sampled test:
     u is rejected at x when any verification point y has
     F(x, y) + <x - y, u> < -tol, the points being ``MEMBER_SAMPLES`` seeded
-    points of C plus a short projected-descent witness search on the rows
-    that pass them, so the batch test agrees with the one-point test.
-    Membership is False outside C, where the image is empty.
+    points of C, drawn on the first sampled test, plus a short
+    projected-descent witness search on the rows that pass them (a random
+    cloud alone can straddle the narrow violation window of a near-member
+    u), so the batch test agrees with the one-point test.  Membership is
+    False outside C, where the image is empty.
     """
-    C = F.set
-    evaluate_batch = member_batch = None
-    exact = F.induced is not None and not F.induced[3]
-    if exact:
-        A, b, l1, _ = F.induced
-    if exact and C.kind in ("box", "whole-space"):
-
-        def evaluate_batch(X):
-            ok, lo, hi = _normal_cone_bounds(C, X)
-            g = 0.0 if A is None else X @ A.T
-            if b is not None:
-                g = g + b
-            if l1 is None:
-                return ok, g + lo, g + hi
-            l1_lo, l1_hi = l1.subdifferential_bounds(X)
-            return ok, g + l1_lo + lo, g + l1_hi + hi
-
-    elif exact and l1 is None and C.kind == "ball":
-
-        def member_batch(x, U, tol=MEMBER_TOL):
-            g = 0.0 if A is None else A @ x
-            V = U - (g if b is None else g + b)
-            support = V @ (C.center - x) + C.radius * np.linalg.norm(V, axis=1)
-            return C.contains(x, max(tol, 1e-8)) & (support <= tol)
-
-    else:
-        member_batch = _sampled_membership_fn(F)
-
-    def factory(gamma):
-        return resolvent_map(ResolventOracle(gamma, F))
-
-    return MonotoneOperator(
-        dimension=C.dimension,
-        domain_set=C,
-        resolvent_factory=factory,
-        evaluate_batch_fn=evaluate_batch,
-        member_batch_fn=member_batch,
-        source_bifunction=F,
-        name=name or "induced",
-    )
+    return MonotoneOperator((F,), name or "induced")
 
 
 def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
@@ -380,7 +357,7 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     (no generic part, l1 or rest f) is single-valued and affine, and yields
     the bifunction <A x + b, y - x>, preserving closed-form resolvents.
     """
-    if A.evaluate_batch_fn is None:
+    if not A._intervals:
         raise ValueError(
             "bifunction construction needs an interval evaluation oracle; "
             "resolvent-only operators are not supported"
@@ -388,10 +365,9 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     if A.dimension != C.dimension:
         raise ValueError("operator and set dimensions do not match")
 
-    S = A.source_bifunction
-    if S is not None and S.set.kind == "whole-space" and S.induced is not None:
-        M, c, l1, rest = S.induced
-        if l1 is None and not rest:
+    if len(A.terms) == 1 and A.terms[0].set.kind == "whole-space":
+        M, c, l1, _ = A.terms[0].induced
+        if l1 is None:
             return operator_bifunction(C, np.zeros((C.dimension,) * 2) if M is None else M, c)
 
     def ev_batch(x, Y):
@@ -539,7 +515,7 @@ def zeros_bruteforce(
       intersection test is exact (the multiplier grid is bypassed) and runs
       as array operations over the whole grid.
     * ``sampled``: 1-D only; the admissible multiplier set of each
-      bifunction-backed operator over the grid sample is an exact interval,
+      one-term operator over the grid sample is an exact interval,
       so existence over the continuum of multipliers inside ``u_bounds`` is
       decided directly.  The intervals of all grid points come from blocked
       pair-value arrays F(x_i, y_j); only generic bifunctions are evaluated
@@ -560,13 +536,9 @@ def zeros_bruteforce(
         tol = grid.step
     lo_u, hi_u = u_bounds
     if method == "auto":
-        if A.evaluate_batch_fn is not None and B.evaluate_batch_fn is not None:
+        if A._intervals and B._intervals:
             method = "intervals"
-        elif (
-            grid.dimension == 1
-            and A.source_bifunction is not None
-            and B.source_bifunction is not None
-        ):
+        elif grid.dimension == 1 and len(A.terms) == len(B.terms) == 1:
             method = "sampled"
         else:
             method = "ugrid"
@@ -584,10 +556,9 @@ def zeros_bruteforce(
     elif method == "sampled":
         if grid.dimension != 1:
             raise ValueError("the sampled interval route is 1-D only")
-        FA = A.source_bifunction
-        FB = B.source_bifunction
-        if FA is None or FB is None:
-            raise ValueError("the sampled route needs bifunction-backed operators")
+        if len(A.terms) != 1 or len(B.terms) != 1:
+            raise ValueError("the sampled route needs one-term operators")
+        (FA,), (FB,) = A.terms, B.terms
         in_a = FA.set.contains_batch(pts, 1e-9)
         in_b = FB.set.contains_batch(pts, 1e-9)
         X = pts[in_a & in_b]

@@ -15,9 +15,11 @@ has the same resolvent as the bifunction:
 
 * no rest f, A = 0 and no l1: z = P_C(x - gamma b), a pure projection after
   a constant shift;
-* no rest f, A = 0 and an l1 over the whole space, a box or a ball centred
-  at 0: z = P_C(soft_threshold(x - gamma b, gamma w)), the prox of the
-  weighted L1 plus the indicator of C;
+* no rest f, A = 0 and an l1 over the whole space, a box, a ball centred
+  at 0, the simplex or a halfspace: the prox of the weighted L1 plus the
+  indicator of C at x - gamma b, P_C(soft_threshold(x - gamma b, gamma w))
+  over the first three, P_C(x - gamma b - gamma w) over the simplex and a
+  soft threshold after an exact 1-D multiplier search over a halfspace;
 * no rest f and no l1 over a box: the box linear complementarity problem
   (I + gamma A) z + gamma b - x in -N_box(z), solved exactly by block
   principal pivoting;
@@ -252,18 +254,57 @@ def inner_solve(
 
 def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | None:
     """(v, start=None) -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over C
-    where it is P_C(soft_threshold(v, t)), else None; ``start`` is ignored,
-    so the map is also a resolvent map.
+    where it has a closed form, else None; ``start`` is ignored, so the map
+    is also a resolvent map.
 
-    That holds over the whole space (no projection), a box (the objective
-    separates) and a ball centred at 0, where KKT gives z = s / (1 + mu)
-    with s = soft_threshold(v, t) and mu = max(0, ||s|| / r - 1): P_B(s).
+    Over the whole space it is s = soft_threshold(v, t), and P_C(s) over a
+    box (the objective separates) and a ball centred at 0, where KKT gives
+    z = s / (1 + mu) with mu = max(0, ||s|| / r - 1).  Over the simplex
+    |z| = z, so it is P_C(v - t).  Over a halfspace a'z <= beta it is
+    :func:`_halfspace_shrink`.
     """
     if C.kind == "whole-space":
         return lambda v, start=None: soft_threshold(v, t)
     if C.kind == "box" or C.kind == "ball" and not C.center.any():
         return lambda v, start=None: C.project(soft_threshold(v, t))
+    if C.kind == "simplex":
+        return lambda v, start=None: C.project(v - t)
+    if C.kind == "halfspace":
+        return _halfspace_shrink(C.normal, C.offset, t)
     return None
+
+
+def _halfspace_shrink(a: np.ndarray, beta: float, t: np.ndarray) -> Callable[..., np.ndarray]:
+    """The L1 prox of :func:`_shrink_project` over {z : a'z <= beta}.
+
+    KKT gives z = soft_threshold(v - lam a, t) with lam >= 0 and lam = 0
+    unless phi(lam) = a' soft_threshold(v - lam a, t) equals beta.  phi is
+    nonincreasing and linear between its breakpoints, where
+    |v_i - lam a_i| = t_i.  The first breakpoint with phi <= beta closes
+    the segment holding the root; on it the active coordinates S and their
+    signs s are fixed, so lam = (sum_S a_i (v_i - s_i t_i) - beta)
+    / sum_S a_i^2 exactly.
+    """
+    moving = a != 0.0
+    a_m, t_m = a[moving], t[moving]
+
+    def prox(v, start=None):
+        z = soft_threshold(v, t)
+        if a @ z <= beta:
+            return z
+        v_m = v[moving]
+        lam = np.concatenate(((v_m - t_m) / a_m, (v_m + t_m) / a_m))
+        lam = np.sort(lam[lam > 0.0])
+        below = soft_threshold(v - lam[:, None] * a, t) @ a <= beta
+        k = int(np.argmax(below)) if below.any() else lam.size
+        left = lam[k - 1] if k else 0.0
+        w = v - (0.5 * (left + lam[k]) if k < lam.size else left + 1.0) * a
+        active = np.abs(w) > t
+        s = np.sign(w[active])
+        root = (a[active] @ (v[active] - s * t[active]) - beta) / (a[active] @ a[active])
+        return soft_threshold(v - root * a, t)
+
+    return prox
 
 
 def _certified(F: Bifunction) -> bool:

@@ -381,17 +381,56 @@ def affine_projector_ref(A, b):
     return lambda v: p + N @ (N.T @ (v - p))
 
 
-def resolvent_projected(M, c, gamma, x, project, weights=None, max_iter=200_000):
+def l1_prox_simplex_ref(v, t):
+    """argmin sum t_i |z_i| + ||z - v||^2 / 2 over the probability simplex,
+    where |z| = z: the projection of v - t."""
+    return project_simplex_ref(v - t)
+
+
+def l1_prox_halfspace_ref(a, b):
+    """(v, t) -> argmin sum t_i |z_i| + ||z - v||^2 / 2 over {y : <a, y> <= b}.
+
+    The minimiser is shrink(v - lam a, t), shrink the soft threshold, with
+    lam >= 0 a root of phi(lam) = <a, shrink(v - lam a, t)> - b when
+    phi(0) > 0.  phi is nonincreasing and linear between its knots
+    lam = (v_i -+ t_i) / a_i, so it is evaluated at every knot and the root
+    interpolated on the segment where phi changes sign; past the last knot
+    its slope is -||a||^2.
+    """
+    a = np.asarray(a, dtype=float)
+
+    def shrink(v, t):
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+    def prox(v, t):
+        if shrink(v, t) @ a <= b:
+            return shrink(v, t)
+        m = a != 0.0
+        knots = np.concatenate(([0.0], (v[m] - t[m]) / a[m], (v[m] + t[m]) / a[m]))
+        knots = np.unique(knots[knots >= 0.0])
+        phi = shrink(v - knots[:, None] * a, t) @ a - b
+        k = np.flatnonzero(phi > 0.0)[-1]
+        if k + 1 < knots.size:
+            lam = knots[k] + phi[k] * (knots[k + 1] - knots[k]) / (phi[k] - phi[k + 1])
+        else:
+            lam = knots[k] + phi[k] / (a @ a)
+        return shrink(v - lam * a, t)
+
+    return prox
+
+
+def resolvent_projected(M, c, gamma, x, project, weights=None, l1_prox=None, max_iter=200_000):
     """The z in C with <gamma (M z + c) + z - x, y - z>
     + gamma sum_i w_i (|y_i| - |z_i|) >= 0 for all y in C (w = 0 without
     ``weights``).
 
-    Forward-backward iteration z <- project(shrink(z - t T(z), t gamma w))
-    on T(z) = (I + gamma M) z + gamma c - x with t = mu / L^2, mu > 0 the
+    Forward-backward iteration z <- prox(z - t T(z)) on
+    T(z) = (I + gamma M) z + gamma c - x with t = mu / L^2, mu > 0 the
     smallest eigenvalue of sym(I + gamma M) and L = ||I + gamma M||_2, a
-    contraction; shrink is the soft threshold, and project after shrink is
-    the prox of the weighted L1 plus the indicator of C only over a box or
-    a ball centred at 0.  It runs until the step is at most
+    contraction from project(x).  prox is ``l1_prox(v, t gamma w)`` when
+    given, and otherwise project(shrink(v, t gamma w)), shrink the soft
+    threshold, which is the prox of the weighted L1 plus the indicator of C
+    only over a box or a ball centred at 0.  It runs until the step is at most
     1e-16 (1 + ||z||).  The iteration runs in np.longdouble (a 64-bit
     mantissa on x86-64), since float64 rounding alone moves a projection
     onto a sphere by about 1e-16.
@@ -407,6 +446,8 @@ def resolvent_projected(M, c, gamma, x, project, weights=None, max_iter=200_000)
     threshold = None if weights is None else t * np.longdouble(gamma) * np.asarray(weights, dtype=np.longdouble)
 
     def prox(v):
+        if l1_prox is not None:
+            return l1_prox(v, threshold)
         if threshold is not None:
             v = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
         return project(v)

@@ -270,6 +270,41 @@ def test_spec_is_written_from_the_normal_form(tmp_path):
             problem_to_spec_text(replace(base, G=H))
 
 
+NON_MONOTONE_SPEC = """
+[space]
+dimension = 2
+
+[set]
+{set_lines}
+
+[F]
+family = operator-induced
+matrix = -1 0; 0 -1
+
+[G]
+family = zero
+
+[solver]
+gamma = 1.0
+
+[init]
+x0 = 0.5 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "set_lines", ["kind = whole-space", "kind = box\nlo = -1 -1\nhi = 1 1"], ids=["whole-space", "box"]
+)
+def test_non_monotone_spec_is_a_spec_error(tmp_path, capsys, set_lines):
+    # I + gamma M is singular at gamma 1, so the resolvent cannot be built
+    spec = _write(tmp_path, NON_MONOTONE_SPEC.format(set_lines=set_lines))
+    with pytest.warns(UserWarning, match="first bifunction"):
+        code = main([spec])
+    assert code == EXIT_SPEC_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "singular" in err
+
+
 def test_parse_rejects_dimension_mismatch(tmp_path):
     bad = QUADRATIC_SPEC.replace("x0 = 1", "x0 = 1 2")
     with pytest.raises(SpecFileError, match="expected 1 numbers"):

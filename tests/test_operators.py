@@ -21,7 +21,6 @@ from eqsplit.operators import (
     affine_operator,
     bifunction_from_operator,
     equilibrium_bruteforce,
-    normal_cone_image,
     normal_cone_operator,
     operator_from_bifunction,
     operator_sum,
@@ -54,13 +53,14 @@ def test_interval_image_basics():
 
 def test_normal_cone_image_box():
     C = Box([-1.0, -1.0], [1.0, 1.0])
-    interior = normal_cone_image(C, [0.0, 0.5])
+    N = normal_cone_operator(C)
+    interior = N.evaluate([0.0, 0.5])
     np.testing.assert_array_equal(interior.lo, [0.0, 0.0])
     np.testing.assert_array_equal(interior.hi, [0.0, 0.0])
-    corner = normal_cone_image(C, [1.0, -1.0])
+    corner = N.evaluate([1.0, -1.0])
     assert corner.hi[0] == np.inf and corner.lo[0] == 0.0
     assert corner.lo[1] == -np.inf and corner.hi[1] == 0.0
-    assert normal_cone_image(C, [2.0, 0.0]) is None
+    assert N.evaluate([2.0, 0.0]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def test_structural_intervals_match_sampled_membership():
 def test_batch_membership_matches_one_point_membership():
     from eqsplit.problems import corpus, get_problem
 
-    # y^2 - x^2 at x = -0.4312 has the image {-0.8624}; the sampled test
-    # alone accepts u = -0.8540, the witness search rejects it
+    # y^2 - x^2 at x = -0.4312 has the image {-0.8624}, an interval image
+    # that rejects u = -0.8540 exactly
     A = operator_from_bifunction(get_problem("quadratic-1d").F)
     assert not A.member([-0.4312], [-0.8540])
     assert not A.member_batch([-0.4312], [[-0.8540]])[0]
@@ -211,7 +211,7 @@ def test_evaluate_is_one_row_of_evaluate_batch():
     with pytest.raises(ValueError):
         A.evaluate_batch([[np.nan, 0.0]])
     with pytest.raises(ValueError, match="interval evaluation"):
-        MonotoneOperator(dimension=1, domain_set=WholeSpace(1)).evaluate_batch([[0.0]])
+        normal_cone_operator(Ball([0.0], 1.0)).evaluate_batch([[0.0]])
 
 
 def test_constructor_images_match_closed_forms():
@@ -267,7 +267,8 @@ class _AbsValue(ConvexFunction):
 def test_subdifferential_of_user_function_is_not_its_oracle_point():
     # the subdifferential of |y| at 0 is [-1, 1], not the oracle's {0}
     A = subdifferential_operator(_AbsValue())
-    assert A.evaluate_batch_fn is None
+    with pytest.raises(ValueError, match="interval evaluation"):
+        A.evaluate_batch([[0.0]])
     assert A.member([0.0], [0.5])
     assert A.member([0.0], [-1.0])
     assert not A.member([0.0], [1.5])
@@ -316,7 +317,7 @@ def test_bifunction_from_subdifferential_l1():
 
 def test_bifunction_from_operator_requires_evaluate():
     C = WholeSpace(1)
-    A = MonotoneOperator(dimension=1, domain_set=C, resolvent_factory=lambda g: (lambda x: x))
+    A = normal_cone_operator(Ball([0.0], 1.0))
     with pytest.raises(ValueError, match="interval evaluation"):
         bifunction_from_operator(A, C)
 
@@ -652,6 +653,61 @@ def test_operator_sum_has_no_resolvent():
     S = operator_sum(affine_operator([[1.0]]), affine_operator([[2.0]]))
     with pytest.raises(ValueError, match="resolvent"):
         S.resolvent(1.0, [0.0])
+
+
+def test_nested_operator_sum_adds_the_images_of_its_terms():
+    from eqsplit.dr_solver import solve_operator_form
+
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    parts = [
+        affine_operator([[2.0, 1.0], [-1.0, 0.5]], [0.3, -0.7]),
+        subdifferential_operator(WeightedL1([0.5, 2.0])),
+        normal_cone_operator(C),
+    ]
+    S = operator_sum(operator_sum(parts[0], parts[1]), parts[2])
+    assert S.terms == tuple(P.terms[0] for P in parts)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1.5, 1.5, size=(40, 2))
+    X[::4, 0] = 0.0
+    X[1::4] = [[1.0, -1.0]]
+    images = [P.evaluate_batch(X) for P in parts]
+    ok, lo, hi = S.evaluate_batch(X)
+    np.testing.assert_array_equal(ok, images[0][0] & images[1][0] & images[2][0])
+    assert lo.tobytes() == (images[0][1] + images[1][1] + images[2][1]).tobytes()
+    assert hi.tobytes() == (images[0][2] + images[1][2] + images[2][2]).tobytes()
+    with pytest.raises(ValueError, match="resolvent"):
+        S.resolvent(1.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match="resolvent"):
+        solve_operator_form(parts[0], S, [0.0, 0.0])
+
+
+def test_operator_terms_are_checked_and_compared_by_identity():
+    with pytest.raises(ValueError, match="at least one term"):
+        MonotoneOperator(())
+    with pytest.raises(ValueError, match="dimensions"):
+        MonotoneOperator((zero_bifunction(WholeSpace(1)), zero_bifunction(WholeSpace(2))))
+    F = zero_bifunction(Box([-1.0], [1.0]))
+    A, B = operator_from_bifunction(F), operator_from_bifunction(F)
+    assert A.terms == B.terms == (F,) and A != B and len({A, B}) == 2
+
+
+def test_sampled_membership_draws_its_sample_once_on_first_use(monkeypatch):
+    import eqsplit.operators
+
+    draws = []
+    real = eqsplit.operators.sample_points
+
+    def counting_sample_points(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eqsplit.operators, "sample_points", counting_sample_points)
+    N = normal_cone_operator(Halfspace([1.0, 1.0], 0.5))
+    assert draws == []
+    x = np.array([0.25, 0.25])
+    assert [N.member(x, u) for u in ([1.0, 1.0], [1.0, 0.0], [0.0, 0.0])] == [True, False, True]
+    np.testing.assert_array_equal(N.member_batch(x, [[2.0, 2.0], [-1.0, -1.0]]), [True, False])
+    assert len(draws) == 1
 
 
 def test_bridge_of_nonsmooth_operator_sum():

@@ -54,6 +54,8 @@ from oracles import (
     as_generic,
     box_vi_active_set,
     grid_golden_min,
+    l1_prox_halfspace_ref,
+    l1_prox_simplex_ref,
     project_ball_ref,
     project_halfspace_ref,
     project_simplex_ref,
@@ -341,7 +343,8 @@ def test_a_subclass_of_a_shipped_type_is_read_through_its_oracles():
         expected = np.linalg.solve(np.eye(d) + 2.0 * Q, x - 2.0 * q)
         assert norm(resolve(o, x) - expected) <= 1e-10 * (1.0 + norm(expected))
     A = operator_from_bifunction(F)
-    assert A.evaluate_batch_fn is None
+    with pytest.raises(ValueError, match="interval evaluation"):
+        A.evaluate_batch(rng.normal(size=(1, d)))
     x = rng.normal(size=d)
     g = Q @ x + q
     assert A.member(x, 2.0 * g) and not A.member(x, g)
@@ -519,8 +522,8 @@ def test_singular_linear_resolvent_rejected_at_construction():
 def test_affine_operator_and_induced_operator_share_linear_resolvent():
     d, gamma = 20, 0.7
     M, c, _ = _skew_plus_shift(d, 3)
-    direct = affine_operator(M, c).resolvent_factory(gamma)
-    induced = operator_from_bifunction(operator_bifunction(WholeSpace(d), M, c)).resolvent_factory(gamma)
+    direct = affine_operator(M, c).resolvent_map(gamma)
+    induced = operator_from_bifunction(operator_bifunction(WholeSpace(d), M, c)).resolvent_map(gamma)
     for x in np.random.default_rng(4).normal(size=(10, d)):
         np.testing.assert_array_equal(direct(x), induced(x))
 
@@ -800,22 +803,34 @@ def test_operator_resolvent_matches_projected_reference(kind):
         assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref)), (d, gamma, draw)
 
 
-@pytest.mark.parametrize("kind", ["ball", "box"])
-def test_operator_plus_l1_resolvent_matches_forward_backward_reference(kind):
-    # an L1 part with a closed-form prox over C keeps the certified route
+@pytest.mark.parametrize("kind", ["ball", "box", "halfspace", "simplex"])
+def test_operator_plus_l1_resolvent_matches_forward_backward_reference(kind, monkeypatch):
+    # an L1 part with a closed-form prox over C keeps the certified route,
+    # which draws no sample
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled check reached on the certified route")
+
+    monkeypatch.setattr("eqsplit.resolvents.sample_points", forbidden)
     for d, gamma, draw in itertools.product((5, 20), (0.1, 1.0, 10.0), range(3)):
         rng = np.random.default_rng([d, int(10 * gamma), draw, 1])
         M, c = _vi_matrix(rng, d)
         w = rng.uniform(0.5, 2.0, size=d)
+        l1_prox = None
         if kind == "ball":
             C, project = Ball(np.zeros(d), 1.0), lambda v: project_ball_ref(v, np.zeros(d), 1.0)
-        else:
+        elif kind == "box":
             C, project = Box(-np.ones(d), np.ones(d)), lambda v: np.minimum(np.maximum(v, -1.0), 1.0)
+        elif kind == "halfspace":
+            a = rng.normal(size=d)
+            C, project = Halfspace(a, -0.5), lambda v: project_halfspace_ref(v, a, -0.5)
+            l1_prox = l1_prox_halfspace_ref(a, -0.5)
+        else:
+            C, project, l1_prox = Simplex(d), project_simplex_ref, l1_prox_simplex_ref
         F = sum_bifunctions(operator_bifunction(C, M, c), function_difference(C, WeightedL1(w)))
         o = ResolventOracle(gamma, F)
         assert o.method == INNER_ITERATIVE
         x = rng.normal(size=d)
-        ref = resolvent_projected(M, c, gamma, x, project, weights=w)
+        ref = resolvent_projected(M, c, gamma, x, project, weights=w, l1_prox=l1_prox)
         assert norm(resolve(o, x) - ref) <= 1e-10 * (1.0 + norm(ref)), (d, gamma, draw)
 
 
@@ -940,6 +955,31 @@ def test_l1_prox_over_centred_ball_meets_kkt(d, monkeypatch):
         assert abs(mu * (norm(z) - r)) <= tol
         assert np.all(np.abs(g[~support]) <= t[~support] + tol)
         assert norm(g[support] - t[support] * s) <= tol
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "simplex"])
+def test_l1_prox_over_halfspace_and_simplex_is_closed_form(kind, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inner solver reached for a closed-form L1 prox")
+
+    monkeypatch.setattr("eqsplit.resolvents.inner_solve", forbidden)
+    for d, gamma in itertools.product((5, 20), (0.1, 1.0, 10.0)):
+        rng = np.random.default_rng([d, int(10 * gamma), 2])
+        w, shift = rng.uniform(0.0, 2.0, size=d), rng.normal(size=d)
+        if kind == "halfspace":
+            a = rng.normal(size=d)
+            C, l1_prox = Halfspace(a, -0.5), l1_prox_halfspace_ref(a, -0.5)
+        else:
+            C, l1_prox = Simplex(d), l1_prox_simplex_ref
+        # an affine part shifts the prox argument by gamma * shift
+        F = function_difference(C, WeightedL1(w))
+        for G in (F, sum_bifunctions(F, function_difference(C, AffineFunction(shift)))):
+            o = ResolventOracle(gamma, G)
+            assert o.method == PROX_COMPOSITION
+            b = 0.0 if G is F else gamma * shift
+            for x in rng.normal(scale=3.0, size=(4, d)):
+                ref = l1_prox((x - b).astype(np.longdouble), gamma * w.astype(np.longdouble)).astype(float)
+                assert norm(resolve(o, x) - ref) <= 1e-12 * (1.0 + norm(ref)), (d, gamma)
 
 
 def test_bifunctions_and_oracles_compare_by_identity():
