@@ -249,6 +249,13 @@ class Bifunction:
             mu, L = mu + f_mu, L + f_L
         return mu, L, A is None or bool(np.array_equal(A, A.T))
 
+    @cached_property
+    def _exact_admissibility(self) -> tuple[bool, dict[str, float]] | None:
+        """(passed, worst violations) of the exact admissibility check, or
+        None when only sampling can tell (:func:`check_admissibility`).
+        Computed once, on first read: a solve reads it on every call."""
+        return _exact_verdict(self)
+
     def __call__(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -379,9 +386,10 @@ class AdmissibilityReport:
         return f"admissibility check {status} ({basis}): {worst}"
 
 
-def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
-    """Exact report for a form whose :attr:`~Bifunction.induced` operator
-    has no rest (no generic part, only shipped functions), or None to sample.
+def _exact_verdict(F: Bifunction) -> tuple[bool, dict[str, float]] | None:
+    """(passed, worst violations) for a form whose
+    :attr:`~Bifunction.induced` operator has no rest (no generic part, only
+    shipped functions), or None to sample.
 
     Such an H vanishes on the diagonal, is convex in y and continuous in x,
     and H(x,y) + H(y,x) = -(x - y)' M (x - y), since each f(y) - f(x)
@@ -398,7 +406,7 @@ def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
     if M is not None and not (np.all(np.isfinite(M)) and np.all(np.isfinite(F.offset))):
         return None  # the sampled path names the offending pair
     if M is None or not M.any():
-        return AdmissibilityReport(passed=True, worst_violations=zero, samples=0, seed=seed, exact=True)
+        return True, zero
     if C.kind not in _EXACT_SET_KINDS:
         return None
     S = 0.5 * (M + M.T)
@@ -407,9 +415,8 @@ def _exact_report(F: Bifunction, seed: int) -> AdmissibilityReport | None:
         S = S[np.ix_(free, free)]
     eigs = np.linalg.eigvalsh(S) if S.size else np.zeros(1)
     monotone = max(0.0, -float(eigs[0]))
-    worst = dict(zero, monotone=monotone)
     passed = monotone <= 1e-10 * max(1.0, float(np.abs(eigs).max()))
-    return AdmissibilityReport(passed=passed, worst_violations=worst, samples=0, seed=seed, exact=True)
+    return passed, dict(zero, monotone=monotone)
 
 
 def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> AdmissibilityReport:
@@ -420,6 +427,7 @@ def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> Adm
     an exact report (``exact`` true) and no call to the oracle: one
     eigenvalue of the symmetric part of M, which needs a whole space, ball,
     halfspace or box when M is nonzero, or nothing at all when M is zero.
+    That verdict is computed once per bifunction and kept.
     Every other bifunction (generic parts, user-defined convex functions, a
     nonzero M over other set kinds) gets the sampled diagnostic.
 
@@ -438,9 +446,10 @@ def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> Adm
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = _exact_report(F, seed)
-    if report is not None:
-        return report
+    verdict = F._exact_admissibility
+    if verdict is not None:
+        passed, worst = verdict
+        return AdmissibilityReport(passed=passed, worst_violations=dict(worst), samples=0, seed=seed, exact=True)
     C = F.set
     X = sample_points(C, samples, seed)
     Y = sample_points(C, samples, seed + 1)

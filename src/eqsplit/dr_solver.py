@@ -23,10 +23,17 @@ core and :func:`residual_dr` its error-free half.  With mu_n = lambda_n / 2
 the update is the averaged (Krasnosel'skii-Mann) iteration of the composed
 reflections R_F R_G (Eckstein & Bertsekas, Math. Program. 55, 1992), so no
 separate fixed-point engine is kept.
+
+Inputs are validated where they enter (:func:`solve`,
+:func:`solve_operator_form`, :func:`dr_step`, :func:`residual_dr`); the
+iteration core then runs on vectors it built itself and checks nothing
+again, except that each pass's residual, and each injected error, must be
+finite.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -36,7 +43,7 @@ import numpy as np
 from .bifunctions import Bifunction, check_admissibility
 from .hilbert import as_vector, norm, sample_points
 from .operators import MonotoneOperator
-from .resolvents import ConvergenceFailure, ResolventOracle, resolve, resolvent_map
+from .resolvents import ConvergenceFailure, ResolventOracle, resolvent_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -136,7 +143,12 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of the iterates and residuals."""
+    """Per-iteration record of the iterates and residuals.
+
+    ``x`` and ``y`` hold the iterates themselves, not copies: each pass of
+    the solver makes new arrays and never writes into old ones.  Copy an
+    entry before changing it.
+    """
 
     n: list = field(default_factory=list)
     x: list = field(default_factory=list)
@@ -146,8 +158,8 @@ class IterationTrace:
 
     def record(self, n, x, y, residual, step):
         self.n.append(n)
-        self.x.append(np.array(x))
-        self.y.append(np.array(y))
+        self.x.append(x)
+        self.y.append(y)
         self.residual_dr.append(float(residual))
         self.step.append(float(step))
 
@@ -160,7 +172,8 @@ class SolveResult:
     """Outcome of a solve.
 
     ``x_star`` is the governing fixed point iterate, ``y_star`` the reported
-    solution (the shadow point of ``x_star``), and ``certificate`` the worst
+    solution (the shadow point of ``x_star``), both arrays of their own
+    that share no memory with the trace, and ``certificate`` the worst
     equilibrium value of ``y_star`` over a seeded sample (None when the
     solve was driven by bare operators).
     """
@@ -190,20 +203,27 @@ def _relaxed_update(jf, x, y, z, lam, a_n, b_n):
     return y, z, x + lam * (z - y)
 
 
+def _same_dimension(a, b) -> int:
+    """The common dimension of two resolvents or operators; ValueError if none."""
+    if a.dimension != b.dimension:
+        raise ValueError(f"dimension mismatch: {a.dimension} and {b.dimension}")
+    return a.dimension
+
+
 def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=None, b_n=None):
     """One relaxed splitting step; returns (y_n, z_n, x_next).
 
     Pure function of its inputs and the same pass as one iteration of
     :func:`solve`: y from the resolvent of G plus error b, z from the
     resolvent of F at the reflected point plus error a, then the relaxed
-    update.
+    update.  The inputs are validated once, here.
     """
     lam = _lambda_at(lambda_n, 0)
-    x_n = as_vector(x_n, JG.dimension)
+    x_n = as_vector(x_n, _same_dimension(JF, JG))
     a_n = None if a_n is None else as_vector(a_n, x_n.size)
     b_n = None if b_n is None else as_vector(b_n, x_n.size)
-    jf = lambda v: resolve(JF, v)
-    y = resolve(JG, x_n)
+    jf = lambda v: JF._apply(v, None)
+    y = JG._apply(x_n, None)
     return _relaxed_update(jf, x_n, y, jf(2.0 * y - x_n), lam, a_n, b_n)
 
 
@@ -213,22 +233,37 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
     Computed as 2 || J_F(2 J_G x - x) - J_G x ||, which equals the
     reflection form exactly.
     """
-    x = as_vector(x, JG.dimension)
-    y = resolve(JG, x)
-    z = resolve(JF, 2.0 * y - x)
+    x = as_vector(x, _same_dimension(JF, JG))
+    y = JG._apply(x, None)
+    z = JF._apply(2.0 * y - x, None)
     return 2.0 * norm(z - y)
+
+
+def _error_at(schedule, n: int) -> np.ndarray:
+    """The error ``schedule`` injects at step n, checked before it reaches a
+    resolvent: it must be a vector (or a scalar) of finite norm."""
+    e = np.asarray(schedule(n), dtype=float)
+    if e.ndim > 1 or not math.isfinite(norm(e)):
+        raise ValueError(f"error schedule at iteration {n} must give a finite vector, got {e!r}")
+    return e
 
 
 def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     """Shared iteration core for the bifunction and operator forms.
 
-    ``jf``/``jg`` are bare resolvent callables of the scaled operators.
+    ``jf``/``jg`` are unchecked resolvent maps of the scaled operators and
+    ``x0`` a validated vector of their dimension.  Nothing is validated per
+    pass beyond the finiteness of the residual (which covers y and z) and
+    of each injected error, and the trace keeps each pass's fresh arrays.
     The result carries no certificate.
     """
-    x = x0.copy()
+    x = x0
     trace = IterationTrace()
     a_sched = cfg.error_schedule_a
     b_sched = cfg.error_schedule_b
+    # a constant relaxation was validated by SolverConfig
+    lam_schedule = cfg.lambda_schedule
+    lam_constant = None if callable(lam_schedule) else float(lam_schedule)
     status = MAX_ITER
     n = 0
     y_clean = None
@@ -238,6 +273,8 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             y_clean = jg(x)
             z_clean = jf(2.0 * y_clean - x)
             res = 2.0 * norm(z_clean - y_clean)
+            if not math.isfinite(res):
+                raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= cfg.residual_tol:
                 status = CONVERGED
                 trace.record(n, x, y_clean, res, 0.0)
@@ -245,9 +282,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             if n >= cfg.max_iter:
                 trace.record(n, x, y_clean, res, 0.0)
                 break
-            lam = _lambda_at(cfg.lambda_schedule, n)
-            a_n = a_sched(n) if a_sched is not None else None
-            b_n = b_sched(n) if b_sched is not None else None
+            lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
+            a_n = _error_at(a_sched, n) if a_sched is not None else None
+            b_n = _error_at(b_sched, n) if b_sched is not None else None
             y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, lam, a_n, b_n)
             if n % cfg.trace_every == 0:
                 trace.record(n, x, y, res, norm(x_next - x))
@@ -259,11 +296,12 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         if y_clean is None:
             # J_G itself failed at x: its last inner iterate is the best
             # available shadow point
-            y_clean = failure.iterate if failure.iterate is not None else x.copy()
+            y_clean = failure.iterate if failure.iterate is not None else x
 
+    # the trace keeps the last iterates themselves; the result owns copies
     return SolveResult(
-        x_star=x,
-        y_star=y_clean if y_clean is not None else jg(x),
+        x_star=x.copy(),
+        y_star=y_clean.copy(),
         status=status,
         iterations=n,
         trace=trace,
@@ -330,6 +368,6 @@ def solve_operator_form(
     has no resolvent and raises ``ValueError``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    x0 = as_vector(x0, A.dimension)
+    x0 = as_vector(x0, _same_dimension(A, B))
     return _run_dr(A.resolvent_map(cfg.gamma), B.resolvent_map(cfg.gamma), x0, cfg)
 

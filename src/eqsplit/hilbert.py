@@ -1,6 +1,10 @@
 """Euclidean space primitives: vectors, inner products, and closed convex sets.
 
 Every set is given by an exact projection oracle plus a membership test.
+The public ``project`` validates its input once (:func:`as_vector`) and
+runs the kind's private kernel ``_project``, which takes a finite float
+vector of the set's dimension unchecked; code that builds its vectors
+itself, such as the resolvent maps the solver drives, calls the kernel.
 Membership is batched: ``contains_batch`` tests every row of a point array
 at once, by a closed form for the whole space, boxes, balls, halfspaces and
 the simplex, by the members' tests for an intersection (for these kinds
@@ -12,8 +16,10 @@ across concurrent solves.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+
 import numpy as np
 
 #: Default absolute tolerance for membership tests.
@@ -63,8 +69,11 @@ def inner(a, b) -> float:
 
 
 def norm(v) -> float:
-    """Euclidean norm induced by :func:`inner`."""
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    """Euclidean norm induced by :func:`inner`: sqrt(v . v) over the
+    flattened array, the arithmetic of ``np.linalg.norm``, bit for bit.
+    A norm whose square overflows is ``inf``."""
+    v = np.asarray(v, dtype=float).ravel()
+    return math.sqrt(v @ v)
 
 
 def _frozen_array(x, dim: int | None = None) -> np.ndarray:
@@ -89,7 +98,10 @@ def project_simplex(x) -> np.ndarray:
     Uses the sort-and-shift rule: the projection is max(x - theta, 0) where
     theta is chosen so the positive part sums to one.
     """
-    x = as_vector(x)
+    return _project_simplex(as_vector(x))
+
+
+def _project_simplex(x: np.ndarray) -> np.ndarray:
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, x.size + 1)
@@ -117,14 +129,24 @@ class ConvexSet(ABC):
     kind: str
     approximate: bool = False
 
-    @abstractmethod
     def project(self, x) -> np.ndarray:
-        """Nearest point of the set to ``x``."""
+        """Nearest point of the set to ``x``, a new array.
+
+        ``x`` must be a finite vector of the set's dimension (``ValueError``
+        otherwise); it is checked once here, and the kind's unchecked
+        kernel ``_project`` does the rest.
+        """
+        return self._project(as_vector(x, self.dimension))
+
+    @abstractmethod
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point to ``x``, a finite float vector of the set's
+        dimension, unchecked; may return ``x`` itself."""
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership test: distance from ``x`` to the set is at most ``tol``."""
         x = as_vector(x, self.dimension)
-        return norm(x - self.project(x)) <= tol
+        return norm(x - self._project(x)) <= tol
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Boolean array: whether each row of ``P`` lies in the set, up to ``tol``.
@@ -157,8 +179,8 @@ class WholeSpace(_BatchedMembership):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
-    def project(self, x) -> np.ndarray:
-        return as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         return np.ones(as_points(P, self.dimension).shape[0], dtype=bool)
@@ -182,8 +204,7 @@ class Box(_BatchedMembership):
     def dimension(self) -> int:
         return self.lo.size
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -208,8 +229,7 @@ class Ball(_BatchedMembership):
     def dimension(self) -> int:
         return self.center.size
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
         r = norm(d)
         if r <= self.radius:
@@ -238,8 +258,7 @@ class Halfspace(_BatchedMembership):
     def dimension(self) -> int:
         return self.normal.size
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         excess = inner(self.normal, x) - self.offset
         if excess <= 0.0:
             return x
@@ -261,8 +280,8 @@ class Simplex(_BatchedMembership):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
-    def project(self, x) -> np.ndarray:
-        return project_simplex(as_vector(x, self.dimension))
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return _project_simplex(x)
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         P = as_points(P, self.dimension)
@@ -293,8 +312,7 @@ class AffineSubspace(ConvexSet):
     def dimension(self) -> int:
         return self.A.shape[1]
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         return x - self._pinv @ (self.A @ x - self.b)
 
 
@@ -327,8 +345,7 @@ class IntersectionSet(_BatchedMembership):
     def dimension(self) -> int:
         return self.members[0].dimension
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         m = len(self.members)
         corrections = [np.zeros_like(x) for _ in range(m)]
         z = x.copy()
@@ -337,7 +354,7 @@ class IntersectionSet(_BatchedMembership):
             moved = 0.0
             for i, s in enumerate(self.members):
                 w = z + corrections[i]
-                z = s.project(w)
+                z = s._project(w)
                 new_corr = w - z
                 # the iterate alone can repeat across sweeps while the
                 # corrections still evolve, so both must settle
@@ -358,8 +375,8 @@ def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.nda
     Draws N(0, scale^2 I) vectors with a seeded generator and projects each
     onto ``C``.  Returns an (n, d) array.  The whole space and boxes project
     the whole array at once, which gives the same bits as projecting row by
-    row; every other kind projects one row at a time through ``C.project``,
-    so the sample carries exactly that oracle's rounding.
+    row; every other kind projects one row at a time through the kind's
+    projection kernel, so the sample carries exactly that oracle's rounding.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -369,4 +386,4 @@ def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.nda
         return raw
     if C.kind == "box":
         return np.minimum(np.maximum(raw, C.lo), C.hi)
-    return np.array([C.project(r) for r in raw])
+    return np.array([C._project(r) for r in raw])

@@ -46,7 +46,7 @@ from .bifunctions import (
     zero_bifunction,
 )
 from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
-from .resolvents import ResolventOracle, partial_second, resolvent_map
+from .resolvents import ResolventOracle, partial_second, resolve, resolvent_map
 
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
@@ -131,11 +131,11 @@ def _witness_min(F: Bifunction, x: np.ndarray, u: np.ndarray) -> float:
     """Smallest value of y -> F(x, y) + <x - y, u> met by a short projected
     subgradient descent from P_C(x)."""
     C, grad = F.set, partial_second(F)
-    y = C.project(x)
+    y = C._project(x)
     best = float(F(x, y) + (x - y) @ u)
     step = 0.5
     for _ in range(60):
-        y_new = C.project(y - step * (grad(x, y) - u))
+        y_new = C._project(y - step * (grad(x, y) - u))
         val = float(F(x, y_new) + (x - y_new) @ u)
         if val < best - 1e-16:
             best = val
@@ -187,17 +187,31 @@ class MonotoneOperator:
         # the sampled membership test's points, drawn on its first call
         return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
 
+    @cached_property
+    def _oracles(self) -> dict[float, ResolventOracle]:
+        # one resolvent oracle per gamma, built on first use
+        return {}
+
+    def _oracle(self, gamma: float) -> ResolventOracle:
+        if len(self.terms) != 1:
+            raise ValueError(f"operator {self.name!r} exposes no resolvent")
+        oracle = self._oracles.get(gamma)
+        if oracle is None:
+            oracle = self._oracles.setdefault(gamma, ResolventOracle(gamma, self.terms[0]))
+        return oracle
+
     def resolvent_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
         raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
-        which starts box pivoting from its previous output, so make one per
-        solve."""
-        if len(self.terms) != 1:
-            raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        return resolvent_map(ResolventOracle(gamma, self.terms[0]))
+        which does not validate x and starts box pivoting from its previous
+        output, so make one per solve.  The oracle behind it is built once
+        per gamma and kept on the operator."""
+        return resolvent_map(self._oracle(gamma))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
-        return self.resolvent_map(gamma)(as_vector(x, self.dimension))
+        """J_{gamma A} x for a one-term operator, from a cold start; ``x``
+        must be a finite vector of the operator's dimension."""
+        return resolve(self._oracle(gamma), x)
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interval images at the rows of ``X``: ``(ok, lo, hi)``.

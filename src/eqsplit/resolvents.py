@@ -145,12 +145,12 @@ def _violation(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.
     kinks that a random sample can straddle.
     """
     C = F.set
-    extras = [C.project(np.zeros_like(z)), C.project(x)]
+    extras = [C._project(np.zeros_like(z)), C._project(x)]
     for i in range(z.size):
         if z[i] != 0.0:
             v = z.copy()
             v[i] = 0.0
-            extras.append(C.project(v))
+            extras.append(C._project(v))
     residuals = _resolvent_residuals(F, gamma, x, z, np.vstack([Y, extras]))
     return float(max(0.0, -residuals.min()))
 
@@ -199,7 +199,7 @@ def inner_solve(
     grad = partial_second(F)
     sigma = 0.5
 
-    z = C.project(x)
+    z = C._project(x)
     viol = _violation(F, gamma, x, z, Y)
     settle_tol = max(tol * 1e-3, 1e-15)
     if viol <= tol:
@@ -211,7 +211,7 @@ def inner_solve(
     iterations = max_iter
     for k in range(1, max_iter + 1):
         w = gamma * grad(z, z) + (z - x)
-        z_new = C.project(z - sigma * w)
+        z_new = C._project(z - sigma * w)
         disp = norm(z_new - z)
         z = z_new
         settled = disp <= max(settle_tol, 1e-13 * (1.0 + norm(z)))
@@ -266,9 +266,9 @@ def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | 
     if C.kind == "whole-space":
         return lambda v, start=None: soft_threshold(v, t)
     if C.kind == "box" or C.kind == "ball" and not C.center.any():
-        return lambda v, start=None: C.project(soft_threshold(v, t))
+        return lambda v, start=None: C._project(soft_threshold(v, t))
     if C.kind == "simplex":
-        return lambda v, start=None: C.project(v - t)
+        return lambda v, start=None: C._project(v - t)
     if C.kind == "halfspace":
         return _halfspace_shrink(C.normal, C.offset, t)
     return None
@@ -330,7 +330,7 @@ def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_ite
     A, b, l1, rest = F.induced
     mu, L, symmetric = F.curvature
     mu_t, L_t = 1.0 + gamma * mu, 1.0 + gamma * L
-    z = C.project(x)
+    z = C._project(x)
     if mu_t <= 0.0:
         msg = f"inner resolvent at gamma = {gamma}: 1 + gamma mu = {mu_t:.3e} <= 0; the operator is not monotone"
         raise ConvergenceFailure(msg, iterate=z, residual=np.inf, iterations=0)
@@ -341,7 +341,7 @@ def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_ite
         q = mu_t / L_t
         rho = np.sqrt(1.0 - q * q)
         sigma, factor = q / L_t, rho * (1.0 + rho) / (q * q)
-    prox = C.project if l1 is None else _shrink_project(C, sigma * gamma * l1.weights)
+    prox = C._project if l1 is None else _shrink_project(C, sigma * gamma * l1.weights)
 
     def smooth(z):
         u = 0.0 if A is None else A @ z
@@ -558,7 +558,7 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
         if A is None or not A.any():
             shift = 0.0 if b is None else gamma * b
             if l1 is None:
-                return CLOSED_FORM_PROJECTION, lambda x, start: C.project(x - shift)
+                return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
             prox = _shrink_project(C, gamma * l1.weights)
             if prox is not None:
                 if b is None or not b.any():
@@ -582,6 +582,8 @@ def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
 
     gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
     forms and within :func:`inner_solve`'s tolerance on the inner route.
+    ``x`` must be a finite vector of the oracle's dimension; it is checked
+    here, once, and ``ValueError`` names what is wrong with it.
     Inner-solver exhaustion (or a non-monotone operator that breaks the
     inner contraction or box pivoting) raises :class:`ConvergenceFailure`
     carrying the last iterate, which the caller may accept as an error term.
@@ -598,16 +600,21 @@ def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
 
 
 def resolvent_map(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> resolve(oracle, x, start=<this map's previous output>).
+    """x -> resolve(oracle, x, start=<this map's previous output>), unchecked.
 
-    The warm start lives in the returned closure, never on the oracle, so
-    make one map per solve; a failed call keeps the previous start.
+    The map calls the oracle's stored map directly and does not validate
+    ``x``: it is for code that builds its own vectors, finite float arrays
+    of the oracle's dimension, such as the solver's iteration.  Pass
+    anything else through :func:`resolve`.  The warm start lives in the
+    returned closure, never on the oracle, so make one map per solve; a
+    failed call keeps the previous start.
     """
+    apply_oracle = oracle._apply
     last = None
 
     def apply(x):
         nonlocal last
-        last = resolve(oracle, x, start=last)
+        last = apply_oracle(x, last)
         return last
 
     return apply

@@ -326,3 +326,24 @@ def test_quadratic_value_batch_matches_pointwise_values(d):
     f = Quadratic(B @ B.T / d, rng.normal(size=d))
     Y = rng.normal(0.0, 2.0, size=(256, d))
     np.testing.assert_allclose(f.value_batch(Y), [f.value(y) for y in Y], rtol=1e-12)
+
+
+def test_exact_admissibility_is_decided_once_per_bifunction(monkeypatch):
+    # a solve checks both bifunctions each time; the eigenvalue behind the
+    # exact verdict is computed on the first check only
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting_eigvalsh(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    F = operator_bifunction(WholeSpace(3), np.eye(3) - np.diag([0.0, 0.0, 2.0]))
+    first = check_admissibility(F, seed=1)
+    first.worst_violations["monotone"] = 0.0  # a report owns its dict
+    for seed in (1, 2, 3):
+        report = check_admissibility(F, seed=seed)
+        assert report.exact and not report.passed and report.seed == seed
+        assert report.worst_violations["monotone"] == pytest.approx(1.0)
+    assert len(calls) == 1

@@ -5,7 +5,9 @@ import pytest
 
 from eqsplit.bifunctions import (
     Quadratic,
+    WeightedL1,
     function_difference,
+    generic_bifunction,
     operator_bifunction,
     sum_bifunctions,
     zero_bifunction,
@@ -24,7 +26,7 @@ from eqsplit.dr_solver import (
     solve_operator_form,
     zero_errors,
 )
-from eqsplit.hilbert import Box, WholeSpace, norm, sample_points
+from eqsplit.hilbert import Box, Simplex, WholeSpace, norm, sample_points
 from eqsplit.operators import GridSpec, equilibrium_bruteforce, operator_from_bifunction
 from eqsplit.problems import corpus, get_problem
 from eqsplit.resolvents import ResolventOracle, reflect, resolve
@@ -353,3 +355,109 @@ def test_geometric_errors_validation():
         geometric_errors(1, rho=1.0)
     e = geometric_errors(2, c=2.0, rho=0.5, axis=1)
     np.testing.assert_allclose(e(3), [0.0, 0.25])
+
+
+# ---------------------------------------------------------------------------
+# validation at the public boundary only
+# ---------------------------------------------------------------------------
+
+def _skew_saddle(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    C = WholeSpace(d)
+    F = operator_bifunction(C, (A - A.T) / (2.0 * np.sqrt(d)) + 0.1 * np.eye(d), rng.normal(size=d))
+    return F, function_difference(C, Quadratic(np.eye(d), np.zeros(d))), rng.normal(size=d)
+
+
+@pytest.mark.parametrize("errors", [False, True])
+def test_solve_validates_a_constant_number_of_vectors(monkeypatch, errors):
+    import eqsplit.hilbert as hilbert
+
+    original = hilbert.as_vector
+    calls = []
+
+    def counting(x, dim=None):
+        calls.append(1)
+        return original(x, dim)
+
+    for module in ("eqsplit.hilbert", "eqsplit.resolvents", "eqsplit.dr_solver"):
+        monkeypatch.setattr(f"{module}.as_vector", counting)
+    F, G, x0 = _skew_saddle(5)
+    counts = []
+    for max_iter in (10, 200):
+        schedule = geometric_errors(5) if errors else None
+        cfg = SolverConfig(gamma=1e-3, max_iter=max_iter, residual_tol=1e-300, lambda_schedule=1.5,
+                           error_schedule_a=schedule, error_schedule_b=schedule)
+        calls.clear()
+        res = solve(F, G, x0, cfg)
+        assert res.status == MAX_ITER and res.iterations == max_iter
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+def _nan_at(n_bad, dim):
+    def schedule(n):
+        e = np.zeros(dim)
+        if n == n_bad:
+            e[0] = np.nan
+        return e
+
+    return schedule
+
+
+@pytest.mark.parametrize("kind", ["whole-space", "simplex"])
+def test_nan_error_schedule_raises_value_error(kind):
+    C = WholeSpace(3) if kind == "whole-space" else Simplex(3)
+    F = operator_bifunction(C, np.eye(3), [1.0, 0.0, -1.0]) if kind == "whole-space" else zero_bifunction(C)
+    G = function_difference(C, WeightedL1([0.1, 0.2, 0.3]))
+    for side in ("error_schedule_a", "error_schedule_b"):
+        cfg = SolverConfig(residual_tol=1e-300, max_iter=50, **{side: _nan_at(3, 3)})
+        with pytest.raises(ValueError, match="iteration 3"):
+            solve(F, G, [0.3, 0.3, 0.4], cfg)
+
+
+def test_nan_from_a_generic_oracle_raises_value_error():
+    C = Box(-np.ones(2), np.ones(2))
+    F = generic_bifunction(C, lambda x, y: np.nan, lambda x, Y: np.full(len(Y), np.nan))
+    with pytest.raises(ValueError):
+        solve(F, zero_bifunction(C), [0.5, 0.5], SolverConfig(max_iter=20))
+
+
+def test_nan_from_a_resolvent_raises_value_error():
+    # a resolvent that returns non-finite values is caught by the residual
+    # check of the same pass
+    C = WholeSpace(2)
+    calls = []
+
+    def faulty(gamma):
+        def apply(x):
+            calls.append(1)
+            return x / 2.0 if len(calls) < 5 else np.full(2, np.nan)
+
+        return apply
+
+    A = operator_from_bifunction(zero_bifunction(C))
+    object.__setattr__(A, "resolvent_map", faulty)
+    B = operator_from_bifunction(operator_bifunction(C, np.eye(2)))
+    with pytest.raises(ValueError, match="non-finite resolvent values at iteration 4"):
+        solve_operator_form(A, B, [1.0, 2.0], SolverConfig(residual_tol=1e-300, max_iter=50))
+
+
+@pytest.mark.parametrize("max_iter", [1, 50])
+def test_result_owns_its_arrays(max_iter):
+    F, G, x0 = _skew_saddle(4)
+    for cfg in (SolverConfig(max_iter=max_iter, residual_tol=1e-300), SolverConfig()):
+        res = solve(F, G, x0, cfg)
+        assert not np.shares_memory(res.x_star, res.trace.x[-1])
+        assert not np.shares_memory(res.y_star, res.trace.y[-1])
+        np.testing.assert_array_equal(res.x_star, res.trace.x[-1])
+        np.testing.assert_array_equal(res.y_star, res.trace.y[-1])
+
+
+def test_operator_form_rejects_mismatched_dimensions():
+    A = operator_from_bifunction(zero_bifunction(WholeSpace(2)))
+    B = operator_from_bifunction(zero_bifunction(WholeSpace(3)))
+    with pytest.raises(ValueError, match="dimension"):
+        solve_operator_form(A, B, [0.0, 0.0])
+    with pytest.raises(ValueError, match="dimension"):
+        dr_step([0.0, 0.0], ResolventOracle(1.0, A.terms[0]), ResolventOracle(1.0, B.terms[0]), 1.0)

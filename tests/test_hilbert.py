@@ -233,3 +233,26 @@ def test_contains_batch_equals_rowwise_contains(C):
     for bad in ([[0.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 0.0]], [0.0, 0.0, 0.0]):
         with pytest.raises(ValueError):
             C.contains_batch(bad, tol)
+
+
+@pytest.mark.parametrize("C", _ALL_KINDS, ids=lambda C: C.kind)
+def test_project_validates_once_and_runs_the_kernel(C):
+    # project is as_vector plus the kind's unchecked kernel: the same bits,
+    # a new array, and a ValueError for anything that is not a finite
+    # vector of the set's dimension
+    for x in np.random.default_rng(14).normal(0.0, 3.0, size=(20, C.dimension)):
+        p = C.project(x)
+        np.testing.assert_array_equal(p, C._project(x.copy()))
+        assert not np.shares_memory(p, x)
+    for bad in ([0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            C.project(bad)
+
+
+def test_norm_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(15)
+    for size in range(1, 201):
+        for scale in (1e-150, 1.0, 1e150):
+            v = scale * rng.normal(size=size)
+            assert norm(v) == float(np.linalg.norm(v)), (size, scale)
+    assert norm(np.ones((3, 4))) == float(np.linalg.norm(np.ones((3, 4))))

@@ -97,6 +97,30 @@ def test_resolvent_identity_with_bifunction_resolvent():
             np.testing.assert_allclose(A.resolvent(gamma, x), resolve(oracle, x), atol=1e-10)
 
 
+def test_resolvent_oracle_is_built_once_per_gamma(monkeypatch):
+    # a whole-space linear resolvent inverts I + gamma M when its oracle is
+    # built; the operator keeps one oracle per gamma for every later call
+    d = 20
+    M = np.random.default_rng(1).normal(size=(d, d))
+    A = affine_operator(M - M.T + np.eye(d))
+    inv = np.linalg.inv
+    calls = []
+
+    def counting_inv(a):
+        calls.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    x = np.ones(d)
+    first = A.resolvent(0.5, x)
+    for _ in range(5):
+        np.testing.assert_array_equal(A.resolvent(0.5, x), first)
+    np.testing.assert_array_equal(A.resolvent_map(0.5)(x), first)
+    assert len(calls) == 1
+    A.resolvent(2.0, x)
+    assert len(calls) == 2
+
+
 def test_structural_intervals_match_sampled_membership():
     C = Box([-1.0], [1.0])
     F = operator_bifunction(C, [[1.0]], [-2.0])

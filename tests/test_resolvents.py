@@ -701,19 +701,21 @@ def test_box_warm_repeat_forms_no_factorization(monkeypatch):
     _assert_same(resolve(o, x2, start=z1), expected)
 
 
-def test_resolvent_maps_keep_their_start_per_map(monkeypatch):
+def test_resolvent_maps_keep_their_start_per_map():
     d, gamma = 20, 0.1
     M, c, rng = _box_vi(d, 11)
     F = operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c)
     shared = ResolventOracle(gamma, F)
     fresh = ResolventOracle(gamma, F)
     starts = []
+    stored = shared._apply
 
-    def recording_resolve(oracle, x, start=None):
+    def recording_apply(x, start):
         starts.append(start)
-        return resolve(oracle, x, start=start)
+        return stored(x, start)
 
-    monkeypatch.setattr("eqsplit.resolvents.resolve", recording_resolve)
+    # the maps call the oracle's stored map directly; record the starts there
+    object.__setattr__(shared, "_apply", recording_apply)
     first, second = resolvent_map(shared), resolvent_map(shared)
     previous = {first: None, second: None}
     for xa, xb in zip(_dr_like(rng, d, 30), _dr_like(rng, d, 30)):
