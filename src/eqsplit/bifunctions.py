@@ -265,14 +265,37 @@ class Bifunction:
         ))
 
     def eval_batch(self, x, Y) -> np.ndarray:
-        """Evaluate H(x, y_j) for every row y_j of ``Y``."""
-        x = np.asarray(x, dtype=float)
+        """Evaluate H(x, y_j) for every row y_j of ``Y``: an (n,) array for a
+        point x of shape (d,), and the (R, n) array of H(x_r, y_j) for a
+        stack of shape (R, d).
+
+        A point is the one-row stack, and each row gets the arithmetic of a
+        one-point call, so a stacked call equals R one-point calls bit for
+        bit: g_r = M x_r + c is one gemv per row (a single gemm may round
+        differently), the operator term is one stacked product
+        (y_j - x_r) . g_r, each f.value_batch(Y) runs once and f.value(x_r)
+        once per row, each generic batch oracle gets one 1-D row at a time,
+        and the terms add in one order.  The caller bounds the memory: the
+        operator term builds an R x n x d temporary.  ``ValueError`` for an
+        x that is neither (d,) nor (R, d).
+        """
+        X = np.asarray(x, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        return sum(
-            [f.value_batch(Y) - f.value(x) for f in self.functions]
-            + [np.asarray(batch(x, Y), dtype=float) for _, batch in self.oracles],
-            np.zeros(Y.shape[0]) if self.matrix is None else (Y - x) @ (self.matrix @ x + self.offset),
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dimension:
+            raise ValueError(f"x must have shape ({self.dimension},) or (R, {self.dimension}), got {X.shape}")
+        rows = X.reshape(-1, self.dimension)
+        shape = (rows.shape[0], Y.shape[0])
+        if self.matrix is None:
+            start = np.zeros(shape)
+        else:
+            g = np.matmul(self.matrix, rows[:, :, None])[:, :, 0] + self.offset
+            start = np.matmul(Y[None] - rows[:, None], g[:, :, None])[:, :, 0]
+        H = sum(
+            [f.value_batch(Y) - np.array([f.value(r) for r in rows]).reshape(-1, 1) for f in self.functions]
+            + [np.array([batch(r, Y) for r in rows], dtype=float).reshape(shape) for _, batch in self.oracles],
+            start,
         )
+        return H.reshape(X.shape[:-1] + (Y.shape[0],))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -319,10 +319,13 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: SolverConfig):
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
-    # the sample behind solve()'s certificate, drawn once per file
+    # the sample behind solve()'s certificate, drawn once per file; the
+    # recorded y are finite vectors the solver built, so the set's kernel
+    # projects them unchecked, and one call certifies every row
     Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
-    for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
-        cert = equilibrium_certificate(F, G, F.set.project(y), Y)
+    P = np.array([F.set._project(y) for y in trace.y]).reshape(len(trace), F.dimension)
+    certs = equilibrium_certificate(F, G, P, Y).tolist()
+    for n, res, step, cert in zip(trace.n, trace.residual_dr, trace.step, certs):
         rows.append(f"{n},{res!r},{step!r},{cert!r}")
     rows.append(f"# status = {result.status}")
     rows.append(f"# iterations = {result.iterations}")

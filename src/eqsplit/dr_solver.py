@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import Bifunction, check_admissibility
-from .hilbert import as_vector, norm, sample_points
+from .hilbert import as_points, as_vector, norm, sample_points
 from .operators import MonotoneOperator
 from .resolvents import ConvergenceFailure, ResolventOracle, resolvent_map
 
@@ -51,6 +51,10 @@ INNER_FAILURE = "inner_failure"
 
 #: size of the seeded sample of C behind the reported certificate
 CERTIFICATE_SAMPLES = 256
+
+#: largest rows x n x d temporary (float64 entries, 64 KiB) that one row
+#: block of a stacked certificate builds
+_CERTIFICATE_BLOCK_ENTRIES = 8192
 
 _LAMBDA_MSG = "relaxation parameter must lie in the open interval (0, 2), got {}"
 
@@ -309,14 +313,27 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     )
 
 
-def equilibrium_certificate(F: Bifunction, G: Bifunction, y_star, Y: np.ndarray) -> float:
-    """Worst equilibrium value min_y F(y*, y) + G(y*, y) over the rows of Y.
+def equilibrium_certificate(F: Bifunction, G: Bifunction, points, Y: np.ndarray) -> float | np.ndarray:
+    """Worst equilibrium value min_y F(p, y) + G(p, y) over the rows of Y:
+    a float for a point p of shape (d,), and an (R,) array, one value per
+    row, for a stack of shape (R, d).
 
     ``Y`` holds points of C chosen by the caller; :func:`solve` passes a
-    seeded sample of ``CERTIFICATE_SAMPLES`` points.
+    seeded sample of ``CERTIFICATE_SAMPLES`` points.  A stack runs in row
+    blocks of :meth:`~eqsplit.bifunctions.Bifunction.eval_batch`, each at
+    least one row and otherwise small enough that its rows x n x d
+    temporary holds at most ``_CERTIFICATE_BLOCK_ENTRIES`` floats; every
+    row equals its one-point call bit for bit.
     """
-    y_star = as_vector(y_star, F.dimension)
-    return float((F.eval_batch(y_star, Y) + G.eval_batch(y_star, Y)).min())
+    P = np.asarray(points, dtype=float)
+    single = P.ndim < 2
+    P = as_points(P.reshape(1, -1) if single else P, F.dimension)
+    out = np.empty(P.shape[0])
+    step = max(1, _CERTIFICATE_BLOCK_ENTRIES // max(1, Y.shape[0] * P.shape[1]))
+    for i in range(0, P.shape[0], step):
+        block = P[i:i + step]
+        out[i:i + step] = (F.eval_batch(block, Y) + G.eval_batch(block, Y)).min(axis=1)
+    return float(out[0]) if single else out
 
 
 def solve(
@@ -365,9 +382,11 @@ def solve_operator_form(
     induced by two bifunctions this produces the same float sequence as
     :func:`solve` on those bifunctions.  Bare operators give no
     equilibrium certificate, so ``certificate`` is None.  A sum of terms
-    has no resolvent and raises ``ValueError``.
+    has no resolvent and raises ``ValueError``.  The resolvents use
+    ``cfg.inner_max_iter`` and ``cfg.seed`` as :func:`solve`'s do.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, _same_dimension(A, B))
-    return _run_dr(A.resolvent_map(cfg.gamma), B.resolvent_map(cfg.gamma), x0, cfg)
+    options = {"inner_max_iter": cfg.inner_max_iter, "seed": cfg.seed}
+    return _run_dr(A.resolvent_map(cfg.gamma, **options), B.resolvent_map(cfg.gamma, **options), x0, cfg)
 

@@ -188,25 +188,32 @@ class MonotoneOperator:
         return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
 
     @cached_property
-    def _oracles(self) -> dict[float, ResolventOracle]:
-        # one resolvent oracle per gamma, built on first use
+    def _oracles(self) -> dict[tuple[float, int, int], ResolventOracle]:
+        # one resolvent oracle per (gamma, inner_max_iter, seed), built on first use
         return {}
 
-    def _oracle(self, gamma: float) -> ResolventOracle:
+    def _oracle(self, gamma: float, inner_max_iter: int = 50000, seed: int = 0) -> ResolventOracle:
         if len(self.terms) != 1:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        oracle = self._oracles.get(gamma)
+        key = (gamma, inner_max_iter, seed)
+        oracle = self._oracles.get(key)
         if oracle is None:
-            oracle = self._oracles.setdefault(gamma, ResolventOracle(gamma, self.terms[0]))
+            oracle = ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter, seed=seed)
+            oracle = self._oracles.setdefault(key, oracle)
         return oracle
 
-    def resolvent_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    def resolvent_map(
+        self, gamma: float, *, inner_max_iter: int = 50000, seed: int = 0
+    ) -> Callable[[np.ndarray], np.ndarray]:
         """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
         raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
         which does not validate x and starts box pivoting from its previous
-        output, so make one per solve.  The oracle behind it is built once
-        per gamma and kept on the operator."""
-        return resolvent_map(self._oracle(gamma))
+        output, so make one per solve.  ``inner_max_iter`` and ``seed`` are
+        the :class:`~eqsplit.resolvents.ResolventOracle` fields of the same
+        names (the inner solver's cap and verification sample).  The oracle
+        behind it is built once per (gamma, inner_max_iter, seed) and kept
+        on the operator."""
+        return resolvent_map(self._oracle(gamma, inner_max_iter, seed))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         """J_{gamma A} x for a one-term operator, from a cold start; ``x``

@@ -14,7 +14,7 @@ from eqsplit.bifunctions import (
     sum_bifunctions,
     zero_bifunction,
 )
-from eqsplit.hilbert import Box, WholeSpace
+from eqsplit.hilbert import Ball, Box, Halfspace, WholeSpace, sample_points
 
 
 def test_quadratic_validation():
@@ -58,6 +58,65 @@ def test_batch_matches_scalar_eval():
         Y = rng.normal(size=(16, 2))
         batch = F.eval_batch(x, Y)
         np.testing.assert_allclose(batch, [F(x, y) for y in Y], atol=1e-12)
+
+
+def _stack_parts(C, rng, rows_seen):
+    """Each shipped part over C, a generic part whose batch oracle records
+    the shape of every x it receives, and their sum."""
+    d = C.dimension
+    A = rng.normal(size=(d, d))
+
+    def fn(x, y):
+        return float(np.sin(x) @ (y - x) + np.sum(y**2) - np.sum(x**2))
+
+    def batch(x, Y):
+        rows_seen.append(np.shape(x))
+        return (Y - x) @ np.sin(x) + np.sum(Y**2, axis=1) - np.sum(x**2)
+
+    parts = {
+        "operator": operator_bifunction(C, A @ A.T / d + (A - A.T), rng.normal(size=d)),
+        "quadratic": function_difference(C, Quadratic(A @ A.T / d, rng.normal(size=d))),
+        "weighted-l1": function_difference(C, WeightedL1(rng.random(d))),
+        "affine": function_difference(C, AffineFunction(rng.normal(size=d), 0.3)),
+        "generic": generic_bifunction(C, fn, batch),
+    }
+    total = parts["operator"]
+    for name in ("quadratic", "weighted-l1", "affine", "generic"):
+        total = sum_bifunctions(total, parts[name])
+    return {**parts, "sum": total}
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 200])
+def test_stacked_eval_batch_equals_per_row_calls_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    sets = {
+        "whole-space": WholeSpace(d),
+        "box": Box(-np.ones(d), np.ones(d)),
+        "ball": Ball(rng.normal(size=d), 2.0),
+        "halfspace": Halfspace(rng.normal(size=d), 0.5),
+    }
+    for kind, C in sets.items():
+        rows_seen = []
+        X = sample_points(C, 7, 1)
+        Y = sample_points(C, 33, 2)
+        for name, F in _stack_parts(C, rng, rows_seen).items():
+            stacked = F.eval_batch(X, Y)
+            assert stacked.shape == (7, 33), (kind, name)
+            for r, x in enumerate(X):
+                np.testing.assert_array_equal(stacked[r], F.eval_batch(x, Y), err_msg=f"{kind} {name}")
+            # a point is the one-row stack
+            assert F.eval_batch(X[0], Y).shape == (33,)
+        # the generic batch oracle only ever sees one 1-D row
+        assert rows_seen and set(rows_seen) == {(d,)}
+
+
+def test_eval_batch_rejects_a_misshapen_x():
+    C = Box(-np.ones(3), np.ones(3))
+    Y = sample_points(C, 5, 0)
+    for F in _stack_parts(C, np.random.default_rng(0), []).values():
+        for x in (np.zeros((4, 2)), np.zeros((2, 4, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="x must have shape"):
+                F.eval_batch(x, Y)
 
 
 def test_admissibility_check_quadratic_difference_passes():

@@ -455,3 +455,47 @@ def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
         rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
         rows.append(f"# certificate = {result.certificate!r}")
         assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), inst.name
+
+
+def _traced_problems():
+    """Solves over a ball and a halfspace at d = 5 and 20, one with a
+    generic part, each recording 31 rows: more than one row block of the
+    stacked certificate (six rows at d = 5, one at d = 20)."""
+    from eqsplit.hilbert import Ball, Halfspace
+
+    rng = np.random.default_rng(11)
+    for d in (5, 20):
+        A = rng.normal(size=(d, d))
+        M = A @ A.T / d + np.eye(d) + (A - A.T) / d
+        s = rng.normal(size=d)
+        for C in (Ball(np.zeros(d), 1.5), Halfspace(rng.normal(size=d), 0.5)):
+            F = operator_bifunction(C, M, 3.0 * rng.normal(size=d))
+            G = function_difference(C, WeightedL1(rng.random(d)))
+            yield f"{C.kind} d={d}", F, G
+            if d == 5 and C.kind == "ball":
+                H = generic_bifunction(C, lambda x, y: float(s @ (y - x)), lambda x, Y: (Y - x) @ s)
+                yield f"{C.kind} d={d} with a generic part", sum_bifunctions(F, H), G
+
+
+def test_trace_certificates_match_per_row_calls_beyond_the_corpus(tmp_path):
+    from eqsplit import cli
+    from eqsplit.dr_solver import CERTIFICATE_SAMPLES, equilibrium_certificate
+    from eqsplit.hilbert import sample_points
+
+    cfg = SolverConfig(max_iter=30, residual_tol=1e-300, seed=5)
+    for name, F, G in _traced_problems():
+        result = solve(F, G, np.zeros(F.dimension), cfg)
+        assert len(result.trace) == 31, name
+        out = tmp_path / "trace.csv"
+        cli._write_trace(out, result, F, G, cfg)
+        Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
+        rows = ["n,residual_dr,step,certificate"]
+        trace = result.trace
+        for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
+            cert = equilibrium_certificate(F, G, F.set.project(y), Y)
+            rows.append(f"{n},{res!r},{step!r},{cert!r}")
+        rows.append(f"# status = {result.status}")
+        rows.append(f"# iterations = {result.iterations}")
+        rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
+        rows.append(f"# certificate = {result.certificate!r}")
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), name

@@ -293,6 +293,33 @@ def test_operator_form_matches_bifunction_form():
         np.testing.assert_array_equal(xb, xo)
 
 
+def test_operator_form_uses_the_configured_inner_cap_and_seed(monkeypatch):
+    from eqsplit import operators
+
+    # F behind a bare oracle takes the inner route, which one iteration
+    # cannot finish, through either form
+    inst = get_problem("vi-over-box")
+    F = as_generic(inst.F)
+    cfg = SolverConfig(inner_max_iter=1, max_iter=50)
+    A, B = operator_from_bifunction(F), operator_from_bifunction(inst.G)
+    for run in (solve, solve_operator_form):
+        args = (F, inst.G) if run is solve else (A, B)
+        with pytest.warns(UserWarning, match="inner resolvent failure"):
+            assert run(*args, inst.default_x0, cfg).status == INNER_FAILURE
+    # each operator builds its oracle from the config's cap and seed
+    built = []
+    original = operators.ResolventOracle
+
+    def recording(gamma, H, **options):
+        built.append(options)
+        return original(gamma, H, **options)
+
+    monkeypatch.setattr(operators, "ResolventOracle", recording)
+    A, B = operator_from_bifunction(inst.F), operator_from_bifunction(inst.G)
+    solve_operator_form(A, B, inst.default_x0, SolverConfig(inner_max_iter=7, seed=4))
+    assert built == [{"inner_max_iter": 7, "seed": 4}] * 2
+
+
 def test_residual_decay_across_gamma_sweep():
     # the reflection residual is driven below 1e-6 for small, unit, and
     # large resolvent scalings alike
@@ -336,6 +363,27 @@ def test_certificate_helper():
     inst = get_problem("quadratic-1d")
     c = equilibrium_certificate(inst.F, inst.G, [-0.5], sample_points(inst.set, 512, 0))
     assert c >= -1e-12  # the exact solution has a nonnegative certificate
+
+
+def test_stacked_certificate_stays_in_row_blocks():
+    # unblocked, the 5,000 x 256 x 2 difference array alone is 20 MB
+    import tracemalloc
+
+    C = WholeSpace(2)
+    F = operator_bifunction(C, [[1.0, 2.0], [-2.0, 1.0]], [0.5, -1.0])
+    G = function_difference(C, Quadratic(np.eye(2), [0.0, 1.0]))
+    Y = sample_points(C, 256, 0)
+    P = np.random.default_rng(0).normal(size=(5000, 2))
+    tracemalloc.start()
+    try:
+        certs = equilibrium_certificate(F, G, P, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert certs.shape == (5000,)
+    for r in (0, 1, 15, 16, 17, 4999):
+        assert certs[r] == equilibrium_certificate(F, G, P[r], Y)
 
 
 def test_ramp_relaxation_schedule():
@@ -429,7 +477,7 @@ def test_nan_from_a_resolvent_raises_value_error():
     C = WholeSpace(2)
     calls = []
 
-    def faulty(gamma):
+    def faulty(gamma, **options):
         def apply(x):
             calls.append(1)
             return x / 2.0 if len(calls) < 5 else np.full(2, np.nan)
