@@ -189,6 +189,11 @@ class Bifunction:
     parts g as ``(fn, batch_fn)`` pairs: fn(x, y) is one value and
     batch_fn(x, Y) the values at the rows of Y.  Equality and hashing are
     by identity, so a bifunction can key a cache.
+
+    ``_resolvent`` is the resolvents' one-entry memo, ``(gamma, method,
+    map)`` of the closed-form resolvent last built for this bifunction
+    (:class:`~eqsplit.resolvents.ResolventOracle`), filled on first use
+    and replaced as one tuple; it changes no output.
     """
 
     set: ConvexSet
@@ -196,10 +201,19 @@ class Bifunction:
     offset: np.ndarray | None
     functions: tuple[ConvexFunction, ...] = ()
     oracles: tuple[tuple[Callable, Callable], ...] = ()
+    # not a field: each instance gets its own entry when a resolvent is built
+    _resolvent = None
 
     def __post_init__(self):
         if (self.matrix is None) != (self.offset is None):
             raise ValueError("matrix and offset must both be given or both be None")
+
+    def __getstate__(self):
+        # the resolvent memo holds closures, which cannot be pickled; a copy
+        # builds its own
+        state = dict(self.__dict__)
+        state.pop("_resolvent", None)
+        return state
 
     @property
     def dimension(self) -> int:
@@ -289,7 +303,12 @@ class Bifunction:
             start = np.zeros(shape)
         else:
             g = np.matmul(self.matrix, rows[:, :, None])[:, :, 0] + self.offset
-            start = np.matmul(Y[None] - rows[:, None], g[:, :, None])[:, :, 0]
+            # one difference per row into one array: a broadcast subtraction
+            # would have numpy's iterator allocate buffers beside it
+            D = np.empty(shape + (self.dimension,))
+            for r, x_r in enumerate(rows):
+                np.subtract(Y, x_r, out=D[r])
+            start = np.matmul(D, g[:, :, None])[:, :, 0]
         H = sum(
             [f.value_batch(Y) - np.array([f.value(r) for r in rows]).reshape(-1, 1) for f in self.functions]
             + [np.array([batch(r, Y) for r in rows], dtype=float).reshape(shape) for _, batch in self.oracles],

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from pathlib import Path
 
@@ -394,7 +395,10 @@ def _run_instance(inst: ProblemInstance, args, trace_path) -> int:
     return _STATUS_EXIT[result.status]
 
 
+@functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing never
+    changes it."""
     p = argparse.ArgumentParser(
         prog="eqsplit",
         description="Solve a summed equilibrium problem by relaxed splitting of resolvents.",

@@ -194,8 +194,9 @@ class SolveResult:
         return self.status == CONVERGED
 
 
-def _relaxed_update(jf, x, y, z, lam, a_n, b_n):
-    """The relaxed update from the clean pass y = J_G x, z = J_F(2 y - x).
+def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
+    """The relaxed update from the clean pass y = J_G x, z = J_F(2 y - x)
+    and its difference diff = z - y.
 
     Injected errors move y by b_n and z by a_n, with z taken again at the
     reflection of the moved y; None means no error on that side.  Returns
@@ -204,7 +205,8 @@ def _relaxed_update(jf, x, y, z, lam, a_n, b_n):
     if a_n is not None or b_n is not None:
         y = y + (b_n if b_n is not None else 0.0)
         z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
-    return y, z, x + lam * (z - y)
+        diff = z - y
+    return y, z, x + lam * diff
 
 
 def _same_dimension(a, b) -> int:
@@ -228,7 +230,8 @@ def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=
     b_n = None if b_n is None else as_vector(b_n, x_n.size)
     jf = lambda v: JF._apply(v, None)
     y = JG._apply(x_n, None)
-    return _relaxed_update(jf, x_n, y, jf(2.0 * y - x_n), lam, a_n, b_n)
+    z = jf(2.0 * y - x_n)
+    return _relaxed_update(jf, x_n, y, z, z - y, lam, a_n, b_n)
 
 
 def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
@@ -276,7 +279,8 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             y_clean = None  # J_G x of this pass, unknown until jg returns
             y_clean = jg(x)
             z_clean = jf(2.0 * y_clean - x)
-            res = 2.0 * norm(z_clean - y_clean)
+            diff = z_clean - y_clean
+            res = 2.0 * norm(diff)
             if not math.isfinite(res):
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= cfg.residual_tol:
@@ -289,7 +293,7 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             a_n = _error_at(a_sched, n) if a_sched is not None else None
             b_n = _error_at(b_sched, n) if b_sched is not None else None
-            y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, lam, a_n, b_n)
+            y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             if n % cfg.trace_every == 0:
                 trace.record(n, x, y, res, norm(x_next - x))
             x = x_next

@@ -187,20 +187,10 @@ class MonotoneOperator:
         # the sampled membership test's points, drawn on its first call
         return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
 
-    @cached_property
-    def _oracles(self) -> dict[tuple[float, int, int], ResolventOracle]:
-        # one resolvent oracle per (gamma, inner_max_iter, seed), built on first use
-        return {}
-
     def _oracle(self, gamma: float, inner_max_iter: int = 50000, seed: int = 0) -> ResolventOracle:
         if len(self.terms) != 1:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        key = (gamma, inner_max_iter, seed)
-        oracle = self._oracles.get(key)
-        if oracle is None:
-            oracle = ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter, seed=seed)
-            oracle = self._oracles.setdefault(key, oracle)
-        return oracle
+        return ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter, seed=seed)
 
     def resolvent_map(
         self, gamma: float, *, inner_max_iter: int = 50000, seed: int = 0
@@ -210,9 +200,10 @@ class MonotoneOperator:
         which does not validate x and starts box pivoting from its previous
         output, so make one per solve.  ``inner_max_iter`` and ``seed`` are
         the :class:`~eqsplit.resolvents.ResolventOracle` fields of the same
-        names (the inner solver's cap and verification sample).  The oracle
-        behind it is built once per (gamma, inner_max_iter, seed) and kept
-        on the operator."""
+        names (the inner solver's cap and verification sample).  Each call
+        builds a fresh oracle; a closed form is kept on the term for its
+        last gamma, so only the first call at a gamma factors
+        I + gamma A."""
         return resolvent_map(self._oracle(gamma, inner_max_iter, seed))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:

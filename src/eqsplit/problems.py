@@ -199,21 +199,26 @@ def _operator_bridge() -> ProblemInstance:
     )
 
 
+#: builder of each reference instance by name, in the corpus order
+_BUILDERS: dict[str, Callable[[], ProblemInstance]] = {
+    "pure-feasibility": _pure_feasibility,
+    "quadratic-1d": _quadratic_1d,
+    "vi-over-box": _vi_over_box,
+    "mixed-equilibrium": _mixed_equilibrium,
+    "skew-saddle": _skew_saddle,
+    "operator-bridge": _operator_bridge,
+}
+
+
 def corpus() -> list[ProblemInstance]:
     """The six reference instances, in a fixed order."""
-    return [
-        _pure_feasibility(),
-        _quadratic_1d(),
-        _vi_over_box(),
-        _mixed_equilibrium(),
-        _skew_saddle(),
-        _operator_bridge(),
-    ]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get_problem(name: str) -> ProblemInstance:
-    for inst in corpus():
-        if inst.name == name:
-            return inst
-    names = ", ".join(p.name for p in corpus())
-    raise KeyError(f"unknown problem {name!r}; available: {names}")
+    """A fresh copy of the named reference instance; KeyError names the
+    available ones when there is none."""
+    build = _BUILDERS.get(name)
+    if build is None:
+        raise KeyError(f"unknown problem {name!r}; available: {', '.join(_BUILDERS)}")
+    return build()

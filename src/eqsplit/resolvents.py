@@ -36,19 +36,26 @@ So the method depends only on the induced operator: a sum of bifunctions,
 or an operator part written as a ``Quadratic`` or ``AffineFunction``, gets
 the closed form of the single operator with the same A, b and l1.
 
-Whole-space linear resolvents are factored once per oracle: the inverse of
-I + gamma A is formed at construction and each call is one matrix-vector
-product.  For monotone A, sym(I + gamma A) >= I, so
+Closed forms are built once per bifunction and gamma: the first oracle
+builds the map and keeps it on the bifunction, and every later oracle at
+the same gamma reuses it, so repeated solves factor nothing.  The memo
+holds one entry, the last gamma, and a new gamma replaces it, so a
+bifunction keeps at most one d x d inverse over the whole space, and two
+d x d matrices over a box (I + gamma A and the map of the last pivoting
+pattern).  The inner routes are rebuilt per oracle.
+
+Whole-space linear resolvents invert I + gamma A once, and each call is
+one matrix-vector product.  For monotone A, sym(I + gamma A) >= I, so
 ||(I + gamma A)^{-1}|| <= 1 and the condition number is at most
 1 + gamma ||A||; the explicit inverse loses nothing against a per-call
 solve.  A singular I + gamma A (possible only for non-monotone A) raises
-ValueError when the oracle is built.
+ValueError whenever an oracle is built at that gamma, and is never kept.
 
 The same bound makes I + gamma A a P-matrix, for which block principal
 pivoting with Murty's single-pivot backup ends in finitely many passes from
 any starting pattern.  :func:`resolvent_map` therefore starts each call
 from the pattern of the map's previous output, which along a solve rarely
-changes, and the oracle keeps the factor of the last pattern it met.
+changes, and the kept map holds the factor of the last pattern it met.
 Its answer satisfies the KKT sign conditions of the box problem, which
 certify it exactly, so no sampled check is made.  A non-monotone M can
 make the pivoting cycle or meet a singular block; the call then raises
@@ -367,9 +374,11 @@ def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
     try:
         return np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"I + gamma M is singular at gamma = {gamma}; the operator is not monotone"
-        ) from exc
+        raise _singular(gamma) from exc
+
+
+def _singular(gamma: float) -> ValueError:
+    return ValueError(f"I + gamma M is singular at gamma = {gamma}; the operator is not monotone")
 
 
 def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[..., np.ndarray]:
@@ -377,8 +386,8 @@ def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> C
 
     Raises ValueError when I + gamma M is singular.
     """
-    K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
     shift = gamma * offset
+    K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
     return lambda x, start: K @ (x - shift)
 
 
@@ -408,8 +417,11 @@ def _box_linear_resolvent(
 
     The affine map b -> z of the last pattern is kept (a one-entry memo,
     replaced as one tuple), so a pass on an unchanged pattern costs two
-    matrix-vector products.  The map is a function of the pattern alone,
-    so the output does not depend on the memo.  ``start`` is read only
+    matrix-vector products.  It starts as the all-free pattern, whose map
+    is A^{-1}, and a later return to that pattern rebuilds it like any
+    other, so the closure holds two d x d matrices, A and the last map.
+    The map is a function of the pattern alone, so the output does not
+    depend on the memo.  ``start`` is read only
     when sym(A) is positive definite: then the problem has one solution
     and any pattern leads to it.  Otherwise the box problem may have
     several solutions or none, and the pivoting starts cold, as without
@@ -433,8 +445,7 @@ def _box_linear_resolvent(
         warm = False
     # pattern code per coordinate: -1 at lo, 0 free, 1 at hi
     cold = np.zeros(d, dtype=int)
-    all_free = (cold.tobytes(), K, np.zeros(d), np.zeros(d))
-    memo = all_free
+    memo = (cold.tobytes(), K, np.zeros(d), np.zeros(d))
 
     def pattern_map(side):
         """(key, L, m, sign) of a pattern: z = L b + m on it, and the sign
@@ -445,18 +456,15 @@ def _box_linear_resolvent(
         key = side.tobytes()
         if entry[0] == key:
             return entry
-        if key == all_free[0]:
-            entry = all_free
-        else:
-            free = side == 0
-            m = np.where(side > 0, hi, lo)
-            m[free] = 0.0
-            L = np.zeros((d, d))
-            if free.any():
-                Kf = np.linalg.inv(A[np.ix_(free, free)])
-                L[np.ix_(free, free)] = Kf
-                m[free] = -(Kf @ (A[free] @ m))
-            entry = (key, L, m, np.where(pinned, 0.0, side))
+        free = side == 0
+        m = np.where(side > 0, hi, lo)
+        m[free] = 0.0
+        L = np.zeros((d, d))
+        if free.any():
+            Kf = np.linalg.inv(A[np.ix_(free, free)])
+            L[np.ix_(free, free)] = Kf
+            m[free] = -(Kf @ (A[free] @ m))
+        entry = (key, L, m, np.where(pinned, 0.0, side))
         memo = entry
         return entry
 
@@ -510,17 +518,20 @@ def _box_linear_resolvent(
 
 @dataclass(frozen=True, eq=False)
 class ResolventOracle:
-    """Resolvent of ``gamma * bifunction``, built once.
+    """Resolvent of ``gamma * bifunction``.
 
     The computation follows from the bifunction's induced operator and the
-    kind of its set (:func:`_build`), and ``method`` names it.  All
-    per-(bifunction, set, gamma) work, such as inverting I + gamma A,
-    happens here, once.  The verification sample ``check_points`` is drawn
-    on first read; closed forms and the certified inner route never read it.
+    kind of its set (:func:`_build`), and ``method`` names it.  A closed
+    form, and with it all per-(bifunction, set, gamma) work such as
+    inverting I + gamma A, is built by the first oracle at a gamma and kept
+    on the bifunction for that gamma; later oracles reuse it, so building
+    one is cheap.  The verification sample ``check_points`` is drawn on
+    first read; closed forms and the certified inner route never read it.
     The oracle is immutable and :func:`resolve` is pure for a given
-    ``(x, start)``, so one oracle may be shared across concurrent solves.
-    The only state it holds is box pivoting's memo of the last pattern's
-    factor, which is swapped in as one tuple and does not change any output.
+    ``(x, start)``, so one oracle, or one kept map, may be shared across
+    concurrent solves.  Besides the bifunction's memo, the only state
+    behind it is box pivoting's memo of the last pattern's factor; each is
+    swapped in as one tuple and neither changes any output.
     """
 
     gamma: float
@@ -549,25 +560,20 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     """(method, map (x, start) -> J x) from the induced operator
     A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set kind.
 
-    Only box pivoting reads ``start``; every other map ignores it.
+    A closed form is taken from the bifunction's one-entry memo when it was
+    built at this gamma, and otherwise built and stored there, replacing
+    the entry as one tuple.  The inner routes depend on the oracle's
+    ``inner_max_iter`` and ``seed``, are cheap to build, and are never
+    stored.  Only box pivoting reads ``start``; every other map ignores it.
     """
-    F = oracle.bifunction
-    C, gamma = F.set, oracle.gamma
-    if F.induced is not None and not F.induced[3]:
-        A, b, l1, _ = F.induced
-        if A is None or not A.any():
-            shift = 0.0 if b is None else gamma * b
-            if l1 is None:
-                return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
-            prox = _shrink_project(C, gamma * l1.weights)
-            if prox is not None:
-                if b is None or not b.any():
-                    return PROX_COMPOSITION, prox
-                return PROX_COMPOSITION, lambda x, start: prox(x - shift)
-        elif l1 is None and C.kind == "box":
-            return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, C.lo, C.hi)
-        elif l1 is None and C.kind == "whole-space":
-            return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(A, b, gamma)
+    F, gamma = oracle.bifunction, oracle.gamma
+    memo = F._resolvent
+    if memo is not None and memo[0] == gamma:
+        return memo[1:]
+    closed = _closed_form(F, gamma)
+    if closed is not None:
+        object.__setattr__(F, "_resolvent", (gamma, *closed))
+        return closed
     max_iter = oracle.inner_max_iter
     if _certified(F):
         return INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
@@ -575,6 +581,31 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     return INNER_ITERATIVE, lambda x, start: inner_solve(
         F, gamma, x, max_iter=max_iter, samples=oracle.check_points
     )
+
+
+def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.ndarray]] | None:
+    """(method, map) of the closed-form resolvent of ``gamma * F``, or None
+    when F needs the inner solver.  Raises ValueError when I + gamma A is
+    singular."""
+    if F.induced is None or F.induced[3]:
+        return None
+    C = F.set
+    A, b, l1, _ = F.induced
+    if A is None or not A.any():
+        shift = 0.0 if b is None else gamma * b
+        if l1 is None:
+            return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
+        prox = _shrink_project(C, gamma * l1.weights)
+        if prox is None:
+            return None
+        if b is None or not b.any():
+            return PROX_COMPOSITION, prox
+        return PROX_COMPOSITION, lambda x, start: prox(x - shift)
+    if l1 is None and C.kind == "box":
+        return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, C.lo, C.hi)
+    if l1 is None and C.kind == "whole-space":
+        return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(A, b, gamma)
+    return None
 
 
 def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:

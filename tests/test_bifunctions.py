@@ -110,6 +110,28 @@ def test_stacked_eval_batch_equals_per_row_calls_bit_for_bit(d):
         assert rows_seen and set(rows_seen) == {(d,)}
 
 
+def test_stacked_operator_term_allocates_only_its_differences():
+    import tracemalloc
+
+    C = WholeSpace(2)
+    M, c = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 2.0])
+    F = operator_bifunction(C, M, c)
+    X, Y = sample_points(C, 16, 1), sample_points(C, 256, 2)
+    g = np.matmul(M, X[:, :, None])[:, :, 0] + c
+    # the bits of the broadcast product
+    expected = np.matmul(Y[None] - X[:, None], g[:, :, None])[:, :, 0]
+    np.testing.assert_array_equal(F.eval_batch(X, Y), expected)
+    tracemalloc.start()
+    try:
+        F.eval_batch(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 16 x 256 x 2 differences and the 16 x 256 result, with no
+    # iterator buffers of the broadcast beside them
+    assert peak < 2 * 16 * 256 * 2 * 8, peak
+
+
 def test_eval_batch_rejects_a_misshapen_x():
     C = Box(-np.ones(3), np.ones(3))
     Y = sample_points(C, 5, 0)

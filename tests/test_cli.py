@@ -196,6 +196,23 @@ def test_unknown_problem_name(capsys):
     assert main(["--problem", "missing"]) == EXIT_SPEC_ERROR
 
 
+def test_argument_parser_is_built_once(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    main(["--list-problems"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    assert main(["--list-problems"]) == EXIT_CONVERGED
+    assert main(["--problem", "quadratic-1d"]) == EXIT_CONVERGED
+    assert built == []
+
+
 def test_no_arguments_is_spec_error(capsys):
     assert main([]) == EXIT_SPEC_ERROR
 

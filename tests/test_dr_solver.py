@@ -1,5 +1,7 @@
 """The relaxed splitting iteration: steps, schedules, traces, and solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -509,3 +511,80 @@ def test_operator_form_rejects_mismatched_dimensions():
         solve_operator_form(A, B, [0.0, 0.0])
     with pytest.raises(ValueError, match="dimension"):
         dr_step([0.0, 0.0], ResolventOracle(1.0, A.terms[0]), ResolventOracle(1.0, B.terms[0]), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form resolvents kept across solves
+# ---------------------------------------------------------------------------
+
+def _kept_route_problem(route, d):
+    """(F, G, x0) over R^d or [-1, 1]^d, the same data on every call.
+
+    "whole-space" and "diagonal" pair F = skew + 0.1 I with a quadratic G
+    whose Q is full or diagonal; "box" is a box VI with a full quadratic G,
+    so both sides run box pivoting.
+    """
+    rng = np.random.default_rng(d)
+    A, B = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    c, q, x0 = rng.normal(size=d), rng.normal(size=d), 0.5 * rng.normal(size=d)
+    Q = np.diag(rng.uniform(0.0, 2.0, size=d)) if route == "diagonal" else B @ B.T / d
+    if route == "box":
+        C = Box(-np.ones(d), np.ones(d))
+        M, c = A @ A.T / d + np.eye(d) + (A - A.T) / d, 3.0 * c
+    else:
+        C = WholeSpace(d)
+        M = (A - A.T) / (2.0 * np.sqrt(d)) + 0.1 * np.eye(d)
+    return operator_bifunction(C, M, c), function_difference(C, Quadratic(Q, q)), x0
+
+
+def _assert_same_result(got, expected):
+    # bytes, so that a signed zero counts too
+    for a, b in ((got.y_star, expected.y_star), (got.x_star, expected.x_star)):
+        assert a.tobytes() == b.tobytes()
+    for name in ("n", "residual_dr", "step"):
+        assert getattr(got.trace, name) == getattr(expected.trace, name), name
+    for a, b in zip(got.trace.x + got.trace.y, expected.trace.x + expected.trace.y):
+        assert a.tobytes() == b.tobytes()
+    assert got.certificate == expected.certificate
+    assert got.status == expected.status == CONVERGED
+
+
+@pytest.mark.parametrize("d", [2, 20, 200])
+@pytest.mark.parametrize("route", ["whole-space", "diagonal", "box"])
+def test_kept_resolvents_give_the_bits_of_fresh_bifunctions(route, d):
+    F, G, x0 = _kept_route_problem(route, d)
+    configs = [
+        SolverConfig(gamma=0.5, max_iter=2000),
+        SolverConfig(gamma=0.5, lambda_schedule=1.8, error_schedule_a=geometric_errors(d),
+                     error_schedule_b=geometric_errors(d), max_iter=2000),
+    ]
+    # fill the entries, and box pivoting's pattern memo, from elsewhere
+    solve(F, G, -x0, configs[0])
+    for cfg in configs:
+        fresh = solve(*_kept_route_problem(route, d), cfg)
+        _assert_same_result(solve(F, G, x0, cfg), fresh)
+    assert F._resolvent[0] == G._resolvent[0] == 0.5
+
+
+def test_repeated_solves_invert_once_per_side(monkeypatch):
+    d, gamma = 200, 1.0
+    F, G, x0 = _kept_route_problem("whole-space", d)
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    cfg = SolverConfig(gamma=gamma, max_iter=2000)
+    results = [solve(F, G, x0, replace(cfg, lambda_schedule=lam)) for lam in (1.0, 1.8, 0.5) for _ in range(2)]
+    assert calls == [(d, d)] * 2
+    assert all(r.status == CONVERGED for r in results)
+    # the other entry points build their oracles from the same entries
+    JF, JG = ResolventOracle(gamma, F), ResolventOracle(gamma, G)
+    dr_step(x0, JF, JG, 1.0)
+    assert residual_dr(results[0].x_star, JF, JG) <= cfg.residual_tol
+    op = solve_operator_form(operator_from_bifunction(F), operator_from_bifunction(G), x0, cfg)
+    np.testing.assert_array_equal(op.y_star, results[0].y_star)
+    assert len(calls) == 2

@@ -47,8 +47,30 @@ def test_known_solutions():
 
 
 def test_unknown_problem_raises():
-    with pytest.raises(KeyError, match="unknown problem"):
+    with pytest.raises(KeyError, match="unknown problem") as err:
         get_problem("nope")
+    for inst in corpus():
+        assert inst.name in str(err.value)
+
+
+def test_get_problem_builds_only_the_named_instance(monkeypatch):
+    from eqsplit import problems
+
+    built = []
+
+    def recording(name, build):
+        return lambda: built.append(name) or build()
+
+    builders = {name: recording(name, build) for name, build in problems._BUILDERS.items()}
+    monkeypatch.setattr(problems, "_BUILDERS", builders)
+    for inst in corpus():
+        built.clear()
+        assert get_problem(inst.name).name == inst.name
+        assert built == [inst.name]
+    built.clear()
+    with pytest.raises(KeyError):
+        get_problem("nope")
+    assert built == []
 
 
 def test_admissibility_across_corpus():

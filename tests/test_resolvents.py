@@ -455,7 +455,7 @@ def test_gamma_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# linear resolvents factored once per oracle
+# linear resolvents factored once per bifunction and gamma
 # ---------------------------------------------------------------------------
 
 def _skew_plus_shift(d, seed):
@@ -526,6 +526,124 @@ def test_affine_operator_and_induced_operator_share_linear_resolvent():
     induced = operator_from_bifunction(operator_bifunction(WholeSpace(d), M, c)).resolvent_map(gamma)
     for x in np.random.default_rng(4).normal(size=(10, d)):
         np.testing.assert_array_equal(direct(x), induced(x))
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Calls of np.linalg.inv, counted; the inverse itself is unchanged."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return calls
+
+
+def test_linear_resolvent_is_kept_per_bifunction_for_its_last_gamma(inversions):
+    d = 20
+    M, c, x = _skew_plus_shift(d, 5)
+    F = operator_bifunction(WholeSpace(d), M, c)
+    first = resolve(ResolventOracle(1.0, F), x)
+    assert len(inversions) == 1
+    np.testing.assert_array_equal(resolve(ResolventOracle(1.0, F), x), first)
+    assert len(inversions) == 1
+    # a new gamma replaces the entry, so the old one is factored again
+    ResolventOracle(2.0, F)
+    assert len(inversions) == 2
+    np.testing.assert_array_equal(resolve(ResolventOracle(1.0, F), x), first)
+    assert len(inversions) == 3
+    # a bifunction with the same data keeps its own entry
+    np.testing.assert_array_equal(resolve(ResolventOracle(1.0, operator_bifunction(WholeSpace(d), M, c)), x), first)
+    assert len(inversions) == 4
+
+
+def test_inner_routes_are_not_kept():
+    F = function_difference(Ball(np.zeros(3), 1.0), Quadratic(np.eye(3), np.ones(3)))
+    o = ResolventOracle(1.0, F, inner_max_iter=100, seed=3)
+    assert o.method == INNER_ITERATIVE
+    assert F._resolvent is None
+    assert ResolventOracle(1.0, F, inner_max_iter=7)._apply is not o._apply
+
+
+@pytest.mark.parametrize("M", [-np.eye(2), [[-1.0, 1.0], [0.0, 0.0]]], ids=["diagonal", "full"])
+def test_a_singular_linear_resolvent_raises_on_every_build(M):
+    F = operator_bifunction(WholeSpace(2), M)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="singular"):
+            ResolventOracle(1.0, F)
+    assert F._resolvent is None
+    # another gamma is regular, and the singular one still raises after it
+    assert np.all(np.isfinite(resolve(ResolventOracle(0.5, F), [1.0, 2.0])))
+    with pytest.raises(ValueError, match="singular"):
+        ResolventOracle(1.0, F)
+
+
+def test_a_kept_resolvent_holds_at_most_one_square_matrix():
+    """One d x d inverse per whole-space side; over a box, I + gamma A and
+    the map of the last pivoting pattern."""
+    import gc
+    import tracemalloc
+
+    d = 200
+    M, c, x0 = _skew_plus_shift(d, 6)
+    B = np.random.default_rng(6).normal(size=(d, d))
+    C = WholeSpace(d)
+    square, slack = d * d * 8, 16 * 1024
+    box_M, box_c, _ = _box_vi(d, 6)
+
+    def kept(F, G):
+        """Bytes still held after solves at three gammas, with F and G built."""
+        before = tracemalloc.get_traced_memory()[0]
+        for gamma in (0.5, 1.0, 2.0):
+            solve(F, G, x0, SolverConfig(gamma=gamma, max_iter=5))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+
+    full = [operator_bifunction(C, M, c), function_difference(C, Quadratic(B @ B.T / d, c))]
+    diagonal = [function_difference(C, Quadratic(np.eye(d), c)), zero_bifunction(C)]
+    box = Box(-np.ones(d), np.ones(d))
+    tracemalloc.start()
+    try:
+        held = (
+            kept(*full),
+            kept(*diagonal),
+            kept(full[0], diagonal[0]),
+            kept(operator_bifunction(box, box_M, box_c), zero_bifunction(box)),
+        )
+    finally:
+        tracemalloc.stop()
+    # one inverse per side with an A, a diagonal one included; nothing for the zero
+    assert 2 * square <= held[0] <= 2 * square + slack, held
+    assert square <= held[1] <= square + slack, held
+    # both sides already hold gamma 2, so nothing more is kept
+    assert held[2] <= slack, held
+    # the box side pivots away from the all-free pattern and keeps A and one map
+    assert 2 * square <= held[3] <= 2 * square + slack, held
+
+
+@pytest.mark.parametrize("d", [2, 20, 200])
+def test_box_all_free_pattern_is_rebuilt_bit_for_bit(d, inversions):
+    # a kept box closure starts on the all-free pattern, whose map is the
+    # inverse it was built with; once another pattern replaces it, a return
+    # builds it again and must give the bits of a fresh closure
+    gamma = 0.1
+    M, c, rng = _box_vi(d, 40 + d)
+    C = Box(-np.ones(d), np.ones(d))
+    u = rng.uniform(-0.5, 0.5, size=d)
+    u[0] = 0.0
+    inside = (np.eye(d) + gamma * M) @ u + gamma * c
+    expected = resolve(ResolventOracle(gamma, operator_bifunction(C, M, c)), inside)
+    F = operator_bifunction(C, M, c)
+    o = ResolventOracle(gamma, F)
+    outside = resolve(o, 10.0 * rng.normal(size=d))
+    assert np.abs(outside).max() == 1.0
+    inversions.clear()
+    got = resolve(o, inside)
+    assert inversions == [(d, d)]
+    assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +882,54 @@ def test_box_factor_memo_is_safe_across_threads():
     assert not any(w.is_alive() for w in workers)
     for g, e in zip(got, expected):
         np.testing.assert_array_equal(np.array(g), np.array(e))
+
+
+def test_a_bifunction_with_a_kept_resolvent_pickles_without_it():
+    import pickle
+
+    M, c, x = _skew_plus_shift(4, 16)
+    F = operator_bifunction(WholeSpace(4), M, c)
+    expected = resolve(ResolventOracle(1.0, F), x)
+    assert F._resolvent is not None
+    copy = pickle.loads(pickle.dumps(F))
+    assert copy._resolvent is None
+    np.testing.assert_array_equal(resolve(ResolventOracle(1.0, copy), x), expected)
+    assert F._resolvent is not None
+
+
+def test_kept_resolvents_are_safe_across_threads_and_gammas():
+    # threads build oracles on one bifunction at gammas in different
+    # orders, so the one-entry memo is replaced on almost every build; each
+    # oracle must still give, bit for bit, the resolvent at its own gamma
+    d, threads = 5, 6
+    M, c, _ = _skew_plus_shift(d, 15)
+    rng = np.random.default_rng(15)
+    gammas = (0.5, 1.0, 2.0)
+    for C in (WholeSpace(d), Box(-np.ones(d), np.ones(d))):
+        shared = operator_bifunction(C, M, 3.0 * c)
+        x = rng.normal(scale=3.0, size=d)
+        expected = {g: resolve(ResolventOracle(g, operator_bifunction(C, M, 3.0 * c)), x) for g in gammas}
+        orders = [rng.integers(len(gammas), size=300) for _ in range(threads)]
+        wrong = []
+
+        def work(order):
+            for k in order:
+                g = gammas[k]
+                if not np.array_equal(resolve(ResolventOracle(g, shared), x), expected[g]):
+                    wrong.append(g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
 
 
 # ---------------------------------------------------------------------------
