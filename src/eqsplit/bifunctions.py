@@ -12,9 +12,11 @@ A z + b + d l1(z) + sum d f(z) + N_C(z), which has the same resolvent as
 the bifunction.  :attr:`Bifunction.induced` computes it once: A and b
 gather M, c and every shipped ``Quadratic`` and ``AffineFunction``, l1 is
 one ``WeightedL1`` with the summed weights, and the rest are the other
-functions.  Shipped types are matched by exact type there and nowhere
-else, since a subclass may override their oracles.  The resolvents, the
-operator bridge and the admissibility check read ``induced``.
+functions.  Shipped types are matched by exact type there and in the
+per-axis value tables the grid oracle reads (``_axis_values``), and
+nowhere else, since a subclass may override their oracles.  The
+resolvents, the operator bridge and the admissibility check read
+``induced``.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
@@ -60,6 +62,13 @@ class ConvexFunction(ABC):
         """(mu, L) bounds on the (sub)gradient field, or None if unbounded."""
         return None
 
+    def _axis_values(self, axes: list[np.ndarray]) -> list[np.ndarray] | None:
+        """Per-axis tables phi_k(axes[k]) with f(y) = sum_k phi_k(y_k) at
+        every point y of the tensor grid ``axes``, or None when f does not
+        split by axis.  The shipped separable types return them for their
+        exact type only, since a subclass may override their values."""
+        return None
+
 
 @dataclass(frozen=True)
 class Quadratic(ConvexFunction):
@@ -102,6 +111,12 @@ class Quadratic(ConvexFunction):
     def curvature_bounds(self):
         return self._eig_range
 
+    def _axis_values(self, axes):
+        diag = np.diag(self.Q)
+        if type(self) is not Quadratic or np.any(self.Q != np.diag(diag)):
+            return None
+        return [0.5 * diag[k] * a * a + self.q[k] * a for k, a in enumerate(axes)]
+
 
 @dataclass(frozen=True)
 class WeightedL1(ConvexFunction):
@@ -143,6 +158,11 @@ class WeightedL1(ConvexFunction):
         hi = np.where(at_kink, self.weights, self.weights * s)
         return lo, hi
 
+    def _axis_values(self, axes):
+        if type(self) is not WeightedL1:
+            return None
+        return [self.weights[k] * np.abs(a) for k, a in enumerate(axes)]
+
 
 @dataclass(frozen=True)
 class AffineFunction(ConvexFunction):
@@ -173,6 +193,12 @@ class AffineFunction(ConvexFunction):
 
     def curvature_bounds(self):
         return (0.0, 0.0)
+
+    def _axis_values(self, axes):
+        if type(self) is not AffineFunction:
+            return None
+        # the constant b rides on the first axis
+        return [self.a[k] * a + (self.b if k == 0 else 0.0) for k, a in enumerate(axes)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ their intervals and decides membership exactly.  Over a ball, A z + b with
 no l1 is single-valued and decides membership exactly through the ball's
 support function.  Every other one-term operator gets a sampled membership
 test.  The grid oracles are array operations over the whole grid, blocked
-so that no pair-value matrix outgrows a few tens of MB.
+so that no pair-value matrix outgrows a few tens of MB; the solution set
+of a form that splits by axis over a box or the whole space needs no
+pair values at all, only a per-axis lower envelope.
 """
 
 from __future__ import annotations
@@ -451,32 +453,114 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     at least ``-tol``.  The default slack 10 * step absorbs the Lipschitz
     quantization of the grid; degenerate instances whose residual is
     quadratic around the solution need a tighter, matched tolerance.
-    A form with no generic part runs as blocked matrix products; one with a
-    generic part falls back to one ``eval_batch`` per grid point.
+
+    A form with no generic part over a box or the whole space, whose
+    functions all split by axis (a ``Quadratic`` with a diagonal Q, a
+    ``WeightedL1``, an ``AffineFunction``), takes its worst values from a
+    per-axis lower envelope: with g = M x + c, min_y <g, y> + f(y) is a sum
+    of one-axis minima, each found by a binary search on the discrete
+    slopes of that axis's convex table and checked on a five-point window
+    with the scan's own pair expression, in O(n log n) time and O(n)
+    memory for n grid points.  Every other form (a generic part, any other
+    set kind, a non-diagonal Q, other functions) compares all pairs of
+    grid points, as blocked matrix products for a structured form and one
+    stacked ``eval_batch`` per row block with a generic part.
     """
     if grid.dimension > 2:
         raise ValueError("brute-force oracles are limited to dimension <= 2")
     if tol is None:
         tol = 10.0 * grid.step
-    C = F.set
     pts = grid.points()
-    pts = pts[C.contains_batch(pts, 1e-9)]
-    n = pts.shape[0]
-    if n == 0:
+    pts = pts[F.set.contains_batch(pts, 1e-9)]
+    if pts.shape[0] == 0:
         raise ValueError("grid does not intersect the set")
+    tables = _axis_tables(F, grid)
+    worst = _pair_scan(F, pts) if tables is None else _envelope(F, pts, *tables)
+    return pts[worst >= -tol].reshape(-1, grid.dimension)
 
-    if F.oracles:
-        accepted = [x for x in pts if float(F.eval_batch(x, pts).min()) >= -tol]
-        return np.array(accepted).reshape(-1, grid.dimension)
 
-    f_vals = sum((f.value_batch(pts) for f in F.functions), np.zeros(n))
+def _scan_terms(F: Bifunction, pts: np.ndarray):
+    """(G, f_vals, base) of a form with no generic part over the points
+    ``pts``: its pair values are F(x_i, y_j) = G_i . y_j + f_vals_j - base_i."""
+    f_vals = sum((f.value_batch(pts) for f in F.functions), np.zeros(pts.shape[0]))
     G = np.zeros_like(pts) if F.matrix is None else pts @ F.matrix.T + F.offset
     base = np.einsum("ij,ij->i", G, pts) + f_vals
-    keep = np.empty(n, dtype=bool)
+    return G, f_vals, base
+
+
+def _pair_scan(F: Bifunction, pts: np.ndarray) -> np.ndarray:
+    """min_j F(x_i, y_j) over every pair of rows of ``pts``, in row blocks
+    of at most ``BLOCK_ENTRIES`` pairs: matrix products for a form with no
+    generic part, and one stacked ``eval_batch`` per block with one, whose
+    rows equal one-point calls bit for bit."""
+    n, d = pts.shape
+    worst = np.empty(n)
+    if F.oracles:
+        # the stacked call holds about d + 3 block-sized arrays
+        for rows in _row_blocks(n, n * (d + 3)):
+            worst[rows] = F.eval_batch(pts[rows], pts).min(axis=1)
+        return worst
+    G, f_vals, base = _scan_terms(F, pts)
     for rows in _row_blocks(n, n):
-        vals = G[rows] @ pts.T + f_vals[None, :] - base[rows, None]
-        keep[rows] = vals.min(axis=1) >= -tol
-    return pts[keep].reshape(-1, grid.dimension)
+        # in place, so one block-sized array is alive
+        vals = G[rows] @ pts.T
+        vals += f_vals
+        vals -= base[rows, None]
+        worst[rows] = vals.min(axis=1)
+    return worst
+
+
+def _axis_tables(F: Bifunction, grid: GridSpec):
+    """(axes, tables) of the lower-envelope route: the grid axes restricted
+    to C and, per axis k, the table of phi_k with sum_k phi_k(y_k) the sum
+    of F's functions.  None when that route does not apply: a generic part,
+    a set that is not a box or the whole space, or a function that does not
+    split by axis."""
+    C = F.set
+    if F.oracles or C.kind not in ("box", "whole-space"):
+        return None
+    axes = grid.axes()
+    if C.kind == "box":
+        # the slack of contains_batch(pts, 1e-9), so the restricted tensor
+        # grid is the filtered grid, in the same row order
+        axes = [a[(a >= lo - 1e-9) & (a <= hi + 1e-9)] for a, lo, hi in zip(axes, C.lo, C.hi)]
+    tables = [np.zeros(a.size) for a in axes]
+    for f in F.functions:
+        values = f._axis_values(axes)
+        if values is None:
+            return None
+        tables = [t + v for t, v in zip(tables, values)]
+    return axes, tables
+
+
+#: offsets of the window around each axis minimizer found by binary search
+_WINDOW = np.arange(-2, 3)
+
+
+def _envelope(F: Bifunction, pts: np.ndarray, axes, tables) -> np.ndarray:
+    """min_j F(x_i, y_j) over the tensor grid ``pts`` of ``axes`` for a
+    separable form (:func:`_axis_tables`), from a per-axis lower envelope.
+
+    On axis k, t -> g_k t + phi_k(t) is convex, so its minimizer is where
+    the discrete slopes of phi_k cross -g_k (one ``searchsorted``).  Every
+    combination of the windows j* - 2 .. j* + 2 on the axes is evaluated
+    with the pair expression of :func:`_pair_scan`, whose rounding the
+    window absorbs.
+    """
+    G, f_vals, base = _scan_terms(F, pts)
+    n = pts.shape[0]
+    J = np.zeros((n, 1), dtype=np.intp)  # flat indices of the candidates
+    dots = np.zeros((n, 1))
+    for k, (a, phi) in enumerate(zip(axes, tables)):
+        # nondecreasing up to rounding, since phi_k is convex
+        slopes = np.maximum.accumulate(np.diff(phi) / np.diff(a))
+        j = np.searchsorted(slopes, -G[:, k])
+        window = np.clip(j[:, None] + _WINDOW, 0, a.size - 1)
+        J = (J[:, :, None] * a.size + window[:, None, :]).reshape(n, -1)
+        dots = (dots[:, :, None] + G[:, k, None, None] * a[window][:, None, :]).reshape(n, -1)
+    dots += f_vals[J]
+    dots -= base[:, None]
+    return dots.min(axis=1)
 
 
 def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
@@ -485,8 +569,8 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
 
     Row blocks hold a quarter of ``BLOCK_ENTRIES`` pairs, because up to
     four block-sized arrays are alive at once.  The pair values F(x, y) come
-    from the normal form of F; an F with a generic part is evaluated one row
-    at a time.
+    from the normal form of F; an F with a generic part is evaluated by one
+    stacked ``eval_batch`` per block.
     """
     M, c, fs = F.matrix, F.offset, F.functions
     affine = M is not None and (M.any() or c.any())
@@ -496,7 +580,7 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
         x = X[rows]
         D = Y[None, :, 0] - x
         if F.oracles:
-            V = np.array([F.eval_batch(xi, Y) for xi in x]).reshape(D.shape)
+            V = F.eval_batch(x, Y)
         else:
             # a pure function difference skips the vanishing affine product
             V = D * (x @ M.T + c) if affine else 0.0 if fs else np.zeros(D.shape)
@@ -530,8 +614,8 @@ def zeros_bruteforce(
       one-term operator over the grid sample is an exact interval,
       so existence over the continuum of multipliers inside ``u_bounds`` is
       decided directly.  The intervals of all grid points come from blocked
-      pair-value arrays F(x_i, y_j); only generic bifunctions are evaluated
-      one grid point at a time.
+      pair-value arrays F(x_i, y_j), with one stacked ``eval_batch`` per
+      block for a generic bifunction.
     * ``ugrid``: scan a discrete multiplier grid of step ``u_step`` with
       ``member_batch`` at each grid point (exact for operators with an
       interval image, sampled otherwise).  The generic fallback;

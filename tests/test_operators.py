@@ -9,10 +9,12 @@ from eqsplit.bifunctions import (
     Quadratic,
     WeightedL1,
     function_difference,
+    generic_bifunction,
     operator_bifunction,
     sum_bifunctions,
     zero_bifunction,
 )
+from eqsplit import operators
 from eqsplit.hilbert import Ball, Box, Halfspace, IntersectionSet, Simplex, WholeSpace, sample_points
 from eqsplit.operators import (
     GridSpec,
@@ -597,6 +599,168 @@ def test_sampled_zero_scan_works_in_row_blocks():
         tracemalloc.stop()
     assert set_distance(zeros, np.array([[-0.5]])) <= 2e-3
     assert peak <= 4001**2 * 8 / 3, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# grid solution sets: the per-axis lower envelope against the pair scan
+# ---------------------------------------------------------------------------
+
+#: the benchmark's grid steps and those of the tier-1 corpus calls
+_SOLUTION_SET_STEPS = {1: _BRIDGE_STEPS[1] + (1e-3,), 2: _BRIDGE_STEPS[2] + (1e-2,)}
+
+
+def _points_in(F, grid):
+    pts = grid.points()
+    return pts[F.set.contains_batch(pts, 1e-9)]
+
+
+#: the pair scan itself, the reference while a test refuses it inside
+#: equilibrium_bruteforce
+_SCAN = operators._pair_scan
+
+
+def _refuse_scan(F, pts):
+    raise AssertionError("equilibrium_bruteforce fell back to the pair scan")
+
+
+@pytest.fixture
+def refuse_scan(monkeypatch):
+    monkeypatch.setattr(operators, "_pair_scan", _refuse_scan)
+
+
+def _assert_envelope_matches_scan(F, grid, tols):
+    pts = _points_in(F, grid)
+    worst = _SCAN(F, pts)
+    for tol in tols:
+        got = equilibrium_bruteforce(F, grid, tol=tol)
+        assert got.tobytes() == pts[worst >= -tol].tobytes(), (grid.step, tol)
+    return worst
+
+
+@pytest.mark.parametrize("name", [inst.name for inst in corpus()])
+def test_envelope_solution_sets_equal_pair_scan_on_corpus(refuse_scan, name):
+    inst = get_problem(name)
+    FG = sum_bifunctions(inst.F, inst.G)
+    for step in _SOLUTION_SET_STEPS[inst.set.dimension]:
+        grid = GridSpec(*zip(*inst.grid_bounds), step)
+        worst = _assert_envelope_matches_scan(FG, grid, (step**2, 10.0 * step))
+        if inst.set.dimension == 1:
+            # a 1-D pair value is one product in both routes, so the minima
+            # are the same floats once the window holds the scan's minimizer,
+            # which rounding can move off the searched index
+            envelope = operators._envelope(FG, _points_in(FG, grid), *operators._axis_tables(FG, grid))
+            assert envelope.tobytes() == worst.tobytes(), step
+
+
+def test_envelope_restricts_each_axis_to_a_box_narrower_than_the_grid(refuse_scan):
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 2, 2):
+        C = Box(rng.uniform(-0.8, -0.2, d), rng.uniform(0.1, 0.7, d))
+        F = sum_bifunctions(
+            sum_bifunctions(
+                operator_bifunction(C, rng.normal(size=(d, d)), rng.normal(size=d)),
+                function_difference(C, Quadratic(np.diag(rng.uniform(0.0, 2.0, d)), rng.normal(size=d))),
+            ),
+            sum_bifunctions(
+                function_difference(C, WeightedL1(rng.uniform(0.0, 1.5, d))),
+                function_difference(C, AffineFunction(rng.normal(size=d), 0.3)),
+            ),
+        )
+        grid = GridSpec([-1.0] * d, [1.0] * d, 0.02)
+        assert 0 < _points_in(F, grid).shape[0] < grid.points().shape[0]
+        worst = _assert_envelope_matches_scan(F, grid, (4e-4, 0.02, 0.2, 0.5))
+        assert np.any(worst >= -0.5) and np.any(worst < -0.5)
+
+
+def test_envelope_handles_l1_ties_where_the_axis_minimum_is_flat(refuse_scan):
+    # g = c with |c_k| = w_k: y_k -> c_k y_k + w_k |y_k| vanishes on a whole
+    # half axis, so every slope there equals -g_k
+    for C in (Box([-1.0, -1.0], [1.0, 1.0]), WholeSpace(2)):
+        w = np.array([0.7, 1.3])
+        F = sum_bifunctions(
+            operator_bifunction(C, np.zeros((2, 2)), [w[0], -w[1]]), function_difference(C, WeightedL1(w))
+        )
+        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], 0.05)
+        worst = _assert_envelope_matches_scan(F, grid, (0.0025, 0.5, 0.777))
+        # the solutions are x_1 <= 0 <= x_2, where both terms vanish
+        pts = grid.points()
+        expected = (pts[:, 0] <= 1e-12) & (pts[:, 1] >= -1e-12)
+        np.testing.assert_array_equal(worst >= -1e-12, expected)
+
+
+def test_grid_solution_sets_take_the_envelope_or_the_scan(refuse_scan, monkeypatch):
+    # the corpus forms at the benchmark's and the tier-1 suite's grids and
+    # slacks, and the bridged box VI, take the envelope: with the scan
+    # refused, they all still return
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    bridged = bifunction_from_operator(affine_operator([[2.0, 1.0], [1.0, 2.0]], [-1.5, -2.5]), box)
+    calls = [(bridged, GridSpec([0.0, 0.0], [1.0, 1.0], 1e-2), 2.5e-3)]
+    for inst in corpus():
+        FG = sum_bifunctions(inst.F, inst.G)
+        for step in _SOLUTION_SET_STEPS[inst.set.dimension]:
+            grid = GridSpec(*zip(*inst.grid_bounds), step)
+            calls += [(FG, grid, tol) for tol in (step**2, 1e-6, 1e-4, 2.5e-3, None)]
+    for F, grid, tol in calls:
+        assert equilibrium_bruteforce(F, grid, tol=tol).shape[1] == grid.dimension
+
+    # a ball, a non-diagonal Q and a generic part keep the scan and its
+    # arrays, frozen from the scan before the envelope existed (dyadic
+    # grid and data, so every pair value is exact)
+    seen = []
+    monkeypatch.setattr(operators, "_pair_scan", lambda F, pts: seen.append(F) or _SCAN(F, pts))
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    ball = operator_bifunction(Ball([0.0, 0.0], 1.0), [[1.0, 0.5], [-0.5, 1.0]], [-0.5, 0.25])
+    nondiagonal = function_difference(box, Quadratic([[2.0, 1.0], [1.0, 2.0]], [-1.0, 0.5]))
+    generic = _generic_fixture(box)
+    grid = GridSpec([-1.0, -1.0], [1.0, 1.0], 0.25)
+    cases = (
+        (ball, 0.25, [[0.25, 0.0], [0.5, -0.25], [0.5, 0.0]]),
+        (nondiagonal, 0.0625, [[0.5, -0.5], [0.75, -0.75], [0.75, -0.5], [1.0, -1.0], [1.0, -0.75], [1.0, -0.5]]),
+        (generic, 0.25, [[0.0, 0.0], [0.25, -0.25], [0.25, 0.0], [0.25, 0.25], [0.5, -0.25], [0.5, 0.0]]),
+    )
+    for F, tol, expected in cases:
+        assert equilibrium_bruteforce(F, grid, tol=tol).tobytes() == np.array(expected).tobytes()
+    assert seen == [F for F, _, _ in cases]
+
+
+def _generic_fixture(C):
+    # a generic skew-plus-identity part on top of an offset and an L1 part
+    B = np.array([[1.0, 0.5], [-0.5, 1.0]])[: C.dimension, : C.dimension]
+
+    def batch(x, Y):
+        return (Y - x) @ (B @ x)
+
+    return sum_bifunctions(
+        sum_bifunctions(
+            operator_bifunction(C, np.zeros((C.dimension,) * 2), [-0.5, 0.25][: C.dimension]),
+            function_difference(C, WeightedL1([0.25, 0.5][: C.dimension])),
+        ),
+        generic_bifunction(C, lambda x, y: float(batch(x, y[None, :])[0]), batch),
+    )
+
+
+def test_generic_grid_scans_stack_rows_like_one_point_calls():
+    # the stacked eval_batch per row block returns the arrays of the former
+    # one-grid-point-at-a-time loops, byte for byte
+    F = _generic_fixture(Box([-1.0, -1.0], [1.0, 1.0]))
+    grid = GridSpec([-1.0, -1.0], [1.0, 1.0], 0.1)
+    pts = grid.points()
+    for tol in (0.05, 0.1, 0.5):
+        expected = np.array([x for x in pts if float(F.eval_batch(x, pts).min()) >= -tol]).reshape(-1, 2)
+        assert len(expected) >= 1
+        assert equilibrium_bruteforce(F, grid, tol=tol).tobytes() == expected.tobytes()
+
+    F = _generic_fixture(Box([-1.0], [1.0]))
+    X = GridSpec([-1.0], [1.0], 0.01).points()
+    Y = X[::3]
+    for delta in (1e-4, 1e-2):
+        ulo, uhi = operators._admissible_intervals_1d(F, X, Y, delta)
+        for i, x in enumerate(X):
+            D = Y[:, 0] - x[0]
+            V = F.eval_batch(x, Y) + delta
+            np.divide(V, D, out=V, where=D != 0.0)
+            assert uhi[i].tobytes() == np.min(V, where=D > 0.0, initial=np.inf).tobytes()
+            assert ulo[i].tobytes() == np.max(V, where=D < 0.0, initial=-np.inf).tobytes()
 
 
 def test_induced_operator_of_bridged_bifunction_is_sum_with_cone():
