@@ -28,7 +28,9 @@ support function.  Every other one-term operator gets a sampled membership
 test.  The grid oracles are array operations over the whole grid, blocked
 so that no pair-value matrix outgrows a few tens of MB; the solution set
 of a form that splits by axis over a box or the whole space needs no
-pair values at all, only a per-axis lower envelope.
+pair values at all, only a per-axis lower envelope, and the 1-D zero scan
+of a form built from the shipped functions only a few candidate columns
+per grid point.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import (
+    AffineFunction,
     Bifunction,
     ConvexFunction,
+    Quadratic,
+    WeightedL1,
     function_difference,
     generic_bifunction,
     operator_bifunction,
@@ -465,6 +470,14 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     set kind, a non-diagonal Q, other functions) compares all pairs of
     grid points, as blocked matrix products for a structured form and one
     stacked ``eval_batch`` per row block with a generic part.
+
+    In 1-D both routes round each pair value alike.  In 2-D the envelope's
+    pair value is two rounded products and a rounded sum, while the gemm
+    of the scan may fuse the second product into the sum (OpenBLAS does),
+    so a grid point whose worst value is exactly ``-tol`` can be accepted
+    by one route and not the other: skew-saddle (F + G) at step 0.1 and
+    tol 1.0 reads -1.0 at x = (-0.8, -0.6) in the scan and
+    -1.0000000000000002 in the envelope.
     """
     if grid.dimension > 2:
         raise ValueError("brute-force oracles are limited to dimension <= 2")
@@ -563,33 +576,191 @@ def _envelope(F: Bifunction, pts: np.ndarray, axes, tables) -> np.ndarray:
     return dots.min(axis=1)
 
 
+def _row_terms_1d(F: Bifunction, X: np.ndarray):
+    """(g, fx) of a 1-D form with no generic part at the rows of X: the
+    column g = M x + c (None when M and c vanish) and each function's
+    values f(x), as columns."""
+    M, c = F.matrix, F.offset
+    g = X @ M.T + c if M is not None and (M.any() or c.any()) else None
+    return g, [f.value_batch(X)[:, None] for f in F.functions]
+
+
+def _quotients(D, g, fy, fx, delta, where=True):
+    """(F(x, y) + delta) / (y - x) from D = y - x, the slope g of
+    :func:`_row_terms_1d` (or None) and each function's f(y) and f(x), all
+    broadcasting against D; left undivided outside ``where``.  The zero
+    scan's one expression, so an entry computed on gathered columns equals
+    the full row's bit for bit."""
+    # a pure function difference skips the vanishing affine product
+    V = D * g if g is not None else 0.0 if fy else np.zeros(D.shape)
+    for a, b in zip(fy, fx):
+        V = a - b + V
+    V += delta
+    return np.divide(V, D, out=V, where=where)
+
+
+def _interval_scan(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
+    """:func:`_admissible_intervals_1d` from every pair of rows, in row
+    blocks of a quarter of ``BLOCK_ENTRIES`` pairs, because up to four
+    block-sized arrays are alive at once.  The pair values come from the
+    normal form of F; an F with a generic part is evaluated by one stacked
+    ``eval_batch`` per block."""
+    ulo = np.empty(X.shape[0])
+    uhi = np.empty(X.shape[0])
+    if not F.oracles:
+        g, fx = _row_terms_1d(F, X)
+        fy = [f.value_batch(Y)[None, :] for f in F.functions]
+    for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
+        D = Y[None, :, 0] - X[rows]
+        if F.oracles:
+            V = F.eval_batch(X[rows], Y) + delta
+            np.divide(V, D, out=V, where=D != 0.0)
+        else:
+            V = _quotients(D, None if g is None else g[rows], fy, [v[rows] for v in fx], delta, D != 0.0)
+        uhi[rows] = np.min(V, axis=1, where=D > 0.0, initial=np.inf)
+        ulo[rows] = np.max(V, axis=1, where=D < 0.0, initial=-np.inf)
+    return ulo, uhi
+
+
+def _convex_shipped(f: ConvexFunction) -> bool:
+    # exact types, whose rounding _admissible_intervals_1d bounds; a
+    # Quadratic may pass its constructor with Q down to -1e-10
+    return type(f) in (WeightedL1, AffineFunction) or (type(f) is Quadratic and f.Q[0, 0] >= 0.0)
+
+
+#: positions, counted outward from x, of each side's candidate columns:
+#: the three nearest, then the two farthest as offsets from the side's
+#: column count m (``_FAR`` marks them); the candidate route keeps its
+#: arrays as (candidate, side, row), so a min over candidates runs over
+#: whole planes
+_SIDE_POSITIONS = np.array([0, 1, 2, -2, -1]).reshape(5, 1, 1)
+_FAR = np.array([0, 0, 0, 1, 1]).reshape(5, 1, 1)
+
+#: the four columns around y = 0, where a ``WeightedL1`` bends, as offsets
+#: from the first column at or above 0, in the order of positions on the
+#: sides y > x and y < x
+_KINK = np.array([[-2, 1], [-1, 0], [0, -1], [1, -2]]).reshape(4, 2, 1)
+
+#: column direction of the sides y > x (uhi) and y < x (ulo)
+_DIRECTIONS = np.array([[1], [-1]])
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
 def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
     """Per row x of X, the exact interval [ulo, uhi] of multipliers u with
     F(x, y) + u (x - y) >= -delta for every row y of Y (points of C, 1-D).
 
-    Row blocks hold a quarter of ``BLOCK_ENTRIES`` pairs, because up to
-    four block-sized arrays are alive at once.  The pair values F(x, y) come
-    from the normal form of F; an F with a generic part is evaluated by one
-    stacked ``eval_batch`` per block.
+    uhi is the least quotient V(x, y) = (F(x, y) + delta) / (y - x) over
+    y > x, and ulo the largest over y < x.  For a form with no generic part
+    whose functions are all ``Quadratic``, ``WeightedL1`` or
+    ``AffineFunction`` (exact types), over a strictly increasing Y, the
+    quotient is quasiconvex in the distance h = |y - x| on each side, as
+    S = +V and S = -V: F(x, x + s h) = s h g + phi(x + s h) - phi(x) with
+    phi convex, so the sign of dS/dh is that of s h phi'(x + s h)
+    - phi(x + s h) + phi(x) - delta, whose derivative in h is
+    h phi''(x + s h) >= 0.  Each row
+    then evaluates a few candidate columns per side with the scan's own
+    expression (:func:`_quotients`), so each value has the scan's bits: the
+    three nearest columns, the two farthest, the four around y = 0 when a
+    ``WeightedL1`` bends there, and, on a side that none of them
+    certifies, a strided pass over about sqrt(m) of its m columns and then
+    every column between the neighbours of its minimum.  A side's candidate
+    minimum counts only with a certificate: S rises after the nearest
+    columns, falls into the farthest, falls into the kink window and rises
+    out of it, or rises from the strided run's minimum to both ends of the
+    run, each step by more than four times a bound on the rounding of any
+    entry, so that every column left out is provably larger.  The bound
+    takes each function's terms by magnitude, not its value, so it covers
+    cancellation inside f.  A row without a certificate on both sides, or
+    whose interval ends in 0.0 (a signed zero that the order of a min
+    decides), is computed by the full-row scan (:func:`_interval_scan`), as
+    is every row of a form with a generic part or any other function.
     """
-    M, c, fs = F.matrix, F.offset, F.functions
-    affine = M is not None and (M.any() or c.any())
-    ulo = np.empty(X.shape[0])
-    uhi = np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
-        x = X[rows]
-        D = Y[None, :, 0] - x
-        if F.oracles:
-            V = F.eval_batch(x, Y)
-        else:
-            # a pure function difference skips the vanishing affine product
-            V = D * (x @ M.T + c) if affine else 0.0 if fs else np.zeros(D.shape)
-            for f in fs:
-                V = f.value_batch(Y)[None, :] - f.value_batch(x)[:, None] + V
-        V += delta
-        np.divide(V, D, out=V, where=D != 0.0)
-        uhi[rows] = np.min(V, axis=1, where=D > 0.0, initial=np.inf)
-        ulo[rows] = np.max(V, axis=1, where=D < 0.0, initial=-np.inf)
+    y = Y[:, 0]
+    n, N = y.size, X.shape[0]
+    if F.oracles or not all(map(_convex_shipped, F.functions)) or n < 2 or N == 0:
+        return _interval_scan(F, X, Y, delta)
+    spacing = float((y[1:] - y[:-1]).min())
+    reach = max(-y[0], y[-1], float(np.abs(X).max()))
+    g, fx = _row_terms_1d(F, X)
+    fy = [f.value_batch(Y) for f in F.functions]
+    # in 1-D a shipped f is an even term plus an odd one (1/2 Q y^2 and
+    # q y, w |y|, b and a y), so max(|f(y)|, |f(-y)|) is the sum of their
+    # magnitudes, which bounds the rounding of f(y) and grows with |y|
+    ends = np.array([[reach], [-reach]])
+    terms = sum(float(np.abs(f.value_batch(ends)).max()) for f in F.functions)
+    slope = 0.0 if g is None else float(np.abs(g).max())
+    # |S| at any column beyond the nearest, which lies at least ``spacing``
+    # from x; each operation rounds an entry by at most eps times this
+    bound = slope + (2.0 * terms + abs(delta) + _TINY) / spacing + _TINY
+    if not (spacing > 0.0 and bound < 2.0**1000 and 2.0 * (slope * reach + terms) + abs(delta) < 2.0**1000):
+        # Y is not strictly increasing, or an entry may overflow
+        return _interval_scan(F, X, Y, delta)
+    margin = 4.0 * 8.0 * (len(fy) + 2) * _EPS * bound
+
+    # the near and far candidates of both sides of every row, in one gather
+    x = X[:, 0]
+    g = None if g is None else g[:, 0]
+    fx = [v[:, 0] for v in fx]
+    p = y.searchsorted(x)
+    q = y.searchsorted(x, "right")
+    m = np.array((n - q, p))  # columns per side
+    base = np.array((q, p - 1))  # the nearest column per side
+    positions = _SIDE_POSITIONS + m * _FAR
+    kink = any(type(f) is WeightedL1 for f in F.functions)
+    if kink:
+        window = y.searchsorted(0.0) + _KINK
+        positions = np.concatenate((positions, _DIRECTIONS * (window - base)))
+    cols = base + _DIRECTIONS * np.minimum(np.maximum(positions, 0), m - 1)
+    D = y[cols] - x
+    # an empty side gathers a column of the other side, or x itself
+    S = _quotients(D, g, [v[cols] for v in fy], fx, delta, D != 0.0) * _DIRECTIONS
+    best = S.min(axis=0)
+    best[m == 0] = np.inf
+    # S rises after the near candidates, falls into the far ones, or falls
+    # into the kink window and rises out of it
+    change = S[1:] - S[:-1]
+    rises, falls = change > margin, change < -margin
+    ok = (m <= len(_SIDE_POSITIONS)) | rises[1] | falls[3]
+    if kink:
+        ok |= falls[5] & rises[7]
+
+    if not ok.all():
+        # a strided pass over positions 2 .. m - 1, then every position
+        # between the neighbours a and c of its minimum; S must rise by the
+        # margin from that run's minimum to a and to c, unless the run
+        # reaches the near candidates or the last column.  In blocks of
+        # lanes of an eighth of ``BLOCK_ENTRIES`` entries, since up to
+        # eight block-sized arrays are alive at once
+        def values(lanes, positions):
+            sides, rows = lanes
+            sign = _DIRECTIONS[sides, 0]
+            cols = base[lanes] + sign * positions
+            gl = None if g is None else g[rows]
+            V = _quotients(y[cols] - x[rows], gl, [v[cols] for v in fy], [v[rows] for v in fx], delta)
+            return V * sign
+
+        todo = np.nonzero(~ok)
+        stride = int(np.sqrt(m[todo].max() - 1)) + 1
+        for block in _row_blocks(todo[0].size, 3 * stride + 3, BLOCK_ENTRIES // 8):
+            lanes = todo[0][block], todo[1][block]
+            size = m[lanes]
+            coarse = np.minimum(2 + stride * np.arange((size.max() - 3) // stride + 2)[:, None], size - 1)
+            i, every = values(lanes, coarse).argmin(axis=0), np.arange(size.size)
+            a = coarse[np.maximum(i - 1, 0), every]
+            c = coarse[np.minimum(i + 1, len(coarse) - 1), every]
+            fine = values(lanes, np.minimum(a + np.arange(2 * stride + 1)[:, None], c))
+            low = fine.min(axis=0)
+            ok[lanes] = ((a <= 2) | (fine[0] - low > margin)) & ((c == size - 1) | (fine[-1] - low > margin))
+            best[lanes] = np.minimum(best[lanes], low)
+
+    ok &= best != 0.0
+    ulo, uhi = -best[1], best[0]
+    if not ok.all():
+        redo = np.flatnonzero(~(ok[0] & ok[1]))
+        ulo[redo], uhi[redo] = _interval_scan(F, X[redo], Y, delta)
     return ulo, uhi
 
 
@@ -613,9 +784,15 @@ def zeros_bruteforce(
     * ``sampled``: 1-D only; the admissible multiplier set of each
       one-term operator over the grid sample is an exact interval,
       so existence over the continuum of multipliers inside ``u_bounds`` is
-      decided directly.  The intervals of all grid points come from blocked
-      pair-value arrays F(x_i, y_j), with one stacked ``eval_batch`` per
-      block for a generic bifunction.
+      decided directly.  For a bifunction with no generic part whose
+      functions are all ``Quadratic``, ``WeightedL1`` or ``AffineFunction``
+      (exact types), each grid point's interval comes from a few candidate
+      columns, certified by the quasiconvexity of F(x, y) / (y - x) on each
+      side of x (:func:`_admissible_intervals_1d`), in O(n) memory.  A
+      generic part, any other function and every uncertified row take
+      blocked pair-value arrays F(x_i, y_j) over the full row, with one
+      stacked ``eval_batch`` per block for a generic part.  Both give the
+      same bits.
     * ``ugrid``: scan a discrete multiplier grid of step ``u_step`` with
       ``member_batch`` at each grid point (exact for operators with an
       interval image, sampled otherwise).  The generic fallback;

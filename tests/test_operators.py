@@ -583,22 +583,144 @@ def test_zeros_of_operator_plus_cone_match_per_point_reference():
         np.testing.assert_array_equal(zeros_bruteforce(A, N, grid, tol=tol), expected)
 
 
-def test_sampled_zero_scan_works_in_row_blocks():
-    # 4,001 grid points: a dense pair matrix F(x_i, y_j) would take 128 MB
+def test_sampled_zero_scan_works_in_row_blocks(monkeypatch):
+    # 4,001 grid points: a dense pair matrix F(x_i, y_j) would take 128 MB.
+    # The full-row scan holds at most four arrays of one row block of a
+    # quarter of BLOCK_ENTRIES pairs; the candidate route, which certifies
+    # every row here, holds a few arrays of nine candidates per side and row
     import tracemalloc
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     inst = get_problem("quadratic-1d")
     grid = GridSpec([-2.0], [2.0], 1e-3)
+    pts = grid.points()
+    n = pts.shape[0]
+    block = (operators.BLOCK_ENTRIES // 4 // n) * n * 8
+    _, peak = peak_of(lambda: operators._interval_scan(inst.F, pts, pts, 1e-6))
+    assert peak <= 4 * block, f"peak {peak / 2**20:.1f} MiB"
+
     AF = operator_from_bifunction(inst.F)
     AG = operator_from_bifunction(inst.G)
-    tracemalloc.start()
-    try:
-        zeros = zeros_bruteforce(AF, AG, grid, tol=1e-6, method="sampled")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_interval_scan", _refuse_row_scan)
+        zeros, peak = peak_of(lambda: zeros_bruteforce(AF, AG, grid, tol=1e-6, method="sampled"))
     assert set_distance(zeros, np.array([[-0.5]])) <= 2e-3
-    assert peak <= 4001**2 * 8 / 3, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 16 * 9 * 2 * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the 1-D zero scan: candidate columns against the full-row scan
+# ---------------------------------------------------------------------------
+
+#: the full-row scan, the reference while a test refuses it inside
+#: _admissible_intervals_1d
+_ROW_SCAN = operators._interval_scan
+
+
+def _refuse_row_scan(F, X, Y, delta):
+    raise AssertionError("the 1-D zero scan fell back to the full-row scan")
+
+
+def _assert_intervals_match_row_scan(F, X, Y, tols):
+    for tol in tols:
+        got = operators._admissible_intervals_1d(F, X, Y, tol)
+        expected = _ROW_SCAN(F, X, Y, tol)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], tol
+
+
+@pytest.mark.parametrize("name", [inst.name for inst in corpus() if inst.set.dimension == 1])
+def test_candidate_intervals_and_zero_sets_equal_the_row_scan_on_corpus(monkeypatch, name):
+    # F, G and F + G at the benchmark's steps and at 1e-3, and the sampled
+    # zero sets against those the row scan's intervals give
+    inst = get_problem(name)
+    AF, AG = operator_from_bifunction(inst.F), operator_from_bifunction(inst.G)
+    FG = sum_bifunctions(inst.F, inst.G)
+    for step in _BRIDGE_STEPS[1] + (1e-3,):
+        grid = GridSpec(*zip(*inst.grid_bounds), step)
+        pts = grid.points()
+        for tol in (0.0, step**2, step, 10.0 * step, 1e-6):
+            scans = {H: _ROW_SCAN(H, pts, pts, tol) for H in (inst.F, inst.G, FG)}
+            for H, expected in scans.items():
+                got = operators._admissible_intervals_1d(H, pts, pts, tol)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], (step, tol)
+            got = zeros_bruteforce(AF, AG, grid, tol=tol, method="sampled")
+
+            def scanned(H, X, Y, delta):
+                assert X.tobytes() == Y.tobytes() == pts.tobytes() and delta == tol
+                return scans[H]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(operators, "_admissible_intervals_1d", scanned)
+                expected = zeros_bruteforce(AF, AG, grid, tol=tol, method="sampled")
+            assert len(expected) >= 1 or tol == 0.0
+            assert got.tobytes() == expected.tobytes(), (step, tol)
+
+
+def test_candidate_intervals_equal_the_row_scan_on_a_seeded_family():
+    # sums of an operator part, quadratics with curvature down to 1e-10,
+    # weighted L1 with its kink between grid points and affine functions,
+    # over boxes narrower than the grid and the whole line
+    rng = np.random.default_rng(29)
+    for trial in range(24):
+        lo, hi = rng.uniform(-1.5, -0.2), rng.uniform(0.2, 1.5)
+        C = WholeSpace(1) if trial % 4 == 0 else Box([lo], [hi])
+        kinds = [k for k in range(4) if rng.random() < 0.5] or [trial % 4]
+        parts = []
+        if 0 in kinds:
+            parts.append(operator_bifunction(C, [[rng.uniform(0.0, 2.0)]], [rng.normal()]))
+        if 1 in kinds:
+            curvature = 1e-10 if trial % 3 == 0 else 10.0 ** rng.uniform(-10.0, 1.0)
+            parts.append(function_difference(C, Quadratic([[curvature]], [rng.normal()])))
+        if 2 in kinds:
+            parts.append(function_difference(C, WeightedL1([rng.uniform(0.05, 2.0)])))
+        if 3 in kinds:
+            parts.append(function_difference(C, AffineFunction([rng.normal()], rng.normal())))
+        F = parts[0]
+        for H in parts[1:]:
+            F = sum_bifunctions(F, H)
+        step = (0.02, 0.0125, 0.01, 0.008)[trial % 4]
+        # an offset start keeps y = 0 off the grid
+        pts = GridSpec([-2.0 + 0.37 * step], [2.0], step).points()
+        Y = pts[F.set.contains_batch(pts, 1e-9)]
+        assert Y.shape[0] < pts.shape[0] or C.kind == "whole-space"
+        _assert_intervals_match_row_scan(F, Y, Y, (0.0, step**2, step, 10.0 * step, 1e-6))
+        # rows off the columns: every grid point against the points of C
+        _assert_intervals_match_row_scan(F, pts, Y, (step**2, 10.0 * step))
+
+
+def test_benchmark_zero_scans_certify_every_row(monkeypatch):
+    # the benchmark's sampled zero scans (1-D corpus, its steps, slack
+    # step^2) take no row to the full-row scan
+    monkeypatch.setattr(operators, "_interval_scan", _refuse_row_scan)
+    for inst in corpus():
+        if inst.set.dimension != 1:
+            continue
+        AF, AG = operator_from_bifunction(inst.F), operator_from_bifunction(inst.G)
+        for step in _BRIDGE_STEPS[1]:
+            grid = GridSpec(*zip(*inst.grid_bounds), step)
+            assert len(zeros_bruteforce(AF, AG, grid, tol=step**2, method="sampled")) >= 1
+
+
+def test_rows_without_a_certificate_take_the_row_scan(monkeypatch):
+    # with no slack an affine form's quotient is its slope g on every
+    # column, up to rounding, so no row has a certificate; the zero form's
+    # intervals end in a signed zero
+    seen = []
+    monkeypatch.setattr(
+        operators, "_interval_scan", lambda F, X, Y, delta: seen.append(X.shape[0]) or _ROW_SCAN(F, X, Y, delta)
+    )
+    C = Box([-1.0], [1.0])
+    pts = GridSpec([-1.0], [1.0], 0.01).points()
+    for F in (operator_bifunction(C, [[1.0]], [-0.3]), zero_bifunction(C)):
+        seen.clear()
+        _assert_intervals_match_row_scan(F, pts, pts, (0.0,))
+        assert sum(seen) > 0
 
 
 # ---------------------------------------------------------------------------
