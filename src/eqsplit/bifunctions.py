@@ -13,10 +13,10 @@ the bifunction.  :attr:`Bifunction.induced` computes it once: A and b
 gather M, c and every shipped ``Quadratic`` and ``AffineFunction``, l1 is
 one ``WeightedL1`` with the summed weights, and the rest are the other
 functions.  Shipped types are matched by exact type there and in the
-per-axis value tables the grid oracle reads (``_axis_values``), and
-nowhere else, since a subclass may override their oracles.  The
-resolvents, the operator bridge and the admissibility check read
-``induced``.
+per-axis value tables and line facts the grid oracles read
+(``_axis_values``, ``_line_facts``), and nowhere else, since a subclass
+may override their oracles.  The resolvents, the operator bridge and the
+admissibility check read ``induced``.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
@@ -69,6 +69,14 @@ class ConvexFunction(ABC):
         exact type only, since a subclass may override their values."""
         return None
 
+    def _line_facts(self, radius: float) -> tuple[float, tuple[float, ...]] | None:
+        """For a convex f on the line: a bound on the magnitude of every
+        term ``value_batch`` adds at points |y| <= ``radius``, which bounds
+        its rounding there even when the terms cancel, and the points where
+        f bends; None when unknown.  The shipped types return them for
+        their exact type only."""
+        return None
+
 
 @dataclass(frozen=True)
 class Quadratic(ConvexFunction):
@@ -117,6 +125,12 @@ class Quadratic(ConvexFunction):
             return None
         return [0.5 * diag[k] * a * a + self.q[k] * a for k, a in enumerate(axes)]
 
+    def _line_facts(self, radius):
+        # Q may pass the constructor down to -1e-10, which is not convex
+        if type(self) is not Quadratic or self.Q[0, 0] < 0.0:
+            return None
+        return 0.5 * self.Q[0, 0] * radius * radius + abs(self.q[0]) * radius, ()
+
 
 @dataclass(frozen=True)
 class WeightedL1(ConvexFunction):
@@ -163,6 +177,11 @@ class WeightedL1(ConvexFunction):
             return None
         return [self.weights[k] * np.abs(a) for k, a in enumerate(axes)]
 
+    def _line_facts(self, radius):
+        if type(self) is not WeightedL1:
+            return None
+        return self.weights[0] * radius, (0.0,)
+
 
 @dataclass(frozen=True)
 class AffineFunction(ConvexFunction):
@@ -199,6 +218,11 @@ class AffineFunction(ConvexFunction):
             return None
         # the constant b rides on the first axis
         return [self.a[k] * a + (self.b if k == 0 else 0.0) for k, a in enumerate(axes)]
+
+    def _line_facts(self, radius):
+        if type(self) is not AffineFunction:
+            return None
+        return abs(self.a[0]) * radius + abs(self.b), ()
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import (
-    AffineFunction,
     Bifunction,
     ConvexFunction,
-    Quadratic,
-    WeightedL1,
     function_difference,
     generic_bifunction,
     operator_bifunction,
@@ -622,12 +619,6 @@ def _interval_scan(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
     return ulo, uhi
 
 
-def _convex_shipped(f: ConvexFunction) -> bool:
-    # exact types, whose rounding _admissible_intervals_1d bounds; a
-    # Quadratic may pass its constructor with Q down to -1e-10
-    return type(f) in (WeightedL1, AffineFunction) or (type(f) is Quadratic and f.Q[0, 0] >= 0.0)
-
-
 #: positions, counted outward from x, of each side's candidate columns:
 #: the three nearest, then the two farthest as offsets from the side's
 #: column count m (``_FAR`` marks them); the candidate route keeps its
@@ -636,8 +627,8 @@ def _convex_shipped(f: ConvexFunction) -> bool:
 _SIDE_POSITIONS = np.array([0, 1, 2, -2, -1]).reshape(5, 1, 1)
 _FAR = np.array([0, 0, 0, 1, 1]).reshape(5, 1, 1)
 
-#: the four columns around y = 0, where a ``WeightedL1`` bends, as offsets
-#: from the first column at or above 0, in the order of positions on the
+#: the four columns around a point where a function bends, as offsets
+#: from the first column at or above it, in the order of positions on the
 #: sides y > x and y < x
 _KINK = np.array([[-2, 1], [-1, 0], [0, -1], [1, -2]]).reshape(4, 2, 1)
 
@@ -654,25 +645,25 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
 
     uhi is the least quotient V(x, y) = (F(x, y) + delta) / (y - x) over
     y > x, and ulo the largest over y < x.  For a form with no generic part
-    whose functions are all ``Quadratic``, ``WeightedL1`` or
-    ``AffineFunction`` (exact types), over a strictly increasing Y, the
+    whose functions all report their line facts (``_line_facts``: the
+    shipped ``Quadratic`` with Q >= 0, ``WeightedL1`` and
+    ``AffineFunction``, by exact type), over a strictly increasing Y, the
     quotient is quasiconvex in the distance h = |y - x| on each side, as
     S = +V and S = -V: F(x, x + s h) = s h g + phi(x + s h) - phi(x) with
     phi convex, so the sign of dS/dh is that of s h phi'(x + s h)
     - phi(x + s h) + phi(x) - delta, whose derivative in h is
-    h phi''(x + s h) >= 0.  Each row
-    then evaluates a few candidate columns per side with the scan's own
-    expression (:func:`_quotients`), so each value has the scan's bits: the
-    three nearest columns, the two farthest, the four around y = 0 when a
-    ``WeightedL1`` bends there, and, on a side that none of them
-    certifies, a strided pass over about sqrt(m) of its m columns and then
-    every column between the neighbours of its minimum.  A side's candidate
-    minimum counts only with a certificate: S rises after the nearest
-    columns, falls into the farthest, falls into the kink window and rises
-    out of it, or rises from the strided run's minimum to both ends of the
-    run, each step by more than four times a bound on the rounding of any
-    entry, so that every column left out is provably larger.  The bound
-    takes each function's terms by magnitude, not its value, so it covers
+    h phi''(x + s h) >= 0.  Each row then evaluates a few candidate columns
+    per side with the scan's own expression (:func:`_quotients`), so each
+    value has the scan's bits: the three nearest columns, the two farthest
+    and the four around each point where a function bends.  A side's
+    candidate minimum counts only with a certificate: S rises after the
+    nearest columns, falls into the farthest, or falls into a bend's
+    window and rises out of it, each step by more than four times a bound
+    on the rounding of any gathered entry, so that every column left out
+    is provably larger.  The bound divides by the least distance of a
+    gathered column from its row, so rows need not be columns (a row
+    nearer a column than the spacing widens the margin), and it takes
+    each function's terms by magnitude, not its value, so it covers
     cancellation inside f.  A row without a certificate on both sides, or
     whose interval ends in 0.0 (a signed zero that the order of a min
     decides), is computed by the full-row scan (:func:`_interval_scan`), as
@@ -680,25 +671,20 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
     """
     y = Y[:, 0]
     n, N = y.size, X.shape[0]
-    if F.oracles or not all(map(_convex_shipped, F.functions)) or n < 2 or N == 0:
+    if F.oracles or n < 2 or N == 0:
         return _interval_scan(F, X, Y, delta)
-    spacing = float((y[1:] - y[:-1]).min())
     reach = max(-y[0], y[-1], float(np.abs(X).max()))
+    facts = [f._line_facts(reach) for f in F.functions]
+    if None in facts or not np.all(y[1:] > y[:-1]):
+        return _interval_scan(F, X, Y, delta)
+    terms = sum(magnitude for magnitude, _ in facts)
+    bends = sorted({t for _, points in facts for t in points})
     g, fx = _row_terms_1d(F, X)
     fy = [f.value_batch(Y) for f in F.functions]
-    # in 1-D a shipped f is an even term plus an odd one (1/2 Q y^2 and
-    # q y, w |y|, b and a y), so max(|f(y)|, |f(-y)|) is the sum of their
-    # magnitudes, which bounds the rounding of f(y) and grows with |y|
-    ends = np.array([[reach], [-reach]])
-    terms = sum(float(np.abs(f.value_batch(ends)).max()) for f in F.functions)
     slope = 0.0 if g is None else float(np.abs(g).max())
-    # |S| at any column beyond the nearest, which lies at least ``spacing``
-    # from x; each operation rounds an entry by at most eps times this
-    bound = slope + (2.0 * terms + abs(delta) + _TINY) / spacing + _TINY
-    if not (spacing > 0.0 and bound < 2.0**1000 and 2.0 * (slope * reach + terms) + abs(delta) < 2.0**1000):
-        # Y is not strictly increasing, or an entry may overflow
+    if not 2.0 * (slope * reach + terms) + abs(delta) < 2.0**1000:
+        # a value may overflow
         return _interval_scan(F, X, Y, delta)
-    margin = 4.0 * 8.0 * (len(fy) + 2) * _EPS * bound
 
     # the near and far candidates of both sides of every row, in one gather
     x = X[:, 0]
@@ -708,53 +694,31 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
     q = y.searchsorted(x, "right")
     m = np.array((n - q, p))  # columns per side
     base = np.array((q, p - 1))  # the nearest column per side
-    positions = _SIDE_POSITIONS + m * _FAR
-    kink = any(type(f) is WeightedL1 for f in F.functions)
-    if kink:
-        window = y.searchsorted(0.0) + _KINK
-        positions = np.concatenate((positions, _DIRECTIONS * (window - base)))
-    cols = base + _DIRECTIONS * np.minimum(np.maximum(positions, 0), m - 1)
+    positions = [_SIDE_POSITIONS + m * _FAR]
+    positions += [_DIRECTIONS * (y.searchsorted(t) + _KINK - base) for t in bends]
+    cols = base + _DIRECTIONS * np.minimum(np.maximum(np.concatenate(positions), 0), m - 1)
     D = y[cols] - x
-    # an empty side gathers a column of the other side, or x itself
-    S = _quotients(D, g, [v[cols] for v in fy], fx, delta, D != 0.0) * _DIRECTIONS
+    # |S| at any gathered column, each at least ``near`` from its row (an
+    # empty side gathers a column of the other side, or x itself, which no
+    # certificate reads); each operation rounds an entry by at most eps
+    # times this
+    gathered = D != 0.0
+    near = float(np.abs(D[gathered]).min())
+    bound = slope + (2.0 * terms + abs(delta) + _TINY) / near + _TINY
+    if not bound < 2.0**1000:
+        # an entry may overflow
+        return _interval_scan(F, X, Y, delta)
+    margin = 4.0 * 8.0 * (len(fy) + 2) * _EPS * bound
+    S = _quotients(D, g, [v[cols] for v in fy], fx, delta, gathered) * _DIRECTIONS
     best = S.min(axis=0)
     best[m == 0] = np.inf
     # S rises after the near candidates, falls into the far ones, or falls
-    # into the kink window and rises out of it
+    # into a bend's window and rises out of it
     change = S[1:] - S[:-1]
     rises, falls = change > margin, change < -margin
     ok = (m <= len(_SIDE_POSITIONS)) | rises[1] | falls[3]
-    if kink:
-        ok |= falls[5] & rises[7]
-
-    if not ok.all():
-        # a strided pass over positions 2 .. m - 1, then every position
-        # between the neighbours a and c of its minimum; S must rise by the
-        # margin from that run's minimum to a and to c, unless the run
-        # reaches the near candidates or the last column.  In blocks of
-        # lanes of an eighth of ``BLOCK_ENTRIES`` entries, since up to
-        # eight block-sized arrays are alive at once
-        def values(lanes, positions):
-            sides, rows = lanes
-            sign = _DIRECTIONS[sides, 0]
-            cols = base[lanes] + sign * positions
-            gl = None if g is None else g[rows]
-            V = _quotients(y[cols] - x[rows], gl, [v[cols] for v in fy], [v[rows] for v in fx], delta)
-            return V * sign
-
-        todo = np.nonzero(~ok)
-        stride = int(np.sqrt(m[todo].max() - 1)) + 1
-        for block in _row_blocks(todo[0].size, 3 * stride + 3, BLOCK_ENTRIES // 8):
-            lanes = todo[0][block], todo[1][block]
-            size = m[lanes]
-            coarse = np.minimum(2 + stride * np.arange((size.max() - 3) // stride + 2)[:, None], size - 1)
-            i, every = values(lanes, coarse).argmin(axis=0), np.arange(size.size)
-            a = coarse[np.maximum(i - 1, 0), every]
-            c = coarse[np.minimum(i + 1, len(coarse) - 1), every]
-            fine = values(lanes, np.minimum(a + np.arange(2 * stride + 1)[:, None], c))
-            low = fine.min(axis=0)
-            ok[lanes] = ((a <= 2) | (fine[0] - low > margin)) & ((c == size - 1) | (fine[-1] - low > margin))
-            best[lanes] = np.minimum(best[lanes], low)
+    for k in range(len(_SIDE_POSITIONS), len(S), len(_KINK)):
+        ok |= falls[k] & rises[k + 2]
 
     ok &= best != 0.0
     ulo, uhi = -best[1], best[0]

@@ -690,8 +690,12 @@ def test_candidate_intervals_equal_the_row_scan_on_a_seeded_family():
         Y = pts[F.set.contains_batch(pts, 1e-9)]
         assert Y.shape[0] < pts.shape[0] or C.kind == "whole-space"
         _assert_intervals_match_row_scan(F, Y, Y, (0.0, step**2, step, 10.0 * step, 1e-6))
-        # rows off the columns: every grid point against the points of C
+        # rows off the columns: every grid point against the points of C,
+        # and rows a few ulp and half a step beside the columns, nearer to
+        # the column next to them than the spacing
         _assert_intervals_match_row_scan(F, pts, Y, (step**2, 10.0 * step))
+        for shift in (4e-16, 0.5 * step):
+            _assert_intervals_match_row_scan(F, Y + shift, Y, (step**2, 1e-6))
 
 
 def test_benchmark_zero_scans_certify_every_row(monkeypatch):
