@@ -17,12 +17,13 @@ along the iteration.
 The same loop, fed resolvents of two maximally monotone operators instead,
 solves the inclusion 0 in A x + B x; both entry points share the iteration
 core, so the two forms generate identical float sequences when the
-operators are the ones induced by the bifunctions.  The relaxed update is
-written once (:func:`_relaxed_update`); :func:`dr_step` is one pass of the
-core and :func:`residual_dr` its error-free half.  With mu_n = lambda_n / 2
-the update is the averaged (Krasnosel'skii-Mann) iteration of the composed
-reflections R_F R_G (Eckstein & Bertsekas, Math. Program. 55, 1992), so no
-separate fixed-point engine is kept.
+operators are the ones induced by the bifunctions.  The relaxed update
+with injected errors is written once (:func:`_relaxed_update`); a pass
+without errors takes x + lambda (z - y) inline.  :func:`dr_step` is one
+pass of the core and :func:`residual_dr` its error-free half.  With
+mu_n = lambda_n / 2 the update is the averaged (Krasnosel'skii-Mann)
+iteration of the composed reflections R_F R_G (Eckstein & Bertsekas,
+Math. Program. 55, 1992), so no separate fixed-point engine is kept.
 
 Inputs are validated where they enter (:func:`solve`,
 :func:`solve_operator_form`, :func:`dr_step`, :func:`residual_dr`); the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -115,11 +116,14 @@ class SolverConfig:
     ``lambda_schedule`` is either a constant in (0, 2) or a callable
     n -> lambda_n; constant schedules automatically satisfy the divergence
     condition sum lambda_n (2 - lambda_n) = +inf, callables are validated
-    per iteration.  Error schedules map n to a vector; shipped presets are
-    all summable against any admissible relaxation.  ``seed`` fixes the
-    resolvents' verification samples, the certificate sample and the draws
-    of the sampled admissibility check (structured families are checked
-    exactly and draw none; see :func:`solve`).
+    per iteration.  An error schedule is a function of n that returns a
+    vector; it is called once per iteration and side, or once per iteration
+    when both sides share one object, whose vector then moves both.
+    Shipped presets are all summable against any admissible relaxation.
+    ``seed``, a non-negative integer, fixes the resolvents' verification
+    samples, the certificate sample and the draws of the sampled
+    admissibility check (structured families are checked exactly and draw
+    none; see :func:`solve`).
     """
 
     gamma: float = 1.0
@@ -143,6 +147,10 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -180,6 +188,13 @@ class SolveResult:
     that share no memory with the trace, and ``certificate`` the worst
     equilibrium value of ``y_star`` over a seeded sample (None when the
     solve was driven by bare operators).
+
+    The certificate is computed the first time it is read, from a private
+    copy of ``y_star`` taken when the solve ended, and kept from then on;
+    it has the bits an eager computation would give, and writing into
+    ``y_star`` does not change it.  Until then the result holds F, G, that
+    copy and the seed, and drops them once the value is known.  Pickling a
+    result computes the value first.
     """
 
     x_star: np.ndarray
@@ -187,11 +202,24 @@ class SolveResult:
     status: str
     iterations: int
     trace: IterationTrace
-    certificate: float | None
+    #: the certificate's value, or (F, G, y, seed) until it is first read
+    _certificate: float | tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    @property
+    def certificate(self) -> float | None:
+        value = self._certificate
+        if isinstance(value, tuple):
+            F, G, y, seed = value
+            value = equilibrium_certificate(F, G, y, sample_points(F.set, CERTIFICATE_SAMPLES, seed))
+            object.__setattr__(self, "_certificate", value)
+        return value
+
+    def __getstate__(self):
+        return {**self.__dict__, "_certificate": self.certificate}
 
 
 def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
@@ -255,22 +283,29 @@ def _error_at(schedule, n: int) -> np.ndarray:
     return e
 
 
-def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
+def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveResult:
     """Shared iteration core for the bifunction and operator forms.
 
     ``jf``/``jg`` are unchecked resolvent maps of the scaled operators and
     ``x0`` a validated vector of their dimension.  Nothing is validated per
     pass beyond the finiteness of the residual (which covers y and z) and
     of each injected error, and the trace keeps each pass's fresh arrays.
-    The result carries no certificate.
+    ``certify`` is the pair (F, G) whose certificate the result computes
+    when it is first read, or None for a result with no certificate.
+    Norms are taken inline as sqrt(v . v), the arithmetic of
+    :func:`~eqsplit.hilbert.norm`.
     """
     x = x0
     trace = IterationTrace()
     a_sched = cfg.error_schedule_a
     b_sched = cfg.error_schedule_b
+    errors = a_sched is not None or b_sched is not None
+    shared = a_sched is b_sched
     # a constant relaxation was validated by SolverConfig
     lam_schedule = cfg.lambda_schedule
     lam_constant = None if callable(lam_schedule) else float(lam_schedule)
+    tol, max_iter, every = cfg.residual_tol, cfg.max_iter, cfg.trace_every
+    sqrt, isfinite = math.sqrt, math.isfinite
     status = MAX_ITER
     n = 0
     y_clean = None
@@ -280,22 +315,26 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             y_clean = jg(x)
             z_clean = jf(2.0 * y_clean - x)
             diff = z_clean - y_clean
-            res = 2.0 * norm(diff)
-            if not math.isfinite(res):
+            res = 2.0 * sqrt(diff @ diff)
+            if not isfinite(res):
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
-            if res <= cfg.residual_tol:
+            if res <= tol:
                 status = CONVERGED
                 trace.record(n, x, y_clean, res, 0.0)
                 break
-            if n >= cfg.max_iter:
+            if n >= max_iter:
                 trace.record(n, x, y_clean, res, 0.0)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
-            a_n = _error_at(a_sched, n) if a_sched is not None else None
-            b_n = _error_at(b_sched, n) if b_sched is not None else None
-            y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
-            if n % cfg.trace_every == 0:
-                trace.record(n, x, y, res, norm(x_next - x))
+            if errors:
+                a_n = _error_at(a_sched, n) if a_sched is not None else None
+                b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
+                y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
+            else:
+                y, x_next = y_clean, x + lam * diff
+            if n % every == 0:
+                step = x_next - x
+                trace.record(n, x, y, res, sqrt(step @ step))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:
@@ -306,14 +345,15 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             # available shadow point
             y_clean = failure.iterate if failure.iterate is not None else x
 
-    # the trace keeps the last iterates themselves; the result owns copies
+    # the trace keeps the last iterates themselves; the result owns copies,
+    # and its certificate one more, which no caller can reach
     return SolveResult(
         x_star=x.copy(),
         y_star=y_clean.copy(),
         status=status,
         iterations=n,
         trace=trace,
-        certificate=None,
+        _certificate=None if certify is None else (*certify, y_clean.copy(), cfg.seed),
     )
 
 
@@ -368,9 +408,7 @@ def solve(
 
     JF = ResolventOracle(cfg.gamma, F, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
     JG = ResolventOracle(cfg.gamma, G, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
-    result = _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg)
-    Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
-    return replace(result, certificate=equilibrium_certificate(F, G, result.y_star, Y))
+    return _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg, certify=(F, G))
 
 
 def solve_operator_form(

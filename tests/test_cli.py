@@ -174,6 +174,22 @@ def test_flag_lambda_gate(tmp_path, capsys):
     assert "(0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["problem", "all", "spec-flag", "spec-file"])
+def test_negative_seed_is_spec_error(tmp_path, capsys, route):
+    # rejected when the config is built, before any iteration runs
+    bad = QUADRATIC_SPEC.replace("max_iter = 1000", "max_iter = 1000\nseed = -1")
+    argv = {
+        "problem": ["--problem", "quadratic-1d", "--seed", "-1"],
+        "all": ["--problem", "all", "--seed", "-1"],
+        "spec-flag": [_write(tmp_path, QUADRATIC_SPEC), "--seed", "-1"],
+        "spec-file": [_write(tmp_path, bad, "bad.ini")],
+    }[route]
+    assert main(argv) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert "spec error:" in captured.err and "seed must be a non-negative integer" in captured.err
+    assert "y_star" not in captured.out
+
+
 def test_error_preset_flag(tmp_path):
     spec = _write(tmp_path, QUADRATIC_SPEC)
     assert main([spec, "--error-preset", "geometric"]) == EXIT_CONVERGED

@@ -290,6 +290,7 @@ def test_operator_form_matches_bifunction_form():
     A = operator_from_bifunction(inst.F)
     B = operator_from_bifunction(inst.G)
     res_o = solve_operator_form(A, B, inst.default_x0, cfg)
+    assert res_o.certificate is None
     assert len(res_b.trace.x) == len(res_o.trace.x)
     for xb, xo in zip(res_b.trace.x, res_o.trace.x):
         np.testing.assert_array_equal(xb, xo)
@@ -445,11 +446,11 @@ def test_solve_validates_a_constant_number_of_vectors(monkeypatch, errors):
     assert counts[0] == counts[1] <= 2
 
 
-def _nan_at(n_bad, dim):
+def _bad_at(n_bad, dim, value=np.nan):
     def schedule(n):
         e = np.zeros(dim)
         if n == n_bad:
-            e[0] = np.nan
+            e[0] = value
         return e
 
     return schedule
@@ -460,10 +461,13 @@ def test_nan_error_schedule_raises_value_error(kind):
     C = WholeSpace(3) if kind == "whole-space" else Simplex(3)
     F = operator_bifunction(C, np.eye(3), [1.0, 0.0, -1.0]) if kind == "whole-space" else zero_bifunction(C)
     G = function_difference(C, WeightedL1([0.1, 0.2, 0.3]))
-    for side in ("error_schedule_a", "error_schedule_b"):
-        cfg = SolverConfig(residual_tol=1e-300, max_iter=50, **{side: _nan_at(3, 3)})
-        with pytest.raises(ValueError, match="iteration 3"):
-            solve(F, G, [0.3, 0.3, 0.4], cfg)
+    # one side, the other, or one schedule object shared by both
+    for sides in (("error_schedule_a",), ("error_schedule_b",), ("error_schedule_a", "error_schedule_b")):
+        for value in (np.nan, np.inf):
+            schedule = _bad_at(3, 3, value)
+            cfg = SolverConfig(residual_tol=1e-300, max_iter=50, **{side: schedule for side in sides})
+            with pytest.raises(ValueError, match="iteration 3"):
+                solve(F, G, [0.3, 0.3, 0.4], cfg)
 
 
 def test_nan_from_a_generic_oracle_raises_value_error():
@@ -588,3 +592,140 @@ def test_repeated_solves_invert_once_per_side(monkeypatch):
     op = solve_operator_form(operator_from_bifunction(F), operator_from_bifunction(G), x0, cfg)
     np.testing.assert_array_equal(op.y_star, results[0].y_star)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the certificate, computed on first read
+# ---------------------------------------------------------------------------
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+def test_certificate_read_equals_the_eager_value(gamma):
+    for seed in (0, 7):
+        for inst in corpus():
+            cfg = SolverConfig(gamma=gamma, residual_tol=1e-6, max_iter=5000, seed=seed)
+            res = solve(inst.F, inst.G, inst.default_x0, cfg)
+            eager = equilibrium_certificate(inst.F, inst.G, res.y_star, sample_points(inst.set, 256, seed))
+            assert _bits(res.certificate) == _bits(eager), (inst.name, seed)
+            # kept: a second read gives the same value
+            assert _bits(res.certificate) == _bits(eager), (inst.name, seed)
+
+
+def test_certificate_ignores_writes_into_the_result():
+    inst = get_problem("vi-over-box")
+    res = solve(inst.F, inst.G, inst.default_x0)
+    y = res.y_star.copy()
+    eager = equilibrium_certificate(inst.F, inst.G, y, sample_points(inst.set, 256, 0))
+    res.y_star[:] = 100.0
+    res.trace.y[-1][:] = 100.0
+    assert _bits(res.certificate) == _bits(eager)
+
+
+def test_an_unread_certificate_draws_no_sample(monkeypatch):
+    from eqsplit import dr_solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr(dr_solver, "sample_points", refuse)
+    F, G, x0 = _skew_saddle(20)
+    res = solve(F, G, x0, SolverConfig(error_schedule_a=geometric_errors(20), error_schedule_b=geometric_errors(20)))
+    assert res.status == CONVERGED
+    # the read is what draws it
+    with pytest.raises(AssertionError, match="sample_points called"):
+        res.certificate
+
+
+def test_a_result_pickles_with_its_certificate():
+    import pickle
+
+    F, G, x0 = _skew_saddle(5)
+    for read_first in (False, True):
+        res = solve(F, G, x0)
+        expected = equilibrium_certificate(F, G, res.y_star, sample_points(F.set, 256, 0))
+        if read_first:
+            assert _bits(res.certificate) == _bits(expected)
+        back = pickle.loads(pickle.dumps(res))
+        assert _bits(back.certificate) == _bits(res.certificate) == _bits(expected)
+        assert back.y_star.tobytes() == res.y_star.tobytes()
+        assert back.trace.residual_dr == res.trace.residual_dr
+
+
+def test_a_read_certificate_drops_the_bifunctions():
+    import gc
+    import weakref
+
+    F, G, x0 = _skew_saddle(5)
+    res = solve(F, G, x0)
+    refs = weakref.ref(F), weakref.ref(G)
+    del F, G
+    gc.collect()
+    assert all(r() is not None for r in refs)  # held until the first read
+    res.certificate
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+# ---------------------------------------------------------------------------
+# injected errors, one draw per pass when both sides share a schedule
+# ---------------------------------------------------------------------------
+
+def _counting(schedule, calls):
+    def counted(n):
+        calls.append(n)
+        return schedule(n)
+
+    return counted
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.8])
+def test_a_shared_schedule_gives_the_bits_of_two_equal_ones(lam):
+    for inst in corpus():
+        d = inst.set.dimension
+        shared = geometric_errors(d)
+        results = [
+            solve(inst.F, inst.G, inst.default_x0,
+                  SolverConfig(lambda_schedule=lam, error_schedule_a=a, error_schedule_b=b))
+            for a, b in ((shared, shared), (geometric_errors(d), geometric_errors(d)))
+        ]
+        for a, b in ((results[0].y_star, results[1].y_star), (results[0].x_star, results[1].x_star)):
+            assert a.tobytes() == b.tobytes(), inst.name
+        for name in ("n", "residual_dr", "step"):
+            assert getattr(results[0].trace, name) == getattr(results[1].trace, name), inst.name
+        for a, b in zip(results[0].trace.x + results[0].trace.y, results[1].trace.x + results[1].trace.y):
+            assert a.tobytes() == b.tobytes(), inst.name
+
+
+def test_a_shared_schedule_is_called_once_per_iteration():
+    F, G, x0 = _skew_saddle(5)
+    calls = []
+    shared = _counting(geometric_errors(5), calls)
+    cfg = SolverConfig(max_iter=40, residual_tol=1e-300, error_schedule_a=shared, error_schedule_b=shared)
+    assert solve(F, G, x0, cfg).iterations == 40
+    assert calls == list(range(40))
+    calls.clear()
+    cfg = replace(cfg, error_schedule_b=_counting(geometric_errors(5), calls))
+    solve(F, G, x0, cfg)
+    assert sorted(calls) == sorted(list(range(40)) * 2)
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None},
+                                 {"inner_max_iter": 0}, {"inner_max_iter": -3}])
+def test_config_rejects_a_bad_seed_or_inner_cap(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SolverConfig(**bad)
+
+
+def test_config_accepts_a_numpy_integer_seed():
+    inst = get_problem("vi-over-box")
+    res = solve(inst.F, inst.G, inst.default_x0, SolverConfig(seed=np.int64(3)))
+    expected = solve(inst.F, inst.G, inst.default_x0, SolverConfig(seed=3))
+    assert res.y_star.tobytes() == expected.y_star.tobytes()
+    assert _bits(res.certificate) == _bits(expected.certificate)
