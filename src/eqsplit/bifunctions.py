@@ -12,11 +12,12 @@ A z + b + d l1(z) + sum d f(z) + N_C(z), which has the same resolvent as
 the bifunction.  :attr:`Bifunction.induced` computes it once: A and b
 gather M, c and every shipped ``Quadratic`` and ``AffineFunction``, l1 is
 one ``WeightedL1`` with the summed weights, and the rest are the other
-functions.  Shipped types are matched by exact type there and in the
+functions.  Shipped types are matched by exact type there, in the
 per-axis value tables and line facts the grid oracles read
-(``_axis_values``, ``_line_facts``), and nowhere else, since a subclass
-may override their oracles.  The resolvents, the operator bridge and the
-admissibility check read ``induced``.
+(``_axis_values``, ``_line_facts``) and in the stacked values f(x_r)
+``eval_batch`` takes (``_row_values``), and nowhere else, since a
+subclass may override their oracles.  The resolvents, the operator bridge
+and the admissibility check read ``induced``.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
@@ -69,6 +70,14 @@ class ConvexFunction(ABC):
         exact type only, since a subclass may override their values."""
         return None
 
+    def _row_values(self, X: np.ndarray) -> np.ndarray | None:
+        """f at every row of the float array ``X``, each with the bits of
+        ``value`` at that row, or None when only a row loop over ``value``
+        gives them.  The shipped types return them for their exact type
+        only, from stacked calls whose per-item shapes are those of
+        ``value``'s own calls."""
+        return None
+
     def _line_facts(self, radius: float) -> tuple[float, tuple[float, ...]] | None:
         """For a convex f on the line: a bound on the magnitude of every
         term ``value_batch`` adds at points |y| <= ``radius``, which bounds
@@ -118,6 +127,15 @@ class Quadratic(ConvexFunction):
 
     def curvature_bounds(self):
         return self._eig_range
+
+    def _row_values(self, X):
+        if type(self) is not Quadratic:
+            return None
+        # value() takes ((0.5 y) Q) y + q y: one vector-matrix and two dot
+        # products per row
+        X = np.ascontiguousarray(X)
+        u = np.matmul((0.5 * X)[:, None, :], self.Q)
+        return (np.matmul(u, X[:, :, None]) + np.matmul(self.q, X[:, :, None])[:, :, None]).ravel()
 
     def _axis_values(self, axes):
         diag = np.diag(self.Q)
@@ -172,6 +190,12 @@ class WeightedL1(ConvexFunction):
         hi = np.where(at_kink, self.weights, self.weights * s)
         return lo, hi
 
+    def _row_values(self, X):
+        if type(self) is not WeightedL1:
+            return None
+        # each row summed along contiguous memory, as value() sums its one row
+        return np.sum(self.weights * np.abs(np.ascontiguousarray(X)), axis=1)
+
     def _axis_values(self, axes):
         if type(self) is not WeightedL1:
             return None
@@ -212,6 +236,11 @@ class AffineFunction(ConvexFunction):
 
     def curvature_bounds(self):
         return (0.0, 0.0)
+
+    def _row_values(self, X):
+        if type(self) is not AffineFunction:
+            return None
+        return np.matmul(self.a, np.ascontiguousarray(X)[:, :, None])[:, 0] + self.b
 
     def _axis_values(self, axes):
         if type(self) is not AffineFunction:
@@ -337,8 +366,9 @@ class Bifunction:
         one-point call, so a stacked call equals R one-point calls bit for
         bit: g_r = M x_r + c is one gemv per row (a single gemm may round
         differently), the operator term is one stacked product
-        (y_j - x_r) . g_r, each f.value_batch(Y) runs once and f.value(x_r)
-        once per row, each generic batch oracle gets one 1-D row at a time,
+        (y_j - x_r) . g_r, each f.value_batch(Y) runs once, f(x_r) comes
+        from one stacked call for a shipped type and from f.value once per
+        row for any other, each generic batch oracle gets one 1-D row at a time,
         and the terms add in one order.  The caller bounds the memory: the
         operator term builds an R x n x d temporary.  ``ValueError`` for an
         x that is neither (d,) nor (R, d).
@@ -360,11 +390,17 @@ class Bifunction:
                 np.subtract(Y, x_r, out=D[r])
             start = np.matmul(D, g[:, :, None])[:, :, 0]
         H = sum(
-            [f.value_batch(Y) - np.array([f.value(r) for r in rows]).reshape(-1, 1) for f in self.functions]
+            [f.value_batch(Y) - _values_at_rows(f, rows).reshape(-1, 1) for f in self.functions]
             + [np.array([batch(r, Y) for r in rows], dtype=float).reshape(shape) for _, batch in self.oracles],
             start,
         )
         return H.reshape(X.shape[:-1] + (Y.shape[0],))
+
+
+def _values_at_rows(f: ConvexFunction, rows: np.ndarray) -> np.ndarray:
+    """f.value at every row, stacked where ``f`` offers it, else a row loop."""
+    values = f._row_values(rows)
+    return values if values is not None else np.array([f.value(r) for r in rows])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -33,8 +33,9 @@ The spec file is flat INI text with sections [space], [set], [F], [G],
 
 The trace is comma-separated text with header ``n,residual_dr,step,
 certificate`` followed by a commented final-solution block.  Exit codes:
-0 converged, 1 spec error (a spec that cannot be read, or one whose
-resolvent cannot be built), 2 iteration limit, 3 inner resolvent failure.
+0 converged, 1 spec error (a spec that cannot be read, one whose resolvent
+cannot be built, or a trace file that cannot be written), 2 iteration
+limit, 3 inner resolvent failure.
 """
 
 from __future__ import annotations
@@ -66,7 +67,17 @@ from .dr_solver import (
     equilibrium_certificate,
     solve,
 )
-from .hilbert import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, WholeSpace, sample_points
+from .hilbert import (
+    AffineSubspace,
+    Ball,
+    Box,
+    ConvexSet,
+    Halfspace,
+    Simplex,
+    WholeSpace,
+    _project_rows,
+    sample_points,
+)
 from .problems import ProblemInstance, corpus, get_problem
 
 EXIT_CONVERGED = 0
@@ -318,22 +329,37 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 
 
 def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: SolverConfig):
+    """Write the trace file of ``result``, a solve of (F, G) under ``cfg``.
+
+    The sample behind ``result.certificate`` is drawn once per file.  The
+    recorded y, finite vectors the solver built, are projected unchecked,
+    in one call over a box or the whole space as ``sample_points`` does,
+    and one stacked :func:`equilibrium_certificate` call gives the whole
+    column.  ``# certificate`` is the column's last value when that row's
+    projected point has y*'s bytes, and otherwise one call at y* on the
+    same sample: ``result.certificate``'s bits either way, without reading
+    it.  Step norms are computed here, on the first read of ``trace.step``.
+    ``SpecFileError`` when the file cannot be written.
+    """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
-    # the sample behind solve()'s certificate, drawn once per file; the
-    # recorded y are finite vectors the solver built, so the set's kernel
-    # projects them unchecked, and one call certifies every row
     Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
-    P = np.array([F.set._project(y) for y in trace.y]).reshape(len(trace), F.dimension)
+    P = _project_rows(F.set, np.array(trace.y).reshape(len(trace), F.dimension))
     certs = equilibrium_certificate(F, G, P, Y).tolist()
     for n, res, step, cert in zip(trace.n, trace.residual_dr, trace.step, certs):
         rows.append(f"{n},{res!r},{step!r},{cert!r}")
     rows.append(f"# status = {result.status}")
     rows.append(f"# iterations = {result.iterations}")
     rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
-    cert = result.certificate
+    if certs and P[-1].tobytes() == result.y_star.tobytes():
+        cert = certs[-1]
+    else:
+        cert = equilibrium_certificate(F, G, result.y_star, Y)
     rows.append(f"# certificate = {cert!r}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    try:
+        Path(path).write_text("\n".join(rows) + "\n")
+    except OSError as exc:
+        raise SpecFileError(f"cannot write trace {path}: {exc}") from exc
 
 
 def _apply_overrides(cfg: SolverConfig, args, dim: int) -> SolverConfig:
@@ -370,11 +396,11 @@ def run(spec_path, trace_out_path, args=None) -> int:
         # solve raises ValueError when a resolvent cannot be built, e.g. a
         # singular I + gamma M from a non-monotone matrix
         result = solve(F, G, x0, cfg)
+        if trace_out_path is not None:
+            _write_trace(trace_out_path, result, F, G, cfg)
     except (SpecFileError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    if trace_out_path is not None:
-        _write_trace(trace_out_path, result, F, G, cfg)
     print(f"status = {result.status}")
     print(f"iterations = {result.iterations}")
     print("y_star = " + " ".join(repr(float(v)) for v in result.y_star))
@@ -384,12 +410,12 @@ def run(spec_path, trace_out_path, args=None) -> int:
 def _run_instance(inst: ProblemInstance, args, trace_path) -> int:
     try:
         cfg = _apply_overrides(SolverConfig(), args, inst.set.dimension)
+        result = solve(inst.F, inst.G, inst.default_x0, cfg)
+        if trace_path is not None:
+            _write_trace(trace_path, result, inst.F, inst.G, cfg)
     except ValueError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    result = solve(inst.F, inst.G, inst.default_x0, cfg)
-    if trace_path is not None:
-        _write_trace(trace_path, result, inst.F, inst.G, cfg)
     print(f"[{inst.name}] status = {result.status}, iterations = {result.iterations}")
     print(f"[{inst.name}] y_star = " + " ".join(repr(float(v)) for v in result.y_star))
     return _STATUS_EXIT[result.status]

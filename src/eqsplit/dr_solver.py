@@ -157,26 +157,57 @@ class SolverConfig:
 class IterationTrace:
     """Per-iteration record of the iterates and residuals.
 
-    ``x`` and ``y`` hold the iterates themselves, not copies: each pass of
-    the solver makes new arrays and never writes into old ones.  Copy an
-    entry before changing it.
+    ``x``, ``y`` and ``x_next`` hold the iterates themselves, not copies:
+    each pass of the solver makes new arrays and never writes into old
+    ones.  Copy an entry before changing it.  ``x_next`` is the iterate the
+    row's pass produced, and the row's own ``x`` on a last row that ended
+    the solve; with ``trace_every`` 1 it is the next row's ``x``, so it
+    holds no memory of its own.
+
+    ``step``, the norms ||x_next - x||, is computed the first time it is
+    read, for all rows at once, and kept until the next :meth:`record`;
+    each entry has the bits of ``math.sqrt(v @ v)`` for its row's
+    difference v, and a last row that ended the solve reads 0.0.
     """
 
     n: list = field(default_factory=list)
     x: list = field(default_factory=list)
     y: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
-    step: list = field(default_factory=list)
+    x_next: list = field(default_factory=list, repr=False)
+    _step: list | None = field(default=None, init=False, repr=False, compare=False)
 
-    def record(self, n, x, y, residual, step):
+    def record(self, n, x, y, residual, x_next):
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
         self.residual_dr.append(float(residual))
-        self.step.append(float(step))
+        self.x_next.append(x_next)
+        self._step = None
+
+    @property
+    def step(self) -> list:
+        if self._step is None:
+            self._step = _step_norms(self.x, self.x_next)
+        return self._step
 
     def __len__(self):
         return len(self.n)
+
+
+def _step_norms(x: list, x_next: list) -> list:
+    """[||x_next[r] - x[r]||] as floats, from stacked differences in row
+    blocks of at most ``_CERTIFICATE_BLOCK_ENTRIES`` entries.  Each norm is
+    one (1, d) x (d, 1) product of the stack, the dot product
+    ``math.sqrt(v @ v)`` takes, so it has that call's bits."""
+    if not x:
+        return []
+    rows = max(1, _CERTIFICATE_BLOCK_ENTRIES // x[0].size)
+    out = []
+    for i in range(0, len(x), rows):
+        V = np.subtract(x_next[i:i + rows], x[i:i + rows])
+        out += np.sqrt(np.matmul(V[:, None, :], V[:, :, None])).ravel().tolist()
+    return out
 
 
 @dataclass(frozen=True)
@@ -292,8 +323,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     of each injected error, and the trace keeps each pass's fresh arrays.
     ``certify`` is the pair (F, G) whose certificate the result computes
     when it is first read, or None for a result with no certificate.
-    Norms are taken inline as sqrt(v . v), the arithmetic of
-    :func:`~eqsplit.hilbert.norm`.
+    The residual norm is taken inline as sqrt(v . v), the arithmetic of
+    :func:`~eqsplit.hilbert.norm`; the step norm is not taken here at all,
+    since the trace keeps each row's x_next and derives it when read.
     """
     x = x0
     trace = IterationTrace()
@@ -304,6 +336,8 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     # a constant relaxation was validated by SolverConfig
     lam_schedule = cfg.lambda_schedule
     lam_constant = None if callable(lam_schedule) else float(lam_schedule)
+    # lambda = 1 scales diff exactly, so x + diff has the bits of x + lam diff
+    unit = lam_constant == 1.0
     tol, max_iter, every = cfg.residual_tol, cfg.max_iter, cfg.trace_every
     sqrt, isfinite = math.sqrt, math.isfinite
     status = MAX_ITER
@@ -320,10 +354,10 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= tol:
                 status = CONVERGED
-                trace.record(n, x, y_clean, res, 0.0)
+                trace.record(n, x, y_clean, res, x)
                 break
             if n >= max_iter:
-                trace.record(n, x, y_clean, res, 0.0)
+                trace.record(n, x, y_clean, res, x)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             if errors:
@@ -331,10 +365,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
                 y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             else:
-                y, x_next = y_clean, x + lam * diff
+                y, x_next = y_clean, x + diff if unit else x + lam * diff
             if n % every == 0:
-                step = x_next - x
-                trace.record(n, x, y, res, sqrt(step @ step))
+                trace.record(n, x, y, res, x_next)
             x = x_next
             n += 1
     except ConvergenceFailure as failure:

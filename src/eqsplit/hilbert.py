@@ -381,9 +381,16 @@ def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.nda
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    raw = rng.normal(0.0, scale, size=(n, C.dimension))
+    return _project_rows(C, rng.normal(0.0, scale, size=(n, C.dimension)))
+
+
+def _project_rows(C: ConvexSet, P: np.ndarray) -> np.ndarray:
+    """The projection of every row of ``P``, a finite (n, d) float array,
+    unchecked: ``P`` itself over the whole space, one clamp of the whole
+    array over a box, and a row loop over the kind's kernel otherwise; each
+    row has the bits of ``C._project`` on it."""
     if C.kind == "whole-space":
-        return raw
+        return P
     if C.kind == "box":
-        return np.minimum(np.maximum(raw, C.lo), C.hi)
-    return np.array([C._project(r) for r in raw])
+        return np.minimum(np.maximum(P, C.lo), C.hi)
+    return np.array([C._project(r) for r in P]).reshape(P.shape)

@@ -5,6 +5,7 @@ import pytest
 
 from eqsplit.bifunctions import (
     AffineFunction,
+    ConvexFunction,
     Quadratic,
     WeightedL1,
     check_admissibility,
@@ -108,6 +109,70 @@ def test_stacked_eval_batch_equals_per_row_calls_bit_for_bit(d):
             assert F.eval_batch(X[0], Y).shape == (33,)
         # the generic batch oracle only ever sees one 1-D row
         assert rows_seen and set(rows_seen) == {(d,)}
+
+
+class _SquaredNorm(ConvexFunction):
+    """A user-defined convex function: no stacked row values, so
+    ``eval_batch`` takes ``value`` once per row."""
+
+    def __init__(self, d):
+        self.dimension = d
+        self.calls = 0
+
+    def value(self, y):
+        self.calls += 1
+        return float(0.5 * np.asarray(y) @ np.asarray(y))
+
+    def value_batch(self, Y):
+        return 0.5 * np.einsum("ij,ij->i", Y, Y)
+
+    def subgradient(self, y):
+        return np.asarray(y, dtype=float)
+
+
+class _CountingQuadratic(Quadratic):
+    """A subclass of a shipped type, which may override its values."""
+
+    def value(self, y):
+        _CountingQuadratic.calls += 1
+        return super().value(y)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 50])
+def test_stacked_function_values_equal_one_point_calls(d):
+    rng = np.random.default_rng(100 + d)
+    C = WholeSpace(d)
+    X = 3.0 * rng.normal(size=(9, d))
+    # a strided view as well as a contiguous stack
+    X_strided = np.asfortranarray(X)
+    Y = sample_points(C, 17, 2)
+    B = rng.normal(size=(d, d))
+    shipped = [
+        Quadratic(B @ B.T, rng.normal(size=d)),
+        WeightedL1(rng.random(d)),
+        AffineFunction(rng.normal(size=d), float(rng.normal())),
+    ]
+    for f in shipped:
+        H = function_difference(C, f)
+        one_point = np.array([f.value_batch(Y) - f.value(x) for x in X])
+        for stack in (X, X_strided):
+            values = f._row_values(stack)
+            assert values.tobytes() == np.array([f.value(x) for x in X]).tobytes(), type(f).__name__
+            stacked = H.eval_batch(stack, Y)
+            assert stacked.tobytes() == one_point.tobytes(), type(f).__name__
+        for r, x in enumerate(X):
+            assert H.eval_batch(x, Y).tobytes() == one_point[r].tobytes(), type(f).__name__
+    # functions that are not exactly a shipped type take the row loop
+    _CountingQuadratic.calls = 0
+    for f in (_SquaredNorm(d), _CountingQuadratic(np.eye(d), np.zeros(d))):
+        assert f._row_values(X) is None
+        H = function_difference(C, f)
+        one_point = np.array([f.value_batch(Y) - f.value(x) for x in X])
+        before = f.calls if isinstance(f, _SquaredNorm) else _CountingQuadratic.calls
+        stacked = H.eval_batch(X, Y)
+        after = f.calls if isinstance(f, _SquaredNorm) else _CountingQuadratic.calls
+        assert after - before == len(X)
+        assert stacked.tobytes() == one_point.tobytes()
 
 
 def test_stacked_operator_term_allocates_only_its_differences():

@@ -532,3 +532,113 @@ def test_trace_certificates_match_per_row_calls_beyond_the_corpus(tmp_path):
         rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
         rows.append(f"# certificate = {result.certificate!r}")
         assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), name
+
+
+def _count_draws(monkeypatch):
+    """Count every sample_points call, under each name a module of the
+    package imports it as."""
+    import importlib
+    import pkgutil
+
+    import eqsplit
+    from eqsplit import hilbert
+
+    draws = []
+    real = hilbert.sample_points
+
+    def counting_sample_points(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    names = []
+    for info in pkgutil.iter_modules(eqsplit.__path__):
+        module = importlib.import_module(f"eqsplit.{info.name}")
+        if vars(module).get("sample_points") is real:
+            monkeypatch.setattr(module, "sample_points", counting_sample_points)
+            names.append(info.name)
+    monkeypatch.setattr(eqsplit, "sample_points", counting_sample_points, raising=False)
+    assert {"cli", "dr_solver", "hilbert"} <= set(names)
+    return draws
+
+
+@pytest.mark.parametrize("route", ["problem", "all", "spec-file"])
+def test_a_traced_run_draws_one_certificate_sample_per_file(tmp_path, capsys, monkeypatch, route):
+    from eqsplit.dr_solver import CERTIFICATE_SAMPLES
+
+    draws = _count_draws(monkeypatch)
+    out = tmp_path / "trace.csv"
+    argv = {
+        "problem": ["--problem", "vi-over-box", "--seed", "2"],
+        "all": ["--problem", "all", "--seed", "2", "--error-preset", "geometric"],
+        "spec-file": [_write(tmp_path, QUADRATIC_SPEC), "--seed", "2"],
+    }[route]
+    assert main(argv + ["--trace", str(out)]) == EXIT_CONVERGED
+    files = sorted(tmp_path.glob("trace*.csv"))
+    assert len(files) == (len(corpus()) if route == "all" else 1)
+    assert len(draws) == len(files)
+    assert all(n == CERTIFICATE_SAMPLES and seed == 2 for _, n, seed in draws)
+    # and the header certificate is the solve's own
+    for path in files:
+        lines = path.read_text().splitlines()
+        name = path.stem[len("trace_"):] if route == "all" else None
+        if route == "spec-file":
+            F, G, _, cfg, x0 = parse_problem_spec(argv[0])
+            result = solve(F, G, x0, replace(cfg, seed=2))
+        else:
+            inst = get_problem(name or "vi-over-box")
+            d = inst.set.dimension
+            errors = geometric_errors(d) if route == "all" else None
+            result = solve(inst.F, inst.G, inst.default_x0,
+                           SolverConfig(seed=2, error_schedule_a=errors, error_schedule_b=errors))
+        assert lines[-1] == f"# certificate = {result.certificate!r}", path.name
+
+
+def test_unwritable_trace_is_a_spec_error(tmp_path, capsys):
+    out = str(tmp_path / "nodir" / "t.csv")
+    for argv in (["--problem", "quadratic-1d"], [_write(tmp_path, QUADRATIC_SPEC)]):
+        assert main(argv + ["--trace", out]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"spec error: cannot write trace {out}: ")
+        assert "y_star" not in captured.out
+
+
+def test_batch_run_carries_on_past_an_unwritable_trace(tmp_path, capsys):
+    # a directory where one instance's trace file should go
+    (tmp_path / "trace_vi-over-box.csv").mkdir()
+    code = main(["--problem", "all", "--trace", str(tmp_path / "trace.csv")])
+    captured = capsys.readouterr()
+    assert code == EXIT_SPEC_ERROR
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("spec error: cannot write trace ")
+    assert "trace_vi-over-box.csv" in errors[0]
+    others = [inst.name for inst in corpus() if inst.name != "vi-over-box"]
+    assert sorted(p.name for p in tmp_path.glob("trace_*.csv") if p.is_file()) == sorted(
+        f"trace_{name}.csv" for name in others)
+    printed = [line[1:line.index("]")] for line in captured.out.splitlines()]
+    assert printed == [name for name in others for _ in range(2)]
+    # the largest code wins: the iteration limit over the spec error
+    code = main(["--problem", "all", "--max-iter", "1", "--tol", "1e-300", "--trace", str(tmp_path / "trace.csv")])
+    assert code == EXIT_MAX_ITER
+
+
+def test_trace_header_certificate_without_a_matching_last_row(tmp_path):
+    import warnings
+
+    from eqsplit import cli
+    from oracles import as_generic
+
+    # an inner failure at the first pass records no row at all
+    inst = get_problem("vi-over-box")
+    cfg = SolverConfig(inner_max_iter=2, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        failed = solve(as_generic(inst.F), inst.G, [2.0, -1.0], cfg)
+    assert failed.status == "inner_failure" and len(failed.trace) == 0
+    # a last row whose point is not y*
+    moved = solve(inst.F, inst.G, inst.default_x0, cfg)
+    moved.trace.y[-1] = moved.y_star + 0.25
+    for result, F in ((failed, as_generic(inst.F)), (moved, inst.F)):
+        out = tmp_path / "trace.csv"
+        cli._write_trace(out, result, F, inst.G, cfg)
+        assert out.read_text().splitlines()[-1] == f"# certificate = {result.certificate!r}"

@@ -23,6 +23,7 @@ from eqsplit.dr_solver import (
     equilibrium_certificate,
     geometric_errors,
     inverse_square_errors,
+    ramp_relaxation,
     residual_dr,
     solve,
     solve_operator_form,
@@ -729,3 +730,123 @@ def test_config_accepts_a_numpy_integer_seed():
     expected = solve(inst.F, inst.G, inst.default_x0, SolverConfig(seed=3))
     assert res.y_star.tobytes() == expected.y_star.tobytes()
     assert _bits(res.certificate) == _bits(expected.certificate)
+
+
+# ---------------------------------------------------------------------------
+# step norms, derived from the kept iterates when first read
+# ---------------------------------------------------------------------------
+
+def _assert_steps_of_consecutive_iterates(res, full, label):
+    """Each ``trace.step`` of ``res`` has the bits of math.sqrt(v @ v) for v
+    the difference of the row's iterate and the next one, which ``full``,
+    the same solve recording every row, holds; a last row that ended the
+    solve reads 0.0."""
+    import math
+
+    iterates = dict(zip(full.trace.n, full.trace.x))
+    assert len(res.trace.step) == len(res.trace)
+    for n, step in zip(res.trace.n, res.trace.step):
+        if n == res.iterations:
+            assert res.status != INNER_FAILURE
+            expected = 0.0
+        else:
+            v = iterates[n + 1] - iterates[n]
+            expected = math.sqrt(v @ v)
+        assert _bits(step) == _bits(expected), (label, n)
+
+
+_SCHEDULES = {
+    "none": lambda d: (None, None),
+    "shared": lambda d: (geometric_errors(d),) * 2,
+    "distinct": lambda d: (geometric_errors(d), inverse_square_errors(d, c=0.5, axis=d - 1)),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("errors", sorted(_SCHEDULES))
+@pytest.mark.parametrize("every", [1, 5])
+def test_trace_step_is_the_norm_of_consecutive_iterates(gamma, errors, every):
+    for inst in corpus():
+        a, b = _SCHEDULES[errors](inst.set.dimension)
+        cfg = SolverConfig(gamma=gamma, lambda_schedule=1.5, error_schedule_a=a, error_schedule_b=b,
+                           max_iter=300, trace_every=every)
+        res = solve(inst.F, inst.G, inst.default_x0, cfg)
+        full = solve(inst.F, inst.G, inst.default_x0, replace(cfg, trace_every=1))
+        _assert_steps_of_consecutive_iterates(res, full, inst.name)
+
+
+@pytest.mark.parametrize("every", [1, 5])
+def test_trace_step_bits_at_every_ending_and_dimension(every):
+    # max_iter
+    inst = get_problem("skew-saddle")
+    cfg = SolverConfig(max_iter=12, residual_tol=1e-300, trace_every=every)
+    res = solve(inst.F, inst.G, inst.default_x0, cfg)
+    assert res.status == MAX_ITER
+    full = solve(inst.F, inst.G, inst.default_x0, replace(cfg, trace_every=1))
+    _assert_steps_of_consecutive_iterates(res, full, "max_iter")
+    # inner_failure, in J_F after 11 passes, with injected errors
+    from eqsplit import dr_solver
+    from eqsplit.resolvents import ConvergenceFailure
+
+    F, G, x0 = _skew_saddle(5)
+    real = dr_solver.resolvent_map
+
+    def failing_map(oracle):
+        apply, calls = real(oracle), []
+        if oracle.bifunction is not F:
+            return apply
+
+        def fail_late(x):
+            calls.append(1)
+            if len(calls) > 11:
+                raise ConvergenceFailure("inner cap reached", iterate=x)
+            return apply(x)
+
+        return fail_late
+
+    cfg = SolverConfig(lambda_schedule=1.5, error_schedule_a=geometric_errors(5),
+                       error_schedule_b=geometric_errors(5), residual_tol=1e-300, trace_every=every)
+    full = solve(F, G, x0, replace(cfg, max_iter=20, trace_every=1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dr_solver, "resolvent_map", failing_map)
+        with pytest.warns(UserWarning, match="inner resolvent failure"):
+            res = solve(F, G, x0, cfg)
+    assert res.status == INNER_FAILURE and 0 < len(res.trace) <= res.iterations
+    assert res.x_star.tobytes() == full.trace.x[res.iterations].tobytes()
+    _assert_steps_of_consecutive_iterates(res, full, "inner_failure")
+    # d = 20 and d = 200, with a relaxation schedule and errors
+    for d in (20, 200):
+        F, G, x0 = _skew_saddle(d)
+        for lam, errors in ((1.0, None), ("ramp", geometric_errors(d))):
+            cfg = SolverConfig(lambda_schedule=ramp_relaxation() if lam == "ramp" else lam,
+                               error_schedule_a=errors, error_schedule_b=errors,
+                               max_iter=400, trace_every=every)
+            res = solve(F, G, x0, cfg)
+            full = solve(F, G, x0, replace(cfg, trace_every=1))
+            _assert_steps_of_consecutive_iterates(res, full, f"d={d} lambda={lam}")
+
+
+def test_an_unread_step_column_computes_no_norm(monkeypatch):
+    from eqsplit import dr_solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("step norms computed")
+
+    monkeypatch.setattr(dr_solver, "_step_norms", refuse)
+    F, G, x0 = _skew_saddle(20)
+    for errors in (None, geometric_errors(20)):
+        res = solve(F, G, x0, SolverConfig(error_schedule_a=errors, error_schedule_b=errors))
+        assert res.status == CONVERGED and len(res.trace) == res.iterations + 1
+        assert res.trace.residual_dr[-1] <= 1e-8
+        # the read is what computes them
+        with pytest.raises(AssertionError, match="step norms computed"):
+            res.trace.step
+
+
+def test_trace_step_is_kept_until_the_next_row():
+    F, G, x0 = _skew_saddle(5)
+    trace = solve(F, G, x0).trace
+    first = trace.step
+    assert trace.step is first
+    trace.record(trace.n[-1] + 1, trace.x[-1], trace.y[-1], 0.0, trace.x[-1])
+    assert trace.step == first + [0.0]
