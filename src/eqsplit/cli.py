@@ -333,28 +333,23 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
 
     The sample behind ``result.certificate`` is drawn once per file.  The
     recorded y, finite vectors the solver built, are projected unchecked,
-    in one call over a box or the whole space as ``sample_points`` does,
-    and one stacked :func:`equilibrium_certificate` call gives the whole
-    column.  ``# certificate`` is the column's last value when that row's
-    projected point has y*'s bytes, and otherwise one call at y* on the
-    same sample: ``result.certificate``'s bits either way, without reading
-    it.  Step norms are computed here, on the first read of ``trace.step``.
-    ``SpecFileError`` when the file cannot be written.
+    in one call over a box or the whole space as ``sample_points`` does.
+    One stacked :func:`equilibrium_certificate` call over those points and
+    y* gives the column and ``# certificate``, which has the bits of
+    ``result.certificate`` without reading it.  Step norms are computed
+    here, on the first read of ``trace.step``.  ``SpecFileError`` when the
+    file cannot be written.
     """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
     Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
     P = _project_rows(F.set, np.array(trace.y).reshape(len(trace), F.dimension))
-    certs = equilibrium_certificate(F, G, P, Y).tolist()
-    for n, res, step, cert in zip(trace.n, trace.residual_dr, trace.step, certs):
-        rows.append(f"{n},{res!r},{step!r},{cert!r}")
+    *certs, cert = equilibrium_certificate(F, G, np.vstack([P, result.y_star]), Y).tolist()
+    for n, res, step, c in zip(trace.n, trace.residual_dr, trace.step, certs):
+        rows.append(f"{n},{res!r},{step!r},{c!r}")
     rows.append(f"# status = {result.status}")
     rows.append(f"# iterations = {result.iterations}")
     rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
-    if certs and P[-1].tobytes() == result.y_star.tobytes():
-        cert = certs[-1]
-    else:
-        cert = equilibrium_certificate(F, G, result.y_star, Y)
     rows.append(f"# certificate = {cert!r}")
     try:
         Path(path).write_text("\n".join(rows) + "\n")

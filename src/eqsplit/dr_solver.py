@@ -157,38 +157,50 @@ class SolverConfig:
 class IterationTrace:
     """Per-iteration record of the iterates and residuals.
 
-    ``x``, ``y`` and ``x_next`` hold the iterates themselves, not copies:
-    each pass of the solver makes new arrays and never writes into old
-    ones.  Copy an entry before changing it.  ``x_next`` is the iterate the
-    row's pass produced, and the row's own ``x`` on a last row that ended
-    the solve; with ``trace_every`` 1 it is the next row's ``x``, so it
-    holds no memory of its own.
+    ``x`` and ``y`` hold the iterates themselves, not copies: each pass of
+    the solver makes new arrays and never writes into old ones.  Copy an
+    entry before changing it.
 
-    ``step``, the norms ||x_next - x||, is computed the first time it is
-    read, for all rows at once, and kept until the next :meth:`record`;
-    each entry has the bits of ``math.sqrt(v @ v)`` for its row's
-    difference v, and a last row that ended the solve reads 0.0.
+    ``step`` holds ||x_{n+1} - x_n|| per row.  A row recorded with
+    ``x_next`` keeps that iterate instead of its norm, and its norm is
+    computed the first time ``step`` is read, for all such rows at once,
+    with the bits of ``math.sqrt(v @ v)``.  The solver records that way
+    when ``trace_every`` is 1, where ``x_next`` is the next row's ``x`` and
+    costs no memory; a thinned row and a last row that ended the solve
+    carry their norm (0.0 on a last row).
     """
 
     n: list = field(default_factory=list)
     x: list = field(default_factory=list)
     y: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
-    x_next: list = field(default_factory=list, repr=False)
-    _step: list | None = field(default=None, init=False, repr=False, compare=False)
+    _step: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # row index -> x_next, for the rows whose norm is not computed yet
+    _pending: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def record(self, n, x, y, residual, x_next):
+    def record(self, n, x, y, residual, step=None, *, x_next=None):
+        """Append a row with its step norm ``step``, or with ``x_next``, an
+        array of x's shape whose distance from x ``step`` gives when read."""
+        if x_next is None:
+            step = float(step)
+        elif step is not None or np.shape(x_next) != np.shape(x):
+            raise ValueError("record takes a step norm or an x_next of x's shape, not both")
+        else:
+            self._pending[len(self.n)] = x_next
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
         self.residual_dr.append(float(residual))
-        self.x_next.append(x_next)
-        self._step = None
+        self._step.append(step)
 
     @property
     def step(self) -> list:
-        if self._step is None:
-            self._step = _step_norms(self.x, self.x_next)
+        if self._pending:
+            rows = list(self._pending)
+            norms = _step_norms([self.x[r] for r in rows], list(self._pending.values()))
+            for r, norm in zip(rows, norms):
+                self._step[r] = norm
+            self._pending.clear()
         return self._step
 
     def __len__(self):
@@ -323,9 +335,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     of each injected error, and the trace keeps each pass's fresh arrays.
     ``certify`` is the pair (F, G) whose certificate the result computes
     when it is first read, or None for a result with no certificate.
-    The residual norm is taken inline as sqrt(v . v), the arithmetic of
-    :func:`~eqsplit.hilbert.norm`; the step norm is not taken here at all,
-    since the trace keeps each row's x_next and derives it when read.
+    Norms are taken inline as sqrt(v . v), the arithmetic of
+    :func:`~eqsplit.hilbert.norm`; with ``trace_every`` 1 a row's step
+    norm is left to the trace, which keeps x_next and takes it when read.
     """
     x = x0
     trace = IterationTrace()
@@ -336,10 +348,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     # a constant relaxation was validated by SolverConfig
     lam_schedule = cfg.lambda_schedule
     lam_constant = None if callable(lam_schedule) else float(lam_schedule)
-    # lambda = 1 scales diff exactly, so x + diff has the bits of x + lam diff
-    unit = lam_constant == 1.0
     tol, max_iter, every = cfg.residual_tol, cfg.max_iter, cfg.trace_every
     sqrt, isfinite = math.sqrt, math.isfinite
+    lazy_step = every == 1
     status = MAX_ITER
     n = 0
     y_clean = None
@@ -354,10 +365,10 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= tol:
                 status = CONVERGED
-                trace.record(n, x, y_clean, res, x)
+                trace.record(n, x, y_clean, res, 0.0)
                 break
             if n >= max_iter:
-                trace.record(n, x, y_clean, res, x)
+                trace.record(n, x, y_clean, res, 0.0)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             if errors:
@@ -365,9 +376,12 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
                 y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             else:
-                y, x_next = y_clean, x + diff if unit else x + lam * diff
-            if n % every == 0:
-                trace.record(n, x, y, res, x_next)
+                y, x_next = y_clean, x + lam * diff
+            if lazy_step:
+                trace.record(n, x, y, res, x_next=x_next)
+            elif n % every == 0:
+                step = x_next - x
+                trace.record(n, x, y, res, sqrt(step @ step))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:

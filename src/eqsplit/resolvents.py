@@ -436,9 +436,6 @@ def _box_linear_resolvent(
     K = _invert(A, gamma)
     shift = gamma * offset
     pinned = lo == hi
-    # a start reads as at lo at or below lo_start, which is the next float
-    # below lo where lo = hi: a coordinate at both bounds reads as at hi
-    lo_start = np.where(pinned, np.nextafter(lo, -np.inf), lo)
     bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
     max_pivots = 10 * d + 50
     try:
@@ -473,14 +470,14 @@ def _box_linear_resolvent(
 
     def apply(x: np.ndarray, start: np.ndarray | None) -> np.ndarray:
         b = x - shift
-        tol = 1e-12 * (bound_scale + float(np.abs(b).max()))
+        tol = 1e-12 * (bound_scale + np.abs(b).max())
         lo_tol, hi_tol = lo - tol, hi + tol
         if start is None or not warm:
             side = cold
         elif np.shape(start) != (d,):
             raise ValueError(f"start must have shape ({d},), got {np.shape(start)}")
         else:
-            side = np.subtract(start >= hi, start <= lo_start, dtype=int)
+            side = np.where(start >= hi, 1, np.where(start <= lo, -1, 0))
         _, L, m, sign = pattern_map(side)
         best, patience = d + 1, BLOCK_PIVOT_PATIENCE
         for passes in range(1, max_pivots + 1):
@@ -597,9 +594,6 @@ def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.nda
     if A is None or not A.any():
         shift = 0.0 if b is None else gamma * b
         if l1 is None:
-            if b is None:
-                # x - 0.0 is a copy of x with its bits, so project x itself
-                return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x)
             return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
         prox = _shrink_project(C, gamma * l1.weights)
         if prox is None:

@@ -622,7 +622,9 @@ def test_batch_run_carries_on_past_an_unwritable_trace(tmp_path, capsys):
     assert code == EXIT_MAX_ITER
 
 
-def test_trace_header_certificate_without_a_matching_last_row(tmp_path):
+def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path):
+    """``# certificate`` is the value at y* itself, not at the last row's
+    point, also when the trace is empty."""
     import warnings
 
     from eqsplit import cli

@@ -843,10 +843,27 @@ def test_an_unread_step_column_computes_no_norm(monkeypatch):
             res.trace.step
 
 
-def test_trace_step_is_kept_until_the_next_row():
+def test_trace_step_reads_rows_recorded_either_way():
+    import math
+
     F, G, x0 = _skew_saddle(5)
     trace = solve(F, G, x0).trace
-    first = trace.step
-    assert trace.step is first
-    trace.record(trace.n[-1] + 1, trace.x[-1], trace.y[-1], 0.0, trace.x[-1])
-    assert trace.step == first + [0.0]
+    first = list(trace.step)
+    x, y = trace.x[-1], trace.y[-1]
+    # a step norm, positional as before, and an x_next read on demand
+    trace.record(trace.n[-1] + 1, x, y, 0.0, 0.75)
+    trace.record(trace.n[-1] + 1, x, y, 0.0, x_next=x + 1.0)
+    trace.record(trace.n[-1] + 1, x, y, 0.0, 0.0)
+    assert trace.step == first + [0.75, math.sqrt(5.0), 0.0]
+    for bad in ({"step": 0.5, "x_next": x}, {"x_next": 0.5}, {"x_next": np.zeros(4)}):
+        with pytest.raises(ValueError, match="x_next of x's shape"):
+            trace.record(0, x, y, 0.0, **bad)
+    assert len(trace) == len(first) + 3
+
+
+def test_thinned_trace_rows_keep_no_later_iterate():
+    F, G, x0 = _skew_saddle(20)
+    res = solve(F, G, x0, SolverConfig(trace_every=5))
+    assert res.status == CONVERGED and not res.trace._pending
+    dense = solve(F, G, x0)
+    assert len(dense.trace._pending) == res.iterations
