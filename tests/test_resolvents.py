@@ -793,30 +793,94 @@ def test_box_warm_start_cannot_hide_a_failure(start):
 
 
 def test_box_warm_start_rejects_a_wrong_shape():
-    o = ResolventOracle(1.0, operator_bifunction(Box([-1.0, -1.0], [1.0, 1.0]), np.eye(2)))
-    with pytest.raises(ValueError, match="start"):
-        resolve(o, [0.5, 3.0], start=np.zeros(3))
+    # resolve checks start for every method, also where it is not read
+    C = Box([-1.0, -1.0], [1.0, 1.0])
+    oracles = [
+        ResolventOracle(1.0, operator_bifunction(C, np.eye(2))),
+        # sym(I + M) is not positive definite: the pivoting starts cold
+        ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]])),
+        ResolventOracle(1.0, zero_bifunction(C)),
+    ]
+    assert [o.method for o in oracles] == [CLOSED_FORM_LINEAR_SOLVE] * 2 + [CLOSED_FORM_PROJECTION]
+    for o in oracles:
+        for x in ([0.5, 3.0], [0.1, 0.2]):
+            with pytest.raises(ValueError, match="start"):
+                resolve(o, x, start=np.zeros(3))
 
 
-def test_box_warm_repeat_forms_no_factorization(monkeypatch):
+def test_box_warm_repeat_forms_no_factorization():
     d, gamma = 20, 0.1
     M, c, rng = _box_vi(d, 7)
-    F = operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c)
-    o = ResolventOracle(gamma, F)
+    pinned_lo, pinned_hi = -np.ones(d), np.ones(d)
+    pinned_lo[::5] = pinned_hi[::5] = 0.3
     x1 = rng.normal(scale=2.0, size=d)
     x2 = x1 + 1e-6 * rng.normal(size=d)
-    z1 = resolve(o, x1)
-    expected = resolve(ResolventOracle(gamma, F), x2)
-    at_bound = np.abs(z1) == 1.0
-    np.testing.assert_array_equal(np.abs(expected) == 1.0, at_bound)
-    assert 0 < np.count_nonzero(at_bound) < d
+    x3 = x2 + 1e-6 * rng.normal(size=d)
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("a repeated pattern was factored again")
 
-    monkeypatch.setattr(np.linalg, "inv", no_factorization)
-    monkeypatch.setattr(np.linalg, "solve", no_factorization)
-    _assert_same(resolve(o, x2, start=z1), expected)
+    def no_sign_rows(*args, **kwargs):
+        raise AssertionError("a repeated pattern formed its bound rows again")
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a held pattern ran a pivoting pass")
+
+    for C in (Box(-np.ones(d), np.ones(d)), Box(pinned_lo, pinned_hi)):
+        F = operator_bifunction(C, M, c)
+        o = ResolventOracle(gamma, F)
+        z1 = resolve(o, x1)
+        expected = resolve(ResolventOracle(gamma, F), x2)
+        at_bound = np.abs(z1) == 1.0
+        np.testing.assert_array_equal(np.abs(expected) == 1.0, at_bound)
+        assert 0 < np.count_nonzero(at_bound) < d
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "inv", no_factorization)
+            patch.setattr(np.linalg, "solve", no_factorization)
+            _assert_same(resolve(o, x2, start=z1), expected)
+            # the pattern has now held for a call, so it has its bound rows;
+            # a further repeat forms none again and certifies its answer
+            # without a pivoting pass (each pass counts its infeasible
+            # coordinates)
+            patch.setattr("eqsplit.resolvents._sign_rows", no_sign_rows)
+            patch.setattr(np, "count_nonzero", no_pass)
+            for x in (x2, x1, x3):
+                assert np.array_equal(np.abs(resolve(o, x, start=z1)) == 1.0, at_bound)
+
+
+@pytest.mark.parametrize("d", [2, 20, 50])
+def test_box_map_matches_the_public_rule_bit_for_bit(d):
+    # resolvent_map carries the pattern of its previous output; every output
+    # must have, byte for byte, the bits of resolve with that output as
+    # start, which derives the pattern again.  Pinned sides, lo == hi, are
+    # in every box; the second box moves a bound of a free coordinate onto
+    # its largest value along the sequence, so that at one step the map's
+    # pattern holds a free coordinate that lands exactly on its bound
+    M, c, rng = _box_vi(d, 300 + d)
+    lo, hi = -np.ones(d), np.ones(d)
+    lo[1::4] = hi[1::4] = rng.uniform(-0.5, 0.5, size=lo[1::4].size)
+    for gamma in (0.1, 1.0):
+        xs = [0.3 * x for x in _dr_like(rng, d, 40)]
+        apply = resolvent_map(ResolventOracle(gamma, operator_bifunction(Box(lo, hi), M, c)))
+        zs = np.array([apply(x) for x in xs])
+        # the free coordinate whose largest value comes last
+        inside = np.flatnonzero(np.all((lo < zs) & (zs < hi), axis=0))
+        i = inside[np.argmax(np.argmax(zs[:, inside], axis=0))]
+        landed = hi.copy()
+        landed[i] = zs[:, i].max()
+        steps_onto_bound = 0
+        for C in (Box(lo, hi), Box(lo, landed)):
+            apply = resolvent_map(ResolventOracle(gamma, operator_bifunction(C, M, c)))
+            public = ResolventOracle(gamma, operator_bifunction(C, M, c))
+            previous = None
+            for x in xs:
+                z = apply(x)
+                assert z.tobytes() == resolve(public, x, start=previous).tobytes()
+                np.testing.assert_array_equal(z[1::4], lo[1::4])
+                if previous is not None and previous[i] < landed[i] == z[i] == C.hi[i]:
+                    steps_onto_bound += 1
+                previous = z
+        assert steps_onto_bound > 0
 
 
 def test_resolvent_maps_keep_their_start_per_map():
