@@ -55,15 +55,13 @@ The same bound makes I + gamma A a P-matrix, for which block principal
 pivoting with Murty's single-pivot backup ends in finitely many passes from
 any starting pattern.  :func:`resolvent_map` therefore starts each call
 from the pattern of the map's previous output, which along a solve rarely
-changes and which the map carries instead of deriving it again, and the
-kept map holds the factor of the last pattern it met.  Once that pattern
-has held for a call, its map also gives the KKT multipliers of the bound
-coordinates, so a call whose pattern holds is one matrix-vector product
-and a strict sign test.  The answer satisfies the KKT sign conditions of
-the box problem, which certify it exactly, so no sampled check is made.
-A non-monotone M can make the pivoting cycle or meet a singular block;
-the call then raises :class:`ConvergenceFailure` instead of returning a
-point.
+changes, and the kept map holds the factor of the last pattern it met.
+That map also gives the KKT multipliers of the bound coordinates, so a
+call whose pattern holds is one matrix-vector product and a strict sign
+test.  The answer satisfies the KKT sign conditions of the box problem,
+which certify it exactly, so no sampled check is made.  A non-monotone M
+can make the pivoting cycle or meet a singular block; the call then
+raises :class:`ConvergenceFailure` instead of returning a point.
 """
 
 from __future__ import annotations
@@ -401,25 +399,23 @@ BLOCK_PIVOT_PATIENCE = 3
 
 
 def _sign_rows(
-    A: np.ndarray, L: np.ndarray, m: np.ndarray, free: np.ndarray, sign: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A pattern's map (L, m), z = L b + m, with its bound rows replaced by
-    the signed multipliers: new arrays (P, p) with
-    (P b + p)_i = sign_i (A z - b)_i wherever sign_i != 0.
+    A: np.ndarray, Kf: np.ndarray, m: np.ndarray, free: np.ndarray, sign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signed multipliers of a pattern's bound coordinates as an affine
+    map of b: (bound, R, r) with sign_i (A z - b)_i = (R b + r)_k for
+    i = bound[k], where z = L b + m is the pattern's map.
 
     L is zero outside its free block K_F = A_FF^{-1}, and z_i = m_i is the
-    bound on a bound row i, so row i of P is sign_i (A_iF K_F, -e_i) and
-    p_i = sign_i A_i m: the only matrix product is A_BF K_F.
+    bound on a bound row i, so row k of R is sign_i (A_iF K_F, -e_i) and
+    r_k = sign_i A_i m: the only matrix product is A_BF K_F.
     """
-    bi = np.flatnonzero(sign)
-    s = sign[bi]
-    A_b = A[bi]
-    rows = np.zeros((bi.size, A.shape[0]))
-    rows[:, free] = s[:, None] * (A_b[:, free] @ L[free][:, free])
-    rows[np.arange(bi.size), bi] = -s
-    P, p = L.copy(), m.copy()
-    P[bi], p[bi] = rows, s * (A_b @ m)
-    return P, p
+    bound = np.flatnonzero(sign)
+    s = sign[bound]
+    A_b = A[bound]
+    R = np.zeros((bound.size, A.shape[0]))
+    R[:, free] = s[:, None] * (A_b[:, free] @ Kf)
+    R[np.arange(bound.size), bound] = -s
+    return bound, R, s * (A_b @ m)
 
 
 def _box_linear_resolvent(
@@ -445,36 +441,32 @@ def _box_linear_resolvent(
     block and zero elsewhere, and m holds the bounds.  Once a pattern has
     held for a call (its first pass met every sign), the bound rows of its
     map are replaced by the signed multipliers sign_i w_i
-    (:func:`_sign_rows`), so one product v = P b + p gives z_F and those
-    multipliers.  A call that starts from such a pattern accepts when every
-    free v_i lies strictly inside (lo_i, hi_i) and every signed multiplier
-    is strictly negative (pinned coordinates, lo == hi, have none to meet):
-    it returns z from that one matrix-vector product, with no tolerance
-    and no pivoting pass.  Otherwise, and on a pattern that has not held
-    yet, it runs the passes above, the first of them on the same z_F.  The
-    strict test accepts only where that first pass would, up to the
-    rounding of the multipliers, and gives the first pass's bits.  A
-    pattern that pivoting only passes through costs its inverse and no
-    bound rows.
+    (:func:`_sign_rows`, formed from the free block alone), so one product
+    v = P b + p gives z_F and those multipliers.  A call that starts from
+    such a pattern accepts when every free v_i lies strictly inside
+    (lo_i, hi_i) and every signed multiplier is strictly negative (pinned
+    coordinates, lo == hi, have none to meet): it returns z from that one
+    matrix-vector product, with no tolerance and no pivoting pass.
+    Otherwise, and on a pattern that has not held yet, it runs the passes
+    above, the first of them on the same z_F.  A pattern that pivoting only
+    passes through costs its inverse and no bound rows.
+
+    The strict test gives the first pass's bits wherever it accepts, and
+    where it rejects the first pass runs.  It can accept where that pass
+    would not only when the two roundings of a multiplier, sign_i w_i
+    against the row of P, differ by more than the pass's tolerance
+    1e-12 (1 + max |bound| + max |b|); only then does the output depend on
+    whether the pattern's bound rows were formed.
 
     The map of the last pattern is kept (a one-entry memo, replaced as one
     tuple, also when the bound rows are added), so a call on an unchanged
     pattern forms nothing.  It starts as the all-free pattern, whose map is
     A^{-1}, and a later return to that pattern rebuilds it like any other,
-    so the closure holds two d x d matrices, A and the last map.  The map
-    is a function of the pattern alone, so the output does not depend on
-    the memo.  ``start`` is read only when sym(A) is positive definite:
-    then the problem has one solution and any pattern leads to it.
-    Otherwise the box problem may have several solutions or none, and the
-    pivoting starts cold, as without ``start``.
-
-    When ``start`` is read, the returned map has an attribute
-    ``with_pattern``, (x, pattern) -> (z, pattern of z), for
-    :func:`resolvent_map`: a pattern is the bytes of its int8 codes, and
-    None means all free.  It gives the bits of ``apply(x, start)`` for any
-    ``start`` with that pattern, and returns the pattern it started from
-    whenever that pattern certified z, so a map whose pattern holds
-    derives nothing.
+    so the closure holds two d x d matrices, A and the last map.
+    ``start`` is read only when sym(A) is positive definite: then the
+    problem has one solution and any pattern leads to it.  Otherwise the
+    box problem may have several solutions or none, and the pivoting
+    starts cold, as without ``start``.
 
     Raises ValueError when A is singular, and :class:`ConvergenceFailure`
     carrying the clamp of b when the pivot cap is reached or a block is
@@ -511,6 +503,7 @@ def _box_linear_resolvent(
         if entry[0] == key:
             return entry
         free = side == 0
+        sign = np.where(pinned, 0, side).astype(np.int8)
         m = np.where(side > 0, hi, lo)
         m[free] = 0.0
         L = np.zeros((d, d))
@@ -522,7 +515,7 @@ def _box_linear_resolvent(
             rows[:, free] = Kf
             L[free] = rows
             m[free] = -(Kf @ (A_f @ m))
-        entry = (key, free, L, m, m, np.where(pinned, 0, side), None, None)
+        entry = (key, free, L, m, m, sign, None, None)
         memo = entry
         return entry
 
@@ -530,32 +523,14 @@ def _box_linear_resolvent(
         """Keep the entry with its bound rows in place of it; new arrays are
         filled, so an entry, once shared, never changes."""
         nonlocal memo
-        key, free, P, p, m, sign, _, _ = entry
+        key, free, L, _, m, sign, _, _ = entry
+        P, p = L, m
         if sign.any():
-            P, p = _sign_rows(A, P, m, free, sign)
+            bound, R, r = _sign_rows(A, L[free][:, free], m, free, sign)
+            P, p = L.copy(), m.copy()
+            P[bound], p[bound] = R, r
         hi_v = np.where(free, hi, np.where(sign == 0, np.inf, 0.0))
         memo = (key, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
-
-    def pattern_of(z):
-        return np.where(z >= hi, 1, np.where(z <= lo, -1, 0)).astype(np.int8).tobytes()
-
-    def run(b, pattern):
-        """(z, whether ``pattern`` certified z by itself)."""
-        entry = memo
-        if entry[0] != pattern:
-            entry = pattern_map(np.frombuffer(pattern, dtype=np.int8))
-        _, free, P, p, m, _, lo_v, hi_v = entry
-        v = P @ b + p
-        if lo_v is None:
-            # a pattern gets its bound rows once it has held for a call, so
-            # the patterns that pivoting passes through cost what they did
-            z, passes = pivot(b, entry, v)
-            if passes == 1:
-                with_sign_rows(entry)
-            return z, False
-        if ((lo_v < v) & (v < hi_v)).all():
-            return np.where(free, v, m), True
-        return pivot(b, entry, v)[0], False
 
     def pivot(b, entry, v):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
@@ -601,15 +576,28 @@ def _box_linear_resolvent(
         )
 
     def apply(x: np.ndarray, start: np.ndarray | None) -> np.ndarray:
-        return run(x - shift, cold if start is None or not warm else pattern_of(start))[0]
+        b = x - shift
+        if start is None or not warm:
+            key = cold
+        else:
+            key = np.where(start >= hi, 1, np.where(start <= lo, -1, 0)).astype(np.int8).tobytes()
+        entry = memo
+        if entry[0] != key:
+            entry = pattern_map(np.frombuffer(key, dtype=np.int8))
+        _, free, P, p, m, _, lo_v, hi_v = entry
+        v = P @ b + p
+        if lo_v is None:
+            # a pattern gets its bound rows once it has held for a call, so
+            # a pattern that pivoting only passes through costs its inverse
+            # and no more
+            z, passes = pivot(b, entry, v)
+            if passes == 1:
+                with_sign_rows(entry)
+            return z
+        if ((lo_v < v) & (v < hi_v)).all():
+            return np.where(free, v, m)
+        return pivot(b, entry, v)[0]
 
-    def with_pattern(x: np.ndarray, pattern: bytes | None) -> tuple[np.ndarray, bytes]:
-        start = cold if pattern is None else pattern
-        z, certified = run(x - shift, start)
-        return z, start if certified else pattern_of(z)
-
-    if warm:
-        apply.with_pattern = with_pattern
     return apply
 
 
@@ -720,9 +708,13 @@ def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
     ``ValueError`` is raised when its shape is not that of x, whatever the
     method.  Box pivoting starts from its pattern of coordinates at lo, at
     hi and free, which saves passes when x is near the earlier input; every
-    other method ignores it.  The call is pure for a given ``(x, start)``,
-    and for a monotone operator the answer does not depend on ``start``
-    beyond the 1e-12 pivoting tolerance.
+    other method ignores it.  The answer is a function of ``(x, start)``,
+    up to the rounding of box pivoting's KKT multipliers: the oracle keeps
+    the map of the last pattern it met, and a pattern with its bound rows
+    formed accepts by a strict sign test, without the pivoting tolerance,
+    so two roundings of a multiplier that differ by more than that
+    tolerance could change the answer.  For a monotone operator the answer
+    does not depend on ``start`` beyond the 1e-12 pivoting tolerance.
     """
     x = as_vector(x, oracle.dimension)
     if start is not None:
@@ -738,32 +730,19 @@ def resolvent_map(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]
     The map calls the oracle's stored map directly and does not validate
     ``x``: it is for code that builds its own vectors, finite float arrays
     of the oracle's dimension, such as the solver's iteration.  Pass
-    anything else through :func:`resolve`.  Box pivoting's stored map
-    carries the pattern of the previous output instead of the output
-    (``with_pattern``), which gives the same bits without deriving an
-    unchanged pattern again.  The warm start lives in the returned
-    closure, never on the oracle, so make one map per solve; a failed call
-    keeps the previous start.
+    anything else through :func:`resolve`.  The warm start lives in the
+    returned closure, never on the oracle, so make one map per solve; a
+    failed call keeps the previous start.
     """
     apply_oracle = oracle._apply
-    step = getattr(apply_oracle, "with_pattern", None)
-    if step is None:
-        last = None
+    last = None
 
-        def apply(x):
-            nonlocal last
-            last = apply_oracle(x, last)
-            return last
+    def apply(x):
+        nonlocal last
+        last = apply_oracle(x, last)
+        return last
 
-        return apply
-    pattern = None
-
-    def apply_carrying_pattern(x):
-        nonlocal pattern
-        z, pattern = step(x, pattern)
-        return z
-
-    return apply_carrying_pattern
+    return apply
 
 
 def reflect(oracle: ResolventOracle, x) -> np.ndarray:

@@ -850,9 +850,8 @@ def test_box_warm_repeat_forms_no_factorization():
 
 @pytest.mark.parametrize("d", [2, 20, 50])
 def test_box_map_matches_the_public_rule_bit_for_bit(d):
-    # resolvent_map carries the pattern of its previous output; every output
-    # must have, byte for byte, the bits of resolve with that output as
-    # start, which derives the pattern again.  Pinned sides, lo == hi, are
+    # every output of resolvent_map must have, byte for byte, the bits of
+    # resolve with the previous output as start.  Pinned sides, lo == hi, are
     # in every box; the second box moves a bound of a free coordinate onto
     # its largest value along the sequence, so that at one step the map's
     # pattern holds a free coordinate that lands exactly on its bound

@@ -7,7 +7,8 @@ Usage, from the root of a checkout:
 For each workload in BENCHMARK.json (or each ``--workload`` given) and each
 seed 201-210, the unchanged ``perfbench/run.py --trace 0`` runs once on an
 export of the parent revision and once on this checkout's working tree,
-each importing eqsplit from its own ``src/``.  Which side runs first
+each importing eqsplit from its own ``src/``.  The working tree must
+match HEAD (the output file aside), whose hash the output records.  Which side runs first
 alternates from pair to pair, so a drift of the host's speed falls on both
 sides alike.  The parent is exported with ``git archive`` into a temporary
 directory, which is removed at the end; nothing is fetched.
@@ -103,9 +104,15 @@ def main(argv=None) -> int:
     specs = {m["name"]: m for m in bench["end_to_end"]}
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
-                                check=True, capture_output=True, text=True).stdout.strip())
-    record = {"parent": None, "change": {"head": head, "uncommitted_changes": dirty},
+    # the change side runs the working tree, so it must be HEAD for the
+    # recorded hash to name the code measured; the output file may differ
+    out = Path(args.out).resolve()
+    exclude = [f":(exclude){out.relative_to(ROOT)}"] if out.is_relative_to(ROOT) else []
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".", *exclude],
+                           cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    if dirty.strip():
+        p.error(f"the working tree differs from HEAD; commit or stash first:\n{dirty}")
+    record = {"parent": None, "change": {"head": head},
               "seeds": list(SEEDS), "seconds": args.seconds, "host": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         record["parent"] = export(args.parent, Path(tmp))
