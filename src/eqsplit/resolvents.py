@@ -484,9 +484,12 @@ def _box_linear_resolvent(
         warm = True
     except np.linalg.LinAlgError:
         warm = False
-    # pattern code per coordinate: -1 at lo, 0 free, 1 at hi; one byte each,
-    # since the kept map holds a few pattern vectors besides its d x d matrix
-    cold = bytes(d)
+    # pattern code per coordinate: -1 at lo, 0 free, 1 at hi.  A pattern's
+    # key is the bytes of its two masks (at hi, at lo), which a start gives
+    # in two comparisons: at or above hi is at hi, and at or below lo is at
+    # lo unless pinned, where only below lo is (lo_key is the float below)
+    lo_key = np.where(pinned, np.nextafter(lo, -np.inf), lo)
+    cold = bytes(2 * d)
     memo = (cold, np.ones(d, dtype=bool), K, np.zeros(d), np.zeros(d), np.zeros(d, dtype=np.int8), None, None)
 
     def pattern_map(side):
@@ -498,8 +501,7 @@ def _box_linear_resolvent(
         LinAlgError on a singular block."""
         nonlocal memo
         entry = memo
-        side = side.astype(np.int8, copy=False)
-        key = side.tobytes()
+        key = (side > 0).tobytes() + (side < 0).tobytes()
         if entry[0] == key:
             return entry
         free = side == 0
@@ -532,13 +534,17 @@ def _box_linear_resolvent(
         hi_v = np.where(free, hi, np.where(sign == 0, np.inf, 0.0))
         memo = (key, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
 
+    def side_of(key):
+        at_hi, at_lo = np.frombuffer(key, dtype=np.int8).reshape(2, d)
+        return at_hi - at_lo
+
     def pivot(b, entry, v):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
         lo_tol, hi_tol = lo - tol, hi + tol
         best, patience = d + 1, BLOCK_PIVOT_PATIENCE
         for passes in range(1, max_pivots + 1):
             key, free, _, _, m, sign, _, _ = entry
-            side = np.frombuffer(key, dtype=np.int8)
+            side = side_of(key)
             z = np.where(free, v, m)
             w = A @ z - b
             # bound coordinates hold their bound exactly, so the box test
@@ -580,10 +586,10 @@ def _box_linear_resolvent(
         if start is None or not warm:
             key = cold
         else:
-            key = np.where(start >= hi, 1, np.where(start <= lo, -1, 0)).astype(np.int8).tobytes()
+            key = (start >= hi).tobytes() + (start <= lo_key).tobytes()
         entry = memo
         if entry[0] != key:
-            entry = pattern_map(np.frombuffer(key, dtype=np.int8))
+            entry = pattern_map(side_of(key))
         _, free, P, p, m, _, lo_v, hi_v = entry
         v = P @ b + p
         if lo_v is None:
