@@ -485,10 +485,9 @@ def _box_linear_resolvent(
     except np.linalg.LinAlgError:
         warm = False
     # pattern code per coordinate: -1 at lo, 0 free, 1 at hi.  A pattern's
-    # key is the bytes of its two masks (at hi, at lo), which a start gives
-    # in two comparisons: at or above hi is at hi, and at or below lo is at
-    # lo unless pinned, where only below lo is (lo_key is the float below)
-    lo_key = np.where(pinned, np.nextafter(lo, -np.inf), lo)
+    # key is the bytes of the masks (z >= hi, z <= lo) of the points z on
+    # it, which a start gives in two comparisons; a bound pinned coordinate
+    # (lo == hi) is in both, and is at lo and at hi alike
     cold = bytes(2 * d)
     memo = (cold, np.ones(d, dtype=bool), K, np.zeros(d), np.zeros(d), np.zeros(d, dtype=np.int8), None, None)
 
@@ -501,7 +500,8 @@ def _box_linear_resolvent(
         LinAlgError on a singular block."""
         nonlocal memo
         entry = memo
-        key = (side > 0).tobytes() + (side < 0).tobytes()
+        bound_pinned = pinned & (side != 0)
+        key = ((side > 0) | bound_pinned).tobytes() + ((side < 0) | bound_pinned).tobytes()
         if entry[0] == key:
             return entry
         free = side == 0
@@ -535,8 +535,8 @@ def _box_linear_resolvent(
         memo = (key, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
 
     def side_of(key):
-        at_hi, at_lo = np.frombuffer(key, dtype=np.int8).reshape(2, d)
-        return at_hi - at_lo
+        at_hi, at_lo = np.frombuffer(key, dtype=bool).reshape(2, d)
+        return np.where(at_hi, 1, np.where(at_lo, -1, 0))
 
     def pivot(b, entry, v):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
@@ -561,10 +561,7 @@ def _box_linear_resolvent(
                 last = np.flatnonzero(infeasible)[-1]
                 infeasible = np.zeros(d, dtype=bool)
                 infeasible[last] = True
-            # a pinned coordinate (lo == hi) leaves the free set at hi, where
-            # the start rule puts it, so the pattern a call ends on is the
-            # one the next call starts from
-            side = np.where(infeasible, np.where(side == 0, np.where((z > hi) | pinned, 1, -1), 0), side)
+            side = np.where(infeasible, np.where(side == 0, np.where(z > hi, 1, -1), 0), side)
             try:
                 entry = pattern_map(side)
             except np.linalg.LinAlgError:
@@ -586,7 +583,7 @@ def _box_linear_resolvent(
         if start is None or not warm:
             key = cold
         else:
-            key = (start >= hi).tobytes() + (start <= lo_key).tobytes()
+            key = (start >= hi).tobytes() + (start <= lo).tobytes()
         entry = memo
         if entry[0] != key:
             entry = pattern_map(side_of(key))
