@@ -7,17 +7,16 @@ oracles, and generic parts g known only through evaluation oracles.  The
 constructors build the form, a sum adds the operator parts and joins the
 rest, and the spec writer reads these fields.
 
-Without a generic part the form induces the maximally monotone operator
-A z + b + d l1(z) + sum d f(z) + N_C(z), which has the same resolvent as
-the bifunction.  :attr:`Bifunction.induced` computes it once: A and b
-gather M, c and every shipped ``Quadratic`` and ``AffineFunction``, l1 is
-one ``WeightedL1`` with the summed weights, and the rest are the other
-functions.  Shipped types are matched by exact type there, in the
-per-axis value tables and line facts the grid oracles read
-(``_axis_values``, ``_line_facts``) and in the stacked values f(x_r)
-``eval_batch`` takes (``_row_values``), and nowhere else, since a
-subclass may override their oracles.  The resolvents, the operator bridge
-and the admissibility check read ``induced``.
+The shipped functions of a form are one part,
+phi(y) = 1/2 y'Qy + q'y + sum_i w_i |y_i| + k (:attr:`Bifunction.canonical`),
+and the functions of any other type are its rest.  That property is the
+one place that tells the shipped types apart, by exact type, since a
+subclass may override their oracles; every reader of a form's functions
+reads phi's fields and the rest.  Without a generic part the form induces
+the maximally monotone operator A z + b + d l1(z) + sum_rest d f(z)
++ N_C(z), with A = M + Q, b = c + q and l1 the weights w, which has the
+same resolvent as the bifunction (:attr:`Bifunction.induced`).  The
+resolvents, the operator bridge and the admissibility check read it.
 
 A bifunction is admissible for the solver when it vanishes on the diagonal,
 is monotone (H(x,y) + H(y,x) <= 0), is convex and lower semicontinuous in
@@ -34,8 +33,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, reduce
+from operator import add
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,29 +63,6 @@ class ConvexFunction(ABC):
         """(mu, L) bounds on the (sub)gradient field, or None if unbounded."""
         return None
 
-    def _axis_values(self, axes: list[np.ndarray]) -> list[np.ndarray] | None:
-        """Per-axis tables phi_k(axes[k]) with f(y) = sum_k phi_k(y_k) at
-        every point y of the tensor grid ``axes``, or None when f does not
-        split by axis.  The shipped separable types return them for their
-        exact type only, since a subclass may override their values."""
-        return None
-
-    def _row_values(self, X: np.ndarray) -> np.ndarray | None:
-        """f at every row of the float array ``X``, each with the bits of
-        ``value`` at that row, or None when only a row loop over ``value``
-        gives them.  The shipped types return them for their exact type
-        only, from stacked calls whose per-item shapes are those of
-        ``value``'s own calls."""
-        return None
-
-    def _line_facts(self, radius: float) -> tuple[float, tuple[float, ...]] | None:
-        """For a convex f on the line: a bound on the magnitude of every
-        term ``value_batch`` adds at points |y| <= ``radius``, which bounds
-        its rounding there even when the terms cancel, and the points where
-        f bends; None when unknown.  The shipped types return them for
-        their exact type only."""
-        return None
-
 
 @dataclass(frozen=True)
 class Quadratic(ConvexFunction):
@@ -98,6 +75,8 @@ class Quadratic(ConvexFunction):
         Q = np.array(self.Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square matrix")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError(f"Q must be finite, got {Q!r}")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         q = as_vector(self.q, Q.shape[0])
@@ -127,27 +106,6 @@ class Quadratic(ConvexFunction):
 
     def curvature_bounds(self):
         return self._eig_range
-
-    def _row_values(self, X):
-        if type(self) is not Quadratic:
-            return None
-        # value() takes ((0.5 y) Q) y + q y: one vector-matrix and two dot
-        # products per row
-        X = np.ascontiguousarray(X)
-        u = np.matmul((0.5 * X)[:, None, :], self.Q)
-        return (np.matmul(u, X[:, :, None]) + np.matmul(self.q, X[:, :, None])[:, :, None]).ravel()
-
-    def _axis_values(self, axes):
-        diag = np.diag(self.Q)
-        if type(self) is not Quadratic or np.any(self.Q != np.diag(diag)):
-            return None
-        return [0.5 * diag[k] * a * a + self.q[k] * a for k, a in enumerate(axes)]
-
-    def _line_facts(self, radius):
-        # Q may pass the constructor down to -1e-10, which is not convex
-        if type(self) is not Quadratic or self.Q[0, 0] < 0.0:
-            return None
-        return 0.5 * self.Q[0, 0] * radius * radius + abs(self.q[0]) * radius, ()
 
 
 @dataclass(frozen=True)
@@ -183,28 +141,14 @@ class WeightedL1(ConvexFunction):
         Coordinates within ``kink_tol`` of zero count as kinks; grid points
         meant to sit on a kink routinely carry float drift of a few ulps.
         """
-        y = np.asarray(y, dtype=float)
-        at_kink = np.abs(y) <= kink_tol
-        s = np.sign(y)
-        lo = np.where(at_kink, -self.weights, self.weights * s)
-        hi = np.where(at_kink, self.weights, self.weights * s)
-        return lo, hi
+        return _l1_bounds(self.weights, np.asarray(y, dtype=float), kink_tol)
 
-    def _row_values(self, X):
-        if type(self) is not WeightedL1:
-            return None
-        # each row summed along contiguous memory, as value() sums its one row
-        return np.sum(self.weights * np.abs(np.ascontiguousarray(X)), axis=1)
 
-    def _axis_values(self, axes):
-        if type(self) is not WeightedL1:
-            return None
-        return [self.weights[k] * np.abs(a) for k, a in enumerate(axes)]
-
-    def _line_facts(self, radius):
-        if type(self) is not WeightedL1:
-            return None
-        return self.weights[0] * radius, (0.0,)
+def _l1_bounds(w: np.ndarray, y: np.ndarray, kink_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`WeightedL1.subdifferential_bounds` of the weights ``w``."""
+    at_kink = np.abs(y) <= kink_tol
+    s = np.sign(y)
+    return np.where(at_kink, -w, w * s), np.where(at_kink, w, w * s)
 
 
 @dataclass(frozen=True)
@@ -237,21 +181,58 @@ class AffineFunction(ConvexFunction):
     def curvature_bounds(self):
         return (0.0, 0.0)
 
-    def _row_values(self, X):
-        if type(self) is not AffineFunction:
-            return None
-        return np.matmul(self.a, np.ascontiguousarray(X)[:, :, None])[:, 0] + self.b
 
-    def _axis_values(self, axes):
-        if type(self) is not AffineFunction:
-            return None
-        # the constant b rides on the first axis
-        return [self.a[k] * a + (self.b if k == 0 else 0.0) for k, a in enumerate(axes)]
+class CanonicalPart(NamedTuple):
+    """The shipped functions of a form as one part phi(y) = 1/2 y'Qy + q'y
+    + sum_i w_i |y_i| + k, and ``rest``, the functions of any other type.
 
-    def _line_facts(self, radius):
-        if type(self) is not AffineFunction:
-            return None
-        return abs(self.a[0]) * radius + abs(self.b), ()
+    Q and q sum the ``Quadratic`` parts, q also the a of each
+    ``AffineFunction``, w the ``WeightedL1`` weights and k the affine
+    offsets; each is None when no shipped function supplies it.  Phi adds
+    its terms in that order, each with its shipped type's expression, so a
+    form with one shipped function keeps that function's bits.
+    """
+
+    Q: np.ndarray | None
+    q: np.ndarray | None
+    w: np.ndarray | None
+    k: float | None
+    rest: tuple[ConvexFunction, ...]
+
+    @property
+    def terms(self) -> int:
+        """How many of Q, q, w and k phi has; 0 when it has no shipped function."""
+        return (self.Q is not None) + (self.q is not None) + (self.w is not None) + (self.k is not None)
+
+    def _sum(self, quadratic, linear, l1):
+        """quadratic(Q) + linear(q) + l1(w) + k over phi's terms, left to
+        right; None when phi has none."""
+        Q, q, w, k, _ = self
+        terms = (None if Q is None else quadratic(Q), None if q is None else linear(q), None if w is None else l1(w), k)
+        terms = [t for t in terms if t is not None]
+        return reduce(add, terms) if terms else None
+
+    def value(self, y: np.ndarray) -> float:
+        """phi(y) at one point."""
+        return float(self._sum(lambda Q: 0.5 * y @ Q @ y, lambda q: q @ y, lambda w: np.sum(w * np.abs(y))))
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """phi at every row of the float array ``X``, each with the bits of
+        :meth:`value` there: stacked calls with the per-item shapes of its
+        own, and w |x| summed along contiguous memory."""
+        X = np.ascontiguousarray(X)
+        cols = X[:, :, None]
+        return self._sum(
+            lambda Q: np.matmul(np.matmul((0.5 * X)[:, None, :], Q), cols)[:, 0, 0],
+            lambda q: np.matmul(q, cols)[:, 0],
+            lambda w: np.sum(w * np.abs(X), axis=1),
+        )
+
+    def batches(self, Y: np.ndarray) -> list[np.ndarray]:
+        """Phi's values at the rows of ``Y`` (when it has a term), then each
+        rest f's ``value_batch``."""
+        phi = self._sum(lambda Q: 0.5 * np.einsum("ij,ij->i", Y @ Q, Y), lambda q: Y @ q, lambda w: np.abs(Y) @ w)
+        return ([] if phi is None else [phi]) + [f.value_batch(Y) for f in self.rest]
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +280,35 @@ class Bifunction:
         return self.set.dimension
 
     @cached_property
-    def induced(self) -> tuple[np.ndarray | None, np.ndarray | None, WeightedL1 | None, tuple] | None:
-        """(A, b, l1, rest): the induced operator A z + b + d l1(z)
-        + sum_rest d f(z) + N_C(z), or None with a generic part.
-
-        A and b sum M, c and the (Q, q) of every ``Quadratic`` and the a of
-        every ``AffineFunction`` (None where no part adds one), l1 is one
-        ``WeightedL1`` with the summed weights (None without one), and rest
-        holds every other function.  The shipped types are matched by exact
-        type.  Computed once, on first read."""
-        if self.oracles:
-            return None
-        A, b, l1, rest = self.matrix, self.offset, None, ()
+    def canonical(self) -> CanonicalPart:
+        """The shipped functions as one part phi, and the rest
+        (:class:`CanonicalPart`).  The one place that tells the shipped
+        types apart, by exact type, since a subclass may override their
+        oracles.  Computed once, on first read."""
+        Q = q = w = k = None
+        rest = ()
         for f in self.functions:
             if type(f) is Quadratic:
-                A, b = _add(A, f.Q), _add(b, f.q)
-            elif type(f) is AffineFunction:
-                b = _add(b, f.a)
+                Q, q = _add(Q, f.Q), _add(q, f.q)
             elif type(f) is WeightedL1:
-                l1 = f if l1 is None else WeightedL1(l1.weights + f.weights)
+                w = _add(w, f.weights)
+            elif type(f) is AffineFunction:
+                q, k = _add(q, f.a), float(f.b) if k is None else k + f.b
             else:
                 rest += (f,)
-        return A, b, l1, rest
+        return CanonicalPart(Q, q, w, k, rest)
+
+    @cached_property
+    def induced(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, tuple] | None:
+        """(A, b, l1, rest): the induced operator A z + b + d l1(z)
+        + sum_rest d f(z) + N_C(z) with l1(z) = sum_i l1_i |z_i|, or None
+        with a generic part: A = M + Q, b = c + q and the weights l1 = w of
+        :attr:`canonical`, each None where no part adds one.  Computed
+        once, on first read."""
+        if self.oracles:
+            return None
+        Q, q, w, _, rest = self.canonical
+        return _add(self.matrix, Q), _add(self.offset, q), w, rest
 
     @cached_property
     def curvature(self) -> tuple[float, float, bool] | None:
@@ -352,8 +340,11 @@ class Bifunction:
     def __call__(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        part = self.canonical
         return float(sum(
-            [f.value(y) - f.value(x) for f in self.functions] + [fn(x, y) for fn, _ in self.oracles],
+            ([part.value(y) - part.value(x)] if part.terms else [])
+            + [f.value(y) - f.value(x) for f in part.rest]
+            + [fn(x, y) for fn, _ in self.oracles],
             0.0 if self.matrix is None else (self.matrix @ x + self.offset) @ (y - x),
         ))
 
@@ -366,9 +357,10 @@ class Bifunction:
         one-point call, so a stacked call equals R one-point calls bit for
         bit: g_r = M x_r + c is one gemv per row (a single gemm may round
         differently), the operator term is one stacked product
-        (y_j - x_r) . g_r, each f.value_batch(Y) runs once, f(x_r) comes
-        from one stacked call for a shipped type and from f.value once per
-        row for any other, each generic batch oracle gets one 1-D row at a time,
+        (y_j - x_r) . g_r, phi and each rest f are evaluated at Y once
+        (:meth:`CanonicalPart.batches`), phi(x_r) comes from one stacked
+        call (:meth:`CanonicalPart.rows`) and a rest f(x_r) from f.value
+        once per row, each generic batch oracle gets one 1-D row at a time,
         and the terms add in one order.  The caller bounds the memory: the
         operator term builds an R x n x d temporary.  ``ValueError`` for an
         x that is neither (d,) nor (R, d).
@@ -389,18 +381,15 @@ class Bifunction:
             for r, x_r in enumerate(rows):
                 np.subtract(Y, x_r, out=D[r])
             start = np.matmul(D, g[:, :, None])[:, :, 0]
+        part = self.canonical
+        at_rows = [part.rows(rows)] if part.terms else []
+        at_rows += [np.array([f.value(r) for r in rows]) for f in part.rest]
         H = sum(
-            [f.value_batch(Y) - _values_at_rows(f, rows).reshape(-1, 1) for f in self.functions]
+            [fy - fx.reshape(-1, 1) for fy, fx in zip(part.batches(Y), at_rows)]
             + [np.array([batch(r, Y) for r in rows], dtype=float).reshape(shape) for _, batch in self.oracles],
             start,
         )
         return H.reshape(X.shape[:-1] + (Y.shape[0],))
-
-
-def _values_at_rows(f: ConvexFunction, rows: np.ndarray) -> np.ndarray:
-    """f.value at every row, stacked where ``f`` offers it, else a row loop."""
-    values = f._row_values(rows)
-    return values if values is not None else np.array([f.value(r) for r in rows])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -551,12 +540,13 @@ def check_admissibility(F: Bifunction, samples: int = 100, seed: int = 0) -> Adm
     """Diagnostic of the four admissibility conditions, exact where it can be.
 
     A bifunction with no generic part whose functions are all a shipped
-    ``Quadratic``, ``WeightedL1`` or ``AffineFunction``, sums included, gets
+    ``Quadratic``, ``WeightedL1`` or ``AffineFunction`` (no rest function
+    in :attr:`Bifunction.canonical`), sums included, gets
     an exact report (``exact`` true) and no call to the oracle: one
     eigenvalue of the symmetric part of M, which needs a whole space, ball,
     halfspace or box when M is nonzero, or nothing at all when M is zero.
     That verdict is computed once per bifunction and kept.
-    Every other bifunction (generic parts, user-defined convex functions, a
+    Every other bifunction (generic parts, rest functions, a
     nonzero M over other set kinds) gets the sampled diagnostic.
 
     The sampled diagnostic draws points of C by projecting seeded gaussians

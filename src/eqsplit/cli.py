@@ -288,20 +288,20 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
             out.append("family = zero")
             return out
         out.append("family = function-difference")
-        f = H.functions[0]
-        if isinstance(f, Quadratic):
-            out.append("function = quadratic")
-            out.append("q_matrix = " + "; ".join(" ".join(repr(float(v)) for v in row) for row in f.Q))
-            out.append("q_linear = " + " ".join(repr(float(v)) for v in f.q))
-        elif isinstance(f, WeightedL1):
-            out.append("function = weighted-l1")
-            out.append("weights = " + " ".join(repr(float(v)) for v in f.weights))
-        elif isinstance(f, AffineFunction):
-            out.append("function = affine")
-            out.append("linear = " + " ".join(repr(float(v)) for v in f.a))
-            out.append(f"constant = {float(f.b)!r}")
-        else:
+        Q, q, w, k, rest = H.canonical
+        if rest:
             raise ValueError("unsupported convex function")
+        if Q is not None:
+            out.append("function = quadratic")
+            out.append("q_matrix = " + "; ".join(" ".join(repr(float(v)) for v in row) for row in Q))
+            out.append("q_linear = " + " ".join(repr(float(v)) for v in q))
+        elif w is not None:
+            out.append("function = weighted-l1")
+            out.append("weights = " + " ".join(repr(float(v)) for v in w))
+        else:
+            out.append("function = affine")
+            out.append("linear = " + " ".join(repr(float(v)) for v in q))
+            out.append(f"constant = {k!r}")
         return out
 
     lines += bif_lines(inst.F, "F")

@@ -17,7 +17,9 @@ sums and solutions of summed equilibrium problems coincide.
 
 Each term is read from the operator it induces,
 A z + b + d l1(z) + sum d f(z) + N_C(z)
-(:attr:`~eqsplit.bifunctions.Bifunction.induced`).  With no generic part
+(:attr:`~eqsplit.bifunctions.Bifunction.induced`), and its function values
+from the canonical part phi of its shipped functions and its rest f
+(:attr:`~eqsplit.bifunctions.Bifunction.canonical`).  With no generic part
 and no rest f, the image over a box or the whole space is a per-coordinate
 interval (possibly unbounded), which a finite list of vectors could not
 represent; it is evaluated over arrays of points at once
@@ -29,8 +31,7 @@ test.  The grid oracles are array operations over the whole grid, blocked
 so that no pair-value matrix outgrows a few tens of MB; the solution set
 of a form that splits by axis over a box or the whole space needs no
 pair values at all, only a per-axis lower envelope, and the 1-D zero scan
-of a form built from the shipped functions only a few candidate columns
-per grid point.
+of a form with no rest f only a few candidate columns per grid point.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 from .bifunctions import (
     Bifunction,
     ConvexFunction,
+    _l1_bounds,
     function_difference,
     generic_bifunction,
     operator_bifunction,
@@ -127,7 +129,7 @@ def _interval_image(F: Bifunction, X: np.ndarray, tol: float = 1e-9):
         g = g + b
     if l1 is None:
         return ok, g + lo, g + hi
-    l1_lo, l1_hi = l1.subdifferential_bounds(X)
+    l1_lo, l1_hi = _l1_bounds(l1, X)
     return ok, g + l1_lo + lo, g + l1_hi + hi
 
 
@@ -456,15 +458,14 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     quantization of the grid; degenerate instances whose residual is
     quadratic around the solution need a tighter, matched tolerance.
 
-    A form with no generic part over a box or the whole space, whose
-    functions all split by axis (a ``Quadratic`` with a diagonal Q, a
-    ``WeightedL1``, an ``AffineFunction``), takes its worst values from a
-    per-axis lower envelope: with g = M x + c, min_y <g, y> + f(y) is a sum
-    of one-axis minima, each found by a binary search on the discrete
+    A form over a box or the whole space with no generic part or rest f,
+    whose canonical part phi splits by axis (no Q or a diagonal one), takes
+    its worst values from a per-axis lower envelope: with g = M x + c,
+    min_y <g, y> + phi(y) is a sum of one-axis minima, each found by a binary search on the discrete
     slopes of that axis's convex table and checked on a five-point window
     with the scan's own pair expression, in O(n log n) time and O(n)
     memory for n grid points.  Every other form (a generic part, any other
-    set kind, a non-diagonal Q, other functions) compares all pairs of
+    set kind, a non-diagonal Q, a rest function) compares all pairs of
     grid points, as blocked matrix products for a structured form and one
     stacked ``eval_batch`` per row block with a generic part.
 
@@ -492,7 +493,7 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
 def _scan_terms(F: Bifunction, pts: np.ndarray):
     """(G, f_vals, base) of a form with no generic part over the points
     ``pts``: its pair values are F(x_i, y_j) = G_i . y_j + f_vals_j - base_i."""
-    f_vals = sum((f.value_batch(pts) for f in F.functions), np.zeros(pts.shape[0]))
+    f_vals = sum(F.canonical.batches(pts), np.zeros(pts.shape[0]))
     G = np.zeros_like(pts) if F.matrix is None else pts @ F.matrix.T + F.offset
     base = np.einsum("ij,ij->i", G, pts) + f_vals
     return G, f_vals, base
@@ -522,25 +523,32 @@ def _pair_scan(F: Bifunction, pts: np.ndarray) -> np.ndarray:
 
 def _axis_tables(F: Bifunction, grid: GridSpec):
     """(axes, tables) of the lower-envelope route: the grid axes restricted
-    to C and, per axis k, the table of phi_k with sum_k phi_k(y_k) the sum
-    of F's functions.  None when that route does not apply: a generic part,
-    a set that is not a box or the whole space, or a function that does not
-    split by axis."""
-    C = F.set
-    if F.oracles or C.kind not in ("box", "whole-space"):
+    to C and, per axis i, the table of phi_i with sum_i phi_i(y_i) the
+    canonical part phi of F (its constant k on the first axis).  None when
+    that route does not apply: a generic part, a rest function, a set that
+    is not a box or the whole space, or a Q that is not diagonal."""
+    C, Q = F.set, F.canonical.Q
+    if F.oracles or F.canonical.rest or C.kind not in ("box", "whole-space"):
+        return None
+    if Q is not None and np.any(Q != np.diag(np.diag(Q))):
         return None
     axes = grid.axes()
     if C.kind == "box":
         # the slack of contains_batch(pts, 1e-9), so the restricted tensor
         # grid is the filtered grid, in the same row order
         axes = [a[(a >= lo - 1e-9) & (a <= hi + 1e-9)] for a, lo, hi in zip(axes, C.lo, C.hi)]
-    tables = [np.zeros(a.size) for a in axes]
-    for f in F.functions:
-        values = f._axis_values(axes)
-        if values is None:
-            return None
-        tables = [t + v for t, v in zip(tables, values)]
-    return axes, tables
+    curvature, q, w, k = _filled(F)
+    return axes, [
+        0.5 * curvature[i] * a * a + q[i] * a + w[i] * np.abs(a) + (k if i == 0 else 0.0) for i, a in enumerate(axes)
+    ]
+
+
+def _filled(F: Bifunction) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(diag Q, q, w, k) of the canonical part of F, with zeros for the
+    terms it lacks."""
+    Q, q, w, k, _ = F.canonical
+    zero = np.zeros(F.dimension)
+    return zero if Q is None else np.diag(Q), zero if q is None else q, zero if w is None else w, k or 0.0
 
 
 #: offsets of the window around each axis minimizer found by binary search
@@ -575,17 +583,17 @@ def _envelope(F: Bifunction, pts: np.ndarray, axes, tables) -> np.ndarray:
 
 def _row_terms_1d(F: Bifunction, X: np.ndarray):
     """(g, fx) of a 1-D form with no generic part at the rows of X: the
-    column g = M x + c (None when M and c vanish) and each function's
-    values f(x), as columns."""
+    column g = M x + c (None when M and c vanish) and the values of phi and
+    each rest f, as columns."""
     M, c = F.matrix, F.offset
     g = X @ M.T + c if M is not None and (M.any() or c.any()) else None
-    return g, [f.value_batch(X)[:, None] for f in F.functions]
+    return g, [v[:, None] for v in F.canonical.batches(X)]
 
 
 def _quotients(D, g, fy, fx, delta, where=True):
     """(F(x, y) + delta) / (y - x) from D = y - x, the slope g of
-    :func:`_row_terms_1d` (or None) and each function's f(y) and f(x), all
-    broadcasting against D; left undivided outside ``where``.  The zero
+    :func:`_row_terms_1d` (or None) and the f(y) and f(x) of phi and each
+    rest f, all broadcasting against D; left undivided outside ``where``.  The zero
     scan's one expression, so an entry computed on gathered columns equals
     the full row's bit for bit."""
     # a pure function difference skips the vanishing affine product
@@ -606,7 +614,7 @@ def _interval_scan(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta: float):
     uhi = np.empty(X.shape[0])
     if not F.oracles:
         g, fx = _row_terms_1d(F, X)
-        fy = [f.value_batch(Y)[None, :] for f in F.functions]
+        fy = [v[None, :] for v in F.canonical.batches(Y)]
     for rows in _row_blocks(X.shape[0], Y.shape[0], BLOCK_ENTRIES // 4):
         D = Y[None, :, 0] - X[rows]
         if F.oracles:
@@ -645,42 +653,43 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
 
     uhi is the least quotient V(x, y) = (F(x, y) + delta) / (y - x) over
     y > x, and ulo the largest over y < x.  For a form with no generic part
-    whose functions all report their line facts (``_line_facts``: the
-    shipped ``Quadratic`` with Q >= 0, ``WeightedL1`` and
-    ``AffineFunction``, by exact type), over a strictly increasing Y, the
-    quotient is quasiconvex in the distance h = |y - x| on each side, as
-    S = +V and S = -V: F(x, x + s h) = s h g + phi(x + s h) - phi(x) with
-    phi convex, so the sign of dS/dh is that of s h phi'(x + s h)
-    - phi(x + s h) + phi(x) - delta, whose derivative in h is
-    h phi''(x + s h) >= 0.  Each row then evaluates a few candidate columns
-    per side with the scan's own expression (:func:`_quotients`), so each
-    value has the scan's bits: the three nearest columns, the two farthest
-    and the four around each point where a function bends.  A side's
-    candidate minimum counts only with a certificate: S rises after the
-    nearest columns, falls into the farthest, or falls into a bend's
-    window and rises out of it, each step by more than four times a bound
-    on the rounding of any gathered entry, so that every column left out
-    is provably larger.  The bound divides by the least distance of a
+    or rest f, whose canonical part phi has no Q or Q >= 0, over a strictly
+    increasing Y, the quotient is quasiconvex in the distance h = |y - x|
+    on each side, as S = +V and S = -V: F(x, x + s h) = s h g
+    + phi(x + s h) - phi(x) with phi convex, so the sign of dS/dh is that
+    of s h phi'(x + s h) - phi(x + s h) + phi(x) - delta, whose derivative
+    in h is h phi''(x + s h) >= 0.  Each row then evaluates a few candidate
+    columns per side with the scan's own expression (:func:`_quotients`),
+    so each value has the scan's bits: the three nearest columns, the two
+    farthest and the four around the point where phi bends (0, with a w).
+    A side's candidate minimum counts only with a certificate: S rises
+    after the nearest columns, falls into the farthest, or falls into a
+    bend's window and rises out of it, each step by more than four times a
+    bound on the rounding of any gathered entry, so that every column left
+    out is provably larger.  The bound divides by the least distance of a
     gathered column from its row, so rows need not be columns (a row
-    nearer a column than the spacing widens the margin), and it takes
-    each function's terms by magnitude, not its value, so it covers
-    cancellation inside f.  A row without a certificate on both sides, or
-    whose interval ends in 0.0 (a signed zero that the order of a min
-    decides), is computed by the full-row scan (:func:`_interval_scan`), as
-    is every row of a form with a generic part or any other function.
+    nearer a column than the spacing widens the margin), takes each of
+    phi's terms by magnitude, not its value, so it covers cancellation
+    inside phi, and counts phi's terms.  A row without a certificate on
+    both sides, or whose interval ends in 0.0 (a signed zero that the
+    order of a min decides), is computed by the full-row scan
+    (:func:`_interval_scan`), as is every row of a form with a generic part
+    or a rest f.
     """
     y = Y[:, 0]
     n, N = y.size, X.shape[0]
     if F.oracles or n < 2 or N == 0:
         return _interval_scan(F, X, Y, delta)
-    reach = max(-y[0], y[-1], float(np.abs(X).max()))
-    facts = [f._line_facts(reach) for f in F.functions]
-    if None in facts or not np.all(y[1:] > y[:-1]):
+    part = F.canonical
+    curvature, q, w, k = _filled(F)
+    # Q may pass the constructor down to -1e-10, which is not convex
+    if part.rest or curvature[0] < 0.0 or not np.all(y[1:] > y[:-1]):
         return _interval_scan(F, X, Y, delta)
-    terms = sum(magnitude for magnitude, _ in facts)
-    bends = sorted({t for _, points in facts for t in points})
+    reach = max(-y[0], y[-1], float(np.abs(X).max()))
+    terms = 0.5 * curvature[0] * reach * reach + abs(q[0]) * reach + w[0] * reach + abs(k)
+    bends = () if part.w is None else (0.0,)
     g, fx = _row_terms_1d(F, X)
-    fy = [f.value_batch(Y) for f in F.functions]
+    fy = part.batches(Y)
     slope = 0.0 if g is None else float(np.abs(g).max())
     if not 2.0 * (slope * reach + terms) + abs(delta) < 2.0**1000:
         # a value may overflow
@@ -708,7 +717,7 @@ def _admissible_intervals_1d(F: Bifunction, X: np.ndarray, Y: np.ndarray, delta:
     if not bound < 2.0**1000:
         # an entry may overflow
         return _interval_scan(F, X, Y, delta)
-    margin = 4.0 * 8.0 * (len(fy) + 2) * _EPS * bound
+    margin = 4.0 * 8.0 * (part.terms + 2) * _EPS * bound
     S = _quotients(D, g, [v[cols] for v in fy], fx, delta, gathered) * _DIRECTIONS
     best = S.min(axis=0)
     best[m == 0] = np.inf
@@ -748,12 +757,12 @@ def zeros_bruteforce(
     * ``sampled``: 1-D only; the admissible multiplier set of each
       one-term operator over the grid sample is an exact interval,
       so existence over the continuum of multipliers inside ``u_bounds`` is
-      decided directly.  For a bifunction with no generic part whose
-      functions are all ``Quadratic``, ``WeightedL1`` or ``AffineFunction``
-      (exact types), each grid point's interval comes from a few candidate
+      decided directly.  For a bifunction with no generic part or rest f
+      (only shipped ``Quadratic``, ``WeightedL1`` and ``AffineFunction``
+      parts), each grid point's interval comes from a few candidate
       columns, certified by the quasiconvexity of F(x, y) / (y - x) on each
       side of x (:func:`_admissible_intervals_1d`), in O(n) memory.  A
-      generic part, any other function and every uncertified row take
+      generic part, a rest function and every uncertified row take
       blocked pair-value arrays F(x_i, y_j) over the full row, with one
       stacked ``eval_batch`` per block for a generic part.  Both give the
       same bits.

@@ -322,7 +322,7 @@ def _certified(F: Bifunction) -> bool:
     if F.curvature is None:
         return False
     l1 = F.induced[2]
-    return l1 is None or _shrink_project(F.set, l1.weights) is not None
+    return l1 is None or _shrink_project(F.set, l1) is not None
 
 
 def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_iter: int):
@@ -350,7 +350,7 @@ def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_ite
         q = mu_t / L_t
         rho = np.sqrt(1.0 - q * q)
         sigma, factor = q / L_t, rho * (1.0 + rho) / (q * q)
-    prox = C._project if l1 is None else _shrink_project(C, sigma * gamma * l1.weights)
+    prox = C._project if l1 is None else _shrink_project(C, sigma * gamma * l1)
 
     def smooth(z):
         u = 0.0 if A is None else A @ z
@@ -683,7 +683,7 @@ def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.nda
         shift = 0.0 if b is None else gamma * b
         if l1 is None:
             return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
-        prox = _shrink_project(C, gamma * l1.weights)
+        prox = _shrink_project(C, gamma * l1)
         if prox is None:
             return None
         if b is None or not b.any():

@@ -23,6 +23,11 @@ def test_quadratic_validation():
         Quadratic([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
     with pytest.raises(ValueError, match="semidefinite"):
         Quadratic([[-1.0]], [0.0])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            Quadratic([[bad]], [0.0])
+    with pytest.raises(ValueError, match="Q must be finite"):
+        Quadratic([[1.0, np.inf], [np.inf, 1.0]], [0.0, 0.0])
 
 
 def test_weighted_l1_validation():
@@ -156,8 +161,6 @@ def test_stacked_function_values_equal_one_point_calls(d):
         H = function_difference(C, f)
         one_point = np.array([f.value_batch(Y) - f.value(x) for x in X])
         for stack in (X, X_strided):
-            values = f._row_values(stack)
-            assert values.tobytes() == np.array([f.value(x) for x in X]).tobytes(), type(f).__name__
             stacked = H.eval_batch(stack, Y)
             assert stacked.tobytes() == one_point.tobytes(), type(f).__name__
         for r, x in enumerate(X):
@@ -165,7 +168,6 @@ def test_stacked_function_values_equal_one_point_calls(d):
     # functions that are not exactly a shipped type take the row loop
     _CountingQuadratic.calls = 0
     for f in (_SquaredNorm(d), _CountingQuadratic(np.eye(d), np.zeros(d))):
-        assert f._row_values(X) is None
         H = function_difference(C, f)
         one_point = np.array([f.value_batch(Y) - f.value(x) for x in X])
         before = f.calls if isinstance(f, _SquaredNorm) else _CountingQuadratic.calls
@@ -173,6 +175,49 @@ def test_stacked_function_values_equal_one_point_calls(d):
         after = f.calls if isinstance(f, _SquaredNorm) else _CountingQuadratic.calls
         assert after - before == len(X)
         assert stacked.tobytes() == one_point.tobytes()
+
+
+class _PlainQuadratic(Quadratic):
+    pass
+
+
+class _PlainL1(WeightedL1):
+    pass
+
+
+class _PlainAffine(AffineFunction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "f", [_PlainQuadratic([[2.0]], [0.5]), _PlainL1([1.0]), _PlainAffine([1.0], 0.5)], ids=lambda f: type(f).__name__
+)
+def test_subclass_of_a_shipped_type_stays_a_rest_function(f, monkeypatch):
+    # a subclass may override the oracles of its shipped type, so no reader
+    # takes it for that type
+    from eqsplit import operators
+    from eqsplit.resolvents import INNER_ITERATIVE, ResolventOracle
+
+    C = Box([-1.0], [1.0])
+    F = function_difference(C, f)
+    assert F.canonical.terms == 0 and F.canonical.rest == (f,)
+    calls = []
+    value = type(f).value
+    monkeypatch.setattr(type(f), "value", lambda self, y: calls.append(y) or value(self, y))
+    X = np.linspace(-1.0, 1.0, 9)[:, None]
+    F.eval_batch(X, X)
+    assert len(calls) == len(X)
+    report = check_admissibility(F, samples=8, seed=3)
+    assert not report.exact and report.samples == 8
+    taken = []
+    for name in ("_pair_scan", "_interval_scan"):
+        scan = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda *args, scan=scan, name=name: taken.append(name) or scan(*args))
+    operators.equilibrium_bruteforce(F, operators.GridSpec([-1.0], [1.0], 0.25))
+    operators._admissible_intervals_1d(F, X, X, 0.0)
+    assert taken == ["_pair_scan", "_interval_scan"]
+    assert ResolventOracle(1.0, F).method == INNER_ITERATIVE
+    assert operators.operator_from_bifunction(F)._intervals is False
 
 
 def test_stacked_operator_term_allocates_only_its_differences():

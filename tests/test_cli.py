@@ -644,3 +644,186 @@ def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path):
         out = tmp_path / "trace.csv"
         cli._write_trace(out, result, F, inst.G, cfg)
         assert out.read_text().splitlines()[-1] == f"# certificate = {result.certificate!r}"
+
+
+#: the spec text of each corpus instance, and of quadratic-1d with the
+#: affine G <1, y> + 0.5 - <1, x> - 0.5, as (the sections up to [G], x0);
+#: every one ends in the default solver settings of ``_SPEC_TAIL``
+FROZEN_SPECS = {
+    "pure-feasibility": (
+        """\
+[space]
+dimension = 2
+
+[set]
+kind = box
+lo = -1.0 -1.0
+hi = 1.0 1.0
+
+[F]
+family = zero
+
+[G]
+family = zero
+
+""",
+        "5.0 5.0",
+    ),
+    "quadratic-1d": (
+        """\
+[space]
+dimension = 1
+
+[set]
+kind = whole-space
+
+[F]
+family = function-difference
+function = quadratic
+q_matrix = 2.0
+q_linear = 0.0
+
+[G]
+family = operator-induced
+matrix = 0.0
+offset = 1.0
+
+""",
+        "1.0",
+    ),
+    "vi-over-box": (
+        """\
+[space]
+dimension = 2
+
+[set]
+kind = box
+lo = 0.0 0.0
+hi = 1.0 1.0
+
+[F]
+family = operator-induced
+matrix = 2.0 1.0; 1.0 2.0
+offset = -1.5 -2.5
+
+[G]
+family = zero
+
+""",
+        "0.5 0.5",
+    ),
+    "mixed-equilibrium": (
+        """\
+[space]
+dimension = 1
+
+[set]
+kind = box
+lo = -1.0
+hi = 1.0
+
+[F]
+family = operator-induced
+matrix = 1.0
+offset = -2.0
+
+[G]
+family = function-difference
+function = weighted-l1
+weights = 1.0
+
+""",
+        "0.0",
+    ),
+    "skew-saddle": (
+        """\
+[space]
+dimension = 2
+
+[set]
+kind = whole-space
+
+[F]
+family = operator-induced
+matrix = 0.0 1.0; -1.0 0.0
+offset = 0.0 0.0
+
+[G]
+family = function-difference
+function = quadratic
+q_matrix = 1.0 0.0; 0.0 1.0
+q_linear = 0.0 0.0
+
+""",
+        "1.0 1.0",
+    ),
+    "operator-bridge": (
+        """\
+[space]
+dimension = 1
+
+[set]
+kind = whole-space
+
+[F]
+family = operator-induced
+matrix = 1.0
+offset = -1.0
+
+[G]
+family = function-difference
+function = quadratic
+q_matrix = 2.0
+q_linear = 0.0
+
+""",
+        "0.0",
+    ),
+    "quadratic-affine": (
+        """\
+[space]
+dimension = 1
+
+[set]
+kind = whole-space
+
+[F]
+family = function-difference
+function = quadratic
+q_matrix = 2.0
+q_linear = 0.0
+
+[G]
+family = function-difference
+function = affine
+linear = 1.0
+constant = 0.5
+
+""",
+        "1.0",
+    ),
+}
+
+_SPEC_TAIL = """\
+[solver]
+gamma = 1.0
+lambda = 1.0
+tol = 1e-08
+max_iter = 10000
+trace_every = 1
+error_preset = none
+seed = 0
+
+[init]
+x0 = {}
+"""
+
+
+def test_spec_text_is_frozen():
+    base = get_problem("quadratic-1d")
+    affine = replace(base, name="quadratic-affine", G=function_difference(base.set, AffineFunction([1.0], 0.5)))
+    instances = [*corpus(), affine]
+    assert [inst.name for inst in instances] == list(FROZEN_SPECS)
+    for inst in instances:
+        head, x0 = FROZEN_SPECS[inst.name]
+        assert problem_to_spec_text(inst) == head + _SPEC_TAIL.format(x0), inst.name
