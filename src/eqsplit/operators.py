@@ -461,10 +461,10 @@ def equilibrium_bruteforce(F: Bifunction, grid: GridSpec, tol: float | None = No
     A form over a box or the whole space with no generic part or rest f,
     whose canonical part phi splits by axis (no Q or a diagonal one), takes
     its worst values from a per-axis lower envelope: with g = M x + c,
-    min_y <g, y> + phi(y) is a sum of one-axis minima, each found by a binary search on the discrete
-    slopes of that axis's convex table and checked on a five-point window
-    with the scan's own pair expression, in O(n log n) time and O(n)
-    memory for n grid points.  Every other form (a generic part, any other
+    min_y <g, y> + phi(y) is a sum of one-axis minima, each found by a
+    binary search on the discrete slopes of that axis's convex table and
+    checked on a five-point window with the scan's own pair expression, in
+    O(n log n) time and O(n) memory for n grid points.  Every other form (a generic part, any other
     set kind, a non-diagonal Q, a rest function) compares all pairs of
     grid points, as blocked matrix products for a structured form and one
     stacked ``eval_batch`` per row block with a generic part.
