@@ -439,7 +439,12 @@ def _arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="override injected resolvent error sequences",
     )
-    p.add_argument("--seed", type=int, default=None, help="override sampling seed")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the seed of the certificate sample and the sampled admissibility check",
+    )
     return p
 
 

@@ -120,10 +120,10 @@ class SolverConfig:
     vector; it is called once per iteration and side, or once per iteration
     when both sides share one object, whose vector then moves both.
     Shipped presets are all summable against any admissible relaxation.
-    ``seed``, a non-negative integer, fixes the resolvents' verification
-    samples, the certificate sample and the draws of the sampled
-    admissibility check (structured families are checked exactly and draw
-    none; see :func:`solve`).
+    ``seed``, a non-negative integer, fixes only the certificate sample and
+    the draws of the sampled admissibility check (structured families are
+    checked exactly and draw none; see :func:`solve`); no resolvent draws a
+    sample.
     """
 
     gamma: float = 1.0
@@ -174,9 +174,8 @@ class IterationTrace:
     x: list = field(default_factory=list)
     y: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
+    # per row, the step norm, or the x_next whose norm is not computed yet
     _step: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # row index -> x_next, for the rows whose norm is not computed yet
-    _pending: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def record(self, n, x, y, residual, step=None, *, x_next=None):
         """Append a row with its step norm ``step``, or with ``x_next``, an
@@ -186,21 +185,30 @@ class IterationTrace:
         elif step is not None or np.shape(x_next) != np.shape(x):
             raise ValueError("record takes a step norm or an x_next of x's shape, not both")
         else:
-            self._pending[len(self.n)] = x_next
+            step = np.asarray(x_next)
+        self._append(n, x, y, float(residual), step)
+
+    def _append(self, n, x, y, residual, step):
+        """:meth:`record` without checks, for the solver's own rows:
+        ``residual`` is a float and ``step`` a float or x_next."""
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
-        self.residual_dr.append(float(residual))
+        self.residual_dr.append(residual)
         self._step.append(step)
 
     @property
+    def _pending(self) -> dict:
+        """Row index -> x_next, for the rows whose norm is not computed yet."""
+        return {r: s for r, s in enumerate(self._step) if isinstance(s, np.ndarray)}
+
+    @property
     def step(self) -> list:
-        if self._pending:
-            rows = list(self._pending)
-            norms = _step_norms([self.x[r] for r in rows], list(self._pending.values()))
-            for r, norm in zip(rows, norms):
+        pending = self._pending
+        if pending:
+            norms = _step_norms([self.x[r] for r in pending], list(pending.values()))
+            for r, norm in zip(pending, norms):
                 self._step[r] = norm
-            self._pending.clear()
         return self._step
 
     def __len__(self):
@@ -365,10 +373,10 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= tol:
                 status = CONVERGED
-                trace.record(n, x, y_clean, res, 0.0)
+                trace._append(n, x, y_clean, res, 0.0)
                 break
             if n >= max_iter:
-                trace.record(n, x, y_clean, res, 0.0)
+                trace._append(n, x, y_clean, res, 0.0)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             if errors:
@@ -378,10 +386,10 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
             else:
                 y, x_next = y_clean, x + lam * diff
             if lazy_step:
-                trace.record(n, x, y, res, x_next=x_next)
+                trace._append(n, x, y, res, x_next)
             elif n % every == 0:
                 step = x_next - x
-                trace.record(n, x, y, res, sqrt(step @ step))
+                trace._append(n, x, y, res, sqrt(step @ step))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:
@@ -453,8 +461,8 @@ def solve(
         if not report.passed:
             warnings.warn(f"{tag} bifunction: {report}")
 
-    JF = ResolventOracle(cfg.gamma, F, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
-    JG = ResolventOracle(cfg.gamma, G, inner_max_iter=cfg.inner_max_iter, seed=cfg.seed)
+    JF = ResolventOracle(cfg.gamma, F, inner_max_iter=cfg.inner_max_iter)
+    JG = ResolventOracle(cfg.gamma, G, inner_max_iter=cfg.inner_max_iter)
     return _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg, certify=(F, G))
 
 
@@ -472,10 +480,10 @@ def solve_operator_form(
     :func:`solve` on those bifunctions.  Bare operators give no
     equilibrium certificate, so ``certificate`` is None.  A sum of terms
     has no resolvent and raises ``ValueError``.  The resolvents use
-    ``cfg.inner_max_iter`` and ``cfg.seed`` as :func:`solve`'s do.
+    ``cfg.inner_max_iter`` as :func:`solve`'s do.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, _same_dimension(A, B))
-    options = {"inner_max_iter": cfg.inner_max_iter, "seed": cfg.seed}
-    return _run_dr(A.resolvent_map(cfg.gamma, **options), B.resolvent_map(cfg.gamma, **options), x0, cfg)
+    maps = [H.resolvent_map(cfg.gamma, inner_max_iter=cfg.inner_max_iter) for H in (A, B)]
+    return _run_dr(*maps, x0, cfg)
 

@@ -193,24 +193,21 @@ class MonotoneOperator:
         # the sampled membership test's points, drawn on its first call
         return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
 
-    def _oracle(self, gamma: float, inner_max_iter: int = 50000, seed: int = 0) -> ResolventOracle:
+    def _oracle(self, gamma: float, inner_max_iter: int = 50000) -> ResolventOracle:
         if len(self.terms) != 1:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        return ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter, seed=seed)
+        return ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter)
 
-    def resolvent_map(
-        self, gamma: float, *, inner_max_iter: int = 50000, seed: int = 0
-    ) -> Callable[[np.ndarray], np.ndarray]:
+    def resolvent_map(self, gamma: float, *, inner_max_iter: int = 50000) -> Callable[[np.ndarray], np.ndarray]:
         """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
         raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
         which does not validate x and starts box pivoting from its previous
-        output, so make one per solve.  ``inner_max_iter`` and ``seed`` are
-        the :class:`~eqsplit.resolvents.ResolventOracle` fields of the same
-        names (the inner solver's cap and verification sample).  Each call
-        builds a fresh oracle; a closed form is kept on the term for its
-        last gamma, so only the first call at a gamma factors
-        I + gamma A."""
-        return resolvent_map(self._oracle(gamma, inner_max_iter, seed))
+        output, so make one per solve.  ``inner_max_iter`` is the inner
+        solver's cap, the :class:`~eqsplit.resolvents.ResolventOracle`
+        field of that name.  Each call builds a fresh oracle; a closed form
+        is kept on the term for its last gamma, so only the first call at a
+        gamma factors I + gamma A."""
+        return resolvent_map(self._oracle(gamma, inner_max_iter))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         """J_{gamma A} x for a one-term operator, from a cold start; ``x``

@@ -25,12 +25,12 @@ has the same resolvent as the bifunction:
   principal pivoting;
 * no rest f and no l1 over the whole space: z = (I + gamma A)^{-1}
   (x - gamma b);
-* anything else: :func:`inner_solve`, a certified forward-backward
-  contraction when the smooth part A z + b + sum grad f has curvature
-  bounds and the l1 prox above is closed-form over C, and otherwise a
-  projected subgradient search with exact subgradients of the structured
-  parts and finite differences of the generic parts g, accepted on a
-  seeded sample.
+* anything else: :func:`inner_solve`, one loop of forward-backward steps
+  on the smooth part (A z + b, the rest gradients, and finite differences
+  of the generic parts g) with the l1 prox above as the backward step,
+  stopped by an a-posteriori bound on ||z - J x|| that needs only
+  monotonicity.  An l1 part without that prox over C ends the loop at
+  once in :class:`ConvergenceFailure`.
 
 So the method depends only on the induced operator: a sum of bifunctions,
 or an operator part written as a ``Quadratic`` or ``AffineFunction``, gets
@@ -42,7 +42,8 @@ the same gamma reuses it, so repeated solves factor nothing.  The memo
 holds one entry, the last gamma, and a new gamma replaces it, so a
 bifunction keeps at most one d x d inverse over the whole space, and two
 d x d matrices over a box (I + gamma A and the map of the last pivoting
-pattern).  The inner routes are rebuilt per oracle.
+pattern).  The inner route is rebuilt per oracle, and no route draws a
+sample.
 
 Whole-space linear resolvents invert I + gamma A once, and each call is
 one matrix-vector product.  For monotone A, sym(I + gamma A) >= I, so
@@ -67,7 +68,6 @@ raises :class:`ConvergenceFailure` instead of returning a point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,7 +83,7 @@ INNER_ITERATIVE = "inner-iterative"
 #: finite-difference step for subgradients of generic bifunctions
 FD_STEP = 1e-6
 
-#: number of points in the residual verification sample
+#: number of points in the sample of :func:`residual_certificate`
 CHECK_SAMPLE_SIZE = 64
 
 #: inner solver tolerance (see :func:`inner_solve` for what it bounds)
@@ -117,51 +117,46 @@ def _central_difference(batch_fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (up - np.asarray(batch_fn(x, y - E), dtype=float)) / (2.0 * FD_STEP)
 
 
-def partial_second(F: Bifunction):
-    """Oracle (x, y) -> one subgradient of F(x, .) at y.
+def _smooth_part(F: Bifunction) -> Callable:
+    """Oracle (x, y) -> M x + c + Q y + q + sum_rest d f(y) + sum_g d_y g(x, y):
+    one subgradient of F(x, .) at y without the weighted L1 part w of
+    ``F.canonical``.  Exact for the structured parts; each generic part g
+    adds central finite differences of g(x, .) with step ``FD_STEP``, taken
+    from its batch oracle."""
+    M, c, gs = F.matrix, F.offset, F.oracles
+    Q, q, _, _, rest = F.canonical
 
-    Exact for the structured parts: M x + c plus one subgradient of each f
-    at y.  Each generic part g adds central finite differences of g(x, .)
-    with step ``FD_STEP``, taken from its batch oracle.
-    """
-    M, c, fs, gs = F.matrix, F.offset, F.functions, F.oracles
-    if M is None and not gs and len(fs) == 1:
-        # the inner solver calls this once per iteration; skip the sum
-        return lambda x, y: fs[0].subgradient(y)
-
-    def grad(x, y):
+    def u(x, y):
         g = 0.0 if M is None else M @ x + c
-        for f in fs:
+        if Q is not None:
+            g = g + Q @ y
+        if q is not None:
+            g = g + q
+        for f in rest:
             g = g + f.subgradient(y)
         for _, batch_fn in gs:
             g = g + _central_difference(batch_fn, x, y)
         return g
 
-    return grad
+    return u
 
 
-def _resolvent_residuals(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """gamma F(z, y) + <z - x, y - z> for every row y of Y; all >= 0 at z = J x."""
-    return gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)
+def partial_second(F: Bifunction):
+    """Oracle (x, y) -> one subgradient of F(x, .) at y: the smooth part
+    that :func:`inner_solve` steps on, plus w sign(y) for the weighted L1
+    part w of ``F.canonical`` (0 at its kinks)."""
+    u, w = _smooth_part(F), F.canonical.w
+    if w is None:
+        return u
+    return lambda x, y: u(x, y) + w * np.sign(y)
 
 
-def _violation(F: Bifunction, gamma: float, x: np.ndarray, z: np.ndarray, Y: np.ndarray) -> float:
-    """Largest violation of gamma F(z,y) + <z-x, y-z> >= 0 over sample Y.
+#: Armijo ratio of the forward-backward-forward step: the step s is halved
+#: until s ||T(w) - T(z)|| <= _ARMIJO ||w - z||
+_ARMIJO = 0.9
 
-    The sample is augmented with deterministic probes (projected origin and
-    input, and coordinate-zeroed variants of z) because violations of
-    piecewise-linear bifunctions concentrate in narrow windows around their
-    kinks that a random sample can straddle.
-    """
-    C = F.set
-    extras = [C._project(np.zeros_like(z)), C._project(x)]
-    for i in range(z.size):
-        if z[i] != 0.0:
-            v = z.copy()
-            v[i] = 0.0
-            extras.append(C._project(v))
-    residuals = _resolvent_residuals(F, gamma, x, z, np.vstack([Y, extras]))
-    return float(max(0.0, -residuals.min()))
+#: the inner loop fails once its backtracked step falls below this
+_MIN_STEP = 1e-15
 
 
 def inner_solve(
@@ -171,94 +166,103 @@ def inner_solve(
     tol: float = INNER_TOL,
     max_iter: int = 50000,
     *,
-    seed: int = 0,
-    samples: np.ndarray | None = None,
     return_info: bool = False,
 ):
-    """Resolvent of a bifunction by projected steps on the 1-strongly
-    monotone inequality T(z) = gamma u(z) + z - x, u a subgradient of F(z, .).
+    """Resolvent of a bifunction by forward-backward steps on the inclusion
+    0 in T(z) + gamma d l1(z) + N_C(z), with T(z) = gamma u(z) + z - x, u
+    the smooth part of F (:func:`partial_second` without the L1 part) and
+    l1 the weights of F's ``WeightedL1`` parts.
 
-    With ``F.curvature`` (bounds for the smooth part of ``F.induced``) and
-    an l1 part that is absent or has a closed-form prox over C, the steps
-    are a contraction, and ``tol`` bounds ||z - J x|| through the proven
-    a-posteriori bound rho / (1 - rho) ||z_k - z_{k-1}||
-    <= max(1e-3 tol, 1e-15) (1 + ||z_k||); over an ``IntersectionSet`` it
-    holds up to Dykstra's tolerance.  No sample is drawn, and a non-monotone
-    A with 1 + gamma mu <= 0 raises :class:`ConvergenceFailure` at P_C(x).
+    Each iteration takes w = prox_s(z - s T(z)), the prox of s gamma l1 plus
+    the indicator of C (closed form over the whole space, a box, a ball
+    centred at 0, the simplex and a halfspace; P_C without l1).  Then
+    e = (z - w) / s + T(w) - T(z) lies in T(w) + gamma d l1(w) + N_C(w),
+    which is mu_T-strongly monotone, so ||w - J x|| <= ||e|| / mu_T, with
+    mu_T = 1 + gamma mu from ``F.curvature`` and 1 (u monotone) without
+    it.  The loop returns w once that bound is at most
+    max(1e-3 tol, 1e-15) (1 + ||w||).  Over an ``IntersectionSet`` the
+    bound holds up to Dykstra's tolerance, and for a generic part up to the
+    error of its finite differences, whose rounding can hold the bound
+    above that target: a form with a generic part also returns w once a
+    bound of at most tol (1 + ||w||) is no smaller than the one before it.
 
-    Otherwise ``tol`` bounds the worst violation of the resolvent inequality
-    over a seeded 64-point verification sample plus kink probes, which can
-    miss one between its points.  The step starts at 0.5 and is halved
-    whenever the sampled residual stops improving; the iterate is accepted
-    once it meets ``tol`` and has settled, or failing that the best one that
-    met it.
+    The next iterate is w itself, at the constant step sigma = 2 / (mu_T +
+    L_T), when F has curvature bounds and u is a gradient field, or at
+    sigma = mu_T / L_T^2 when mu_T / L_T >= 1/4 (Facchinei & Pang 2003,
+    ch. 12), with L_T = 1 + gamma L.  Otherwise it is Tseng's
+    forward-backward-forward step P_C(w - s (T(w) - T(z))) (SIAM J. Control
+    Optim. 38, 2000): s starts at 1, is halved until
+    s ||T(w) - T(z)|| <= 0.9 ||w - z||, and is kept from then on.  Every
+    prox counts as an iteration, and no sample is drawn.
 
-    ``info["violation"]`` is the bound or the sampled violation.  Raises
-    :class:`ConvergenceFailure` carrying the last iterate and that measure
-    when ``max_iter`` is exhausted.
+    ``info["violation"]`` is the bound.  Raises :class:`ConvergenceFailure`
+    carrying the last w and its bound when ``max_iter`` is exhausted or the
+    step falls below 1e-15, and at once, carrying P_C(x) with iterations 0,
+    when the L1 part has no closed-form prox over C or mu_T <= 0 (a
+    non-monotone A).  Raises ``ValueError`` naming the iteration when T
+    takes a non-finite value.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     C = F.set
     x = as_vector(x, C.dimension)
-    if _certified(F):
-        z, info = _contraction(F, gamma, x, tol, max_iter)
-        return (z, info) if return_info else z
-    Y = samples if samples is not None else sample_points(C, CHECK_SAMPLE_SIZE, seed)
-    grad = partial_second(F)
-    sigma = 0.5
-
     z = C._project(x)
-    viol = _violation(F, gamma, x, z, Y)
-    settle_tol = max(tol * 1e-3, 1e-15)
-    if viol <= tol:
-        return (z, {"iterations": 0, "violation": viol}) if return_info else z
+    l1 = F.canonical.w
 
-    best_z, best_viol = z, viol
-    feasible = None  # best iterate already meeting the certificate
-    stall = 0
-    iterations = max_iter
+    def failure(reason, iterate, residual, iterations):
+        return ConvergenceFailure(
+            f"inner resolvent at gamma = {gamma}: {reason}", iterate=iterate, residual=residual, iterations=iterations
+        )
+
+    if l1 is not None and _shrink_project(C, l1) is None:
+        raise failure(f"the weighted L1 part has no closed-form prox over a {C.kind} set", z, np.inf, 0)
+    mu_t, sigma = 1.0, None
+    if F.curvature is not None:
+        mu, L, symmetric = F.curvature
+        mu_t, L_t = 1.0 + gamma * mu, 1.0 + gamma * L
+        if mu_t <= 0.0:
+            raise failure(f"1 + gamma mu = {mu_t:.3e} <= 0; the operator is not monotone", z, np.inf, 0)
+        if symmetric:
+            sigma = 2.0 / (mu_t + L_t)
+        elif mu_t >= 0.25 * L_t:
+            sigma = mu_t / (L_t * L_t)
+    u = _smooth_part(F)
+
+    def T(v, k):
+        t = gamma * u(v, v) + (v - x)
+        if not np.isfinite(t).all():
+            raise ValueError(f"inner resolvent iteration {k}: T(z) = gamma u(z) + z - x is not finite")
+        return t
+
+    def prox(s):
+        return C._project if l1 is None else _shrink_project(C, s * gamma * l1)
+
+    s = 1.0 if sigma is None else sigma
+    step = prox(s)
+    target = max(1e-3 * tol, 1e-15)
+    noisy = bool(F.oracles)
+    Tz = T(z, 0)
+    w, bound = z, np.inf
     for k in range(1, max_iter + 1):
-        w = gamma * grad(z, z) + (z - x)
-        z_new = C._project(z - sigma * w)
-        disp = norm(z_new - z)
-        z = z_new
-        settled = disp <= max(settle_tol, 1e-13 * (1.0 + norm(z)))
-        if settled or k % 16 == 0:
-            viol = _violation(F, gamma, x, z, Y)
-            if viol <= tol:
-                if settled:
-                    return (z, {"iterations": k, "violation": viol}) if return_info else z
-                if feasible is None or viol < feasible[1]:
-                    feasible = (z.copy(), viol, k)
-            if viol < best_viol * (1.0 - 1e-12) - 1e-18:
-                best_z, best_viol = z, viol
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 3:
-                    # no certified progress: the step is too long for the
-                    # local curvature (or the field is nonsmooth); shrink it
-                    sigma *= 0.5
-                    z = best_z.copy()
-                    stall = 0
-                    if sigma < 1e-12:
-                        iterations = k
-                        break
-            if settled and viol > tol:
-                settle_tol = max(settle_tol * 0.1, 1e-16)
-    if feasible is not None:
-        # certified but never settled (nonsmooth limit cycle shrunk onto the
-        # solution); the certificate is the contract, so accept
-        z, viol, k = feasible
-        return (z, {"iterations": k, "violation": viol}) if return_info else z
-    raise ConvergenceFailure(
-        f"inner resolvent solve did not reach tolerance {tol:.1e} within {iterations} iterations "
-        f"(residual {best_viol:.3e})",
-        iterate=best_z,
-        residual=best_viol,
-        iterations=iterations,
-    )
+        w = step(z - s * Tz)
+        Tw = T(w, k)
+        dT = Tw - Tz
+        last, bound = bound, norm((z - w) / s + dT) / mu_t
+        scale = 1.0 + norm(w)
+        if bound <= target * scale or (noisy and last <= bound <= tol * scale):
+            info = {"iterations": k, "violation": bound}
+            return (w, info) if return_info else w
+        if sigma is not None:
+            z, Tz = w, Tw
+        elif s * norm(dT) <= _ARMIJO * norm(w - z):
+            z = C._project(w - s * dT)
+            Tz = T(z, k)
+        else:
+            s *= 0.5
+            if s < _MIN_STEP:
+                raise failure(f"the step fell below {_MIN_STEP:.0e} at iteration {k}", w, bound, k)
+            step = prox(s)
+    raise failure(f"did not certify {target:.1e} within {max_iter} iterations (bound {bound:.3e})", w, bound, max_iter)
 
 
 def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | None:
@@ -314,61 +318,6 @@ def _halfspace_shrink(a: np.ndarray, beta: float, t: np.ndarray) -> Callable[...
         return soft_threshold(v - root * a, t)
 
     return prox
-
-
-def _certified(F: Bifunction) -> bool:
-    """Whether :func:`inner_solve` runs the certified contraction: the smooth
-    part has curvature bounds and the l1 part, if any, a closed-form prox."""
-    if F.curvature is None:
-        return False
-    l1 = F.induced[2]
-    return l1 is None or _shrink_project(F.set, l1) is not None
-
-
-def _contraction(F: Bifunction, gamma: float, x: np.ndarray, tol: float, max_iter: int):
-    """z <- prox(z - sigma T(z)), the prox of sigma gamma l1 plus the
-    indicator of C (:func:`_shrink_project`), with T(z) = gamma u(z) + z - x
-    for the smooth part u(z) = A z + b + sum_rest grad f(z) of ``F.induced``.
-    T is mu_T-strongly monotone and L_T-Lipschitz, mu_T = 1 + gamma mu and
-    L_T = 1 + gamma L.  A gradient field contracts by
-    rho = (L_T - mu_T) / (L_T + mu_T) at sigma = 2 / (mu_T + L_T), any other
-    by rho = sqrt(1 - (mu_T / L_T)^2) at sigma = mu_T / L_T^2 (Facchinei &
-    Pang 2003, ch. 12), and the prox is nonexpansive, so the same rho
-    holds.  mu_T <= 0 fails at once with P_C(x)."""
-    C = F.set
-    A, b, l1, rest = F.induced
-    mu, L, symmetric = F.curvature
-    mu_t, L_t = 1.0 + gamma * mu, 1.0 + gamma * L
-    z = C._project(x)
-    if mu_t <= 0.0:
-        msg = f"inner resolvent at gamma = {gamma}: 1 + gamma mu = {mu_t:.3e} <= 0; the operator is not monotone"
-        raise ConvergenceFailure(msg, iterate=z, residual=np.inf, iterations=0)
-    # factor = rho / (1 - rho), written without the cancellation in 1 - rho
-    if symmetric:
-        sigma, factor = 2.0 / (mu_t + L_t), (L_t - mu_t) / (2.0 * mu_t)
-    else:
-        q = mu_t / L_t
-        rho = np.sqrt(1.0 - q * q)
-        sigma, factor = q / L_t, rho * (1.0 + rho) / (q * q)
-    prox = C._project if l1 is None else _shrink_project(C, sigma * gamma * l1)
-
-    def smooth(z):
-        u = 0.0 if A is None else A @ z
-        if b is not None:
-            u = u + b
-        for f in rest:
-            u = u + f.subgradient(z)
-        return u
-
-    target = max(1e-3 * tol, 1e-15)
-    for k in range(1, max_iter + 1):
-        z_new = prox(z - sigma * (gamma * smooth(z) + z - x))
-        bound = factor * norm(z_new - z)
-        z = z_new
-        if bound <= target * (1.0 + norm(z)):
-            return z, {"iterations": k, "violation": bound}
-    msg = f"inner resolvent solve did not certify {target:.1e} within {max_iter} iterations (bound {bound:.3e})"
-    raise ConvergenceFailure(msg, iterate=z, residual=bound, iterations=max_iter)
 
 
 def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
@@ -613,10 +562,8 @@ class ResolventOracle:
     form, and with it all per-(bifunction, set, gamma) work such as
     inverting I + gamma A, is built by the first oracle at a gamma and kept
     on the bifunction for that gamma; later oracles reuse it, so building
-    one is cheap.  The verification sample ``check_points`` is drawn on
-    first read; closed forms and the certified inner route never read it.
-    The oracle is immutable and :func:`resolve` is pure for a given
-    ``(x, start)``, so one oracle, or one kept map, may be shared across
+    one is cheap.  No route draws a sample.  The oracle is immutable and
+    :func:`resolve` is pure for a given ``(x, start)``, so one oracle, or one kept map, may be shared across
     concurrent solves.  Besides the bifunction's memo, the only state
     behind it is box pivoting's memo of the last pattern's factor; each is
     swapped in as one tuple and neither changes any output.
@@ -625,7 +572,6 @@ class ResolventOracle:
     gamma: float
     bifunction: Bifunction
     inner_max_iter: int = 50000
-    seed: int = 0
     method: str = field(init=False)
 
     def __post_init__(self):
@@ -639,10 +585,6 @@ class ResolventOracle:
     def dimension(self) -> int:
         return self.bifunction.dimension
 
-    @cached_property
-    def check_points(self) -> np.ndarray:
-        return sample_points(self.bifunction.set, CHECK_SAMPLE_SIZE, self.seed)
-
 
 def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     """(method, map (x, start) -> J x) from the induced operator
@@ -650,9 +592,9 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
 
     A closed form is taken from the bifunction's one-entry memo when it was
     built at this gamma, and otherwise built and stored there, replacing
-    the entry as one tuple.  The inner routes depend on the oracle's
-    ``inner_max_iter`` and ``seed``, are cheap to build, and are never
-    stored.  Only box pivoting reads ``start``; every other map ignores it.
+    the entry as one tuple.  The inner route depends on the oracle's
+    ``inner_max_iter``, is cheap to build, and is never stored.  Only box
+    pivoting reads ``start``; every other map ignores it.
     """
     F, gamma = oracle.bifunction, oracle.gamma
     memo = F._resolvent
@@ -663,12 +605,10 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
         object.__setattr__(F, "_resolvent", (gamma, *closed))
         return closed
     max_iter = oracle.inner_max_iter
-    if _certified(F):
-        return INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
-    # only the sampled route reads the verification sample
-    return INNER_ITERATIVE, lambda x, start: inner_solve(
-        F, gamma, x, max_iter=max_iter, samples=oracle.check_points
-    )
+    # the inner loop's spectral constants, computed once per bifunction
+    # when its first oracle is built and never per resolve
+    _ = F.curvature
+    return INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
 
 
 def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.ndarray]] | None:
@@ -703,9 +643,10 @@ def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
     forms and within :func:`inner_solve`'s tolerance on the inner route.
     ``x`` must be a finite vector of the oracle's dimension; it is checked
     here, once, and ``ValueError`` names what is wrong with it.
-    Inner-solver exhaustion (or a non-monotone operator that breaks the
-    inner contraction or box pivoting) raises :class:`ConvergenceFailure`
-    carrying the last iterate, which the caller may accept as an error term.
+    Inner-solver exhaustion (or a non-monotone operator that stops the
+    inner loop or box pivoting) raises :class:`ConvergenceFailure`
+    carrying the last iterate, which the caller may accept as an error term,
+    and a non-finite value of the inner loop's map raises ``ValueError``.
 
     ``start`` is an optional earlier output of the same oracle, and
     ``ValueError`` is raised when its shape is not that of x, whatever the
@@ -755,11 +696,13 @@ def reflect(oracle: ResolventOracle, x) -> np.ndarray:
 
 
 def residual_certificate(oracle: ResolventOracle, x, z) -> float:
-    """min over the verification sample of gamma F(z,y) + <z-x, y-z>.
+    """min of gamma F(z, y) + <z - x, y - z> over ``CHECK_SAMPLE_SIZE``
+    points of C drawn at seed 0: a sampled check, which can miss a
+    violation between its points.
 
     Nonnegative up to -INNER_TOL for a correct resolvent output.
     """
     x = as_vector(x, oracle.dimension)
     z = as_vector(z, oracle.dimension)
-    residuals = _resolvent_residuals(oracle.bifunction, oracle.gamma, x, z, oracle.check_points)
-    return float(residuals.min())
+    F, Y = oracle.bifunction, sample_points(oracle.bifunction.set, CHECK_SAMPLE_SIZE, 0)
+    return float((oracle.gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)).min())

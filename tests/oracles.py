@@ -460,3 +460,36 @@ def resolvent_projected(M, c, gamma, x, project, weights=None, l1_prox=None, max
         if step <= 1e-16 * (1.0 + np.linalg.norm(z)):
             return z.astype(float)
     raise RuntimeError("projected reference did not settle")
+
+
+def resolvent_ball_kkt(M, c, gamma, x, radius, tol=1e-15):
+    """The z in the ball ||z|| <= radius with <gamma (M z + c) + z - x, y - z> >= 0
+    for all y in it, for sym(I + gamma M) positive definite.
+
+    KKT gives (A + lam I) z = b with A = I + gamma M, b = x - gamma c, and
+    lam >= 0 zero unless ||z|| = radius.  With z(lam) = (A + lam I)^{-1} b,
+    d ||z||^2 / d lam = -2 v' sym(A + lam I) v < 0 for v = (A + lam I)^{-1} z,
+    so ||z(lam)|| decreases and the root is found by bisection on lam, to
+    a relative width ``tol``.
+    """
+    A = np.eye(len(x)) + gamma * np.asarray(M, dtype=float)
+    b = np.asarray(x, dtype=float) - gamma * np.asarray(c, dtype=float)
+    if float(np.linalg.eigvalsh(0.5 * (A + A.T)).min()) <= 0.0:
+        raise ValueError("the ball reference needs 1 + gamma lambda_min(sym M) > 0")
+
+    def z_at(lam):
+        return np.linalg.solve(A + lam * np.eye(len(b)), b)
+
+    z = z_at(0.0)
+    if np.linalg.norm(z) <= radius:
+        return z
+    lo, hi = 0.0, 1.0
+    while np.linalg.norm(z_at(hi)) > radius:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(z_at(mid)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return z_at(0.5 * (lo + hi))

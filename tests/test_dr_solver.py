@@ -227,7 +227,7 @@ def test_max_iter_status():
 def test_inner_failure_status():
     inst = get_problem("vi-over-box")
     cfg = SolverConfig(inner_max_iter=2, residual_tol=1e-12)
-    JG = ResolventOracle(cfg.gamma, inst.G, seed=cfg.seed)
+    JG = ResolventOracle(cfg.gamma, inst.G)
     # F behind a bare oracle takes the inner route; from (2, -1) the
     # shadow point P_C x = (1, 0) and the failed inner iterate of J_F at
     # 2 P_C x - x differ
@@ -297,7 +297,7 @@ def test_operator_form_matches_bifunction_form():
         np.testing.assert_array_equal(xb, xo)
 
 
-def test_operator_form_uses_the_configured_inner_cap_and_seed(monkeypatch):
+def test_operator_form_uses_the_configured_inner_cap(monkeypatch):
     from eqsplit import operators
 
     # F behind a bare oracle takes the inner route, which one iteration
@@ -310,7 +310,7 @@ def test_operator_form_uses_the_configured_inner_cap_and_seed(monkeypatch):
         args = (F, inst.G) if run is solve else (A, B)
         with pytest.warns(UserWarning, match="inner resolvent failure"):
             assert run(*args, inst.default_x0, cfg).status == INNER_FAILURE
-    # each operator builds its oracle from the config's cap and seed
+    # each operator builds its oracle from the config's cap
     built = []
     original = operators.ResolventOracle
 
@@ -320,8 +320,8 @@ def test_operator_form_uses_the_configured_inner_cap_and_seed(monkeypatch):
 
     monkeypatch.setattr(operators, "ResolventOracle", recording)
     A, B = operator_from_bifunction(inst.F), operator_from_bifunction(inst.G)
-    solve_operator_form(A, B, inst.default_x0, SolverConfig(inner_max_iter=7, seed=4))
-    assert built == [{"inner_max_iter": 7, "seed": 4}] * 2
+    solve_operator_form(A, B, inst.default_x0, SolverConfig(inner_max_iter=7))
+    assert built == [{"inner_max_iter": 7}] * 2
 
 
 def test_residual_decay_across_gamma_sweep():
