@@ -73,7 +73,6 @@ from .resolvents import (
     ResolventOracle,
     inner_solve,
     reflect,
-    residual_certificate,
     resolve,
     resolvent_map,
     soft_threshold,

@@ -251,9 +251,9 @@ class Bifunction:
     by identity, so a bifunction can key a cache.
 
     ``_resolvent`` is the resolvents' one-entry memo, ``(gamma, method,
-    map)`` of the closed-form resolvent last built for this bifunction
-    (:class:`~eqsplit.resolvents.ResolventOracle`), filled on first use
-    and replaced as one tuple; it changes no output.
+    map)`` of the resolvent last built for this bifunction, closed form or
+    inner route (:class:`~eqsplit.resolvents.ResolventOracle`), filled on
+    first use and replaced as one tuple; it changes no output.
     """
 
     set: ConvexSet

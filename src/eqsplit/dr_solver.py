@@ -133,22 +133,19 @@ class SolverConfig:
     max_iter: int = 10000
     residual_tol: float = 1e-8
     trace_every: int = 1
-    inner_max_iter: int = 50000
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("gamma", "residual_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not callable(self.lambda_schedule):
             _lambda_at(self.lambda_schedule, 0)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be >= 1")
+        for name in ("max_iter", "trace_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -161,13 +158,12 @@ class IterationTrace:
     the solver makes new arrays and never writes into old ones.  Copy an
     entry before changing it.
 
-    ``step`` holds ||x_{n+1} - x_n|| per row.  A row recorded with
-    ``x_next`` keeps that iterate instead of its norm, and its norm is
-    computed the first time ``step`` is read, for all such rows at once,
-    with the bits of ``math.sqrt(v @ v)``.  The solver records that way
-    when ``trace_every`` is 1, where ``x_next`` is the next row's ``x`` and
-    costs no memory; a thinned row and a last row that ended the solve
-    carry their norm (0.0 on a last row).
+    ``step`` holds ||x_{n+1} - x_n|| per row.  With ``trace_every`` 1 the
+    solver keeps x_{n+1} in place of the norm, the next row's ``x``, which
+    costs no memory, and the norms of such rows are computed the first time
+    ``step`` is read, all at once, with the bits of ``math.sqrt(v @ v)``.
+    A thinned row, a last row that ended the solve (0.0) and a row from
+    :meth:`record` carry their norm.
     """
 
     n: list = field(default_factory=list)
@@ -177,20 +173,13 @@ class IterationTrace:
     # per row, the step norm, or the x_next whose norm is not computed yet
     _step: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def record(self, n, x, y, residual, step=None, *, x_next=None):
-        """Append a row with its step norm ``step``, or with ``x_next``, an
-        array of x's shape whose distance from x ``step`` gives when read."""
-        if x_next is None:
-            step = float(step)
-        elif step is not None or np.shape(x_next) != np.shape(x):
-            raise ValueError("record takes a step norm or an x_next of x's shape, not both")
-        else:
-            step = np.asarray(x_next)
-        self._append(n, x, y, float(residual), step)
+    def record(self, n, x, y, residual, step):
+        """Append a row with its step norm ``step``."""
+        self._append(n, x, y, float(residual), float(step))
 
     def _append(self, n, x, y, residual, step):
-        """:meth:`record` without checks, for the solver's own rows:
-        ``residual`` is a float and ``step`` a float or x_next."""
+        """:meth:`record` without conversions, for the solver's own rows:
+        ``residual`` is a float and ``step`` a float or x_{n+1}."""
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
@@ -461,8 +450,8 @@ def solve(
         if not report.passed:
             warnings.warn(f"{tag} bifunction: {report}")
 
-    JF = ResolventOracle(cfg.gamma, F, inner_max_iter=cfg.inner_max_iter)
-    JG = ResolventOracle(cfg.gamma, G, inner_max_iter=cfg.inner_max_iter)
+    JF = ResolventOracle(cfg.gamma, F)
+    JG = ResolventOracle(cfg.gamma, G)
     return _run_dr(resolvent_map(JF), resolvent_map(JG), x0, cfg, certify=(F, G))
 
 
@@ -479,11 +468,10 @@ def solve_operator_form(
     induced by two bifunctions this produces the same float sequence as
     :func:`solve` on those bifunctions.  Bare operators give no
     equilibrium certificate, so ``certificate`` is None.  A sum of terms
-    has no resolvent and raises ``ValueError``.  The resolvents use
-    ``cfg.inner_max_iter`` as :func:`solve`'s do.
+    has no resolvent and raises ``ValueError``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, _same_dimension(A, B))
-    maps = [H.resolvent_map(cfg.gamma, inner_max_iter=cfg.inner_max_iter) for H in (A, B)]
+    maps = [H.resolvent_map(cfg.gamma) for H in (A, B)]
     return _run_dr(*maps, x0, cfg)
 

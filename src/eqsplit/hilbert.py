@@ -25,6 +25,13 @@ import numpy as np
 #: Default absolute tolerance for membership tests.
 MEMBERSHIP_TOL = 1e-10
 
+#: stopping tolerance and sweep cap of Dykstra's projection onto an intersection
+DYKSTRA_TOL = 1e-10
+DYKSTRA_SWEEPS = 10000
+
+#: standard deviation of the Gaussian draws behind :func:`sample_points`
+SAMPLE_SCALE = 2.0
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float array (defensive copy).
@@ -322,13 +329,12 @@ class IntersectionSet(_BatchedMembership):
 
     The cyclic corrections make the limit the metric projection onto the
     intersection rather than an arbitrary intersection point.  The result is
-    approximate: iteration stops once a full sweep moves the iterate by at
-    most ``tol`` or after ``max_sweeps`` sweeps.
+    approximate: iteration stops once a full sweep moves the iterate and
+    its corrections by at most ``DYKSTRA_TOL`` or after ``DYKSTRA_SWEEPS``
+    sweeps.
     """
 
     members: tuple
-    tol: float = 1e-10
-    max_sweeps: int = 10000
     kind: str = field(default="intersection", init=False)
     approximate: bool = field(default=True, init=False)
 
@@ -349,7 +355,7 @@ class IntersectionSet(_BatchedMembership):
         m = len(self.members)
         corrections = [np.zeros_like(x) for _ in range(m)]
         z = x.copy()
-        for _ in range(self.max_sweeps):
+        for _ in range(DYKSTRA_SWEEPS):
             start = z.copy()
             moved = 0.0
             for i, s in enumerate(self.members):
@@ -360,7 +366,7 @@ class IntersectionSet(_BatchedMembership):
                 # corrections still evolve, so both must settle
                 moved += norm(new_corr - corrections[i])
                 corrections[i] = new_corr
-            if norm(z - start) + moved <= self.tol:
+            if norm(z - start) + moved <= DYKSTRA_TOL:
                 break
         return z
 
@@ -369,19 +375,20 @@ class IntersectionSet(_BatchedMembership):
         return np.logical_and.reduce([s.contains_batch(P, tol) for s in self.members])
 
 
-def sample_points(C: ConvexSet, n: int, seed: int, scale: float = 2.0) -> np.ndarray:
+def sample_points(C: ConvexSet, n: int, seed: int) -> np.ndarray:
     """Deterministic sample of ``n`` points of ``C``: project(gaussian).
 
-    Draws N(0, scale^2 I) vectors with a seeded generator and projects each
-    onto ``C``.  Returns an (n, d) array.  The whole space and boxes project
-    the whole array at once, which gives the same bits as projecting row by
-    row; every other kind projects one row at a time through the kind's
-    projection kernel, so the sample carries exactly that oracle's rounding.
+    Draws N(0, SAMPLE_SCALE^2 I) vectors with a seeded generator and
+    projects each onto ``C``.  Returns an (n, d) array.  The whole space and
+    boxes project the whole array at once, which gives the same bits as
+    projecting row by row; every other kind projects one row at a time
+    through the kind's projection kernel, so the sample carries exactly that
+    oracle's rounding.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    return _project_rows(C, rng.normal(0.0, scale, size=(n, C.dimension)))
+    return _project_rows(C, rng.normal(0.0, SAMPLE_SCALE, size=(n, C.dimension)))
 
 
 def _project_rows(C: ConvexSet, P: np.ndarray) -> np.ndarray:

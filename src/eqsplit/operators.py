@@ -24,10 +24,11 @@ and no rest f, the image over a box or the whole space is a per-coordinate
 interval (possibly unbounded), which a finite list of vectors could not
 represent; it is evaluated over arrays of points at once
 (:meth:`MonotoneOperator.evaluate_batch`), and a sum of such terms adds
-their intervals and decides membership exactly.  Over a ball, A z + b with
-no l1 is single-valued and decides membership exactly through the ball's
-support function.  Every other one-term operator gets a sampled membership
-test.  The grid oracles are array operations over the whole grid, blocked
+their intervals and decides membership exactly.  Over any set, a term with
+no generic part, no l1 and curvature bounds is single-valued plus the
+normal cone, and decides membership exactly through the projection onto
+C.  Every other one-term operator gets a sampled membership test.  The
+grid oracles are array operations over the whole grid, blocked
 so that no pair-value matrix outgrows a few tens of MB; the solution set
 of a form that splits by axis over a box or the whole space needs no
 pair values at all, only a per-axis lower envelope, and the 1-D zero scan
@@ -51,8 +52,8 @@ from .bifunctions import (
     operator_bifunction,
     zero_bifunction,
 )
-from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
-from .resolvents import ResolventOracle, partial_second, resolve, resolvent_map
+from .hilbert import ConvexSet, WholeSpace, _project_rows, as_points, as_vector, sample_points
+from .resolvents import ResolventOracle, _smooth_part, partial_second, resolve, resolvent_map
 
 #: default membership tolerance for sampled operator membership
 MEMBER_TOL = 1e-8
@@ -60,9 +61,8 @@ MEMBER_TOL = 1e-8
 #: seeded points of C behind sampled membership tests (seed 0)
 MEMBER_SAMPLES = 256
 
-#: default multiplier search box and grid step for the zero scan
+#: the multipliers the zero scan searches
 U_BOUNDS = (-10.0, 10.0)
-U_STEP = 1e-2
 
 #: entries of one row block of a pair-value matrix in the grid oracles
 BLOCK_ENTRIES = 2**22
@@ -193,21 +193,19 @@ class MonotoneOperator:
         # the sampled membership test's points, drawn on its first call
         return sample_points(self.terms[0].set, MEMBER_SAMPLES, 0)
 
-    def _oracle(self, gamma: float, inner_max_iter: int = 50000) -> ResolventOracle:
+    def _oracle(self, gamma: float) -> ResolventOracle:
         if len(self.terms) != 1:
             raise ValueError(f"operator {self.name!r} exposes no resolvent")
-        return ResolventOracle(gamma, self.terms[0], inner_max_iter=inner_max_iter)
+        return ResolventOracle(gamma, self.terms[0])
 
-    def resolvent_map(self, gamma: float, *, inner_max_iter: int = 50000) -> Callable[[np.ndarray], np.ndarray]:
+    def resolvent_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
         raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
         which does not validate x and starts box pivoting from its previous
-        output, so make one per solve.  ``inner_max_iter`` is the inner
-        solver's cap, the :class:`~eqsplit.resolvents.ResolventOracle`
-        field of that name.  Each call builds a fresh oracle; a closed form
-        is kept on the term for its last gamma, so only the first call at a
-        gamma factors I + gamma A."""
-        return resolvent_map(self._oracle(gamma, inner_max_iter))
+        output, so make one per solve.  Each call builds a fresh oracle; the
+        route is kept on the term for its last gamma, so only the first call
+        at a gamma factors I + gamma A."""
+        return resolvent_map(self._oracle(gamma))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         """J_{gamma A} x for a one-term operator, from a cold start; ``x``
@@ -245,7 +243,7 @@ class MonotoneOperator:
         """Membership of each row of ``U`` in the image at ``x``, up to ``tol``.
 
         Exact, from the interval image, for every operator that has one;
-        otherwise, for a one-term operator, the ball support test for
+        otherwise, for a one-term operator, the projection test for
         single-valued structures or the sampled test (see
         :func:`operator_from_bifunction`).  A sum of terms without interval
         images has no test.  ``x`` must be a finite vector and ``U`` a
@@ -262,12 +260,10 @@ class MonotoneOperator:
         F = self.terms[0]
         C = F.set
         inside = C.contains(x, max(tol, 1e-8))
-        if C.kind == "ball" and F.induced is not None and not F.induced[3] and F.induced[2] is None:
-            A, b, _, _ = F.induced
-            g = 0.0 if A is None else A @ x
-            V = U - (g if b is None else g + b)
-            support = V @ (C.center - x) + C.radius * np.linalg.norm(V, axis=1)
-            return inside & (support <= tol)
+        if F.canonical.w is None and F.curvature is not None:
+            # u in g(x) + N_C(x) exactly when P_C(x + u - g(x)) = x
+            moved = _project_rows(C, x + (U - _smooth_part(F)(x, x))) - x
+            return inside & (np.linalg.norm(moved, axis=1) <= tol)
         ok = np.zeros(U.shape[0], dtype=bool)
         if not inside:
             return ok
@@ -302,8 +298,8 @@ def affine_operator(matrix, offset=None, name: str = "") -> MonotoneOperator:
 def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
     """Normal cone map of C: the operator induced by the zero bifunction on C.
 
-    Its resolvent is the projection for every gamma.  Membership is exact
-    for a box, the whole space and a ball, and sampled for other kinds.
+    Its resolvent is the projection for every gamma, and its membership
+    is exact for every set kind.
     """
     return operator_from_bifunction(zero_bifunction(C), name=f"normal-cone[{C.kind}]")
 
@@ -346,9 +342,12 @@ def operator_from_bifunction(
     * over a box or the whole space the image at x is the interval
       A x + b + d l1(x), plus the normal cone of C (empty outside C), and
       ``evaluate_batch`` returns it;
-    * over a ball with no l1 the structure is single-valued, g(x) = A x + b,
-      and u is in the image iff v = u - g(x) has
-      <v, center - x> + radius ||v|| at most ``tol``.
+    * otherwise, with no l1 and with curvature bounds
+      (:attr:`~Bifunction.curvature`), the structure is single-valued,
+      g(x) = A x + b + sum_rest grad f(x), and u is in the image iff
+      P_C(x + u - g(x)) = x; u is accepted when the two are at most
+      ``tol`` apart, which holds within ``tol`` of the image, since P_C is
+      nonexpansive.
 
     Neither draws a sample.  Every other bifunction gets the sampled test:
     u is rejected at x when any verification point y has
@@ -739,37 +738,33 @@ def zeros_bruteforce(
     B: MonotoneOperator,
     grid: GridSpec,
     *,
-    u_bounds: tuple[float, float] = U_BOUNDS,
-    u_step: float | None = U_STEP,
     tol: float | None = None,
     method: str = "auto",
 ) -> np.ndarray:
-    """Grid approximation of { x : some u has u in Ax and -u in Bx }.
+    """Grid approximation of { x : some u in ``U_BOUNDS`` has u in Ax and -u in Bx }.
 
     Routes, selected by ``method``:
 
     * ``intervals``: both operators expose interval evaluation; the image
-      intersection test is exact (the multiplier grid is bypassed) and runs
-      as array operations over the whole grid.
+      intersection test is exact and runs as array operations over the
+      whole grid.
     * ``sampled``: 1-D only; the admissible multiplier set of each
       one-term operator over the grid sample is an exact interval,
-      so existence over the continuum of multipliers inside ``u_bounds`` is
-      decided directly.  For a bifunction with no generic part or rest f
-      (only shipped ``Quadratic``, ``WeightedL1`` and ``AffineFunction``
-      parts), each grid point's interval comes from a few candidate
-      columns, certified by the quasiconvexity of F(x, y) / (y - x) on each
-      side of x (:func:`_admissible_intervals_1d`), in O(n) memory.  A
-      generic part, a rest function and every uncertified row take
-      blocked pair-value arrays F(x_i, y_j) over the full row, with one
-      stacked ``eval_batch`` per block for a generic part.  Both give the
-      same bits.
-    * ``ugrid``: scan a discrete multiplier grid of step ``u_step`` with
-      ``member_batch`` at each grid point (exact for operators with an
-      interval image, sampled otherwise).  The generic fallback;
-      quantization limits its resolution to about ``u_step``.
+      so existence over the continuum of multipliers is decided directly.
+      For a bifunction with no generic part or rest f (only shipped
+      ``Quadratic``, ``WeightedL1`` and ``AffineFunction`` parts), each
+      grid point's interval comes from a few candidate columns, certified
+      by the quasiconvexity of F(x, y) / (y - x) on each side of x
+      (:func:`_admissible_intervals_1d`), in O(n) memory.  A generic part,
+      a rest function and every uncertified row take blocked pair-value
+      arrays F(x_i, y_j) over the full row, with one stacked
+      ``eval_batch`` per block for a generic part.  Both give the same
+      bits.
 
-    ``tol`` defaults to the grid step (membership tolerance scaled to grid
-    resolution).
+    ``auto`` takes ``intervals`` when both operators have interval images,
+    else ``sampled`` on a 1-D grid with one-term operators, and raises
+    ``ValueError`` otherwise.  ``tol`` defaults to the grid step
+    (membership tolerance scaled to grid resolution).
     """
     if grid.dimension > 2:
         raise ValueError("brute-force oracles are limited to dimension <= 2")
@@ -777,57 +772,44 @@ def zeros_bruteforce(
         raise ValueError("operator and grid dimensions do not match")
     if tol is None:
         tol = grid.step
-    lo_u, hi_u = u_bounds
+    lo_u, hi_u = U_BOUNDS
     if method == "auto":
         if A._intervals and B._intervals:
             method = "intervals"
         elif grid.dimension == 1 and len(A.terms) == len(B.terms) == 1:
             method = "sampled"
         else:
-            method = "ugrid"
+            raise ValueError(
+                f"no exact zero route for {A.name!r} and {B.name!r}: both need interval images, "
+                "or a 1-D grid and one term each"
+            )
 
     pts = grid.points()
 
     if method == "intervals":
         ok_a, a_lo, a_hi = A.evaluate_batch(pts)
         ok_b, b_lo, b_hi = B.evaluate_batch(pts)
-        # u in A x and -u in B x, inside u_bounds
+        # u in A x and -u in B x, inside U_BOUNDS
         lo = np.maximum(np.maximum(a_lo, -b_hi), lo_u)
         hi = np.minimum(np.minimum(a_hi, -b_lo), hi_u)
-        accepted = pts[ok_a & ok_b & np.all(lo <= hi + tol, axis=1)]
+        return pts[ok_a & ok_b & np.all(lo <= hi + tol, axis=1)]
 
-    elif method == "sampled":
-        if grid.dimension != 1:
-            raise ValueError("the sampled interval route is 1-D only")
-        if len(A.terms) != 1 or len(B.terms) != 1:
-            raise ValueError("the sampled route needs one-term operators")
-        (FA,), (FB,) = A.terms, B.terms
-        in_a = FA.set.contains_batch(pts, 1e-9)
-        in_b = FB.set.contains_batch(pts, 1e-9)
-        X = pts[in_a & in_b]
-        alo, ahi = _admissible_intervals_1d(FA, X, pts[in_a], tol)
-        blo, bhi = _admissible_intervals_1d(FB, X, pts[in_b], tol)
-        # need u in [alo, ahi] with -u in [blo, bhi], inside u_bounds
-        lo = np.maximum(np.maximum(alo, -bhi), lo_u)
-        hi = np.minimum(np.minimum(ahi, -blo), hi_u)
-        accepted = X[lo <= hi]
-
-    elif method == "ugrid":
-        if u_step is None:
-            raise ValueError("the multiplier grid route needs a u_step")
-        axes = [np.arange(lo_u, hi_u + 0.5 * u_step, u_step)] * grid.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        U = np.stack([m.ravel() for m in mesh], axis=1)
-        accepted = []
-        for x in pts:
-            ok = A.member_batch(x, U, tol)
-            if ok.any() and B.member_batch(x, -U[ok], tol).any():
-                accepted.append(x)
-
-    else:
+    if method != "sampled":
         raise ValueError(f"unknown zeros_bruteforce method {method!r}")
-
-    return np.array(accepted).reshape(-1, grid.dimension)
+    if grid.dimension != 1:
+        raise ValueError("the sampled interval route is 1-D only")
+    if len(A.terms) != 1 or len(B.terms) != 1:
+        raise ValueError("the sampled route needs one-term operators")
+    (FA,), (FB,) = A.terms, B.terms
+    in_a = FA.set.contains_batch(pts, 1e-9)
+    in_b = FB.set.contains_batch(pts, 1e-9)
+    X = pts[in_a & in_b]
+    alo, ahi = _admissible_intervals_1d(FA, X, pts[in_a], tol)
+    blo, bhi = _admissible_intervals_1d(FB, X, pts[in_b], tol)
+    # need u in [alo, ahi] with -u in [blo, bhi], inside U_BOUNDS
+    lo = np.maximum(np.maximum(alo, -bhi), lo_u)
+    hi = np.minimum(np.minimum(ahi, -blo), hi_u)
+    return X[lo <= hi]
 
 
 def set_distance(P: np.ndarray, Q: np.ndarray) -> float:

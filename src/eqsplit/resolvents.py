@@ -36,14 +36,13 @@ So the method depends only on the induced operator: a sum of bifunctions,
 or an operator part written as a ``Quadratic`` or ``AffineFunction``, gets
 the closed form of the single operator with the same A, b and l1.
 
-Closed forms are built once per bifunction and gamma: the first oracle
+Every route is built once per bifunction and gamma: the first oracle
 builds the map and keeps it on the bifunction, and every later oracle at
 the same gamma reuses it, so repeated solves factor nothing.  The memo
 holds one entry, the last gamma, and a new gamma replaces it, so a
 bifunction keeps at most one d x d inverse over the whole space, and two
 d x d matrices over a box (I + gamma A and the map of the last pivoting
-pattern).  The inner route is rebuilt per oracle, and no route draws a
-sample.
+pattern).  No route draws a sample.
 
 Whole-space linear resolvents invert I + gamma A once, and each call is
 one matrix-vector product.  For monotone A, sym(I + gamma A) >= I, so
@@ -73,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import Bifunction
-from .hilbert import ConvexSet, as_vector, norm, sample_points
+from .hilbert import ConvexSet, as_vector, norm
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
 CLOSED_FORM_LINEAR_SOLVE = "closed-form-linear-solve"
@@ -83,11 +82,11 @@ INNER_ITERATIVE = "inner-iterative"
 #: finite-difference step for subgradients of generic bifunctions
 FD_STEP = 1e-6
 
-#: number of points in the sample of :func:`residual_certificate`
-CHECK_SAMPLE_SIZE = 64
-
 #: inner solver tolerance (see :func:`inner_solve` for what it bounds)
 INNER_TOL = 1e-9
+
+#: inner solver iteration cap on the inner route, read at every resolve
+INNER_ITER_CAP = 50000
 
 
 class ConvergenceFailure(RuntimeError):
@@ -164,7 +163,7 @@ def inner_solve(
     gamma: float,
     x,
     tol: float = INNER_TOL,
-    max_iter: int = 50000,
+    max_iter: int = INNER_ITER_CAP,
     *,
     return_info: bool = False,
 ):
@@ -558,20 +557,20 @@ class ResolventOracle:
     """Resolvent of ``gamma * bifunction``.
 
     The computation follows from the bifunction's induced operator and the
-    kind of its set (:func:`_build`), and ``method`` names it.  A closed
-    form, and with it all per-(bifunction, set, gamma) work such as
-    inverting I + gamma A, is built by the first oracle at a gamma and kept
-    on the bifunction for that gamma; later oracles reuse it, so building
-    one is cheap.  No route draws a sample.  The oracle is immutable and
-    :func:`resolve` is pure for a given ``(x, start)``, so one oracle, or one kept map, may be shared across
-    concurrent solves.  Besides the bifunction's memo, the only state
-    behind it is box pivoting's memo of the last pattern's factor; each is
-    swapped in as one tuple and neither changes any output.
+    kind of its set (:func:`_build`), and ``method`` names it.  The route,
+    and with it all per-(bifunction, set, gamma) work such as inverting
+    I + gamma A, is built by the first oracle at a gamma and kept on the
+    bifunction for that gamma; later oracles reuse it, so building one is
+    cheap.  No route draws a sample.  The oracle is immutable and
+    :func:`resolve` is pure for a given ``(x, start)``, so one oracle, or
+    one kept map, may be shared across concurrent solves.  Besides the
+    bifunction's memo, the only state behind it is box pivoting's memo of
+    the last pattern's factor; each is swapped in as one tuple and neither
+    changes any output.
     """
 
     gamma: float
     bifunction: Bifunction
-    inner_max_iter: int = 50000
     method: str = field(init=False)
 
     def __post_init__(self):
@@ -590,25 +589,24 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     """(method, map (x, start) -> J x) from the induced operator
     A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set kind.
 
-    A closed form is taken from the bifunction's one-entry memo when it was
+    The route is taken from the bifunction's one-entry memo when it was
     built at this gamma, and otherwise built and stored there, replacing
-    the entry as one tuple.  The inner route depends on the oracle's
-    ``inner_max_iter``, is cheap to build, and is never stored.  Only box
+    the entry as one tuple: the closed form when there is one, else the
+    inner route, which reads ``INNER_ITER_CAP`` at every call.  Only box
     pivoting reads ``start``; every other map ignores it.
     """
     F, gamma = oracle.bifunction, oracle.gamma
     memo = F._resolvent
     if memo is not None and memo[0] == gamma:
         return memo[1:]
-    closed = _closed_form(F, gamma)
-    if closed is not None:
-        object.__setattr__(F, "_resolvent", (gamma, *closed))
-        return closed
-    max_iter = oracle.inner_max_iter
-    # the inner loop's spectral constants, computed once per bifunction
-    # when its first oracle is built and never per resolve
-    _ = F.curvature
-    return INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=max_iter)
+    route = _closed_form(F, gamma)
+    if route is None:
+        # the inner loop's spectral constants, computed once per bifunction
+        # when its first oracle is built and never per resolve
+        _ = F.curvature
+        route = INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=INNER_ITER_CAP)
+    object.__setattr__(F, "_resolvent", (gamma, *route))
+    return route
 
 
 def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.ndarray]] | None:
@@ -694,15 +692,3 @@ def reflect(oracle: ResolventOracle, x) -> np.ndarray:
     x = as_vector(x, oracle.dimension)
     return 2.0 * resolve(oracle, x) - x
 
-
-def residual_certificate(oracle: ResolventOracle, x, z) -> float:
-    """min of gamma F(z, y) + <z - x, y - z> over ``CHECK_SAMPLE_SIZE``
-    points of C drawn at seed 0: a sampled check, which can miss a
-    violation between its points.
-
-    Nonnegative up to -INNER_TOL for a correct resolvent output.
-    """
-    x = as_vector(x, oracle.dimension)
-    z = as_vector(z, oracle.dimension)
-    F, Y = oracle.bifunction, sample_points(oracle.bifunction.set, CHECK_SAMPLE_SIZE, 0)
-    return float((oracle.gamma * F.eval_batch(z, Y) + (Y - z) @ (z - x)).min())

@@ -190,6 +190,15 @@ def test_negative_seed_is_spec_error(tmp_path, capsys, route):
     assert "y_star" not in captured.out
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--gamma", "inf")])
+def test_non_finite_tol_or_gamma_is_spec_error(capsys, flag, value):
+    # rejected when the config is built, so no solve runs to max_iter
+    assert main(["--problem", "quadratic-1d", flag, value]) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert "spec error:" in captured.err and "must be positive and finite" in captured.err
+    assert "y_star" not in captured.out
+
+
 def test_error_preset_flag(tmp_path):
     spec = _write(tmp_path, QUADRATIC_SPEC)
     assert main([spec, "--error-preset", "geometric"]) == EXIT_CONVERGED
@@ -622,17 +631,18 @@ def test_batch_run_carries_on_past_an_unwritable_trace(tmp_path, capsys):
     assert code == EXIT_MAX_ITER
 
 
-def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path):
+def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path, monkeypatch):
     """``# certificate`` is the value at y* itself, not at the last row's
     point, also when the trace is empty."""
     import warnings
 
-    from eqsplit import cli
+    from eqsplit import cli, resolvents
     from oracles import as_generic
 
     # an inner failure at the first pass records no row at all
+    monkeypatch.setattr(resolvents, "INNER_ITER_CAP", 2)
     inst = get_problem("vi-over-box")
-    cfg = SolverConfig(inner_max_iter=2, seed=4)
+    cfg = SolverConfig(seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         failed = solve(as_generic(inst.F), inst.G, [2.0, -1.0], cfg)

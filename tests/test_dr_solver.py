@@ -224,9 +224,12 @@ def test_max_iter_status():
     assert res.iterations == 3
 
 
-def test_inner_failure_status():
+def test_inner_failure_status(monkeypatch):
+    from eqsplit import resolvents
+
+    monkeypatch.setattr(resolvents, "INNER_ITER_CAP", 2)
     inst = get_problem("vi-over-box")
-    cfg = SolverConfig(inner_max_iter=2, residual_tol=1e-12)
+    cfg = SolverConfig(residual_tol=1e-12)
     JG = ResolventOracle(cfg.gamma, inst.G)
     # F behind a bare oracle takes the inner route; from (2, -1) the
     # shadow point P_C x = (1, 0) and the failed inner iterate of J_F at
@@ -298,30 +301,19 @@ def test_operator_form_matches_bifunction_form():
 
 
 def test_operator_form_uses_the_configured_inner_cap(monkeypatch):
-    from eqsplit import operators
+    from eqsplit import resolvents
 
     # F behind a bare oracle takes the inner route, which one iteration
     # cannot finish, through either form
+    monkeypatch.setattr(resolvents, "INNER_ITER_CAP", 1)
     inst = get_problem("vi-over-box")
     F = as_generic(inst.F)
-    cfg = SolverConfig(inner_max_iter=1, max_iter=50)
+    cfg = SolverConfig(max_iter=50)
     A, B = operator_from_bifunction(F), operator_from_bifunction(inst.G)
     for run in (solve, solve_operator_form):
         args = (F, inst.G) if run is solve else (A, B)
         with pytest.warns(UserWarning, match="inner resolvent failure"):
             assert run(*args, inst.default_x0, cfg).status == INNER_FAILURE
-    # each operator builds its oracle from the config's cap
-    built = []
-    original = operators.ResolventOracle
-
-    def recording(gamma, H, **options):
-        built.append(options)
-        return original(gamma, H, **options)
-
-    monkeypatch.setattr(operators, "ResolventOracle", recording)
-    A, B = operator_from_bifunction(inst.F), operator_from_bifunction(inst.G)
-    solve_operator_form(A, B, inst.default_x0, SolverConfig(inner_max_iter=7))
-    assert built == [{"inner_max_iter": 7}] * 2
 
 
 def test_residual_decay_across_gamma_sweep():
@@ -718,8 +710,10 @@ def test_a_shared_schedule_is_called_once_per_iteration():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None},
-                                 {"inner_max_iter": 0}, {"inner_max_iter": -3}])
-def test_config_rejects_a_bad_seed_or_inner_cap(bad):
+                                 {"gamma": np.nan}, {"gamma": np.inf},
+                                 {"residual_tol": np.nan}, {"residual_tol": np.inf},
+                                 {"max_iter": 2.5}, {"trace_every": 1.5}])
+def test_config_rejects_a_bad_setting(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SolverConfig(**bad)
 
@@ -848,17 +842,16 @@ def test_trace_step_reads_rows_recorded_either_way():
 
     F, G, x0 = _skew_saddle(5)
     trace = solve(F, G, x0).trace
-    first = list(trace.step)
+    full = solve(F, G, x0).trace
+    # the solver's rows keep x_{n+1} until the column is read; rows from
+    # record carry their norm, and the column reads both kinds
+    assert len(trace._pending) == len(trace) - 1
     x, y = trace.x[-1], trace.y[-1]
-    # a step norm, positional as before, and an x_next read on demand
     trace.record(trace.n[-1] + 1, x, y, 0.0, 0.75)
-    trace.record(trace.n[-1] + 1, x, y, 0.0, x_next=x + 1.0)
-    trace.record(trace.n[-1] + 1, x, y, 0.0, 0.0)
-    assert trace.step == first + [0.75, math.sqrt(5.0), 0.0]
-    for bad in ({"step": 0.5, "x_next": x}, {"x_next": 0.5}, {"x_next": np.zeros(4)}):
-        with pytest.raises(ValueError, match="x_next of x's shape"):
-            trace.record(0, x, y, 0.0, **bad)
-    assert len(trace) == len(first) + 3
+    trace.record(trace.n[-1] + 1, x, y, np.float64(0.0), np.sqrt(np.float64(5.0)))
+    assert trace.step == full.step + [0.75, math.sqrt(5.0)]
+    assert all(type(v) is float for v in trace.step[-2:] + trace.residual_dr[-2:])
+    assert len(trace) == len(full) + 2
 
 
 def test_thinned_trace_rows_keep_no_later_iterate():

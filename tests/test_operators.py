@@ -15,7 +15,16 @@ from eqsplit.bifunctions import (
     zero_bifunction,
 )
 from eqsplit import operators
-from eqsplit.hilbert import Ball, Box, Halfspace, IntersectionSet, Simplex, WholeSpace, sample_points
+from eqsplit.hilbert import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Halfspace,
+    IntersectionSet,
+    Simplex,
+    WholeSpace,
+    sample_points,
+)
 from eqsplit.operators import (
     GridSpec,
     IntervalImage,
@@ -157,7 +166,7 @@ def test_batch_membership_matches_one_point_membership():
 
 def _structured_operators():
     # (bifunction, [(x, u, member?)]) for interval-image families over a box
-    # and the whole space
+    # and the whole space, and the normal cones of the other set kinds
     box = Box([-1.0], [1.0])
     line = WholeSpace(1)
     shift = operator_bifunction(box, [[1.0]], [-2.0])  # x - 2 plus the cone
@@ -172,6 +181,21 @@ def _structured_operators():
                 ([-1.0], [-7.0], True), ([0.5], [0.9], False)]),
         (sum_bifunctions(shift, kink), [([0.0], [-1.5], True), ([0.0], [-3.5], False),
                                         ([1.0], [40.0], True), ([0.5], [-0.5], True)]),
+        (zero_bifunction(Halfspace([1.0, 1.0], 0.5)),
+         [([0.25, 0.25], [1.0, 1.0], True), ([0.25, 0.25], [1.0, 0.0], False),
+          ([0.0, -1.0], [0.0, 0.0], True), ([0.0, -1.0], [0.0, -1.0], False), ([1.0, 1.0], [1.0, 1.0], False)]),
+        (zero_bifunction(Simplex(3)),
+         [([0.5, 0.5, 0.0], [1.0, 1.0, 0.0], True), ([0.5, 0.5, 0.0], [0.0, 0.0, -1.0], True),
+          ([0.5, 0.5, 0.0], [1.0, 1.001, 0.0], False), ([1.0, 0.0, 0.0], [2.0, 1.0, 1.0], True),
+          ([1.0, 0.0, 0.0], [1.0, 1.01, 0.0], False)]),
+        (zero_bifunction(AffineSubspace([[1.0, 1.0]], [1.0])),
+         [([0.3, 0.7], [2.0, 2.0], True), ([0.3, 0.7], [-1.0, -1.0], True),
+          ([0.3, 0.7], [1.0, 0.0], False), ([1.0, 1.0], [0.0, 0.0], False)]),
+        # x = (1, -0.5) is on the box's face x_1 = 1 and on the halfspace's
+        # boundary, so its cone is spanned by (1, 0) and (1, 1)
+        (zero_bifunction(IntersectionSet((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)))),
+         [([1.0, -0.5], [2.0, 1.0], True), ([1.0, -0.5], [1.0, 0.0], True),
+          ([1.0, -0.5], [0.0, 1.0], False), ([0.0, 0.0], [0.0, 0.0], True), ([0.0, 0.0], [0.1, 0.0], False)]),
     ]
 
 
@@ -468,6 +492,12 @@ def test_zeros_empty_grid_raises():
         GridSpec([1.0], [0.0], 0.1)
     with pytest.raises(ValueError, match="dimension"):
         zeros_bruteforce(A, A, GridSpec([0.0, 0.0], [1.0, 1.0], 0.5))
+    # a 2-D operator without interval images has no exact route
+    N, B = normal_cone_operator(Ball([0.0, 0.0], 1.0)), affine_operator(np.eye(2))
+    with pytest.raises(ValueError, match=r"'normal-cone\[ball\]' and 'affine'"):
+        zeros_bruteforce(N, B, GridSpec([-1.0, -1.0], [1.0, 1.0], 0.5))
+    with pytest.raises(ValueError, match="unknown zeros_bruteforce method 'ugrid'"):
+        zeros_bruteforce(N, B, GridSpec([-1.0, -1.0], [1.0, 1.0], 0.5), method="ugrid")
 
 
 # ---------------------------------------------------------------------------
@@ -945,24 +975,6 @@ def test_set_distance():
     assert set_distance(np.empty((0, 1)), np.empty((0, 1))) == 0.0
 
 
-def test_zeros_ugrid_route():
-    # the discrete multiplier-grid fallback localizes the root at its own
-    # resolution (both operators here have interval images, so membership
-    # is exact and only the multiplier grid quantizes)
-    from eqsplit.problems import get_problem
-
-    inst = get_problem("quadratic-1d")
-    AF = operator_from_bifunction(inst.F)
-    AG = operator_from_bifunction(inst.G)
-    grid = GridSpec([-1.0], [0.0], 1e-2)
-    zeros = zeros_bruteforce(
-        AF, AG, grid, u_bounds=(-4.0, 4.0), u_step=1e-2, tol=1e-2, method="ugrid"
-    )
-    assert len(zeros) >= 1
-    assert set_distance(zeros, np.array([[-0.5]])) <= 0.15
-    assert all(abs(z[0] + 0.5) <= 0.15 for z in zeros)
-
-
 def test_operator_sum_has_no_resolvent():
     S = operator_sum(affine_operator([[1.0]]), affine_operator([[2.0]]))
     with pytest.raises(ValueError, match="resolvent"):
@@ -1016,11 +1028,11 @@ def test_sampled_membership_draws_its_sample_once_on_first_use(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eqsplit.operators, "sample_points", counting_sample_points)
-    N = normal_cone_operator(Halfspace([1.0, 1.0], 0.5))
+    # a user function without curvature bounds is known by its values alone
+    A = subdifferential_operator(_AbsValue())
     assert draws == []
-    x = np.array([0.25, 0.25])
-    assert [N.member(x, u) for u in ([1.0, 1.0], [1.0, 0.0], [0.0, 0.0])] == [True, False, True]
-    np.testing.assert_array_equal(N.member_batch(x, [[2.0, 2.0], [-1.0, -1.0]]), [True, False])
+    assert [A.member([0.0], [u]) for u in (0.5, 1.5, -1.0)] == [True, False, True]
+    np.testing.assert_array_equal(A.member_batch([2.0], [[1.0], [0.5]]), [True, False])
     assert len(draws) == 1
 
 

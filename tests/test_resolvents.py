@@ -42,7 +42,6 @@ from eqsplit.resolvents import (
     inner_solve,
     partial_second,
     reflect,
-    residual_certificate,
     resolve,
     resolvent_map,
 )
@@ -413,14 +412,17 @@ def _corpus_oracles(gamma):
 
 
 def test_output_in_set_and_residual_certified():
+    # at gamma 1, z = J x exactly when x - z lies in A_H z, which the
+    # corpus operators' interval images decide exactly
     rng = np.random.default_rng(12)
     for name, o in _corpus_oracles(1.0):
         C = o.bifunction.set
+        A = operator_from_bifunction(o.bifunction)
         for _ in range(5):
             x = rng.normal(scale=2.0, size=C.dimension)
             z = resolve(o, x)
             assert C.contains(z, 1e-10), name
-            assert residual_certificate(o, x, z) >= -10.0 * INNER_TOL, name
+            assert A.member(z, x - z), name
 
 
 def test_firm_nonexpansiveness_sampled():
@@ -543,12 +545,21 @@ def test_linear_resolvent_is_kept_per_bifunction_for_its_last_gamma(inversions):
     assert len(inversions) == 4
 
 
-def test_inner_routes_are_not_kept():
+def test_inner_routes_are_kept():
     F = function_difference(Ball(np.zeros(3), 1.0), Quadratic(np.eye(3), np.ones(3)))
-    o = ResolventOracle(1.0, F, inner_max_iter=100)
-    assert o.method == INNER_ITERATIVE
-    assert F._resolvent is None
-    assert ResolventOracle(1.0, F, inner_max_iter=7)._apply is not o._apply
+    o = ResolventOracle(1.0, F)
+    assert o.method == INNER_ITERATIVE and F._resolvent[0] == 1.0
+    assert ResolventOracle(1.0, F)._apply is o._apply
+    # a new gamma replaces the entry
+    p = ResolventOracle(2.0, F)
+    assert F._resolvent[0] == 2.0 and p._apply is not o._apply
+    assert ResolventOracle(2.0, F)._apply is p._apply
+    # only the inner route reads the spectral constants
+    assert "curvature" in vars(F)
+    for C in (WholeSpace(3), Box(-np.ones(3), np.ones(3))):
+        H = operator_bifunction(C, np.eye(3) + 1.0, np.ones(3))
+        assert ResolventOracle(1.0, H).method == CLOSED_FORM_LINEAR_SOLVE
+        assert "curvature" not in vars(H)
 
 
 @pytest.mark.parametrize("M", [-np.eye(2), [[-1.0, 1.0], [0.0, 0.0]]], ids=["diagonal", "full"])
@@ -1024,7 +1035,7 @@ def test_operator_plus_l1_resolvent_matches_forward_backward_reference(kind, mon
     def forbidden(*args, **kwargs):
         raise AssertionError("sampled check reached on the certified route")
 
-    monkeypatch.setattr("eqsplit.resolvents.sample_points", forbidden)
+    monkeypatch.setattr("eqsplit.hilbert.sample_points", forbidden)
     for d, gamma, draw in itertools.product((5, 20), (0.1, 1.0, 10.0), range(3)):
         rng = np.random.default_rng([d, int(10 * gamma), draw, 1])
         M, c = _vi_matrix(rng, d)
@@ -1117,7 +1128,6 @@ def test_certified_route_draws_no_sample(monkeypatch):
         raise AssertionError("a sample drawn on the inner route")
 
     monkeypatch.setattr("eqsplit.hilbert.sample_points", forbidden)
-    monkeypatch.setattr("eqsplit.resolvents.sample_points", forbidden)
     rng = np.random.default_rng(41)
     for name, F, T, w in itertools.chain(_structured_cases(), _unstructured_cases()):
         C = F.set
