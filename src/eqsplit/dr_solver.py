@@ -287,19 +287,19 @@ def _same_dimension(a, b) -> int:
 def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=None, b_n=None):
     """One relaxed splitting step; returns (y_n, z_n, x_next).
 
-    Pure function of its inputs and the same pass as one iteration of
-    :func:`solve`: y from the resolvent of G plus error b, z from the
-    resolvent of F at the reflected point plus error a, then the relaxed
-    update.  The inputs are validated once, here.
+    The same pass as one iteration of :func:`solve`: y from the resolvent
+    of G plus error b, z from the resolvent of F at the reflected point
+    plus error a, then the relaxed update.  A function of its inputs, up
+    to the rounding noted at :func:`~eqsplit.resolvents.resolve`.  The
+    inputs are validated once, here.
     """
     lam = _lambda_at(lambda_n, 0)
     x_n = as_vector(x_n, _same_dimension(JF, JG))
     a_n = None if a_n is None else as_vector(a_n, x_n.size)
     b_n = None if b_n is None else as_vector(b_n, x_n.size)
-    jf = lambda v: JF._apply(v, None)
-    y = JG._apply(x_n, None)
-    z = jf(2.0 * y - x_n)
-    return _relaxed_update(jf, x_n, y, z, z - y, lam, a_n, b_n)
+    y = JG._apply(x_n)
+    z = JF._apply(2.0 * y - x_n)
+    return _relaxed_update(JF._apply, x_n, y, z, z - y, lam, a_n, b_n)
 
 
 def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
@@ -309,8 +309,8 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
     reflection form exactly.
     """
     x = as_vector(x, _same_dimension(JF, JG))
-    y = JG._apply(x, None)
-    z = JF._apply(2.0 * y - x, None)
+    y = JG._apply(x)
+    z = JF._apply(2.0 * y - x)
     return 2.0 * norm(z - y)
 
 

@@ -199,17 +199,16 @@ class MonotoneOperator:
         return ResolventOracle(gamma, self.terms[0])
 
     def resolvent_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """A fresh map x -> J_{gamma A} x for a one-term operator (a sum
-        raises ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`,
-        which does not validate x and starts box pivoting from its previous
-        output, so make one per solve.  Each call builds a fresh oracle; the
-        route is kept on the term for its last gamma, so only the first call
-        at a gamma factors I + gamma A."""
+        """The map x -> J_{gamma A} x of a one-term operator (a sum raises
+        ``ValueError``): :func:`~eqsplit.resolvents.resolvent_map`, which
+        does not validate x.  The map is kept on the term for its last
+        gamma, so only the first call at a gamma factors I + gamma A, and
+        later calls at that gamma return the same map."""
         return resolvent_map(self._oracle(gamma))
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
-        """J_{gamma A} x for a one-term operator, from a cold start; ``x``
-        must be a finite vector of the operator's dimension."""
+        """J_{gamma A} x for a one-term operator; ``x`` must be a finite
+        vector of the operator's dimension."""
         return resolve(self._oracle(gamma), x)
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -53,19 +53,21 @@ ValueError whenever an oracle is built at that gamma, and is never kept.
 
 The same bound makes I + gamma A a P-matrix, for which block principal
 pivoting with Murty's single-pivot backup ends in finitely many passes from
-any starting pattern.  :func:`resolvent_map` therefore starts each call
-from the pattern of the map's previous output, which along a solve rarely
-changes, and the kept map holds the factor of the last pattern it met.
-That map also gives the KKT multipliers of the bound coordinates, so a
-call whose pattern holds is one matrix-vector product and a strict sign
-test.  The answer satisfies the KKT sign conditions of the box problem,
-which certify it exactly, so no sampled check is made.  A non-monotone M
-can make the pivoting cycle or meet a singular block; the call then
-raises :class:`ConvergenceFailure` instead of returning a point.
+any starting pattern.  The kept map therefore starts each call from the
+last pattern it met, which along a solve rarely changes, and holds that
+pattern's factor.  The pattern's map also gives the KKT multipliers of
+the bound coordinates, so a call whose pattern holds is one matrix-vector
+product and a strict sign test.  The answer satisfies the KKT sign
+conditions of the box problem, which certify it exactly, so no sampled
+check is made.  A non-monotone M can make the pivoting cycle or meet a
+singular block; the call then raises :class:`ConvergenceFailure` instead
+of returning a point.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -101,6 +103,11 @@ class ConvergenceFailure(RuntimeError):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
+
+
+def _check_gamma(gamma) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
 
 def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -201,8 +208,7 @@ def inner_solve(
     non-monotone A).  Raises ``ValueError`` naming the iteration when T
     takes a non-finite value.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     C = F.set
     x = as_vector(x, C.dimension)
     z = C._project(x)
@@ -265,9 +271,8 @@ def inner_solve(
 
 
 def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | None:
-    """(v, start=None) -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over C
-    where it has a closed form, else None; ``start`` is ignored, so the map
-    is also a resolvent map.
+    """v -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over C where it has
+    a closed form, else None.
 
     Over the whole space it is s = soft_threshold(v, t), and P_C(s) over a
     box (the objective separates) and a ball centred at 0, where KKT gives
@@ -276,11 +281,11 @@ def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | 
     :func:`_halfspace_shrink`.
     """
     if C.kind == "whole-space":
-        return lambda v, start=None: soft_threshold(v, t)
+        return lambda v: soft_threshold(v, t)
     if C.kind == "box" or C.kind == "ball" and not C.center.any():
-        return lambda v, start=None: C._project(soft_threshold(v, t))
+        return lambda v: C._project(soft_threshold(v, t))
     if C.kind == "simplex":
-        return lambda v, start=None: C._project(v - t)
+        return lambda v: C._project(v - t)
     if C.kind == "halfspace":
         return _halfspace_shrink(C.normal, C.offset, t)
     return None
@@ -300,7 +305,7 @@ def _halfspace_shrink(a: np.ndarray, beta: float, t: np.ndarray) -> Callable[...
     moving = a != 0.0
     a_m, t_m = a[moving], t[moving]
 
-    def prox(v, start=None):
+    def prox(v):
         z = soft_threshold(v, t)
         if a @ z <= beta:
             return z
@@ -332,13 +337,13 @@ def _singular(gamma: float) -> ValueError:
 
 
 def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> Callable[..., np.ndarray]:
-    """(x, start) -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
+    """x -> (I + gamma M)^{-1} (x - gamma c), with the inverse formed once.
 
     Raises ValueError when I + gamma M is singular.
     """
     shift = gamma * offset
     K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
-    return lambda x, start: K @ (x - shift)
+    return lambda x: K @ (x - shift)
 
 
 #: pivoting passes without a drop in the infeasible count before the box
@@ -368,17 +373,14 @@ def _sign_rows(
 
 def _box_linear_resolvent(
     matrix: np.ndarray, offset: np.ndarray, gamma: float, lo: np.ndarray, hi: np.ndarray
-) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-    """(x, start) -> the z in [lo, hi] with (I + gamma M) z + gamma c - x in -N_box(z).
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> the z in [lo, hi] with (I + gamma M) z + gamma c - x in -N_box(z).
 
     Block principal pivoting on the box linear complementarity problem
     (Judice & Pires, Comput. Oper. Res. 21, 1994).  Each coordinate is free,
-    at lo or at hi.  The starting pattern is read from ``start``, an earlier
-    output: a coordinate at or above hi is at hi, one at or below lo is at
-    lo, and every other one is free; with no ``start`` all start free.
-    Every pass evaluates z_F = A_FF^{-1} (b_F - A_F,fixed z_fixed) with
-    A = I + gamma M and b = x - gamma c, then flips every infeasible
-    coordinate: a free one outside the box, or a bound one whose
+    at lo or at hi.  Every pass evaluates z_F = A_FF^{-1} (b_F - A_F,fixed
+    z_fixed) with A = I + gamma M and b = x - gamma c, then flips every
+    infeasible coordinate: a free one outside the box, or a bound one whose
     w = A z - b has the wrong sign.  After ``BLOCK_PIVOT_PATIENCE`` passes
     without a drop in the infeasible count only the largest-index one is
     flipped (Murty's rule), which terminates from any pattern for every
@@ -386,18 +388,23 @@ def _box_linear_resolvent(
     returned point satisfies the KKT signs, which certify it exactly.
 
     Each pattern has an affine map z = L b + m: L is A_FF^{-1} on the free
-    block and zero elsewhere, and m holds the bounds.  Once a pattern has
-    held for a call (its first pass met every sign), the bound rows of its
-    map are replaced by the signed multipliers sign_i w_i
-    (:func:`_sign_rows`, formed from the free block alone), so one product
-    v = P b + p gives z_F and those multipliers.  A call that starts from
-    such a pattern accepts when every free v_i lies strictly inside
-    (lo_i, hi_i) and every signed multiplier is strictly negative (pinned
-    coordinates, lo == hi, have none to meet): it returns z from that one
-    matrix-vector product, with no tolerance and no pivoting pass.
-    Otherwise, and on a pattern that has not held yet, it runs the passes
-    above, the first of them on the same z_F.  A pattern that pivoting only
-    passes through costs its inverse and no bound rows.
+    block and zero elsewhere, and m holds the bounds.  The map of the last
+    pattern met is kept (a one-entry memo, replaced as one tuple, also
+    when the bound rows are added), and each call starts from that
+    pattern, which along a solve rarely changes; the first kept pattern is
+    the all-free one, whose map is A^{-1}.  So the closure holds two d x d
+    matrices, A and the last map, and a call on an unchanged pattern forms
+    nothing.  Once a pattern has held for a call (its first pass met every
+    sign), the bound rows of its map are replaced by the signed
+    multipliers sign_i w_i (:func:`_sign_rows`, formed from the free block
+    alone), so one product v = P b + p gives z_F and those multipliers.  A
+    call on such a pattern accepts when every free v_i lies strictly
+    inside (lo_i, hi_i) and every signed multiplier is strictly negative
+    (pinned coordinates, lo == hi, have none to meet): it returns z from
+    that one matrix-vector product, with no tolerance and no pivoting
+    pass.  Otherwise, and on a pattern that has not held yet, it runs the
+    passes above, the first of them on the same z_F.  A pattern that
+    pivoting only passes through costs its inverse and no bound rows.
 
     The strict test gives the first pass's bits wherever it accepts, and
     where it rejects the first pass runs.  It can accept where that pass
@@ -406,15 +413,11 @@ def _box_linear_resolvent(
     1e-12 (1 + max |bound| + max |b|); only then does the output depend on
     whether the pattern's bound rows were formed.
 
-    The map of the last pattern is kept (a one-entry memo, replaced as one
-    tuple, also when the bound rows are added), so a call on an unchanged
-    pattern forms nothing.  It starts as the all-free pattern, whose map is
-    A^{-1}, and a later return to that pattern rebuilds it like any other,
-    so the closure holds two d x d matrices, A and the last map.
-    ``start`` is read only when sym(A) is positive definite: then the
-    problem has one solution and any pattern leads to it.  Otherwise the
-    box problem may have several solutions or none, and the pivoting
-    starts cold, as without ``start``.
+    The kept pattern is read only when sym(A) is positive definite: then
+    the problem has one solution and any pattern leads to it.  Otherwise
+    the box problem may have several solutions or none, and every call
+    starts all free, so a kept pattern can never turn a failure into a
+    returned point.
 
     Raises ValueError when A is singular, and :class:`ConvergenceFailure`
     carrying the clamp of b when the pivot cap is reached or a block is
@@ -432,26 +435,18 @@ def _box_linear_resolvent(
         warm = True
     except np.linalg.LinAlgError:
         warm = False
-    # pattern code per coordinate: -1 at lo, 0 free, 1 at hi.  A pattern's
-    # key is the bytes of the masks (z >= hi, z <= lo) of the points z on
-    # it, which a start gives in two comparisons; a bound pinned coordinate
-    # (lo == hi) is in both, and is at lo and at hi alike
-    cold = bytes(2 * d)
-    memo = (cold, np.ones(d, dtype=bool), K, np.zeros(d), np.zeros(d), np.zeros(d, dtype=np.int8), None, None)
+    # side per coordinate: -1 at lo, 0 free, 1 at hi
+    all_free = np.zeros(d, dtype=np.int8)
+    memo = (all_free, np.ones(d, dtype=bool), K, np.zeros(d), np.zeros(d), all_free, None, None)
 
     def pattern_map(side):
-        """(key, free, P, p, m, sign, lo_v, hi_v) of a pattern: v = P b + p,
-        z = where(free, v, m), the sign of w that makes each bound coordinate
-        infeasible (0 where free or pinned), and the open interval (lo_v, hi_v)
-        that holds v when the pattern certifies itself.  A new entry has no
-        bound rows yet (P = L, p = m, and lo_v = hi_v = None).  Raises
-        LinAlgError on a singular block."""
+        """(side, free, P, p, m, sign, lo_v, hi_v) of a pattern, kept as the
+        memo: v = P b + p, z = where(free, v, m), the sign of w that makes
+        each bound coordinate infeasible (0 where free or pinned), and the
+        open interval (lo_v, hi_v) that holds v when the pattern certifies
+        itself.  A new entry has no bound rows yet (P = L, p = m, and
+        lo_v = hi_v = None).  Raises LinAlgError on a singular block."""
         nonlocal memo
-        entry = memo
-        bound_pinned = pinned & (side != 0)
-        key = ((side > 0) | bound_pinned).tobytes() + ((side < 0) | bound_pinned).tobytes()
-        if entry[0] == key:
-            return entry
         free = side == 0
         sign = np.where(pinned, 0, side).astype(np.int8)
         m = np.where(side > 0, hi, lo)
@@ -465,34 +460,28 @@ def _box_linear_resolvent(
             rows[:, free] = Kf
             L[free] = rows
             m[free] = -(Kf @ (A_f @ m))
-        entry = (key, free, L, m, m, sign, None, None)
-        memo = entry
-        return entry
+        memo = (side, free, L, m, m, sign, None, None)
+        return memo
 
     def with_sign_rows(entry):
         """Keep the entry with its bound rows in place of it; new arrays are
         filled, so an entry, once shared, never changes."""
         nonlocal memo
-        key, free, L, _, m, sign, _, _ = entry
+        side, free, L, _, m, sign, _, _ = entry
         P, p = L, m
         if sign.any():
             bound, R, r = _sign_rows(A, L[free][:, free], m, free, sign)
             P, p = L.copy(), m.copy()
             P[bound], p[bound] = R, r
         hi_v = np.where(free, hi, np.where(sign == 0, np.inf, 0.0))
-        memo = (key, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
-
-    def side_of(key):
-        at_hi, at_lo = np.frombuffer(key, dtype=bool).reshape(2, d)
-        return np.where(at_hi, 1, np.where(at_lo, -1, 0))
+        memo = (side, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
 
     def pivot(b, entry, v):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
         lo_tol, hi_tol = lo - tol, hi + tol
         best, patience = d + 1, BLOCK_PIVOT_PATIENCE
         for passes in range(1, max_pivots + 1):
-            key, free, _, _, m, sign, _, _ = entry
-            side = side_of(key)
+            side, free, _, _, m, sign, _, _ = entry
             z = np.where(free, v, m)
             w = A @ z - b
             # bound coordinates hold their bound exactly, so the box test
@@ -509,7 +498,7 @@ def _box_linear_resolvent(
                 last = np.flatnonzero(infeasible)[-1]
                 infeasible = np.zeros(d, dtype=bool)
                 infeasible[last] = True
-            side = np.where(infeasible, np.where(side == 0, np.where(z > hi, 1, -1), 0), side)
+            side = np.where(infeasible, np.where(free, np.where(z > hi, 1, -1), 0), side).astype(np.int8)
             try:
                 entry = pattern_map(side)
             except np.linalg.LinAlgError:
@@ -526,15 +515,11 @@ def _box_linear_resolvent(
             iterations=passes,
         )
 
-    def apply(x: np.ndarray, start: np.ndarray | None) -> np.ndarray:
+    def apply(x: np.ndarray) -> np.ndarray:
         b = x - shift
-        if start is None or not warm:
-            key = cold
-        else:
-            key = (start >= hi).tobytes() + (start <= lo).tobytes()
         entry = memo
-        if entry[0] != key:
-            entry = pattern_map(side_of(key))
+        if not warm and entry[0].any():
+            entry = pattern_map(all_free)
         _, free, P, p, m, _, lo_v, hi_v = entry
         v = P @ b + p
         if lo_v is None:
@@ -561,12 +546,12 @@ class ResolventOracle:
     and with it all per-(bifunction, set, gamma) work such as inverting
     I + gamma A, is built by the first oracle at a gamma and kept on the
     bifunction for that gamma; later oracles reuse it, so building one is
-    cheap.  No route draws a sample.  The oracle is immutable and
-    :func:`resolve` is pure for a given ``(x, start)``, so one oracle, or
-    one kept map, may be shared across concurrent solves.  Besides the
-    bifunction's memo, the only state behind it is box pivoting's memo of
-    the last pattern's factor; each is swapped in as one tuple and neither
-    changes any output.
+    cheap.  No route draws a sample.  The oracle is immutable and its map
+    is a function of x alone (up to the rounding noted at :func:`resolve`),
+    so one oracle, or one kept map, may be shared across concurrent solves.
+    Besides the bifunction's memo, the only state behind it is box
+    pivoting's memo of the last pattern's factor; each is swapped in as one
+    tuple.  ``gamma`` must be positive and finite (``ValueError``).
     """
 
     gamma: float
@@ -574,8 +559,7 @@ class ResolventOracle:
     method: str = field(init=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_gamma(self.gamma)
         method, apply = _build(self)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "_apply", apply)
@@ -586,14 +570,16 @@ class ResolventOracle:
 
 
 def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
-    """(method, map (x, start) -> J x) from the induced operator
+    """(method, map x -> J x) from the induced operator
     A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set kind.
 
     The route is taken from the bifunction's one-entry memo when it was
     built at this gamma, and otherwise built and stored there, replacing
     the entry as one tuple: the closed form when there is one, else the
-    inner route, which reads ``INNER_ITER_CAP`` at every call.  Only box
-    pivoting reads ``start``; every other map ignores it.
+    inner route, which reads ``INNER_ITER_CAP`` at every call.  The inner
+    route calls :func:`inner_solve` on a shallow copy of the bifunction,
+    which carries its cached curvature but not the memo, so the kept route
+    makes no reference cycle through it.
     """
     F, gamma = oracle.bifunction, oracle.gamma
     memo = F._resolvent
@@ -601,10 +587,11 @@ def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
         return memo[1:]
     route = _closed_form(F, gamma)
     if route is None:
-        # the inner loop's spectral constants, computed once per bifunction
-        # when its first oracle is built and never per resolve
+        # the inner loop's spectral constants, computed once per bifunction,
+        # never per resolve, and carried by the copy
         _ = F.curvature
-        route = INNER_ITERATIVE, lambda x, start: inner_solve(F, gamma, x, max_iter=INNER_ITER_CAP)
+        H = copy.copy(F)
+        route = INNER_ITERATIVE, lambda x: inner_solve(H, gamma, x, max_iter=INNER_ITER_CAP)
     object.__setattr__(F, "_resolvent", (gamma, *route))
     return route
 
@@ -620,13 +607,13 @@ def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.nda
     if A is None or not A.any():
         shift = 0.0 if b is None else gamma * b
         if l1 is None:
-            return CLOSED_FORM_PROJECTION, lambda x, start: C._project(x - shift)
+            return CLOSED_FORM_PROJECTION, lambda x: C._project(x - shift)
         prox = _shrink_project(C, gamma * l1)
         if prox is None:
             return None
         if b is None or not b.any():
             return PROX_COMPOSITION, prox
-        return PROX_COMPOSITION, lambda x, start: prox(x - shift)
+        return PROX_COMPOSITION, lambda x: prox(x - shift)
     if l1 is None and C.kind == "box":
         return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, C.lo, C.hi)
     if l1 is None and C.kind == "whole-space":
@@ -634,7 +621,7 @@ def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.nda
     return None
 
 
-def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
+def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     """Apply the resolvent: the unique z in C with
 
     gamma F(z, y) + <z - x, y - z> >= 0 for all y in C, exact for the closed
@@ -646,45 +633,27 @@ def resolve(oracle: ResolventOracle, x, start=None) -> np.ndarray:
     carrying the last iterate, which the caller may accept as an error term,
     and a non-finite value of the inner loop's map raises ``ValueError``.
 
-    ``start`` is an optional earlier output of the same oracle, and
-    ``ValueError`` is raised when its shape is not that of x, whatever the
-    method.  Box pivoting starts from its pattern of coordinates at lo, at
-    hi and free, which saves passes when x is near the earlier input; every
-    other method ignores it.  The answer is a function of ``(x, start)``,
-    up to the rounding of box pivoting's KKT multipliers: the oracle keeps
-    the map of the last pattern it met, and a pattern with its bound rows
-    formed accepts by a strict sign test, without the pivoting tolerance,
-    so two roundings of a multiplier that differ by more than that
-    tolerance could change the answer.  For a monotone operator the answer
-    does not depend on ``start`` beyond the 1e-12 pivoting tolerance.
+    Box pivoting starts from the last pattern of coordinates at lo, at hi
+    and free that the kept map met, which saves passes when x is near the
+    earlier input.  The answer is a function of x, up to the rounding of
+    box pivoting's KKT multipliers: a pattern with its bound rows formed
+    accepts by a strict sign test, without the pivoting tolerance, so two
+    roundings of a multiplier that differ by more than that tolerance could
+    change the answer.  For a monotone operator the answer does not depend
+    on the kept pattern beyond the 1e-12 pivoting tolerance.
     """
-    x = as_vector(x, oracle.dimension)
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != x.shape:
-            raise ValueError(f"start must have shape {x.shape}, got {start.shape}")
-    return oracle._apply(x, start)
+    return oracle._apply(as_vector(x, oracle.dimension))
 
 
 def resolvent_map(oracle: ResolventOracle) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> resolve(oracle, x, start=<this map's previous output>), unchecked.
+    """The oracle's kept map x -> J x, which does not validate ``x``.
 
-    The map calls the oracle's stored map directly and does not validate
-    ``x``: it is for code that builds its own vectors, finite float arrays
-    of the oracle's dimension, such as the solver's iteration.  Pass
-    anything else through :func:`resolve`.  The warm start lives in the
-    returned closure, never on the oracle, so make one map per solve; a
-    failed call keeps the previous start.
+    It is for code that builds its own vectors, finite float arrays of the
+    oracle's dimension, such as the solver's iteration; pass anything else
+    through :func:`resolve`.  Every oracle of the bifunction at this gamma
+    shares the map, and it holds no per-solve state.
     """
-    apply_oracle = oracle._apply
-    last = None
-
-    def apply(x):
-        nonlocal last
-        last = apply_oracle(x, last)
-        return last
-
-    return apply
+    return oracle._apply
 
 
 def reflect(oracle: ResolventOracle, x) -> np.ndarray:

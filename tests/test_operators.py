@@ -127,6 +127,7 @@ def test_resolvent_oracle_is_built_once_per_gamma(monkeypatch):
     for _ in range(5):
         np.testing.assert_array_equal(A.resolvent(0.5, x), first)
     np.testing.assert_array_equal(A.resolvent_map(0.5)(x), first)
+    assert A.resolvent_map(0.5) is A.resolvent_map(0.5)
     assert len(calls) == 1
     A.resolvent(2.0, x)
     assert len(calls) == 2

@@ -449,11 +449,28 @@ def test_reflection_nonexpansive_sampled():
 
 
 def test_gamma_must_be_positive():
-    C = WholeSpace(1)
-    with pytest.raises(ValueError, match="gamma"):
-        ResolventOracle(0.0, zero_bifunction(C))
-    with pytest.raises(ValueError, match="gamma"):
-        ResolventOracle(-1.0, zero_bifunction(C))
+    # every public resolvent entry rejects a gamma that is not positive and
+    # finite, over each route: a projection, whole-space and box linear
+    # solves, the L1 prox and the inner loop
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    forms = [
+        zero_bifunction(box),
+        operator_bifunction(WholeSpace(2), np.eye(2)),
+        operator_bifunction(box, [[1.0, 1.0], [-1.0, 1.0]], [0.5, 0.0]),
+        function_difference(box, WeightedL1([1.0, 0.5])),
+        function_difference(Ball(np.zeros(2), 1.0), Quadratic(np.eye(2), np.ones(2))),
+    ]
+    for gamma, F in itertools.product((np.nan, np.inf, 0.0, -1.0), forms):
+        A = operator_from_bifunction(F)
+        for call in (
+            lambda: ResolventOracle(gamma, F),
+            lambda: A.resolvent(gamma, [1.0, 2.0]),
+            lambda: A.resolvent_map(gamma),
+            lambda: inner_solve(F, gamma, [1.0, 2.0]),
+        ):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                call()
+        assert F._resolvent is None
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +567,7 @@ def test_inner_routes_are_kept():
     o = ResolventOracle(1.0, F)
     assert o.method == INNER_ITERATIVE and F._resolvent[0] == 1.0
     assert ResolventOracle(1.0, F)._apply is o._apply
+    assert resolvent_map(o) is resolvent_map(ResolventOracle(1.0, F)) is o._apply
     # a new gamma replaces the entry
     p = ResolventOracle(2.0, F)
     assert F._resolvent[0] == 2.0 and p._apply is not o._apply
@@ -725,7 +743,7 @@ def test_nonseparable_box_quadratic_prox_uses_pivoting(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# warm-started box pivoting
+# box pivoting from the kept pattern
 # ---------------------------------------------------------------------------
 
 def _dr_like(rng, d, n=12):
@@ -744,62 +762,57 @@ def _assert_same(warm, cold):
 
 @pytest.mark.parametrize("d", [2, 5, 20, 50])
 def test_box_warm_start_matches_cold(d):
+    # any pattern the oracle keeps gives the answer of a fresh bifunction,
+    # whose kept map starts all free
     M, c, rng = _box_vi(d, 100 + d)
     lo, hi = -np.ones(d), np.ones(d)
     pinned_lo, pinned_hi = lo.copy(), hi.copy()
     pinned_lo[::3] = pinned_hi[::3] = rng.uniform(-0.5, 0.5, size=pinned_lo[::3].size)
     B = rng.normal(size=(d, d))
     Q = B @ B.T / d
+    makers = [
+        lambda: operator_bifunction(Box(lo, hi), M, c),
+        lambda: function_difference(Box(lo, hi), Quadratic(Q, c)),
+        lambda: operator_bifunction(Box(pinned_lo, pinned_hi), M, c),
+    ]
     for gamma in (0.1, 1.0, 10.0):
-        oracles = [
-            ResolventOracle(gamma, operator_bifunction(Box(lo, hi), M, c)),
-            ResolventOracle(gamma, function_difference(Box(lo, hi), Quadratic(Q, c))),
-            ResolventOracle(gamma, operator_bifunction(Box(pinned_lo, pinned_hi), M, c)),
-        ]
-        for o in oracles:
+        for make in makers:
+            o = ResolventOracle(gamma, make())
             C = o.bifunction.set
-            xs = _dr_like(rng, d)
-            previous = None
-            for x in xs:
-                cold = resolve(o, x)
-                # the previous output along the sequence, both corners, and
-                # an output of the box with pinned sides
-                for start in (previous, C.hi.copy(), C.lo.copy(), resolve(oracles[2], xs[0])):
-                    _assert_same(resolve(o, x, start=start), cold)
-                previous = resolve(o, x, start=previous)
+            for x in _dr_like(rng, d):
+                cold = resolve(ResolventOracle(gamma, make()), x)
+                # the pattern of the previous input along the sequence, then
+                # far patterns: both corners and the reflected point
+                _assert_same(resolve(o, x), cold)
+                for far in (10.0 * C.hi, 10.0 * C.lo, -x):
+                    resolve(o, far)
+                    _assert_same(resolve(o, x), cold)
 
 
 @pytest.mark.parametrize("start", [None] + [np.array(s) for s in np.ndindex(3, 3)])
 def test_box_warm_start_cannot_hide_a_failure(start):
-    # every pattern of the 2-D box, read from -1, 0 or 1 per coordinate
-    start = None if start is None else start - 1.0
+    # an earlier call at each point of the 3 x 3 grid {-5, 0, 5}^2 leaves
+    # the pattern its pivoting last met in the oracle's memo; no kept
+    # pattern may let a later call return a point
     C = Box([-1.0, -1.0], [1.0, 1.0])
     # I + M = [[1, 1], [0, -1]]: the pivoting cycles, although the hi
-    # corner meets the KKT signs; a start must not let it return that point
+    # corner meets the KKT signs
     cycling = ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]]))
-    with pytest.raises(ConvergenceFailure) as err:
-        resolve(cycling, [4.0, 2.0], start=start)
-    np.testing.assert_array_equal(err.value.iterate, [1.0, 1.0])
     singular_block = ResolventOracle(1.0, operator_bifunction(C, [[-1.0, 1.0], [1.0, -1.0]]))
-    with pytest.raises(ConvergenceFailure, match="singular block") as err:
-        resolve(singular_block, [5.0, 0.5], start=start)
-    np.testing.assert_array_equal(err.value.iterate, [1.0, 0.5])
-
-
-def test_box_warm_start_rejects_a_wrong_shape():
-    # resolve checks start for every method, also where it is not read
-    C = Box([-1.0, -1.0], [1.0, 1.0])
-    oracles = [
-        ResolventOracle(1.0, operator_bifunction(C, np.eye(2))),
-        # sym(I + M) is not positive definite: the pivoting starts cold
-        ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]])),
-        ResolventOracle(1.0, zero_bifunction(C)),
-    ]
-    assert [o.method for o in oracles] == [CLOSED_FORM_LINEAR_SOLVE] * 2 + [CLOSED_FORM_PROJECTION]
-    for o in oracles:
-        for x in ([0.5, 3.0], [0.1, 0.2]):
-            with pytest.raises(ValueError, match="start"):
-                resolve(o, x, start=np.zeros(3))
+    for o, x, iterate in ((cycling, [4.0, 2.0], [1.0, 1.0]), (singular_block, [5.0, 0.5], [1.0, 0.5])):
+        if start is not None:
+            try:
+                resolve(o, 5.0 * (start - 1.0))
+            except ConvergenceFailure:
+                pass
+        failures = []
+        for _ in range(3):
+            with pytest.raises(ConvergenceFailure) as err:
+                resolve(o, x)
+            np.testing.assert_array_equal(err.value.iterate, iterate)
+            failures.append((str(err.value), err.value.iterations, err.value.residual))
+        assert failures[1:] == failures[:-1]
+    assert "singular block" in failures[0][0]
 
 
 def test_box_warm_repeat_forms_no_factorization():
@@ -831,7 +844,7 @@ def test_box_warm_repeat_forms_no_factorization():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "inv", no_factorization)
             patch.setattr(np.linalg, "solve", no_factorization)
-            _assert_same(resolve(o, x2, start=z1), expected)
+            _assert_same(resolve(o, x2), expected)
             # the pattern has now held for a call, so it has its bound rows;
             # a further repeat forms none again and certifies its answer
             # without a pivoting pass (each pass counts its infeasible
@@ -839,16 +852,17 @@ def test_box_warm_repeat_forms_no_factorization():
             patch.setattr("eqsplit.resolvents._sign_rows", no_sign_rows)
             patch.setattr(np, "count_nonzero", no_pass)
             for x in (x2, x1, x3):
-                assert np.array_equal(np.abs(resolve(o, x, start=z1)) == 1.0, at_bound)
+                assert np.array_equal(np.abs(resolve(o, x)) == 1.0, at_bound)
 
 
 @pytest.mark.parametrize("d", [2, 20, 50])
 def test_box_map_matches_the_public_rule_bit_for_bit(d):
     # every output of resolvent_map must have, byte for byte, the bits of
-    # resolve with the previous output as start.  Pinned sides, lo == hi, are
-    # in every box; the second box moves a bound of a free coordinate onto
-    # its largest value along the sequence, so that at one step the map's
-    # pattern holds a free coordinate that lands exactly on its bound
+    # resolve on the same oracle, and lie within 1e-12 of a fresh
+    # bifunction's answer.  Pinned sides, lo == hi, are in every box; the
+    # second box moves a bound of a free coordinate onto its largest value
+    # along the sequence, so that at one step the kept pattern holds a free
+    # coordinate that lands exactly on its bound
     M, c, rng = _box_vi(d, 300 + d)
     lo, hi = -np.ones(d), np.ones(d)
     lo[1::4] = hi[1::4] = rng.uniform(-0.5, 0.5, size=lo[1::4].size)
@@ -863,12 +877,13 @@ def test_box_map_matches_the_public_rule_bit_for_bit(d):
         landed[i] = zs[:, i].max()
         steps_onto_bound = 0
         for C in (Box(lo, hi), Box(lo, landed)):
-            apply = resolvent_map(ResolventOracle(gamma, operator_bifunction(C, M, c)))
-            public = ResolventOracle(gamma, operator_bifunction(C, M, c))
+            o = ResolventOracle(gamma, operator_bifunction(C, M, c))
+            apply = resolvent_map(o)
             previous = None
             for x in xs:
                 z = apply(x)
-                assert z.tobytes() == resolve(public, x, start=previous).tobytes()
+                assert z.tobytes() == resolve(o, x).tobytes()
+                _assert_same(z, resolve(ResolventOracle(gamma, operator_bifunction(C, M, c)), x))
                 np.testing.assert_array_equal(z[1::4], lo[1::4])
                 if previous is not None and previous[i] < landed[i] == z[i] == C.hi[i]:
                     steps_onto_bound += 1
@@ -876,36 +891,11 @@ def test_box_map_matches_the_public_rule_bit_for_bit(d):
         assert steps_onto_bound > 0
 
 
-def test_resolvent_maps_keep_their_start_per_map():
-    d, gamma = 20, 0.1
-    M, c, rng = _box_vi(d, 11)
-    F = operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c)
-    shared = ResolventOracle(gamma, F)
-    fresh = ResolventOracle(gamma, F)
-    starts = []
-    stored = shared._apply
-
-    def recording_apply(x, start):
-        starts.append(start)
-        return stored(x, start)
-
-    # the maps call the oracle's stored map directly; record the starts there
-    object.__setattr__(shared, "_apply", recording_apply)
-    first, second = resolvent_map(shared), resolvent_map(shared)
-    previous = {first: None, second: None}
-    for xa, xb in zip(_dr_like(rng, d, 30), _dr_like(rng, d, 30)):
-        for apply, x in ((first, xa), (second, xb)):
-            z = apply(x)
-            assert starts.pop() is previous[apply]
-            previous[apply] = z
-            _assert_same(z, resolve(fresh, x))
-
-
 def test_box_factor_memo_is_safe_across_threads():
-    # maps on one oracle cycle through the same few inputs, each with its
-    # own pattern, in different orders, so the one-entry memo is replaced
-    # on almost every call; each map must still give, bit for bit, what it
-    # gives alone
+    # threads drive the one kept map through the same few inputs, each with
+    # its own pattern, in different orders, so the one-entry memo is
+    # replaced on almost every call; each thread must still get, bit for
+    # bit, what its sequence gives alone
     d, gamma, threads = 5, 1.0, 6
     M, c, rng = _box_vi(d, 13)
     shared = ResolventOracle(gamma, operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c))
@@ -939,6 +929,32 @@ def test_box_factor_memo_is_safe_across_threads():
     assert not any(w.is_alive() for w in workers)
     for g, e in zip(got, expected):
         np.testing.assert_array_equal(np.array(g), np.array(e))
+
+
+def test_an_inner_route_bifunction_is_freed_at_del():
+    # the kept inner route holds no reference back to its bifunction, so
+    # dropping the last reference frees it without the cyclic collector; a
+    # whole-space closed form is the control
+    import gc
+    import weakref
+
+    forms = [
+        (INNER_ITERATIVE, lambda: function_difference(Ball(np.zeros(3), 1.0), Quadratic(np.eye(3), np.ones(3)))),
+        (CLOSED_FORM_LINEAR_SOLVE, lambda: operator_bifunction(WholeSpace(3), np.eye(3), np.ones(3))),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for method, make in forms:
+            F = make()
+            o = ResolventOracle(1.0, F)
+            assert o.method == method
+            resolve(o, [2.0, 0.0, -1.0])
+            alive = weakref.ref(F)
+            del F, o
+            assert alive() is None, method
+    finally:
+        gc.enable()
 
 
 def test_a_bifunction_with_a_kept_resolvent_pickles_without_it():
