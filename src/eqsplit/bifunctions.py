@@ -213,8 +213,16 @@ class CanonicalPart(NamedTuple):
         return reduce(add, terms) if terms else None
 
     def value(self, y: np.ndarray) -> float:
-        """phi(y) at one point."""
-        return float(self._sum(lambda Q: 0.5 * y @ Q @ y, lambda q: q @ y, lambda w: np.sum(w * np.abs(y))))
+        """phi(y) at one point, its terms added as :meth:`_sum` adds them."""
+        Q, q, w, k, _ = self
+        phi = None if Q is None else 0.5 * y @ Q @ y
+        if q is not None:
+            phi = q @ y if phi is None else phi + q @ y
+        if w is not None:
+            phi = np.sum(w * np.abs(y)) if phi is None else phi + np.sum(w * np.abs(y))
+        if k is not None:
+            phi = k if phi is None else phi + k
+        return float(phi)
 
     def rows(self, X: np.ndarray) -> np.ndarray:
         """phi at every row of the float array ``X``, each with the bits of

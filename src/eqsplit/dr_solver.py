@@ -161,7 +161,7 @@ class IterationTrace:
     ``step`` holds ||x_{n+1} - x_n|| per row.  With ``trace_every`` 1 the
     solver keeps x_{n+1} in place of the norm, the next row's ``x``, which
     costs no memory, and the norms of such rows are computed the first time
-    ``step`` is read, all at once, with the bits of ``math.sqrt(v @ v)``.
+    ``step`` is read, all at once, with the bits of ``math.sqrt(v.dot(v))``.
     A thinned row, a last row that ended the solve (0.0) and a row from
     :meth:`record` carry their norm.
     """
@@ -179,7 +179,8 @@ class IterationTrace:
 
     def _append(self, n, x, y, residual, step):
         """:meth:`record` without conversions, for the solver's own rows:
-        ``residual`` is a float and ``step`` a float or x_{n+1}."""
+        ``residual`` is a float and ``step`` a float or x_{n+1}; the solver
+        appends its other rows (``trace_every`` 1) to the lists itself."""
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
@@ -208,7 +209,7 @@ def _step_norms(x: list, x_next: list) -> list:
     """[||x_next[r] - x[r]||] as floats, from stacked differences in row
     blocks of at most ``_CERTIFICATE_BLOCK_ENTRIES`` entries.  Each norm is
     one (1, d) x (d, 1) product of the stack, the dot product
-    ``math.sqrt(v @ v)`` takes, so it has that call's bits."""
+    ``math.sqrt(v.dot(v))`` takes, so it has that call's bits."""
     if not x:
         return []
     rows = max(1, _CERTIFICATE_BLOCK_ENTRIES // x[0].size)
@@ -268,13 +269,13 @@ def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
 
     Injected errors move y by b_n and z by a_n, with z taken again at the
     reflection of the moved y; None means no error on that side.  Returns
-    (y, z, x + lam (z - y)).
+    (y, z, x + lam (z - y)); at lam 1, x + (z - y), which has the same bits.
     """
     if a_n is not None or b_n is not None:
         y = y + (b_n if b_n is not None else 0.0)
-        z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
+        z = jf(y + y - x) + (a_n if a_n is not None else 0.0)
         diff = z - y
-    return y, z, x + lam * diff
+    return y, z, x + (diff if lam == 1.0 else lam * diff)
 
 
 def _same_dimension(a, b) -> int:
@@ -318,7 +319,7 @@ def _error_at(schedule, n: int) -> np.ndarray:
     """The error ``schedule`` injects at step n, checked before it reaches a
     resolvent: it must be a vector (or a scalar) of finite norm."""
     e = np.asarray(schedule(n), dtype=float)
-    if e.ndim > 1 or not math.isfinite(norm(e)):
+    if e.ndim > 1 or not math.isfinite(e.dot(e)):
         raise ValueError(f"error schedule at iteration {n} must give a finite vector, got {e!r}")
     return e
 
@@ -332,9 +333,11 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     of each injected error, and the trace keeps each pass's fresh arrays.
     ``certify`` is the pair (F, G) whose certificate the result computes
     when it is first read, or None for a result with no certificate.
-    Norms are taken inline as sqrt(v . v), the arithmetic of
+    Norms are taken inline as sqrt(v.dot(v)), the arithmetic of
     :func:`~eqsplit.hilbert.norm`; with ``trace_every`` 1 a row's step
-    norm is left to the trace, which keeps x_next and takes it when read.
+    norm is left to the trace, which keeps x_next and takes it when read,
+    and the row goes straight into the trace's lists.  A constant lambda of
+    1 updates by x + (z - y), the bits of x + 1.0 (z - y) in one call.
     """
     x = x0
     trace = IterationTrace()
@@ -346,8 +349,11 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     lam_schedule = cfg.lambda_schedule
     lam_constant = None if callable(lam_schedule) else float(lam_schedule)
     tol, max_iter, every = cfg.residual_tol, cfg.max_iter, cfg.trace_every
+    unit = lam_constant == 1.0
     sqrt, isfinite = math.sqrt, math.isfinite
     lazy_step = every == 1
+    add_n, add_x, add_y, add_res = trace.n.append, trace.x.append, trace.y.append, trace.residual_dr.append
+    add_step = trace._step.append
     status = MAX_ITER
     n = 0
     y_clean = None
@@ -355,9 +361,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
         while True:
             y_clean = None  # J_G x of this pass, unknown until jg returns
             y_clean = jg(x)
-            z_clean = jf(2.0 * y_clean - x)
+            z_clean = jf(y_clean + y_clean - x)  # 2 y exactly, with no scalar to convert
             diff = z_clean - y_clean
-            res = 2.0 * sqrt(diff @ diff)
+            res = 2.0 * sqrt(diff.dot(diff))
             if not isfinite(res):
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
             if res <= tol:
@@ -373,12 +379,16 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
                 b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
                 y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             else:
-                y, x_next = y_clean, x + lam * diff
+                y, x_next = y_clean, (x + diff if unit else x + lam * diff)
             if lazy_step:
-                trace._append(n, x, y, res, x_next)
+                add_n(n)
+                add_x(x)
+                add_y(y)
+                add_res(res)
+                add_step(x_next)
             elif n % every == 0:
                 step = x_next - x
-                trace._append(n, x, y, res, sqrt(step @ step))
+                trace._append(n, x, y, res, sqrt(step.dot(step)))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:

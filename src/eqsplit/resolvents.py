@@ -278,11 +278,17 @@ def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | 
     box (the objective separates) and a ball centred at 0, where KKT gives
     z = s / (1 + mu) with mu = max(0, ||s|| / r - 1).  Over the simplex
     |z| = z, so it is P_C(v - t).  Over a halfspace a'z <= beta it is
-    :func:`_halfspace_shrink`.
+    :func:`_halfspace_shrink`.  The whole-space and box maps are single
+    closures over local names and a kept zero vector, with the bits of
+    soft_threshold(v, t) and C._project(soft_threshold(v, t)).
     """
+    sign, absolute, maximum, minimum, zero = np.sign, np.abs, np.maximum, np.minimum, np.zeros_like(t)
     if C.kind == "whole-space":
-        return lambda v: soft_threshold(v, t)
-    if C.kind == "box" or C.kind == "ball" and not C.center.any():
+        return lambda v: sign(v) * maximum(absolute(v) - t, zero)
+    if C.kind == "box":
+        lo, hi = C.lo, C.hi
+        return lambda v: minimum(maximum(sign(v) * maximum(absolute(v) - t, zero), lo), hi)
+    if C.kind == "ball" and not C.center.any():
         return lambda v: C._project(soft_threshold(v, t))
     if C.kind == "simplex":
         return lambda v: C._project(v - t)
@@ -343,7 +349,7 @@ def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> C
     """
     shift = gamma * offset
     K = _invert(np.eye(matrix.shape[0]) + gamma * matrix, gamma)
-    return lambda x: K @ (x - shift)
+    return lambda x: K.dot(x - shift)
 
 
 #: pivoting passes without a drop in the infeasible count before the box
@@ -402,8 +408,10 @@ def _box_linear_resolvent(
     inside (lo_i, hi_i) and every signed multiplier is strictly negative
     (pinned coordinates, lo == hi, have none to meet): it returns z from
     that one matrix-vector product, with no tolerance and no pivoting
-    pass.  Otherwise, and on a pattern that has not held yet, it runs the
-    passes above, the first of them on the same z_F.  A pattern that
+    pass.  The test is one ``np.logical_and.reduce``, and z is v, the call's
+    own array, with m put in its bound rows.  Otherwise, and on a pattern
+    that has not held yet, it runs the passes above, the first of them on
+    the same z_F.  A pattern that
     pivoting only passes through costs its inverse and no bound rows.
 
     The strict test gives the first pass's bits wherever it accepts, and
@@ -430,6 +438,7 @@ def _box_linear_resolvent(
     pinned = lo == hi
     bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
     max_pivots = 10 * d + 50
+    all_of, putmask = np.logical_and.reduce, np.putmask
     try:
         np.linalg.cholesky(A + A.T)
         warm = True
@@ -437,15 +446,15 @@ def _box_linear_resolvent(
         warm = False
     # side per coordinate: -1 at lo, 0 free, 1 at hi
     all_free = np.zeros(d, dtype=np.int8)
-    memo = (all_free, np.ones(d, dtype=bool), K, np.zeros(d), np.zeros(d), all_free, None, None)
+    memo = (all_free, np.zeros(d, dtype=bool), K, np.zeros(d), np.zeros(d), all_free, None, None)
 
     def pattern_map(side):
-        """(side, free, P, p, m, sign, lo_v, hi_v) of a pattern, kept as the
-        memo: v = P b + p, z = where(free, v, m), the sign of w that makes
-        each bound coordinate infeasible (0 where free or pinned), and the
-        open interval (lo_v, hi_v) that holds v when the pattern certifies
-        itself.  A new entry has no bound rows yet (P = L, p = m, and
-        lo_v = hi_v = None).  Raises LinAlgError on a singular block."""
+        """(side, bound, P, p, m, sign, lo_v, hi_v) of a pattern, kept as the
+        memo: v = P b + p, z = v with m on the bound rows, the sign of w that
+        makes each bound coordinate infeasible (0 where free or pinned), and
+        the open interval (lo_v, hi_v) that holds v when the pattern
+        certifies itself.  A new entry has no bound rows yet (P = L, p = m,
+        and lo_v = hi_v = None).  Raises LinAlgError on a singular block."""
         nonlocal memo
         free = side == 0
         sign = np.where(pinned, 0, side).astype(np.int8)
@@ -459,31 +468,32 @@ def _box_linear_resolvent(
             rows = np.zeros((Kf.shape[0], d))
             rows[:, free] = Kf
             L[free] = rows
-            m[free] = -(Kf @ (A_f @ m))
-        memo = (side, free, L, m, m, sign, None, None)
+            m[free] = -Kf.dot(A_f.dot(m))
+        memo = (side, ~free, L, m, m, sign, None, None)
         return memo
 
     def with_sign_rows(entry):
         """Keep the entry with its bound rows in place of it; new arrays are
         filled, so an entry, once shared, never changes."""
         nonlocal memo
-        side, free, L, _, m, sign, _, _ = entry
+        side, bound, L, _, m, sign, _, _ = entry
+        free = ~bound
         P, p = L, m
         if sign.any():
-            bound, R, r = _sign_rows(A, L[free][:, free], m, free, sign)
+            rows, R, r = _sign_rows(A, L[free][:, free], m, free, sign)
             P, p = L.copy(), m.copy()
-            P[bound], p[bound] = R, r
+            P[rows], p[rows] = R, r
         hi_v = np.where(free, hi, np.where(sign == 0, np.inf, 0.0))
-        memo = (side, free, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
+        memo = (side, bound, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
 
-    def pivot(b, entry, v):
+    def pivot(b, entry, z):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
         lo_tol, hi_tol = lo - tol, hi + tol
         best, patience = d + 1, BLOCK_PIVOT_PATIENCE
         for passes in range(1, max_pivots + 1):
-            side, free, _, _, m, sign, _, _ = entry
-            z = np.where(free, v, m)
-            w = A @ z - b
+            side, bound, _, _, m, sign, _, _ = entry
+            putmask(z, bound, m)  # z = P b + p is this pass's own array
+            w = A.dot(z) - b
             # bound coordinates hold their bound exactly, so the box test
             # can only fail on free ones
             infeasible = (z < lo_tol) | (z > hi_tol) | (sign * w > tol)
@@ -498,13 +508,13 @@ def _box_linear_resolvent(
                 last = np.flatnonzero(infeasible)[-1]
                 infeasible = np.zeros(d, dtype=bool)
                 infeasible[last] = True
-            side = np.where(infeasible, np.where(free, np.where(z > hi, 1, -1), 0), side).astype(np.int8)
+            side = np.where(infeasible, np.where(bound, 0, np.where(z > hi, 1, -1)), side).astype(np.int8)
             try:
                 entry = pattern_map(side)
             except np.linalg.LinAlgError:
                 reason = f"singular block at pivoting pass {passes}"
                 break
-            v = entry[2] @ b + entry[3]
+            z = entry[2].dot(b) + entry[3]
         else:
             reason = f"no solution within {max_pivots} pivoting passes"
         z = np.minimum(np.maximum(b, lo), hi)
@@ -520,8 +530,8 @@ def _box_linear_resolvent(
         entry = memo
         if not warm and entry[0].any():
             entry = pattern_map(all_free)
-        _, free, P, p, m, _, lo_v, hi_v = entry
-        v = P @ b + p
+        _, bound, P, p, m, _, lo_v, hi_v = entry
+        v = P.dot(b) + p
         if lo_v is None:
             # a pattern gets its bound rows once it has held for a call, so
             # a pattern that pivoting only passes through costs its inverse
@@ -530,8 +540,9 @@ def _box_linear_resolvent(
             if passes == 1:
                 with_sign_rows(entry)
             return z
-        if ((lo_v < v) & (v < hi_v)).all():
-            return np.where(free, v, m)
+        if all_of((lo_v < v) & (v < hi_v)):
+            putmask(v, bound, m)
+            return v
         return pivot(b, entry, v)[0]
 
     return apply

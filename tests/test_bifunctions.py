@@ -1,5 +1,8 @@
 """Bifunction construction, evaluation, and the sampled admissibility check."""
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,21 @@ def test_stacked_function_values_equal_one_point_calls(d):
             assert stacked.tobytes() == one_point.tobytes(), type(f).__name__
         for r, x in enumerate(X):
             assert H.eval_batch(x, Y).tobytes() == one_point[r].tobytes(), type(f).__name__
+            # phi of one shipped function keeps that function's bits
+            assert np.float64(H.canonical.value(x)).tobytes() == np.float64(f.value(x)).tobytes()
+    # phi of several: its terms added left to right from the first present
+    # one, as the closures over each term added them before
+    for mask in range(1, 8):
+        parts = [function_difference(C, f) for i, f in enumerate(shipped) if mask >> i & 1]
+        H = parts[0]
+        for part in parts[1:]:
+            H = sum_bifunctions(H, part)
+        Q, q, w, k, _ = H.canonical
+        for x in X:
+            terms = (None if Q is None else 0.5 * x @ Q @ x, None if q is None else q @ x,
+                     None if w is None else np.sum(w * np.abs(x)), k)
+            expected = reduce(add, [t for t in terms if t is not None])
+            assert np.float64(H.canonical.value(x)).tobytes() == np.float64(expected).tobytes(), mask
     # functions that are not exactly a shipped type take the row loop
     _CountingQuadratic.calls = 0
     for f in (_SquaredNorm(d), _CountingQuadratic(np.eye(d), np.zeros(d))):

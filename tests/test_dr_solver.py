@@ -860,3 +860,63 @@ def test_thinned_trace_rows_keep_no_later_iterate():
     assert res.status == CONVERGED and not res.trace._pending
     dense = solve(F, G, x0)
     assert len(dense.trace._pending) == res.iterations
+
+
+def _box_l1_vi(d):
+    rng = np.random.default_rng(900 + d)
+    A = rng.normal(size=(d, d))
+    C = Box(-np.ones(d), np.ones(d))
+    F = operator_bifunction(C, A @ A.T / d + np.eye(d) + (A - A.T) / d, 3.0 * rng.normal(size=d))
+    return F, function_difference(C, WeightedL1(rng.uniform(0.5, 2.0, size=d))), 0.5 * rng.normal(size=d)
+
+
+@pytest.mark.parametrize("preset", ["none", "geometric"])
+def test_unit_relaxation_writes_the_trace_bytes_of_lambda_times_diff(tmp_path, preset):
+    # a constant lambda of 1 updates by x + (z - y), and a schedule
+    # n -> 1.0 by x + lam (z - y): the two solves must write the same
+    # trace file and keep the same iterates, byte for byte
+    from eqsplit.cli import _write_trace
+    from eqsplit.dr_solver import ERROR_PRESETS
+
+    problems = [(inst.name, inst.F, inst.G, inst.default_x0) for inst in corpus()]
+    problems += [("box-l1-20", *_box_l1_vi(20)), ("skew-saddle-20", *_skew_saddle(20))]
+    for name, F, G, x0 in problems:
+        runs = []
+        for lam in (1.0, lambda n: 1.0):
+            errors = None if preset == "none" else ERROR_PRESETS[preset](F.dimension)
+            cfg = SolverConfig(gamma=0.1 if name == "box-l1-20" else 1.0, lambda_schedule=lam,
+                               error_schedule_a=errors, error_schedule_b=errors, max_iter=3000)
+            res = solve(F, G, x0, cfg)
+            path = tmp_path / f"{name}-{len(runs)}.csv"
+            _write_trace(path, res, F, G, cfg)
+            runs.append((path.read_bytes(), res))
+        (text, res), (scheduled_text, scheduled) = runs
+        assert res.status == CONVERGED and text == scheduled_text, name
+        for a, b in zip(res.trace.x + [res.x_star], scheduled.trace.x + [scheduled.x_star]):
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _previous_relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
+    # the update before it took x + (z - y) at lambda 1 and y + y for 2 y
+    if a_n is not None or b_n is not None:
+        y = y + (b_n if b_n is not None else 0.0)
+        z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
+        diff = z - y
+    return y, z, x + lam * diff
+
+
+@pytest.mark.parametrize("d", [2, 20, 200])
+def test_relaxed_update_at_unit_lambda_has_the_bits_of_lambda_times_diff(d):
+    from eqsplit.dr_solver import _relaxed_update
+
+    rng = np.random.default_rng(d)
+    K = rng.normal(size=(d, d))
+    jf = K.dot
+    x, y, z = rng.normal(size=(3, d))
+    x[::3], y[1::3], z[2::3] = 0.0, -0.0, -0.0
+    a, b = 1e-3 * rng.normal(size=(2, d))
+    for lam in (1.0, 1.5):
+        for a_n, b_n in ((None, None), (a, None), (None, b), (a, b)):
+            got = _relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
+            expected = _previous_relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]

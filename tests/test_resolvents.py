@@ -891,6 +891,85 @@ def test_box_map_matches_the_public_rule_bit_for_bit(d):
         assert steps_onto_bound > 0
 
 
+
+def _edge_inputs(rng, lo, hi, t):
+    """Random inputs, and inputs whose entries take, in turn, +0.0, -0.0, a
+    bound of the box or +-t exactly, whatever the dimension."""
+    d = lo.size
+    kinds = np.array([np.zeros(d), np.full(d, -0.0), lo, hi, t, -t])
+    xs = [rng.normal(size=d), 3.0 * rng.normal(size=d), np.zeros(d), np.full(d, -0.0)]
+    for shift in range(7):
+        x = 3.0 * rng.normal(size=d)
+        pick = (np.arange(d) + shift) % 7
+        at = np.flatnonzero(pick < 6)
+        x[at] = kinds[pick[at], at]
+        xs.append(x)
+    return xs
+
+
+def _box_pattern_reference(A, b, lo, hi, z):
+    """The map of the pattern z ends on, in the expressions box pivoting
+    used before it took ndarray.dot and np.putmask: z = where(free, L @ b +
+    m, m), with L and m formed with @."""
+    d = z.size
+    side = np.where(z == hi, 1, np.where(z == lo, -1, 0))
+    free = side == 0
+    m = np.where(side > 0, hi, lo)
+    m[free] = 0.0
+    L = np.zeros((d, d))
+    if free.any():
+        A_f = A[free]
+        Kf = np.linalg.inv(A_f[:, free])
+        rows = np.zeros((Kf.shape[0], d))
+        rows[:, free] = Kf
+        L[free] = rows
+        m[free] = -(Kf @ (A_f @ m))
+    return np.where(free, L @ b + m, m)
+
+
+@pytest.mark.parametrize("d", [2, 20, 200])
+def test_lean_kept_maps_have_the_bits_of_their_previous_expressions(d, monkeypatch):
+    # the kept maps take ndarray.dot, single closures and a kept zero
+    # vector; each output must have, byte for byte, the bits of the
+    # expression it replaced, also on +-0.0 entries, entries exactly on a
+    # bound or a threshold, and over a box with pinned sides
+    M, c, rng = _box_vi(d, 500 + d)
+    w = rng.uniform(0.5, 2.0, size=d)
+    lo, hi = -np.ones(d), np.ones(d)
+    lo[1::5] = hi[1::5] = 0.25
+    C, R = Box(lo, hi), WholeSpace(d)
+    for gamma in (0.1, 1.0):
+        t = gamma * w
+        xs = _edge_inputs(rng, lo, hi, t)
+        K = np.linalg.inv(np.eye(d) + gamma * M)
+        linear = resolvent_map(ResolventOracle(gamma, operator_bifunction(R, M, c)))
+        shrink = resolvent_map(ResolventOracle(gamma, function_difference(R, WeightedL1(w))))
+        box_shrink = resolvent_map(ResolventOracle(gamma, function_difference(C, WeightedL1(w))))
+        for x in xs:
+            assert linear(x).tobytes() == (K @ (x - gamma * c)).tobytes()
+            soft = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+            assert shrink(x).tobytes() == soft.tobytes()
+            assert box_shrink(x).tobytes() == C._project(soft).tobytes()
+        # box pivoting: the first call at each x may pivot, the second
+        # forms the pattern's bound rows, and the third holds it, with no
+        # pivoting pass (each pass counts its infeasible coordinates)
+        A = np.eye(d) + gamma * M
+        box = resolvent_map(ResolventOracle(gamma, operator_bifunction(C, M, c)))
+        real_count, held = np.count_nonzero, 0
+        pivoted = False
+        for x in xs:
+            b = x - gamma * c
+            for call in range(3):
+                passes = []
+                monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or real_count(a))
+                z = box(x)
+                monkeypatch.setattr(np, "count_nonzero", real_count)
+                assert z.tobytes() == _box_pattern_reference(A, b, lo, hi, z).tobytes(), (gamma, call)
+                pivoted |= len(passes) > 1
+                held += call == 2 and not passes
+        assert pivoted and held == len(xs)
+
+
 def test_box_factor_memo_is_safe_across_threads():
     # threads drive the one kept map through the same few inputs, each with
     # its own pattern, in different orders, so the one-entry memo is
