@@ -30,6 +30,7 @@ from .dr_solver import (
     SolverConfig,
     dr_step,
     equilibrium_certificate,
+    equilibrium_gap,
     geometric_errors,
     inverse_square_errors,
     residual_dr,

@@ -32,7 +32,11 @@ The spec file is flat INI text with sections [space], [set], [F], [G],
     x0 = 0.5 0.5
 
 The trace is comma-separated text with header ``n,residual_dr,step,
-certificate`` followed by a commented final-solution block.  Exit codes:
+certificate`` followed by a commented final-solution block.  The
+certificate column is the worst equilibrium value at each recorded point:
+the exact gap for the forms :func:`~eqsplit.dr_solver.equilibrium_gap`
+covers (every corpus instance), and a minimum over one seeded sample of C
+per file for every other form.  Exit codes:
 0 converged, 1 spec error (a spec that cannot be read, one whose resolvent
 cannot be built, or a trace file that cannot be written), 2 iteration
 limit, 3 inner resolvent failure.
@@ -65,6 +69,7 @@ from .dr_solver import (
     SolveResult,
     SolverConfig,
     equilibrium_certificate,
+    equilibrium_gap,
     solve,
 )
 from .hilbert import (
@@ -226,7 +231,7 @@ def parse_problem_spec(path):
         raise SpecFileError(
             f"[solver]: unknown error_preset {preset!r}; choose from {sorted(ERROR_PRESETS)}"
         )
-    errors = ERROR_PRESETS[preset](dim) if preset != "none" else None
+    errors = ERROR_PRESETS[preset](dim)
     lam_text = sol.get("lambda", "1.0").strip()
     if lam_text in LAMBDA_PRESETS:
         lam = LAMBDA_PRESETS[lam_text]()
@@ -331,20 +336,25 @@ def problem_to_spec_text(inst: ProblemInstance, cfg: SolverConfig | None = None,
 def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: SolverConfig):
     """Write the trace file of ``result``, a solve of (F, G) under ``cfg``.
 
-    The sample behind ``result.certificate`` is drawn once per file.  The
-    recorded y, finite vectors the solver built, are projected unchecked,
-    in one call over a box or the whole space as ``sample_points`` does.
-    One stacked :func:`equilibrium_certificate` call over those points and
-    y* gives the column and ``# certificate``, which has the bits of
+    The recorded y, finite vectors the solver built, are projected
+    unchecked, in one call over a box or the whole space as
+    ``sample_points`` does.  One stacked :func:`equilibrium_gap` call over
+    those points and y* gives the column and ``# certificate``, a few O(d)
+    array operations per row with no sample; for a form it does not cover,
+    one stacked :func:`equilibrium_certificate` call over one sample drawn
+    for the file.  Either way ``# certificate`` has the bits of
     ``result.certificate`` without reading it.  Step norms are computed
     here, on the first read of ``trace.step``.  ``SpecFileError`` when the
     file cannot be written.
     """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
-    Y = sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
     P = _project_rows(F.set, np.array(trace.y).reshape(len(trace), F.dimension))
-    *certs, cert = equilibrium_certificate(F, G, np.vstack([P, result.y_star]), Y).tolist()
+    P = np.vstack([P, result.y_star])
+    values = equilibrium_gap(F, G, P)
+    if values is None:
+        values = equilibrium_certificate(F, G, P, sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed))
+    *certs, cert = values.tolist()
     for n, res, step, c in zip(trace.n, trace.residual_dr, trace.step, certs):
         rows.append(f"{n},{res!r},{step!r},{c!r}")
     rows.append(f"# status = {result.status}")
@@ -372,7 +382,7 @@ def _apply_overrides(cfg: SolverConfig, args, dim: int) -> SolverConfig:
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.error_preset is not None:
-        errors = ERROR_PRESETS[args.error_preset](dim) if args.error_preset != "none" else None
+        errors = ERROR_PRESETS[args.error_preset](dim)
         changes["error_schedule_a"] = errors
         changes["error_schedule_b"] = errors
     if not changes:
@@ -443,7 +453,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="override the seed of the certificate sample and the sampled admissibility check",
+        help="override the seed of the certificate sample (forms with no exact gap) and the sampled admissibility check",
     )
     return p
 

@@ -25,6 +25,12 @@ mu_n = lambda_n / 2 the update is the averaged (Krasnosel'skii-Mann)
 iteration of the composed reflections R_F R_G (Eckstein & Bertsekas,
 Math. Program. 55, 1992), so no separate fixed-point engine is kept.
 
+The certificate of a solve is the gap min_{y in C} F(y*, y) + G(y*, y)
+(Mastroeni, J. Global Optim. 27, 2003): exact for the separable forms
+:func:`equilibrium_gap` covers, a few O(d) array operations per point,
+and otherwise the minimum over a seeded sample of C
+(:func:`equilibrium_certificate`), which can only overstate it.
+
 Inputs are validated where they enter (:func:`solve`,
 :func:`solve_operator_form`, :func:`dr_step`, :func:`residual_dr`); the
 iteration core then runs on vectors it built itself and checks nothing
@@ -41,16 +47,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bifunctions import Bifunction, check_admissibility
-from .hilbert import as_points, as_vector, norm, sample_points
-from .operators import MonotoneOperator
+from .bifunctions import Bifunction, check_admissibility, sum_bifunctions
+from .hilbert import _axis_values, as_points, as_vector, norm, sample_points
+from .operators import MonotoneOperator, _separable
 from .resolvents import ConvergenceFailure, ResolventOracle, resolvent_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 INNER_FAILURE = "inner_failure"
 
-#: size of the seeded sample of C behind the reported certificate
+#: size of the seeded sample of C behind a sampled certificate (a form
+#: with no exact gap)
 CERTIFICATE_SAMPLES = 256
 
 #: largest rows x n x d temporary (float64 entries, 64 KiB) that one row
@@ -89,8 +96,9 @@ def inverse_square_errors(dim: int, c: float = 1.0, axis: int = 0):
     return lambda n: (c / (n + 1.0) ** 2) * e
 
 
+#: named error schedules; "none" gives no schedule, the error-free pass
 ERROR_PRESETS = {
-    "none": lambda dim: zero_errors(dim),
+    "none": lambda dim: None,
     "geometric": lambda dim: geometric_errors(dim),
     "inverse-square": lambda dim: inverse_square_errors(dim),
 }
@@ -119,8 +127,10 @@ class SolverConfig:
     per iteration.  An error schedule is a function of n that returns a
     vector; it is called once per iteration and side, or once per iteration
     when both sides share one object, whose vector then moves both.
-    Shipped presets are all summable against any admissible relaxation.
-    ``seed``, a non-negative integer, fixes only the certificate sample and
+    Shipped presets are all summable against any admissible relaxation
+    (``ERROR_PRESETS["none"]`` gives no schedule at all).
+    ``seed``, a non-negative integer, fixes only the certificate sample (a
+    form with no exact gap, :func:`equilibrium_gap`) and
     the draws of the sampled admissibility check (structured families are
     checked exactly and draw none; see :func:`solve`); no resolvent draws a
     sample.
@@ -227,8 +237,12 @@ class SolveResult:
     ``x_star`` is the governing fixed point iterate, ``y_star`` the reported
     solution (the shadow point of ``x_star``), both arrays of their own
     that share no memory with the trace, and ``certificate`` the worst
-    equilibrium value of ``y_star`` over a seeded sample (None when the
-    solve was driven by bare operators).
+    equilibrium value min_y F(y*, y) + G(y*, y) over C (None when the solve
+    was driven by bare operators).  It is the exact gap
+    (:func:`equilibrium_gap`) where a closed form applies, and otherwise
+    the least value over a seeded sample of ``CERTIFICATE_SAMPLES`` points
+    (:func:`equilibrium_certificate`), which can only overstate the gap;
+    ``certificate_exact`` says which, and reading it draws no sample.
 
     The certificate is computed the first time it is read, from a private
     copy of ``y_star`` taken when the solve ended, and kept from then on;
@@ -245,6 +259,8 @@ class SolveResult:
     trace: IterationTrace
     #: the certificate's value, or (F, G, y, seed) until it is first read
     _certificate: float | tuple | None = field(default=None, repr=False, compare=False)
+    #: whether the kept value is the exact gap; None until one is kept
+    _exact: bool | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -255,12 +271,36 @@ class SolveResult:
         value = self._certificate
         if isinstance(value, tuple):
             F, G, y, seed = value
-            value = equilibrium_certificate(F, G, y, sample_points(F.set, CERTIFICATE_SAMPLES, seed))
-            object.__setattr__(self, "_certificate", value)
+            value = equilibrium_gap(F, G, y)
+            exact = value is not None
+            if not exact:
+                value = equilibrium_certificate(F, G, y, sample_points(F.set, CERTIFICATE_SAMPLES, seed))
+            self._keep(value, exact)
         return value
 
+    @property
+    def certificate_exact(self) -> bool | None:
+        """True when ``certificate`` is the exact gap, False when it is the
+        sampled minimum, and None when there is no certificate.  Draws no
+        sample: an exact value is computed and kept, a sampled one is left
+        to the first read of ``certificate``."""
+        value = self._certificate
+        if not isinstance(value, tuple):
+            return self._exact
+        F, G, y, _ = value
+        gap = equilibrium_gap(F, G, y)
+        if gap is None:
+            return False
+        self._keep(gap, True)
+        return True
+
+    def _keep(self, value: float, exact: bool):
+        object.__setattr__(self, "_certificate", value)
+        object.__setattr__(self, "_exact", exact)
+
     def __getstate__(self):
-        return {**self.__dict__, "_certificate": self.certificate}
+        self.certificate
+        return dict(self.__dict__)
 
 
 def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
@@ -411,6 +451,46 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     )
 
 
+def _as_rows(points, dim: int) -> tuple[np.ndarray, bool]:
+    """(P, single): ``points`` as a finite (R, d) array, and whether it was
+    one point of shape (d,)."""
+    P = np.asarray(points, dtype=float)
+    single = P.ndim < 2
+    return as_points(P.reshape(1, -1) if single else P, dim), single
+
+
+def equilibrium_gap(F: Bifunction, G: Bifunction, points) -> float | np.ndarray | None:
+    """Exact min over y in C of F(p, y) + G(p, y): a float for a point p of
+    shape (d,), an (R,) array for a stack of shape (R, d), or None when no
+    closed form applies.
+
+    With g = (M_F + M_G) p + c_F + c_G and the canonical part phi(y) =
+    y'Qy / 2 + q'y + sum_i w_i |y_i| + k of F + G, the value at y is
+    <g, y - p> + phi(y) - phi(p).  For a diagonal or absent Q it splits
+    into one problem per axis, h_i(t) = a_i t^2 / 2 + b_i t + w_i |t| with
+    a = diag Q and b = g + q, and the gap is sum_i h_i(t_i) - h_i(p_i) at
+    the set's per-axis minimizer t (:meth:`~eqsplit.hilbert.ConvexSet._axis_min`).
+    It applies when neither form has a generic part or a rest function, Q
+    is diagonal or absent, and the set answers: a box, or the whole space
+    when every a_i > 0.  Each row has the bits of its one-point call.  F
+    and G must share their set object (``ValueError`` otherwise).
+    """
+    P, single = _as_rows(points, F.dimension)
+    S = sum_bifunctions(F, G)
+    terms = _separable(S)
+    if terms is None:
+        return None
+    a, q, w, _ = terms
+    # one matrix-vector product per row, so a row has its one-point bits
+    g = np.zeros(P.shape) if S.matrix is None else np.matmul(S.matrix, P[:, :, None])[:, :, 0] + S.offset
+    b = g + q
+    T = S.set._axis_min(a, b, w)
+    if T is None:
+        return None
+    out = (_axis_values(a, b, w, T) - _axis_values(a, b, w, P)).sum(axis=1)
+    return float(out[0]) if single else out
+
+
 def equilibrium_certificate(F: Bifunction, G: Bifunction, points, Y: np.ndarray) -> float | np.ndarray:
     """Worst equilibrium value min_y F(p, y) + G(p, y) over the rows of Y:
     a float for a point p of shape (d,), and an (R,) array, one value per
@@ -421,11 +501,10 @@ def equilibrium_certificate(F: Bifunction, G: Bifunction, points, Y: np.ndarray)
     blocks of :meth:`~eqsplit.bifunctions.Bifunction.eval_batch`, each at
     least one row and otherwise small enough that its rows x n x d
     temporary holds at most ``_CERTIFICATE_BLOCK_ENTRIES`` floats; every
-    row equals its one-point call bit for bit.
+    row equals its one-point call bit for bit.  :func:`equilibrium_gap`
+    gives the exact value for the forms it covers.
     """
-    P = np.asarray(points, dtype=float)
-    single = P.ndim < 2
-    P = as_points(P.reshape(1, -1) if single else P, F.dimension)
+    P, single = _as_rows(points, F.dimension)
     out = np.empty(P.shape[0])
     step = max(1, _CERTIFICATE_BLOCK_ENTRIES // max(1, Y.shape[0] * P.shape[1]))
     for i in range(0, P.shape[0], step):

@@ -83,6 +83,21 @@ def norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _axis_values(a: np.ndarray, b: np.ndarray, w: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """a_i t^2 / 2 + b_i t + w_i |t| at every entry t of ``T``, with t on
+    axis i: the one-dimensional problems a separable quadratic-plus-L1
+    objective splits into (:meth:`ConvexSet._axis_min`)."""
+    return 0.5 * a * T * T + b * T + w * np.abs(T)
+
+
+def _soft(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """soft(-b, w) = sign(-b) max(|b| - w, 0): an axis problem
+    a t^2 / 2 + b t + w |t| is least at soft / a where a > 0, and where
+    a = 0 it falls without bound toward the side of soft's sign (or is
+    least at the kink 0 when soft is 0)."""
+    return np.sign(-b) * np.maximum(np.abs(b) - w, 0.0)
+
+
 def _frozen_array(x, dim: int | None = None) -> np.ndarray:
     v = as_vector(x, dim)
     v.setflags(write=False)
@@ -166,6 +181,15 @@ class ConvexSet(ABC):
         P = as_points(P, self.dimension)
         return np.array([self.contains(p, tol) for p in P], dtype=bool)
 
+    def _axis_min(self, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+        """Per-axis minimizers over the set: for each row of ``b``, an
+        (R, d) array, the point T of the set whose entry T_i minimizes
+        a_i t^2 / 2 + b_i t + w_i |t| (:func:`_axis_values`), with ``a`` and
+        ``w`` (d,) arrays and w >= 0.  None when the set does not split by
+        axis or a minimum may not be attained; that is this default, and
+        the box and the whole space override it."""
+        return None
+
 
 class _BatchedMembership(ConvexSet):
     """Kinds whose membership test works on whole arrays of points; the
@@ -192,6 +216,11 @@ class WholeSpace(_BatchedMembership):
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         return np.ones(as_points(P, self.dimension).shape[0], dtype=bool)
 
+    def _axis_min(self, a, b, w):
+        """soft(-b, w) / a when every a_i > 0; None otherwise, since an axis
+        with a_i <= 0 may have no minimum."""
+        return _soft(b, w) / a if np.all(a > 0.0) else None
+
 
 @dataclass(frozen=True)
 class Box(_BatchedMembership):
@@ -217,6 +246,24 @@ class Box(_BatchedMembership):
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         P = as_points(P, self.dimension)
         return np.all((P >= self.lo - tol) & (P <= self.hi + tol), axis=1)
+
+    def _axis_min(self, a, b, w):
+        """An axis problem is convex where a_i >= 0, so its minimum over
+        [lo_i, hi_i] is its unconstrained one clipped: soft / a_i, or where
+        a_i = 0 the end that soft points to (the kink 0 for a zero soft).
+        Where a_i < 0 it is concave on each side of 0, so the least of lo_i,
+        hi_i and clip(0) is taken."""
+        lo, hi = self.lo, self.hi
+        soft = _soft(b, w)
+        run = np.where(soft > 0.0, hi, np.where(soft < 0.0, lo, 0.0))
+        T = np.minimum(np.maximum(np.divide(soft, a, out=run, where=a > 0.0), lo), hi)
+        concave = a < 0.0
+        if concave.any():
+            ends = np.broadcast_to(lo, T.shape)
+            for c in (hi, np.minimum(np.maximum(0.0, lo), hi)):
+                ends = np.where(_axis_values(a, b, w, c) < _axis_values(a, b, w, ends), c, ends)
+            T = np.where(concave, ends, T)
+        return T
 
 
 @dataclass(frozen=True)

@@ -522,20 +522,29 @@ def _axis_tables(F: Bifunction, grid: GridSpec):
     canonical part phi of F (its constant k on the first axis).  None when
     that route does not apply: a generic part, a rest function, a set that
     is not a box or the whole space, or a Q that is not diagonal."""
-    C, Q = F.set, F.canonical.Q
-    if F.oracles or F.canonical.rest or C.kind not in ("box", "whole-space"):
-        return None
-    if Q is not None and np.any(Q != np.diag(np.diag(Q))):
+    C = F.set
+    terms = None if C.kind not in ("box", "whole-space") else _separable(F)
+    if terms is None:
         return None
     axes = grid.axes()
     if C.kind == "box":
         # the slack of contains_batch(pts, 1e-9), so the restricted tensor
         # grid is the filtered grid, in the same row order
         axes = [a[(a >= lo - 1e-9) & (a <= hi + 1e-9)] for a, lo, hi in zip(axes, C.lo, C.hi)]
-    curvature, q, w, k = _filled(F)
+    curvature, q, w, k = terms
     return axes, [
         0.5 * curvature[i] * a * a + q[i] * a + w[i] * np.abs(a) + (k if i == 0 else 0.0) for i, a in enumerate(axes)
     ]
+
+
+def _separable(F: Bifunction) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """:func:`_filled` of a form whose canonical part splits by axis: no
+    generic part, no rest function and a Q that is diagonal or absent;
+    None for every other form."""
+    Q = F.canonical.Q
+    if F.oracles or F.canonical.rest or (Q is not None and np.any(Q != np.diag(np.diag(Q)))):
+        return None
+    return _filled(F)
 
 
 def _filled(F: Bifunction) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

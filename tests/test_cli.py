@@ -82,6 +82,33 @@ x0 = 1
 """
 
 
+#: a ball, over which the certificate is sampled
+BALL_SPEC = """
+[space]
+dimension = 2
+
+[set]
+kind = ball
+center = 0 0
+radius = 1
+
+[F]
+family = operator-induced
+matrix = 1 1; -1 1
+offset = 0.5 -2
+
+[G]
+family = zero
+
+[solver]
+tol = 1e-8
+max_iter = 1000
+
+[init]
+x0 = 2 0
+"""
+
+
 def _write(tmp_path, text, name="problem.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -469,8 +496,11 @@ def test_trace_every_flag_thins_rows(tmp_path):
 
 
 def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
+    """A corpus trace takes the exact gap of each row and draws no sample;
+    a form over a ball draws one sample for the whole file."""
     from eqsplit import cli, hilbert
-    from eqsplit.dr_solver import CERTIFICATE_SAMPLES, equilibrium_certificate
+    from eqsplit.dr_solver import CERTIFICATE_SAMPLES, equilibrium_certificate, equilibrium_gap
+    from eqsplit.hilbert import Ball
 
     draws = []
 
@@ -479,24 +509,34 @@ def test_trace_draws_its_certificate_sample_once(tmp_path, monkeypatch):
         return hilbert.sample_points(*args, **kwargs)
 
     monkeypatch.setattr(cli, "sample_points", counting_sample_points)
-    for count, inst in enumerate(corpus(), start=1):
+    ball = Ball(np.zeros(2), 1.0)
+    problems = [(inst.name, inst.F, inst.G, inst.default_x0) for inst in corpus()]
+    problems.append(("ball", operator_bifunction(ball, [[1.0, 1.0], [-1.0, 1.0]], [0.5, -2.0]),
+                     function_difference(ball, WeightedL1([0.5, 0.25])), np.array([2.0, 0.0])))
+    for name, F, G, x0 in problems:
         cfg = SolverConfig(seed=3)
-        result = solve(inst.F, inst.G, inst.default_x0, cfg)
-        out = tmp_path / f"{inst.name}.csv"
-        cli._write_trace(out, result, inst.F, inst.G, cfg)
-        assert len(draws) == count, inst.name
-        # the same bytes as a certificate drawn afresh for every row
+        result = solve(F, G, x0, cfg)
+        out = tmp_path / f"{name}.csv"
+        draws.clear()
+        cli._write_trace(out, result, F, G, cfg)
+        sampled = name == "ball"
+        assert len(draws) == sampled, name
+        assert result.certificate_exact is not sampled, name
+        # the same bytes as a certificate computed afresh for every row
         rows = ["n,residual_dr,step,certificate"]
         trace = result.trace
         for n, y, res, step in zip(trace.n, trace.y, trace.residual_dr, trace.step):
-            Y = hilbert.sample_points(inst.F.set, CERTIFICATE_SAMPLES, cfg.seed)
-            cert = equilibrium_certificate(inst.F, inst.G, inst.F.set.project(y), Y)
+            if sampled:
+                Y = hilbert.sample_points(F.set, CERTIFICATE_SAMPLES, cfg.seed)
+                cert = equilibrium_certificate(F, G, F.set.project(y), Y)
+            else:
+                cert = equilibrium_gap(F, G, F.set.project(y))
             rows.append(f"{n},{res!r},{step!r},{cert!r}")
         rows.append(f"# status = {result.status}")
         rows.append(f"# iterations = {result.iterations}")
         rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
         rows.append(f"# certificate = {result.certificate!r}")
-        assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), inst.name
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode(), name
 
 
 def _traced_problems():
@@ -570,8 +610,10 @@ def _count_draws(monkeypatch):
     return draws
 
 
-@pytest.mark.parametrize("route", ["problem", "all", "spec-file"])
+@pytest.mark.parametrize("route", ["problem", "all", "spec-file", "ball-spec-file"])
 def test_a_traced_run_draws_one_certificate_sample_per_file(tmp_path, capsys, monkeypatch, route):
+    """At most one sample per trace file: none for the corpus and the
+    separable spec, whose certificates are exact, and one for a ball."""
     from eqsplit.dr_solver import CERTIFICATE_SAMPLES
 
     draws = _count_draws(monkeypatch)
@@ -580,17 +622,18 @@ def test_a_traced_run_draws_one_certificate_sample_per_file(tmp_path, capsys, mo
         "problem": ["--problem", "vi-over-box", "--seed", "2"],
         "all": ["--problem", "all", "--seed", "2", "--error-preset", "geometric"],
         "spec-file": [_write(tmp_path, QUADRATIC_SPEC), "--seed", "2"],
+        "ball-spec-file": [_write(tmp_path, BALL_SPEC, "ball.ini"), "--seed", "2"],
     }[route]
     assert main(argv + ["--trace", str(out)]) == EXIT_CONVERGED
     files = sorted(tmp_path.glob("trace*.csv"))
     assert len(files) == (len(corpus()) if route == "all" else 1)
-    assert len(draws) == len(files)
+    assert len(draws) == (len(files) if route == "ball-spec-file" else 0)
     assert all(n == CERTIFICATE_SAMPLES and seed == 2 for _, n, seed in draws)
     # and the header certificate is the solve's own
     for path in files:
         lines = path.read_text().splitlines()
         name = path.stem[len("trace_"):] if route == "all" else None
-        if route == "spec-file":
+        if route.endswith("spec-file"):
             F, G, _, cfg, x0 = parse_problem_spec(argv[0])
             result = solve(F, G, x0, replace(cfg, seed=2))
         else:
@@ -599,6 +642,7 @@ def test_a_traced_run_draws_one_certificate_sample_per_file(tmp_path, capsys, mo
             errors = geometric_errors(d) if route == "all" else None
             result = solve(inst.F, inst.G, inst.default_x0,
                            SolverConfig(seed=2, error_schedule_a=errors, error_schedule_b=errors))
+        assert result.certificate_exact is (route != "ball-spec-file")
         assert lines[-1] == f"# certificate = {result.certificate!r}", path.name
 
 
@@ -637,6 +681,7 @@ def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path, mon
     import warnings
 
     from eqsplit import cli, resolvents
+    from eqsplit.dr_solver import equilibrium_gap
     from oracles import as_generic
 
     # an inner failure at the first pass records no row at all
@@ -650,10 +695,13 @@ def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path, mon
     # a last row whose point is not y*
     moved = solve(inst.F, inst.G, inst.default_x0, cfg)
     moved.trace.y[-1] = moved.y_star + 0.25
-    for result, F in ((failed, as_generic(inst.F)), (moved, inst.F)):
+    # the generic form's header is sampled, the structured one's exact
+    for result, F, exact in ((failed, as_generic(inst.F), False), (moved, inst.F, True)):
         out = tmp_path / "trace.csv"
         cli._write_trace(out, result, F, inst.G, cfg)
         assert out.read_text().splitlines()[-1] == f"# certificate = {result.certificate!r}"
+        assert result.certificate_exact is exact
+    assert moved.certificate == equilibrium_gap(inst.F, inst.G, moved.y_star)
 
 
 #: the spec text of each corpus instance, and of quadratic-1d with the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqsplit.bifunctions import (
+    AffineFunction,
     Quadratic,
     WeightedL1,
     function_difference,
@@ -19,8 +20,10 @@ from eqsplit.dr_solver import (
     INNER_FAILURE,
     MAX_ITER,
     SolverConfig,
+    ERROR_PRESETS,
     dr_step,
     equilibrium_certificate,
+    equilibrium_gap,
     geometric_errors,
     inverse_square_errors,
     ramp_relaxation,
@@ -29,12 +32,12 @@ from eqsplit.dr_solver import (
     solve_operator_form,
     zero_errors,
 )
-from eqsplit.hilbert import Box, Simplex, WholeSpace, norm, sample_points
+from eqsplit.hilbert import Ball, Box, Halfspace, Simplex, WholeSpace, norm, sample_points
 from eqsplit.operators import GridSpec, equilibrium_bruteforce, operator_from_bifunction
 from eqsplit.problems import corpus, get_problem
 from eqsplit.resolvents import ResolventOracle, reflect, resolve
 
-from oracles import as_generic, box_vi_projected
+from oracles import as_generic, box_vi_projected, separable_gap_ref
 
 
 # ---------------------------------------------------------------------------
@@ -597,37 +600,62 @@ def _bits(value):
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
 def test_certificate_read_equals_the_eager_value(gamma):
+    # every corpus instance is separable over a box or the whole space, so
+    # its certificate is the exact gap
     for seed in (0, 7):
         for inst in corpus():
             cfg = SolverConfig(gamma=gamma, residual_tol=1e-6, max_iter=5000, seed=seed)
             res = solve(inst.F, inst.G, inst.default_x0, cfg)
-            eager = equilibrium_certificate(inst.F, inst.G, res.y_star, sample_points(inst.set, 256, seed))
+            eager = equilibrium_gap(inst.F, inst.G, res.y_star)
             assert _bits(res.certificate) == _bits(eager), (inst.name, seed)
             # kept: a second read gives the same value
             assert _bits(res.certificate) == _bits(eager), (inst.name, seed)
+            assert res.certificate_exact is True, inst.name
 
 
 def test_certificate_ignores_writes_into_the_result():
     inst = get_problem("vi-over-box")
-    res = solve(inst.F, inst.G, inst.default_x0)
-    y = res.y_star.copy()
-    eager = equilibrium_certificate(inst.F, inst.G, y, sample_points(inst.set, 256, 0))
-    res.y_star[:] = 100.0
-    res.trace.y[-1][:] = 100.0
-    assert _bits(res.certificate) == _bits(eager)
+    ball = _ball_form(5)
+    for F, G, x0 in ((inst.F, inst.G, inst.default_x0), ball):
+        res = solve(F, G, x0, SolverConfig(max_iter=5))
+        y = res.y_star.copy()
+        eager = equilibrium_gap(F, G, y)
+        if eager is None:
+            eager = equilibrium_certificate(F, G, y, sample_points(F.set, 256, 0))
+        res.y_star[:] = 100.0
+        res.trace.y[-1][:] = 100.0
+        assert _bits(res.certificate) == _bits(eager)
 
 
-def test_an_unread_certificate_draws_no_sample(monkeypatch):
+def _refuse_samples(monkeypatch):
     from eqsplit import dr_solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("sample_points called")
 
     monkeypatch.setattr(dr_solver, "sample_points", refuse)
+
+
+def _ball_form(d):
+    """A form over a ball, which has no exact gap: (F, G, x0)."""
+    rng = np.random.default_rng(d)
+    C = Ball(np.zeros(d), 1.5)
+    A = rng.normal(size=(d, d))
+    F = operator_bifunction(C, (A - A.T) / d + np.eye(d), rng.normal(size=d))
+    return F, function_difference(C, Quadratic(np.eye(d), np.zeros(d))), rng.normal(size=d)
+
+
+def test_an_unread_certificate_draws_no_sample(monkeypatch):
+    _refuse_samples(monkeypatch)
+    # a separable form's certificate draws none even when read
     F, G, x0 = _skew_saddle(20)
     res = solve(F, G, x0, SolverConfig(error_schedule_a=geometric_errors(20), error_schedule_b=geometric_errors(20)))
     assert res.status == CONVERGED
-    # the read is what draws it
+    assert res.certificate == equilibrium_gap(F, G, res.y_star) and res.certificate_exact is True
+    # a sampled one: asking whether it is exact draws none, the read does
+    F, G, x0 = _ball_form(5)
+    res = solve(F, G, x0, SolverConfig(max_iter=5))
+    assert res.certificate_exact is False
     with pytest.raises(AssertionError, match="sample_points called"):
         res.certificate
 
@@ -635,16 +663,19 @@ def test_an_unread_certificate_draws_no_sample(monkeypatch):
 def test_a_result_pickles_with_its_certificate():
     import pickle
 
-    F, G, x0 = _skew_saddle(5)
-    for read_first in (False, True):
-        res = solve(F, G, x0)
-        expected = equilibrium_certificate(F, G, res.y_star, sample_points(F.set, 256, 0))
-        if read_first:
-            assert _bits(res.certificate) == _bits(expected)
-        back = pickle.loads(pickle.dumps(res))
-        assert _bits(back.certificate) == _bits(res.certificate) == _bits(expected)
-        assert back.y_star.tobytes() == res.y_star.tobytes()
-        assert back.trace.residual_dr == res.trace.residual_dr
+    for F, G, x0 in (_skew_saddle(5), _ball_form(5)):
+        exact = equilibrium_gap(F, G, x0) is not None
+        for read_first in (False, True):
+            res = solve(F, G, x0, SolverConfig(max_iter=50))
+            expected = equilibrium_gap(F, G, res.y_star) if exact else equilibrium_certificate(
+                F, G, res.y_star, sample_points(F.set, 256, 0))
+            if read_first:
+                assert _bits(res.certificate) == _bits(expected)
+            back = pickle.loads(pickle.dumps(res))
+            assert _bits(back.certificate) == _bits(res.certificate) == _bits(expected)
+            assert back.certificate_exact is res.certificate_exact is exact
+            assert back.y_star.tobytes() == res.y_star.tobytes()
+            assert back.trace.residual_dr == res.trace.residual_dr
 
 
 def test_a_read_certificate_drops_the_bifunctions():
@@ -660,6 +691,122 @@ def test_a_read_certificate_drops_the_bifunctions():
     res.certificate
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+# ---------------------------------------------------------------------------
+# the exact gap of a separable form
+# ---------------------------------------------------------------------------
+
+def _separable_form(rng, d, box):
+    """A random separable form over a box or R^d, with its raw data: a skew
+    operator part, an affine function with a constant, a diagonal Q >= 0
+    (with zero entries over a box) and L1 weights (some zero)."""
+    lo, hi = -rng.uniform(0.2, 2.0, d), rng.uniform(0.2, 2.0, d)
+    C = Box(lo, hi) if box else WholeSpace(d)
+    A = rng.normal(size=(d, d))
+    M, c = A - A.T, rng.normal(size=d)
+    a = rng.uniform(0.1, 3.0, d) * (rng.random(d) < 0.6 if box else 1.0)
+    q1, q2, k = rng.normal(size=d), rng.normal(size=d), float(rng.normal())
+    w = rng.uniform(0.0, 2.0, d) * (rng.random(d) < 0.7)
+    F = sum_bifunctions(operator_bifunction(C, M, c), function_difference(C, AffineFunction(q1, k)))
+    G = sum_bifunctions(function_difference(C, Quadratic(np.diag(a), q2)), function_difference(C, WeightedL1(w)))
+    bounds = (lo, hi) if box else (None, None)
+    return F, G, (M, c, a, q1 + q2, w, *bounds)
+
+
+@pytest.mark.parametrize("d", [1, 5, 20])
+@pytest.mark.parametrize("box", [True, False], ids=["box", "whole-space"])
+def test_exact_gap_is_below_the_sample_and_matches_the_reference(d, box):
+    rng = np.random.default_rng([d, box])
+    for trial in range(10):
+        F, G, (M, c, a, q, w, lo, hi) = _separable_form(rng, d, box)
+        Y = sample_points(F.set, 256, trial)
+        # points of C, and points off it: the gap is defined at any p
+        P = np.vstack([sample_points(F.set, 8, 100 + trial), 3.0 * rng.normal(size=(4, d))])
+        exact = equilibrium_gap(F, G, P)
+        sampled = equilibrium_certificate(F, G, P, Y)
+        for p, v, s in zip(P, exact, sampled):
+            assert v <= s + 1e-12 * (1.0 + abs(v))
+            ref = separable_gap_ref(M, c, a, q, w, p, lo, hi)
+            assert abs(v - ref) <= 1e-10 * (1.0 + abs(v)), (trial, v, ref)
+        # at a point of C the gap is at most F(p, p) + G(p, p) = 0
+        assert np.all(exact[:8] <= 1e-12 * (1.0 + np.abs(exact[:8])))
+
+
+@pytest.mark.parametrize("d", [2, 20, 200])
+def test_stacked_exact_gap_rows_have_their_one_point_bits(d):
+    rng = np.random.default_rng(d)
+    for box in (True, False):
+        F, G, _ = _separable_form(rng, d, box)
+        P = rng.normal(size=(33, d))
+        values = equilibrium_gap(F, G, P)
+        assert values.shape == (33,)
+        for p, v in zip(P, values):
+            assert _bits(v) == _bits(equilibrium_gap(F, G, p))
+
+
+def _fallback_forms(d=5):
+    """(name, F, G): forms with no exact gap, each for its own reason."""
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(d, d))
+    M, c = (A - A.T) / d + np.eye(d), rng.normal(size=d)
+    R = WholeSpace(d)
+    box = Box(-np.ones(d), np.ones(d))
+
+    class Rest(Quadratic):
+        """A Quadratic by value that is not one by exact type."""
+
+    flat = np.eye(d)
+    flat[0, 0] = 0.0
+    dense = A @ A.T / d
+    yield "non-diagonal Q", operator_bifunction(box, M, c), function_difference(box, Quadratic(dense, c))
+    for C in (Ball(np.zeros(d), 1.5), Halfspace(rng.normal(size=d), 0.5)):
+        yield C.kind, operator_bifunction(C, M, c), function_difference(C, Quadratic(np.eye(d), c))
+    s = rng.normal(size=d)
+    generic = generic_bifunction(box, lambda x, y: float(s @ (y - x)), lambda x, Y: (Y - x) @ s)
+    yield "generic part", sum_bifunctions(operator_bifunction(box, M, c), generic), zero_bifunction(box)
+    yield "rest function", operator_bifunction(box, M, c), function_difference(box, Rest(np.eye(d), c))
+    yield "zero-curvature axis", operator_bifunction(R, M, c), function_difference(R, Quadratic(flat, c))
+
+
+def test_forms_without_a_closed_form_keep_the_sampled_certificate():
+    for name, F, G in _fallback_forms():
+        assert equilibrium_gap(F, G, np.zeros(F.dimension)) is None, name
+        res = solve(F, G, np.ones(F.dimension), SolverConfig(max_iter=3, seed=4))
+        assert res.certificate_exact is False, name
+        expected = equilibrium_certificate(F, G, res.y_star, sample_points(F.set, 256, 4))
+        assert _bits(res.certificate) == _bits(expected), name
+        assert res.certificate_exact is False, name
+
+
+def test_an_operator_form_result_has_no_certificate_kind():
+    inst = get_problem("skew-saddle")
+    res = solve_operator_form(operator_from_bifunction(inst.F), operator_from_bifunction(inst.G), inst.default_x0)
+    assert res.certificate is None and res.certificate_exact is None
+
+
+def test_the_none_error_preset_is_the_error_free_pass(monkeypatch):
+    from eqsplit import dr_solver
+
+    calls = []
+    run_dr = dr_solver._run_dr
+
+    def counting(jf, jg, *args, **kwargs):
+        def f(v):
+            calls.append(None)
+            return jf(v)
+        return run_dr(f, jg, *args, **kwargs)
+
+    monkeypatch.setattr(dr_solver, "_run_dr", counting)
+    inst = get_problem("skew-saddle")
+    d = inst.set.dimension
+    assert ERROR_PRESETS["none"](d) is None
+    preset = SolverConfig(error_schedule_a=ERROR_PRESETS["none"](d), error_schedule_b=ERROR_PRESETS["none"](d))
+    got = solve(inst.F, inst.G, inst.default_x0, preset)
+    assert len(calls) == got.iterations + 1  # one F-side map per pass
+    expected = solve(inst.F, inst.G, inst.default_x0, SolverConfig())
+    assert got.y_star.tobytes() == expected.y_star.tobytes()
+    assert got.x_star.tobytes() == expected.x_star.tobytes()
 
 
 # ---------------------------------------------------------------------------

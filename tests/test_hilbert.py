@@ -256,3 +256,35 @@ def test_norm_is_bit_identical_to_numpy():
             v = scale * rng.normal(size=size)
             assert norm(v) == float(np.linalg.norm(v)), (size, scale)
     assert norm(np.ones((3, 4))) == float(np.linalg.norm(np.ones((3, 4))))
+
+
+def test_axis_minimizers_of_a_box_hold_for_every_sign_of_the_curvature():
+    # a_i < 0 makes an axis problem concave on each side of 0; every entry
+    # must still be no worse than a dense scan of its interval
+    rng = np.random.default_rng(16)
+    d = 6
+    C = Box(-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d))
+    a = np.array([-1.5, -1e-3, 0.0, 0.0, 1e-3, 2.0])
+    w = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.7])
+    b = rng.normal(0.0, 2.0, size=(50, d))
+    T = C._axis_min(a, b, w)
+    assert T.shape == b.shape and C.contains_batch(T, 0.0).all()
+    for i in range(d):
+        t = np.concatenate([np.linspace(C.lo[i], C.hi[i], 20001), [0.0]])
+        t = t[(t >= C.lo[i]) & (t <= C.hi[i])]
+        scan = (0.5 * a[i] * t[None, :] ** 2 + b[:, i:i + 1] * t[None, :] + w[i] * np.abs(t[None, :])).min(axis=1)
+        got = 0.5 * a[i] * T[:, i] ** 2 + b[:, i] * T[:, i] + w[i] * np.abs(T[:, i])
+        assert np.all(got <= scan + 1e-12), i
+
+
+def test_axis_minimizers_of_the_whole_space_need_positive_curvature():
+    C = WholeSpace(3)
+    a, w = np.array([1.0, 2.0, 0.5]), np.array([0.5, 0.0, 1.0])
+    b = np.array([[2.0, -1.0, 0.25], [-0.5, 4.0, -3.0]])
+    # soft(-b, w) / a, each axis's stationary point or the kink
+    np.testing.assert_array_equal(C._axis_min(a, b, w), [[-1.5, 0.5, 0.0], [0.0, -2.0, 4.0]])
+    for flat in ([1.0, 0.0, 0.5], [1.0, -1e-12, 0.5]):
+        assert C._axis_min(np.array(flat), b, w) is None
+    # the sets with no per-axis closed form say so
+    for S in (Ball(np.zeros(3), 1.0), Halfspace(np.ones(3), 1.0), Simplex(3)):
+        assert S._axis_min(a, b, w) is None

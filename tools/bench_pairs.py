@@ -13,11 +13,15 @@ alternates from pair to pair, so a drift of the host's speed falls on both
 sides alike.  The parent is exported with ``git archive`` into a temporary
 directory, which is removed at the end; nothing is fetched.
 
-The output file holds every pair's end-to-end metrics and ``correct``
-flags and, per workload and metric, both sides' medians and quartiles, the
-parent's interquartile range, the change's wins (pairs where it reads
-better, ties counting for neither) and two verdicts, both from
-BENCHMARK.json's direction and bound for the metric:
+The output file holds every pair's end-to-end metrics, ``correct`` flags
+and child CPU time: ``child_cpu_s``, the ``RUSAGE_CHILDREN`` user plus
+system seconds the run used, setup included, and ``child_cpu_ms_per_op``,
+that over the ops it attempted, a number the speed probe of
+``perfbench/run.py`` does not scale (each workload also records both
+sides' medians of it).  Per workload and metric it holds both sides'
+medians and quartiles, the parent's interquartile range, the change's
+wins (pairs where it reads better, ties counting for neither) and two
+verdicts, both from BENCHMARK.json's direction and bound for the metric:
 
 * ``gain``: the change wins at least nine tenths of the pairs, and its
   median is better than the parent's by more than the parent's IQR;
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -59,14 +64,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; its result line, with the host line beside it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     host = next((json.loads(line[len("host: "):]) for line in lines if line.startswith("host: ")), None)
     return {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "host": host}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "child_cpu_s": cpu, "child_cpu_ms_per_op": 1e3 * cpu / max(1, result["attempted"]), "host": host}
 
 
 def summarise(pairs: list[dict], specs: dict) -> dict:
@@ -130,7 +139,10 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: ok_per_s {run['metrics']['ok_per_s']:.4g} "
                           f"correct {run['correct']}", file=sys.stderr, flush=True)
                 pairs.append(pair)
-            record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, specs)}
+            cpu = {f"{side}_median": statistics.median(p[side]["child_cpu_ms_per_op"] for p in pairs)
+                   for side in ("parent", "change")}
+            record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, specs),
+                                             "child_cpu_ms_per_op": cpu}
             Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

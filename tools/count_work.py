@@ -22,7 +22,12 @@ as every later pass of a benchmark run does.  While an op runs, wrappers count:
 * ``inv_calls`` and ``solve_calls``: ``np.linalg.inv`` and ``solve``;
 * ``pivot_passes``: box pivoting passes, one ``np.count_nonzero`` call
   each (no other code in ``src/`` calls it);
-* ``inner_iterations``: iterations of ``resolvents.inner_solve``.
+* ``inner_iterations``: iterations of ``resolvents.inner_solve``;
+* ``sample_draws``: calls of ``hilbert.sample_points``, under every name a
+  module of the package imports it as (``cli`` included);
+* ``certificate_evaluations``: rows times sample points of every call of
+  ``dr_solver.equilibrium_certificate``, under every name it is imported
+  as: the bifunction pairs a sampled certificate evaluates.
 
 Each count is exact and machine independent: a rerun of the same code
 gives the same output byte for byte.  The output holds, per workload, the
@@ -30,8 +35,8 @@ ops of one pass over all seeds and, per pass, each counter's mean per op.
 Without ``--out`` it is printed; with ``--out`` it is stored under the
 ``counts`` key of that JSON file (made if missing, other keys kept) as the
 ``change`` side, the working tree, whose HEAD it names; ``--parent`` adds
-the same counts of that revision, from a ``git archive`` export, and
-whether the two agree.
+the same counts of that revision, from a ``git archive`` export, whether
+the two agree, and which counters of which workload differ.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -63,7 +70,7 @@ def count(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     import numpy as np
 
     import eqsplit as eq
-    from eqsplit import dr_solver, resolvents
+    from eqsplit import dr_solver, hilbert, resolvents
     from workloads import WORKLOADS
 
     if not Path(eq.__file__).resolve().is_relative_to(tree / "src"):
@@ -98,8 +105,21 @@ def count(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     np.linalg.inv = counted(np.linalg.inv, "inv_calls")
     np.linalg.solve = counted(np.linalg.solve, "solve_calls")
     np.count_nonzero = counted(np.count_nonzero, "pivot_passes")
+    certificate = dr_solver.equilibrium_certificate
+
+    def counted_certificate(F, G, points, Y):
+        counts["certificate_evaluations"] += (1 if np.ndim(points) < 2 else len(points)) * len(Y)
+        return certificate(F, G, points, Y)
+
+    # by identity: a module's namespace also holds unhashable arrays
+    replacements = {id(hilbert.sample_points): counted(hilbert.sample_points, "sample_draws"),
+                    id(certificate): counted_certificate}
+    for module in [eq] + [importlib.import_module(f"eqsplit.{m.name}") for m in pkgutil.iter_modules(eq.__path__)]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in replacements:
+                setattr(module, attr, replacements[id(value)])
     keys = ("dr_solves", "dr_passes", "map_calls_f", "kept_map_calls", "inv_calls", "solve_calls",
-            "pivot_passes", "inner_iterations")
+            "pivot_passes", "inner_iterations", "sample_draws", "certificate_evaluations")
     out = {}
     for name in workloads:
         totals = [Counter() for _ in range(PASSES)]
@@ -154,6 +174,10 @@ def main(argv=None) -> int:
             record[side] = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
     if args.parent:
         record["identical"] = record["parent"] == record["change"]
+        record["differing"] = {
+            name: sorted({k for p, c in zip(counts["passes"], record["change"][name]["passes"]) for k in c
+                          if p.get(k) != c[k]})
+            for name, counts in record["parent"].items()}
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
     data["counts"] = record
