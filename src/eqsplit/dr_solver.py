@@ -308,12 +308,17 @@ def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
     and its difference diff = z - y.
 
     Injected errors move y by b_n and z by a_n, with z taken again at the
-    reflection of the moved y; None means no error on that side.  Returns
-    (y, z, x + lam (z - y)); at lam 1, x + (z - y), which has the same bits.
+    reflection of the moved y; None means no error on that side.  With no
+    b_n, y and its reflection are unmoved, so z is the clean z plus a_n and
+    J_F is not mapped again.  Returns (y, z, x + lam (z - y)); at lam 1,
+    x + (z - y), which has the same bits.
     """
-    if a_n is not None or b_n is not None:
-        y = y + (b_n if b_n is not None else 0.0)
+    if b_n is not None:
+        y = y + b_n
         z = jf(y + y - x) + (a_n if a_n is not None else 0.0)
+        diff = z - y
+    elif a_n is not None:
+        z = z + a_n
         diff = z - y
     return y, z, x + (diff if lam == 1.0 else lam * diff)
 

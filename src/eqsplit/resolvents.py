@@ -40,9 +40,9 @@ Every route is built once per bifunction and gamma: the first oracle
 builds the map and keeps it on the bifunction, and every later oracle at
 the same gamma reuses it, so repeated solves factor nothing.  The memo
 holds one entry, the last gamma, and a new gamma replaces it, so a
-bifunction keeps at most one d x d inverse over the whole space, and two
-d x d matrices over a box (I + gamma A and the map of the last pivoting
-pattern).  No route draws a sample.
+bifunction keeps at most one d x d inverse over the whole space, and over
+a box I + gamma A and the maps of at most ``KEPT_PATTERNS`` pivoting
+patterns, each d x d.  No route draws a sample.
 
 Whole-space linear resolvents invert I + gamma A once, and each call is
 one matrix-vector product.  For monotone A, sym(I + gamma A) >= I, so
@@ -54,10 +54,11 @@ ValueError whenever an oracle is built at that gamma, and is never kept.
 The same bound makes I + gamma A a P-matrix, for which block principal
 pivoting with Murty's single-pivot backup ends in finitely many passes from
 any starting pattern.  The kept map therefore starts each call from the
-last pattern it met, which along a solve rarely changes, and holds that
-pattern's factor.  The pattern's map also gives the KKT multipliers of
-the bound coordinates, so a call whose pattern holds is one matrix-vector
-product and a strict sign test.  The answer satisfies the KKT sign
+last pattern it met, which along a solve rarely changes, and keeps the
+factor of every pattern it meets, up to ``KEPT_PATTERNS`` of them, so a
+repeated solve inverts nothing.  A pattern's map also gives the KKT
+multipliers of the bound coordinates, so a call whose pattern holds is one
+matrix-vector product and a strict sign test.  The answer satisfies the KKT sign
 conditions of the box problem, which certify it exactly, so no sampled
 check is made.  A non-monotone M can make the pivoting cycle or meet a
 singular block; the call then raises :class:`ConvergenceFailure` instead
@@ -356,6 +357,10 @@ def _linear_resolvent(matrix: np.ndarray, offset: np.ndarray, gamma: float) -> C
 #: solver falls back to single pivots
 BLOCK_PIVOT_PATIENCE = 3
 
+#: pivoting patterns whose maps one box resolvent keeps; the least recently
+#: used is evicted beyond it
+KEPT_PATTERNS = 16
+
 
 def _sign_rows(
     A: np.ndarray, Kf: np.ndarray, m: np.ndarray, free: np.ndarray, sign: np.ndarray
@@ -394,25 +399,31 @@ def _box_linear_resolvent(
     returned point satisfies the KKT signs, which certify it exactly.
 
     Each pattern has an affine map z = L b + m: L is A_FF^{-1} on the free
-    block and zero elsewhere, and m holds the bounds.  The map of the last
-    pattern met is kept (a one-entry memo, replaced as one tuple, also
-    when the bound rows are added), and each call starts from that
-    pattern, which along a solve rarely changes; the first kept pattern is
-    the all-free one, whose map is A^{-1}.  So the closure holds two d x d
-    matrices, A and the last map, and a call on an unchanged pattern forms
-    nothing.  Once a pattern has held for a call (its first pass met every
-    sign), the bound rows of its map are replaced by the signed
-    multipliers sign_i w_i (:func:`_sign_rows`, formed from the free block
-    alone), so one product v = P b + p gives z_F and those multipliers.  A
-    call on such a pattern accepts when every free v_i lies strictly
-    inside (lo_i, hi_i) and every signed multiplier is strictly negative
-    (pinned coordinates, lo == hi, have none to meet): it returns z from
-    that one matrix-vector product, with no tolerance and no pivoting
-    pass.  The test is one ``np.logical_and.reduce``, and z is v, the call's
-    own array, with m put in its bound rows.  Otherwise, and on a pattern
+    block and zero elsewhere, and m holds the bounds.  The map of every
+    pattern met is kept, keyed by the bytes of its side vector, up to
+    ``KEPT_PATTERNS`` of them with the least recently used evicted; the
+    first kept pattern is the all-free one, whose map is A^{-1}.  Each call
+    starts from the last pattern met, which along a solve rarely changes,
+    and pivots through the same patterns whether their maps are kept or
+    not, so keeping them saves the inverse of a pattern met before and
+    changes no bit beyond the rounding noted below.  The closure holds A
+    and at most ``KEPT_PATTERNS`` maps, each d x d, and a repeated call on
+    patterns it has met forms nothing.  The last pattern and the kept
+    entries are replaced as one tuple, with a new dict, also when the
+    bound rows are added, so one kept map can be shared across threads.
+    Once a pattern has held for a call (its first pass met every sign),
+    the bound rows of its map are replaced by the signed multipliers
+    sign_i w_i (:func:`_sign_rows`, formed from the free block alone), so
+    one product v = P b + p gives z_F and those multipliers.  A call on
+    such a pattern accepts when every free v_i lies strictly inside
+    (lo_i, hi_i) and every signed multiplier is strictly negative (pinned
+    coordinates, lo == hi, have none to meet): it returns z from that one
+    matrix-vector product, with no tolerance and no pivoting pass.  The
+    test is one ``np.logical_and.reduce``, and z is v, the call's own
+    array, with m put in its bound rows.  Otherwise, and on a pattern
     that has not held yet, it runs the passes above, the first of them on
-    the same z_F.  A pattern that
-    pivoting only passes through costs its inverse and no bound rows.
+    the same z_F.  A pattern that pivoting only passes through costs its
+    inverse, once while it stays kept, and no bound rows.
 
     The strict test gives the first pass's bits wherever it accepts, and
     where it rejects the first pass runs.  It can accept where that pass
@@ -424,7 +435,8 @@ def _box_linear_resolvent(
     The kept pattern is read only when sym(A) is positive definite: then
     the problem has one solution and any pattern leads to it.  Otherwise
     the box problem may have several solutions or none, and every call
-    starts all free, so a kept pattern can never turn a failure into a
+    starts all free and pivots through the patterns it would meet in a
+    fresh closure, so a kept pattern can never turn a failure into a
     returned point.
 
     Raises ValueError when A is singular, and :class:`ConvergenceFailure`
@@ -446,36 +458,54 @@ def _box_linear_resolvent(
         warm = False
     # side per coordinate: -1 at lo, 0 free, 1 at hi
     all_free = np.zeros(d, dtype=np.int8)
-    memo = (all_free, np.zeros(d, dtype=bool), K, np.zeros(d), np.zeros(d), all_free, None, None)
+    first = (all_free, np.zeros(d, dtype=bool), K, np.zeros(d), np.zeros(d), all_free, None, None)
+    # (last pattern met, kept entries by the bytes of their side vector,
+    # least recently used first): replaced as one tuple, and a dict, once
+    # shared, never changes
+    state = (first, {all_free.tobytes(): first})
+
+    def keep(entry):
+        """Make entry the last pattern met and the most recently used kept
+        one, evicting the least recently used beyond ``KEPT_PATTERNS``."""
+        nonlocal state
+        key = entry[0].tobytes()
+        kept = dict(state[1])
+        kept.pop(key, None)
+        kept[key] = entry
+        if len(kept) > KEPT_PATTERNS:
+            del kept[next(iter(kept))]
+        state = (entry, kept)
 
     def pattern_map(side):
-        """(side, bound, P, p, m, sign, lo_v, hi_v) of a pattern, kept as the
-        memo: v = P b + p, z = v with m on the bound rows, the sign of w that
-        makes each bound coordinate infeasible (0 where free or pinned), and
-        the open interval (lo_v, hi_v) that holds v when the pattern
-        certifies itself.  A new entry has no bound rows yet (P = L, p = m,
-        and lo_v = hi_v = None).  Raises LinAlgError on a singular block."""
-        nonlocal memo
-        free = side == 0
-        sign = np.where(pinned, 0, side).astype(np.int8)
-        m = np.where(side > 0, hi, lo)
-        m[free] = 0.0
-        L = np.zeros((d, d))
-        if free.any():
-            # row, then column gathers: the same values as np.ix_, in less time
-            A_f = A[free]
-            Kf = np.linalg.inv(A_f[:, free])
-            rows = np.zeros((Kf.shape[0], d))
-            rows[:, free] = Kf
-            L[free] = rows
-            m[free] = -Kf.dot(A_f.dot(m))
-        memo = (side, ~free, L, m, m, sign, None, None)
-        return memo
+        """(side, bound, P, p, m, sign, lo_v, hi_v) of a pattern, the kept
+        entry when there is one: v = P b + p, z = v with m on the bound
+        rows, the sign of w that makes each bound coordinate infeasible (0
+        where free or pinned), and the open interval (lo_v, hi_v) that holds
+        v when the pattern certifies itself.  A new entry has no bound rows
+        yet (P = L, p = m, and lo_v = hi_v = None).  Raises LinAlgError on a
+        singular block, which is never kept."""
+        entry = state[1].get(side.tobytes())
+        if entry is None:
+            free = side == 0
+            sign = np.where(pinned, 0, side).astype(np.int8)
+            m = np.where(side > 0, hi, lo)
+            m[free] = 0.0
+            L = np.zeros((d, d))
+            if free.any():
+                # row, then column gathers: the same values as np.ix_, in less time
+                A_f = A[free]
+                Kf = np.linalg.inv(A_f[:, free])
+                rows = np.zeros((Kf.shape[0], d))
+                rows[:, free] = Kf
+                L[free] = rows
+                m[free] = -Kf.dot(A_f.dot(m))
+            entry = (side, ~free, L, m, m, sign, None, None)
+        keep(entry)
+        return entry
 
     def with_sign_rows(entry):
         """Keep the entry with its bound rows in place of it; new arrays are
         filled, so an entry, once shared, never changes."""
-        nonlocal memo
         side, bound, L, _, m, sign, _, _ = entry
         free = ~bound
         P, p = L, m
@@ -484,7 +514,7 @@ def _box_linear_resolvent(
             P, p = L.copy(), m.copy()
             P[rows], p[rows] = R, r
         hi_v = np.where(free, hi, np.where(sign == 0, np.inf, 0.0))
-        memo = (side, bound, P, p, m, sign, np.where(free, lo, -np.inf), hi_v)
+        keep((side, bound, P, p, m, sign, np.where(free, lo, -np.inf), hi_v))
 
     def pivot(b, entry, z):
         tol = 1e-12 * (bound_scale + np.abs(b).max())
@@ -527,7 +557,7 @@ def _box_linear_resolvent(
 
     def apply(x: np.ndarray) -> np.ndarray:
         b = x - shift
-        entry = memo
+        entry = state[0]
         if not warm and entry[0].any():
             entry = pattern_map(all_free)
         _, bound, P, p, m, _, lo_v, hi_v = entry
@@ -561,8 +591,9 @@ class ResolventOracle:
     is a function of x alone (up to the rounding noted at :func:`resolve`),
     so one oracle, or one kept map, may be shared across concurrent solves.
     Besides the bifunction's memo, the only state behind it is box
-    pivoting's memo of the last pattern's factor; each is swapped in as one
-    tuple.  ``gamma`` must be positive and finite (``ValueError``).
+    pivoting's last pattern and its kept pattern factors (at most
+    ``KEPT_PATTERNS``); each memo is swapped in as one tuple.  ``gamma``
+    must be positive and finite (``ValueError``).
     """
 
     gamma: float

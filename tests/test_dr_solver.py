@@ -566,6 +566,28 @@ def test_kept_resolvents_give_the_bits_of_fresh_bifunctions(route, d):
     assert F._resolvent[0] == G._resolvent[0] == 0.5
 
 
+@pytest.mark.parametrize("d", [2, 20, 50])
+def test_a_repeated_box_solve_inverts_nothing(d):
+    # both sides pivot over a box; at these sizes each side meets fewer
+    # than KEPT_PATTERNS patterns in a solve, so the second solve of the
+    # same pair from the same start meets only kept patterns: it forms no
+    # factor and no bound rows, and has the first solve's bits
+    F, G, x0 = _kept_route_problem("box", d)
+    cfg = SolverConfig(gamma=0.5, max_iter=2000)
+    first = solve(F, G, x0, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a repeated box solve formed a factor or bound rows")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "inv", forbidden)
+        patch.setattr(np.linalg, "solve", forbidden)
+        patch.setattr("eqsplit.resolvents._sign_rows", forbidden)
+        second = solve(F, G, x0, cfg)
+    assert second.iterations == first.iterations
+    _assert_same_result(second, first)
+
+
 def test_repeated_solves_invert_once_per_side(monkeypatch):
     d, gamma = 200, 1.0
     F, G, x0 = _kept_route_problem("whole-space", d)
@@ -809,6 +831,37 @@ def test_the_none_error_preset_is_the_error_free_pass(monkeypatch):
     assert got.x_star.tobytes() == expected.x_star.tobytes()
 
 
+def test_an_error_on_f_alone_maps_f_once_per_pass(monkeypatch):
+    # with no error on the G side, y and its reflection are the clean
+    # pass's, so z is the clean z plus a_n; the reference injects a zero
+    # error on the G side, which maps F again at the same point
+    from eqsplit import dr_solver
+
+    calls = []
+    run_dr = dr_solver._run_dr
+
+    def counting(jf, jg, *args, **kwargs):
+        def f(v):
+            calls.append(None)
+            return jf(v)
+        return run_dr(f, jg, *args, **kwargs)
+
+    monkeypatch.setattr(dr_solver, "_run_dr", counting)
+    inst = get_problem("skew-saddle")
+    d = inst.set.dimension
+    got = solve(inst.F, inst.G, inst.default_x0, SolverConfig(error_schedule_a=geometric_errors(d)))
+    assert len(calls) == got.iterations + 1  # one F-side map per pass
+    calls.clear()
+    both = SolverConfig(error_schedule_a=geometric_errors(d), error_schedule_b=zero_errors(d))
+    expected = solve(inst.F, inst.G, inst.default_x0, both)
+    assert len(calls) == 2 * expected.iterations + 1
+    # only the sign of a zero may differ
+    assert got.iterations == expected.iterations
+    np.testing.assert_array_equal(got.y_star, expected.y_star)
+    np.testing.assert_array_equal(got.x_star, expected.x_star)
+    assert got.trace.residual_dr == expected.trace.residual_dr
+
+
 # ---------------------------------------------------------------------------
 # injected errors, one draw per pass when both sides share a schedule
 # ---------------------------------------------------------------------------
@@ -1044,10 +1097,14 @@ def test_unit_relaxation_writes_the_trace_bytes_of_lambda_times_diff(tmp_path, p
 
 
 def _previous_relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
-    # the update before it took x + (z - y) at lambda 1 and y + y for 2 y
-    if a_n is not None or b_n is not None:
-        y = y + (b_n if b_n is not None else 0.0)
+    # the update before it took x + (z - y) at lambda 1 and y + y for 2 y;
+    # with no error on the G side, z is the clean z plus a_n
+    if b_n is not None:
+        y = y + b_n
         z = jf(2.0 * y - x) + (a_n if a_n is not None else 0.0)
+        diff = z - y
+    elif a_n is not None:
+        z = z + a_n
         diff = z - y
     return y, z, x + lam * diff
 
@@ -1067,3 +1124,12 @@ def test_relaxed_update_at_unit_lambda_has_the_bits_of_lambda_times_diff(d):
             got = _relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
             expected = _previous_relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+        # from the clean z, an error on F alone gives the values of the
+        # update that mapped F again at y + 0.0; only the sign of a zero
+        # may differ
+        clean = jf(y + y - x)
+        got = _relaxed_update(jf, x, y, clean, clean - y, lam, a, None)
+        moved = y + 0.0
+        again = jf(2.0 * moved - x) + a
+        for v, e in zip(got, (moved, again, x + lam * (again - moved))):
+            np.testing.assert_array_equal(v, e)

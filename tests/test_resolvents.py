@@ -36,6 +36,7 @@ from eqsplit.resolvents import (
     FD_STEP,
     INNER_ITERATIVE,
     INNER_TOL,
+    KEPT_PATTERNS,
     PROX_COMPOSITION,
     ConvergenceFailure,
     ResolventOracle,
@@ -595,7 +596,7 @@ def test_a_singular_linear_resolvent_raises_on_every_build(M):
 
 def test_a_kept_resolvent_holds_at_most_one_square_matrix():
     """One d x d inverse per whole-space side; over a box, I + gamma A and
-    the map of the last pivoting pattern."""
+    the maps of at most ``KEPT_PATTERNS`` pivoting patterns."""
     import gc
     import tracemalloc
 
@@ -632,15 +633,17 @@ def test_a_kept_resolvent_holds_at_most_one_square_matrix():
     assert square <= held[1] <= square + slack, held
     # both sides already hold gamma 2, so nothing more is kept
     assert held[2] <= slack, held
-    # the box side pivots away from the all-free pattern and keeps A and one map
-    assert 2 * square <= held[3] <= 2 * square + slack, held
+    # the box side keeps A and the map of each pattern it met, at most
+    # KEPT_PATTERNS of them, the all-free one among them
+    assert 2 * square <= held[3] <= (1 + KEPT_PATTERNS) * square + slack, held
 
 
 @pytest.mark.parametrize("d", [2, 20, 200])
-def test_box_all_free_pattern_is_rebuilt_bit_for_bit(d, inversions):
+def test_box_all_free_pattern_is_kept_bit_for_bit(d, inversions):
     # a kept box closure starts on the all-free pattern, whose map is the
-    # inverse it was built with; once another pattern replaces it, a return
-    # builds it again and must give the bits of a fresh closure
+    # inverse it was built with; once pivoting has moved to another
+    # pattern, a return takes the kept map, inverts nothing, and must give
+    # the bits of a fresh closure
     gamma = 0.1
     M, c, rng = _box_vi(d, 40 + d)
     C = Box(-np.ones(d), np.ones(d))
@@ -654,7 +657,7 @@ def test_box_all_free_pattern_is_rebuilt_bit_for_bit(d, inversions):
     assert np.abs(outside).max() == 1.0
     inversions.clear()
     got = resolve(o, inside)
-    assert inversions == [(d, d)]
+    assert inversions == []
     assert got.tobytes() == expected.tobytes()
 
 
@@ -791,22 +794,29 @@ def test_box_warm_start_matches_cold(d):
 
 @pytest.mark.parametrize("start", [None] + [np.array(s) for s in np.ndindex(3, 3)])
 def test_box_warm_start_cannot_hide_a_failure(start):
-    # an earlier call at each point of the 3 x 3 grid {-5, 0, 5}^2 leaves
-    # the pattern its pivoting last met in the oracle's memo; no kept
-    # pattern may let a later call return a point
+    # earlier calls at each point of the 3 x 3 grid {-5, 0, 5}^2 leave the
+    # pattern their pivoting last met in the oracle, and keep the map of
+    # every pattern they met; the failing input is then mapped again after
+    # its own failures have been kept too, and no kept pattern may let a
+    # later call return a point, or fail otherwise than a fresh oracle
     C = Box([-1.0, -1.0], [1.0, 1.0])
     # I + M = [[1, 1], [0, -1]]: the pivoting cycles, although the hi
     # corner meets the KKT signs
-    cycling = ResolventOracle(1.0, operator_bifunction(C, [[0.0, 1.0], [0.0, -2.0]]))
-    singular_block = ResolventOracle(1.0, operator_bifunction(C, [[-1.0, 1.0], [1.0, -1.0]]))
-    for o, x, iterate in ((cycling, [4.0, 2.0], [1.0, 1.0]), (singular_block, [5.0, 0.5], [1.0, 0.5])):
-        if start is not None:
-            try:
-                resolve(o, 5.0 * (start - 1.0))
-            except ConvergenceFailure:
-                pass
-        failures = []
+    cycling = [[0.0, 1.0], [0.0, -2.0]]
+    singular_block = [[-1.0, 1.0], [1.0, -1.0]]
+    for M, x, iterate in ((cycling, [4.0, 2.0], [1.0, 1.0]), (singular_block, [5.0, 0.5], [1.0, 0.5])):
+        with pytest.raises(ConvergenceFailure) as err:
+            resolve(ResolventOracle(1.0, operator_bifunction(C, M)), x)
+        failures = [(str(err.value), err.value.iterations, err.value.residual)]
+        o = ResolventOracle(1.0, operator_bifunction(C, M))
         for _ in range(3):
+            # twice, so that a pattern that held for the first call has its
+            # bound rows at the second
+            for _ in range(2 if start is not None else 0):
+                try:
+                    resolve(o, 5.0 * (start - 1.0))
+                except ConvergenceFailure:
+                    pass
             with pytest.raises(ConvergenceFailure) as err:
                 resolve(o, x)
             np.testing.assert_array_equal(err.value.iterate, iterate)
@@ -853,6 +863,91 @@ def test_box_warm_repeat_forms_no_factorization():
             patch.setattr(np, "count_nonzero", no_pass)
             for x in (x2, x1, x3):
                 assert np.array_equal(np.abs(resolve(o, x)) == 1.0, at_bound)
+
+
+def _inverted_blocks(monkeypatch):
+    """The bytes of each matrix that np.linalg.inv inverts from here on,
+    through whatever counts its calls already."""
+    blocks = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: blocks.append(np.asarray(a).tobytes()) or inv(a))
+    return blocks
+
+
+def _free_block(A, z, lo, hi):
+    """The bytes of the free block of A on the pattern z ends on."""
+    free = (lo < z) & (z < hi)
+    return A[free][:, free].tobytes()
+
+
+@pytest.mark.parametrize("cap", [KEPT_PATTERNS, None])
+def test_box_patterns_beyond_the_cap_are_evicted_and_rebuilt_bit_for_bit(cap, inversions, monkeypatch):
+    # one box map is driven through more than KEPT_PATTERNS patterns, each
+    # with a free block; a return to the least recently used one inverts
+    # that block again and gives the bits it gave before, and a return to
+    # the last one inverts nothing.  Without the cap (None: room for every
+    # pattern) the first block is never inverted again
+    if cap is None:
+        monkeypatch.setattr("eqsplit.resolvents.KEPT_PATTERNS", 10**6)
+    d, gamma = 8, 1.0
+    M, c, rng = _box_vi(d, 17)
+    lo, hi = -np.ones(d), np.ones(d)
+    A = np.eye(d) + gamma * M
+    F = operator_bifunction(Box(lo, hi), M, c)
+    by_pattern = {}
+    for x in rng.normal(scale=3.0, size=(400, d)):
+        z = resolve(ResolventOracle(gamma, F), x)
+        free = (lo < z) & (z < hi)
+        if 0 < np.count_nonzero(free) < d:
+            by_pattern.setdefault(_free_block(A, z, lo, hi), x)
+    xs = list(by_pattern.values())[: KEPT_PATTERNS + 4]
+    assert len(xs) == KEPT_PATTERNS + 4
+    apply = resolvent_map(ResolventOracle(gamma, operator_bifunction(Box(lo, hi), M, c)))
+    first = [apply(x) for x in xs]
+    inversions.clear()
+    blocks = _inverted_blocks(monkeypatch)
+    assert apply(xs[-1]).tobytes() == first[-1].tobytes()
+    assert inversions == []
+    assert apply(xs[0]).tobytes() == first[0].tobytes()
+    assert (_free_block(A, first[0], lo, hi) in blocks) == (cap is not None)
+
+
+def test_a_new_start_or_lambda_inverts_only_new_patterns(inversions, monkeypatch):
+    # repeated solves on one box VI pair with a new start or a new
+    # relaxation invert each free block at most once, and never one an
+    # earlier solve inverted; each has the bits of the same solve on fresh
+    # bifunctions, which invert blocks the kept ones did not need again
+    d, gamma = 20, 0.5
+    M, c, rng = _box_vi(d, 23)
+    B = rng.normal(size=(d, d))
+    C = Box(-np.ones(d), np.ones(d))
+    q = rng.normal(size=d)
+
+    def make():
+        return operator_bifunction(C, M, c), function_difference(C, Quadratic(B @ B.T / d, q))
+
+    F, G = make()
+    x0, x1 = 0.5 * rng.normal(size=(2, d))
+    blocks = _inverted_blocks(monkeypatch)
+    met, reused = set(), 0
+    for x, lam in ((x0, 1.0), (x1, 1.0), (x0, 1.8), (x1, 0.5)):
+        run = SolverConfig(gamma=gamma, lambda_schedule=lam, max_iter=2000)
+        blocks.clear()
+        inversions.clear()
+        got = solve(F, G, x, run)
+        new = set(blocks)
+        assert len(inversions) == len(blocks) == len(new)
+        assert met.isdisjoint(new)
+        blocks.clear()
+        fresh = solve(*make(), x, run)
+        assert new <= set(blocks)
+        reused += len(set(blocks) & met)
+        assert got.status == fresh.status == CONVERGED
+        assert got.y_star.tobytes() == fresh.y_star.tobytes()
+        assert got.x_star.tobytes() == fresh.x_star.tobytes()
+        assert got.iterations == fresh.iterations
+        met |= new
+    assert reused > 0
 
 
 @pytest.mark.parametrize("d", [2, 20, 50])
@@ -970,11 +1065,13 @@ def test_lean_kept_maps_have_the_bits_of_their_previous_expressions(d, monkeypat
         assert pivoted and held == len(xs)
 
 
-def test_box_factor_memo_is_safe_across_threads():
+def test_box_factor_memo_is_safe_across_threads(monkeypatch):
     # threads drive the one kept map through the same few inputs, each with
-    # its own pattern, in different orders, so the one-entry memo is
-    # replaced on almost every call; each thread must still get, bit for
-    # bit, what its sequence gives alone
+    # its own pattern, in different orders, with room for two kept
+    # patterns, so the last pattern is replaced on almost every call and
+    # each thread evicts the others' entries; each thread must still get,
+    # bit for bit, what its sequence gives alone, in every one of 20 rounds
+    monkeypatch.setattr("eqsplit.resolvents.KEPT_PATTERNS", 2)
     d, gamma, threads = 5, 1.0, 6
     M, c, rng = _box_vi(d, 13)
     shared = ResolventOracle(gamma, operator_bifunction(Box(-np.ones(d), np.ones(d)), M, c))
@@ -989,25 +1086,26 @@ def test_box_factor_memo_is_safe_across_threads():
     for xs in sequences:
         apply = resolvent_map(ResolventOracle(gamma, shared.bifunction))
         expected.append([apply(x) for x in xs])
-    got = [None] * threads
 
     def work(i):
         apply = resolvent_map(shared)
         got[i] = [apply(x) for x in sequences[i]]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    for g, e in zip(got, expected):
-        np.testing.assert_array_equal(np.array(g), np.array(e))
+    for _ in range(20):
+        got = [None] * threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(np.array(g), np.array(e))
 
 
 def test_an_inner_route_bifunction_is_freed_at_del():
@@ -1049,10 +1147,13 @@ def test_a_bifunction_with_a_kept_resolvent_pickles_without_it():
     assert F._resolvent is not None
 
 
-def test_kept_resolvents_are_safe_across_threads_and_gammas():
+def test_kept_resolvents_are_safe_across_threads_and_gammas(monkeypatch):
     # threads build oracles on one bifunction at gammas in different
-    # orders, so the one-entry memo is replaced on almost every build; each
-    # oracle must still give, bit for bit, the resolvent at its own gamma
+    # orders, so the one-entry memo is replaced on almost every build, and
+    # a box map keeps at most two patterns, so threads sharing one evict
+    # each other's entries; each oracle must still give, bit for bit, the
+    # resolvent at its own gamma, in every one of 20 rounds over the box
+    monkeypatch.setattr("eqsplit.resolvents.KEPT_PATTERNS", 2)
     d, threads = 5, 6
     M, c, _ = _skew_plus_shift(d, 15)
     rng = np.random.default_rng(15)
@@ -1070,18 +1171,20 @@ def test_kept_resolvents_are_safe_across_threads_and_gammas():
                 if not np.array_equal(resolve(ResolventOracle(g, shared), x), expected[g]):
                     wrong.append(g)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work, args=(o,)) for o in orders]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert wrong == []
+        # the cap is read by box maps alone
+        for _ in range(20 if C.kind == "box" else 1):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=work, args=(o,)) for o in orders]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(w.is_alive() for w in workers)
+            assert wrong == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ as every later pass of a benchmark run does.  While an op runs, wrappers count:
 * ``dr_passes``: its passes, counted as the calls of the G-side
   resolvent map it was handed, one per pass;
 * ``map_calls_f``: the calls of its F-side map, one per pass and one
-  more per pass that injects an error;
+  more per pass that injects an error on the G side;
 * ``kept_map_calls``: calls of every map that ``resolvents._build``
   returns, inside the core or not (the operator form's maps are among
   them, since each operator term keeps its oracle's map);
