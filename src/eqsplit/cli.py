@@ -47,6 +47,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -344,8 +346,9 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
     one stacked :func:`equilibrium_certificate` call over one sample drawn
     for the file.  Either way ``# certificate`` has the bits of
     ``result.certificate`` without reading it.  Step norms are computed
-    here, on the first read of ``trace.step``.  ``SpecFileError`` when the
-    file cannot be written.
+    here, on the first read of ``trace.step``.  The text is written over
+    any old file by :func:`_write_over`; ``SpecFileError`` when it cannot
+    be written.
     """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
@@ -362,9 +365,31 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
     rows.append("# y_star = " + " ".join(repr(float(v)) for v in result.y_star))
     rows.append(f"# certificate = {cert!r}")
     try:
-        Path(path).write_text("\n".join(rows) + "\n")
+        _write_over(path, ("\n".join(rows) + "\n").encode())
     except OSError as exc:
         raise SpecFileError(f"cannot write trace {path}: {exc}") from exc
+
+
+def _write_over(path, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` from its start, then cut a
+    regular file to ``len(data)``.
+
+    Opening without ``O_TRUNC`` keeps the blocks of an existing file,
+    which its filesystem would otherwise free and allocate again: most of
+    the cost of rewriting a trace on ext4.  A new file gets mode ``0o666`` less the
+    umask, and a target that is not a regular file (``/dev/null``, a FIFO)
+    is written without cutting.  Not atomic: an interrupted write can
+    leave new bytes followed by old ones.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _apply_overrides(cfg: SolverConfig, args, dim: int) -> SolverConfig:
@@ -467,6 +492,9 @@ def main(argv=None) -> int:
         return EXIT_CONVERGED
 
     if args.problem is not None:
+        if args.spec is not None:
+            print("spec error: give a spec file or --problem, not both", file=sys.stderr)
+            return EXIT_SPEC_ERROR
         if args.problem == "all":
             base = Path(args.trace) if args.trace else None
             codes = []

@@ -675,6 +675,80 @@ def test_batch_run_carries_on_past_an_unwritable_trace(tmp_path, capsys):
     assert code == EXIT_MAX_ITER
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_spec_file_with_problem_is_a_spec_error(tmp_path, capsys, monkeypatch, exists):
+    from eqsplit import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    spec = _write(tmp_path, QUADRATIC_SPEC) if exists else str(tmp_path / "missing.ini")
+    for name in ("quadratic-1d", "all"):
+        assert main([spec, "--problem", name, "--trace", str(tmp_path / "t.csv")]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["spec error: give a spec file or --problem, not both"]
+        assert captured.out == ""
+    assert not list(tmp_path.glob("t*.csv"))
+
+
+@pytest.mark.parametrize("old", [b"\xff" * 65536, b"x"], ids=["64KiB", "1B"])
+def test_trace_written_over_an_old_file_has_the_bytes_of_a_new_one(tmp_path, old):
+    spec = _write(tmp_path, problem_to_spec_text(get_problem("vi-over-box")))
+    fresh, over = tmp_path / "fresh.csv", tmp_path / "over.csv"
+    over.write_bytes(old)
+    assert main([spec, "--trace", str(fresh)]) == EXIT_CONVERGED
+    assert main([spec, "--trace", str(over)]) == EXIT_CONVERGED
+    assert over.read_bytes() == fresh.read_bytes()
+    assert 1 < len(fresh.read_bytes()) < 65536
+
+
+def test_trace_to_a_device_is_written_without_cutting(tmp_path, capsys):
+    # ftruncate on a character device raises EINVAL, which would be a spec error
+    import os
+
+    for argv in (["--problem", "quadratic-1d"], [_write(tmp_path, QUADRATIC_SPEC)],
+                 [_write(tmp_path, QUADRATIC_SPEC), "--max-iter", "2", "--tol", "1e-14"]):
+        expected = main(argv)
+        capsys.readouterr()
+        assert main(argv + ["--trace", os.devnull]) == expected
+        captured = capsys.readouterr()
+        assert captured.err == "" and "y_star" in captured.out
+    assert expected == EXIT_MAX_ITER
+
+
+def test_trace_is_opened_without_truncation(tmp_path, monkeypatch):
+    import os
+
+    out = tmp_path / "trace.csv"
+    out.write_bytes(b"old" * 1000)
+    opened = []
+    original = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return original(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["--problem", "quadratic-1d", "--trace", str(out)]) == EXIT_CONVERGED
+    flags = [f for path, f in opened if path == str(out)]
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert out.read_bytes().startswith(b"n,residual_dr,step,certificate\n")
+
+
+def test_new_trace_file_has_the_umask_mode(tmp_path):
+    import os
+
+    for umask in (0o022, 0o077, 0o000):
+        out = tmp_path / f"trace_{umask:o}.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["--problem", "quadratic-1d", "--trace", str(out)]) == EXIT_CONVERGED
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_trace_header_certificate_with_no_rows_or_a_moved_last_row(tmp_path, monkeypatch):
     """``# certificate`` is the value at y* itself, not at the last row's
     point, also when the trace is empty."""

@@ -17,11 +17,14 @@ The output file holds every pair's end-to-end metrics, ``correct`` flags
 and child CPU time: ``child_cpu_s``, the ``RUSAGE_CHILDREN`` user plus
 system seconds the run used, setup included, and ``child_cpu_ms_per_op``,
 that over the ops it attempted, a number the speed probe of
-``perfbench/run.py`` does not scale (each workload also records both
-sides' medians of it).  Per workload and metric it holds both sides'
-medians and quartiles, the parent's interquartile range, the change's
-wins (pairs where it reads better, ties counting for neither) and two
-verdicts, both from BENCHMARK.json's direction and bound for the metric:
+``perfbench/run.py`` does not scale.  ``child_user_ms_per_op`` and
+``child_sys_ms_per_op`` split it into user and system time, so a saving
+in the kernel (file I/O, say) shows apart from one in Python.  Each
+workload also records both sides' medians of the three.  Per workload
+and metric it holds both sides' medians and quartiles, the parent's
+interquartile range, the change's wins (pairs where it reads better, ties
+counting for neither) and two verdicts, both from BENCHMARK.json's
+direction and bound for the metric:
 
 * ``gain``: the change wins at least nine tenths of the pairs, and its
   median is better than the parent's by more than the parent's IQR;
@@ -67,15 +70,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    user = after.ru_utime - before.ru_utime
+    system = after.ru_stime - before.ru_stime
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    per_op = 1e3 / max(1, result["attempted"])
     host = next((json.loads(line[len("host: "):]) for line in lines if line.startswith("host: ")), None)
     return {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "child_cpu_s": cpu, "child_cpu_ms_per_op": 1e3 * cpu / max(1, result["attempted"]), "host": host}
+            "child_cpu_s": user + system, "child_cpu_ms_per_op": per_op * (user + system),
+            "child_user_ms_per_op": per_op * user, "child_sys_ms_per_op": per_op * system, "host": host}
 
 
 def summarise(pairs: list[dict], specs: dict) -> dict:
@@ -139,10 +145,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: ok_per_s {run['metrics']['ok_per_s']:.4g} "
                           f"correct {run['correct']}", file=sys.stderr, flush=True)
                 pairs.append(pair)
-            cpu = {f"{side}_median": statistics.median(p[side]["child_cpu_ms_per_op"] for p in pairs)
-                   for side in ("parent", "change")}
-            record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, specs),
-                                             "child_cpu_ms_per_op": cpu}
+            record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, specs)}
+            for key in ("child_cpu_ms_per_op", "child_user_ms_per_op", "child_sys_ms_per_op"):
+                record["workloads"][workload][key] = {
+                    f"{side}_median": statistics.median(p[side][key] for p in pairs)
+                    for side in ("parent", "change")}
             Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
