@@ -376,10 +376,10 @@ def _write_over(path, data: bytes) -> None:
 
     Opening without ``O_TRUNC`` keeps the blocks of an existing file,
     which its filesystem would otherwise free and allocate again: most of
-    the cost of rewriting a trace on ext4.  A new file gets mode ``0o666`` less the
-    umask, and a target that is not a regular file (``/dev/null``, a FIFO)
-    is written without cutting.  Not atomic: an interrupted write can
-    leave new bytes followed by old ones.
+    the cost of rewriting a trace on ext4.  A new file gets mode
+    ``0o666`` less the umask, and a target that is not a regular file
+    (``/dev/null``, a FIFO) is written without cutting.  Not atomic: an
+    interrupted write can leave new bytes followed by old ones.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
