@@ -484,11 +484,6 @@ _THRESHOLDS = {
     "hemicontinuity": 1e-6,
 }
 
-#: set kinds over which a form with operator part M is monotone exactly
-#: when the symmetric part of M is positive semidefinite on the directions
-#: the set spans (all of them, or a box's coordinates with lo < hi)
-_EXACT_SET_KINDS = ("whole-space", "ball", "halfspace", "box")
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Worst violations of the admissibility conditions.
@@ -521,8 +516,8 @@ def _exact_verdict(F: Bifunction) -> tuple[bool, dict[str, float]] | None:
     cancels; so it is monotone on C iff sym M is positive semidefinite on
     the span of C - C.  The monotone violation is max(0, -lambda_min) of
     sym M restricted there, accepted up to
-    1e-10 * max(1, ||restricted sym M||).  A nonzero M needs a whole space,
-    ball, halfspace or box, whose span is known.
+    1e-10 * max(1, ||restricted sym M||).  A nonzero M needs a known span:
+    the space (``_full_span``) or the axes with lo < hi (``_bounds``).
     """
     if F.induced is None or F.induced[3]:
         return None
@@ -532,11 +527,11 @@ def _exact_verdict(F: Bifunction) -> tuple[bool, dict[str, float]] | None:
         return None  # the sampled path names the offending pair
     if M is None or not M.any():
         return True, zero
-    if C.kind not in _EXACT_SET_KINDS:
-        return None
     S = 0.5 * (M + M.T)
-    if C.kind == "box":
-        free = C.lo < C.hi
+    if not C._full_span:
+        if C._bounds is None:
+            return None
+        free = C._bounds[0] < C._bounds[1]
         S = S[np.ix_(free, free)]
     eigs = np.linalg.eigvalsh(S) if S.size else np.zeros(1)
     monotone = max(0.0, -float(eigs[0]))

@@ -82,7 +82,6 @@ from .hilbert import (
     Halfspace,
     Simplex,
     WholeSpace,
-    _project_rows,
     sample_points,
 )
 from .problems import ProblemInstance, corpus, get_problem
@@ -339,12 +338,12 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
     """Write the trace file of ``result``, a solve of (F, G) under ``cfg``.
 
     The recorded y, finite vectors the solver built, are projected
-    unchecked, in one call over a box or the whole space as
-    ``sample_points`` does.  One stacked :func:`equilibrium_gap` call over
-    those points and y* gives the column and ``# certificate``, a few O(d)
-    array operations per row with no sample; for a form it does not cover,
-    one stacked :func:`equilibrium_certificate` call over one sample drawn
-    for the file.  Either way ``# certificate`` has the bits of
+    unchecked by the set's ``_project_rows``, as ``sample_points`` does.
+    One stacked :func:`equilibrium_gap` call over those points and y* gives
+    the column and ``# certificate``, a few O(d) array operations per row
+    with no sample; for a form it does not cover, one stacked
+    :func:`equilibrium_certificate` call over one sample drawn for the
+    file.  Either way ``# certificate`` has the bits of
     ``result.certificate`` without reading it.  Step norms are computed
     here, on the first read of ``trace.step``.  The text is written over
     any old file by :func:`_write_over`; ``SpecFileError`` when it cannot
@@ -352,7 +351,7 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
     """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]
-    P = _project_rows(F.set, np.array(trace.y).reshape(len(trace), F.dimension))
+    P = F.set._project_rows(np.array(trace.y).reshape(len(trace), F.dimension))
     P = np.vstack([P, result.y_star])
     values = equilibrium_gap(F, G, P)
     if values is None:
@@ -487,9 +486,16 @@ def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
 
     if args.list_problems:
+        if args.spec is not None or args.problem is not None or args.trace is not None:
+            print("spec error: --list-problems takes no spec file, --problem or --trace", file=sys.stderr)
+            return EXIT_SPEC_ERROR
         for inst in corpus():
             print(inst.name)
         return EXIT_CONVERGED
+
+    if args.trace is not None and (args.trace.endswith((os.sep, "/")) or os.path.isdir(args.trace)):
+        print(f"spec error: --trace {args.trace!r} names a directory, not a file", file=sys.stderr)
+        return EXIT_SPEC_ERROR
 
     if args.problem is not None:
         if args.spec is not None:

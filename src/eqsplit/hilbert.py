@@ -12,6 +12,12 @@ the simplex, by the members' tests for an intersection (for these kinds
 the affine subspace and user-defined kinds.  All sets are immutable after
 construction and their oracles are pure, so they can be shared freely
 across concurrent solves.
+
+Each set also answers for the closed forms other modules build on it:
+``_bounds``, ``_full_span``, ``_axis_min``, ``_l1_prox`` and
+``_project_rows``.  The base class gives the "no closed form" answer and
+the kinds that have one override it, so only the CLI's spec format reads
+``kind``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -90,12 +97,9 @@ def _axis_values(a: np.ndarray, b: np.ndarray, w: np.ndarray, T: np.ndarray) -> 
     return 0.5 * a * T * T + b * T + w * np.abs(T)
 
 
-def _soft(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """soft(-b, w) = sign(-b) max(|b| - w, 0): an axis problem
-    a t^2 / 2 + b t + w |t| is least at soft / a where a > 0, and where
-    a = 0 it falls without bound toward the side of soft's sign (or is
-    least at the kink 0 when soft is 0)."""
-    return np.sign(-b) * np.maximum(np.abs(b) - w, 0.0)
+def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Componentwise shrinkage sign(x) * max(|x| - t, 0)."""
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def _frozen_array(x, dim: int | None = None) -> np.ndarray:
@@ -150,6 +154,10 @@ class ConvexSet(ABC):
     dimension: int
     kind: str
     approximate: bool = False
+    #: (lo, hi) when the set is a product of intervals, ends maybe infinite
+    _bounds: tuple[np.ndarray, np.ndarray] | None = None
+    #: True when the differences C - C span the whole space
+    _full_span: bool = False
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``, a new array.
@@ -190,6 +198,20 @@ class ConvexSet(ABC):
         the box and the whole space override it."""
         return None
 
+    def _l1_prox(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The map v -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over the
+        set (weights t >= 0, v unchecked) where it has a closed form; None
+        otherwise, as in this default."""
+        return None
+
+    def _project_rows(self, P: np.ndarray) -> np.ndarray:
+        """The projection of every row of ``P``, a finite (n, d) float array,
+        unchecked, with the bits of ``_project`` on each row: one clamp when
+        the set has ``_bounds``, a row loop otherwise."""
+        if self._bounds is not None:
+            return np.minimum(np.maximum(P, self._bounds[0]), self._bounds[1])
+        return np.array([self._project(r) for r in P]).reshape(P.shape)
+
 
 class _BatchedMembership(ConvexSet):
     """Kinds whose membership test works on whole arrays of points; the
@@ -205,13 +227,19 @@ class WholeSpace(_BatchedMembership):
 
     dimension: int
     kind: str = field(default="whole-space", init=False)
+    _full_span = True
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        d = self.dimension
+        object.__setattr__(self, "_bounds", (np.broadcast_to(-np.inf, d), np.broadcast_to(np.inf, d)))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x
+
+    def _project_rows(self, P: np.ndarray) -> np.ndarray:
+        return P
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         return np.ones(as_points(P, self.dimension).shape[0], dtype=bool)
@@ -219,7 +247,12 @@ class WholeSpace(_BatchedMembership):
     def _axis_min(self, a, b, w):
         """soft(-b, w) / a when every a_i > 0; None otherwise, since an axis
         with a_i <= 0 may have no minimum."""
-        return _soft(b, w) / a if np.all(a > 0.0) else None
+        return soft_threshold(-b, w) / a if np.all(a > 0.0) else None
+
+    def _l1_prox(self, t):
+        """soft_threshold(v, t), one closure over local names."""
+        sign, absolute, maximum, zero = np.sign, np.abs, np.maximum, np.zeros_like(t)
+        return lambda v: sign(v) * maximum(absolute(v) - t, zero)
 
 
 @dataclass(frozen=True)
@@ -235,6 +268,7 @@ class Box(_BatchedMembership):
         object.__setattr__(self, "hi", _frozen_array(self.hi, self.lo.size))
         if np.any(self.lo > self.hi):
             raise ValueError(f"empty box: lo={self.lo} exceeds hi={self.hi}")
+        object.__setattr__(self, "_bounds", (self.lo, self.hi))
 
     @property
     def dimension(self) -> int:
@@ -254,7 +288,7 @@ class Box(_BatchedMembership):
         Where a_i < 0 it is concave on each side of 0, so the least of lo_i,
         hi_i and clip(0) is taken."""
         lo, hi = self.lo, self.hi
-        soft = _soft(b, w)
+        soft = soft_threshold(-b, w)
         run = np.where(soft > 0.0, hi, np.where(soft < 0.0, lo, 0.0))
         T = np.minimum(np.maximum(np.divide(soft, a, out=run, where=a > 0.0), lo), hi)
         concave = a < 0.0
@@ -265,6 +299,13 @@ class Box(_BatchedMembership):
             T = np.where(concave, ends, T)
         return T
 
+    def _l1_prox(self, t):
+        """The objective separates: ``_project(soft_threshold(v, t))``, bit
+        for bit, as one closure over local names."""
+        sign, absolute, maximum, minimum, zero = np.sign, np.abs, np.maximum, np.minimum, np.zeros_like(t)
+        lo, hi = self.lo, self.hi
+        return lambda v: minimum(maximum(sign(v) * maximum(absolute(v) - t, zero), lo), hi)
+
 
 @dataclass(frozen=True)
 class Ball(_BatchedMembership):
@@ -273,6 +314,7 @@ class Ball(_BatchedMembership):
     center: np.ndarray
     radius: float
     kind: str = field(default="ball", init=False)
+    _full_span = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen_array(self.center))
@@ -294,6 +336,12 @@ class Ball(_BatchedMembership):
         P = as_points(P, self.dimension)
         return np.linalg.norm(P - self.center, axis=1) <= self.radius + tol
 
+    def _l1_prox(self, t):
+        """For a ball centred at 0, KKT gives z = s / (1 + mu) with
+        s = soft_threshold(v, t) and mu = max(0, ||s|| / r - 1), which is
+        P_C(s); None for any other centre."""
+        return None if self.center.any() else lambda v: self._project(soft_threshold(v, t))
+
 
 @dataclass(frozen=True)
 class Halfspace(_BatchedMembership):
@@ -302,6 +350,7 @@ class Halfspace(_BatchedMembership):
     normal: np.ndarray
     offset: float
     kind: str = field(default="halfspace", init=False)
+    _full_span = True
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _frozen_array(self.normal))
@@ -322,6 +371,36 @@ class Halfspace(_BatchedMembership):
         P = as_points(P, self.dimension)
         return P @ self.normal <= self.offset + tol * max(1.0, norm(self.normal))
 
+    def _l1_prox(self, t):
+        """KKT gives z = soft_threshold(v - lam a, t) with lam >= 0 and
+        lam = 0 unless phi(lam) = a' soft_threshold(v - lam a, t) equals
+        beta.  phi is nonincreasing and linear between its breakpoints,
+        where |v_i - lam a_i| = t_i.  The first breakpoint with phi <= beta
+        closes the segment holding the root; on it the active coordinates S
+        and their signs s are fixed, so lam = (sum_S a_i (v_i - s_i t_i) -
+        beta) / sum_S a_i^2 exactly."""
+        a, beta = self.normal, self.offset
+        moving = a != 0.0
+        a_m, t_m = a[moving], t[moving]
+
+        def prox(v):
+            z = soft_threshold(v, t)
+            if a @ z <= beta:
+                return z
+            v_m = v[moving]
+            lam = np.concatenate(((v_m - t_m) / a_m, (v_m + t_m) / a_m))
+            lam = np.sort(lam[lam > 0.0])
+            below = soft_threshold(v - lam[:, None] * a, t) @ a <= beta
+            k = int(np.argmax(below)) if below.any() else lam.size
+            left = lam[k - 1] if k else 0.0
+            w = v - (0.5 * (left + lam[k]) if k < lam.size else left + 1.0) * a
+            active = np.abs(w) > t
+            s = np.sign(w[active])
+            root = (a[active] @ (v[active] - s * t[active]) - beta) / (a[active] @ a[active])
+            return soft_threshold(v - root * a, t)
+
+        return prox
+
 
 @dataclass(frozen=True)
 class Simplex(_BatchedMembership):
@@ -340,6 +419,10 @@ class Simplex(_BatchedMembership):
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         P = as_points(P, self.dimension)
         return np.all(P >= -tol, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol * self.dimension)
+
+    def _l1_prox(self, t):
+        """|z| = z on the simplex, so it is P_C(v - t)."""
+        return lambda v: self._project(v - t)
 
 
 @dataclass(frozen=True)
@@ -426,25 +509,10 @@ def sample_points(C: ConvexSet, n: int, seed: int) -> np.ndarray:
     """Deterministic sample of ``n`` points of ``C``: project(gaussian).
 
     Draws N(0, SAMPLE_SCALE^2 I) vectors with a seeded generator and
-    projects each onto ``C``.  Returns an (n, d) array.  The whole space and
-    boxes project the whole array at once, which gives the same bits as
-    projecting row by row; every other kind projects one row at a time
-    through the kind's projection kernel, so the sample carries exactly that
-    oracle's rounding.
+    projects them onto ``C`` with ``C._project_rows``, whose rows carry the
+    bits of the set's projection kernel.  Returns an (n, d) array.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    return _project_rows(C, rng.normal(0.0, SAMPLE_SCALE, size=(n, C.dimension)))
-
-
-def _project_rows(C: ConvexSet, P: np.ndarray) -> np.ndarray:
-    """The projection of every row of ``P``, a finite (n, d) float array,
-    unchecked: ``P`` itself over the whole space, one clamp of the whole
-    array over a box, and a row loop over the kind's kernel otherwise; each
-    row has the bits of ``C._project`` on it."""
-    if C.kind == "whole-space":
-        return P
-    if C.kind == "box":
-        return np.minimum(np.maximum(P, C.lo), C.hi)
-    return np.array([C._project(r) for r in P]).reshape(P.shape)
+    return C._project_rows(rng.normal(0.0, SAMPLE_SCALE, size=(n, C.dimension)))

@@ -52,7 +52,7 @@ from .bifunctions import (
     operator_bifunction,
     zero_bifunction,
 )
-from .hilbert import ConvexSet, WholeSpace, _project_rows, as_points, as_vector, sample_points
+from .hilbert import ConvexSet, WholeSpace, as_points, as_vector, sample_points
 from .resolvents import ResolventOracle, _smooth_part, partial_second, resolve, resolvent_map
 
 #: default membership tolerance for sampled operator membership
@@ -108,8 +108,8 @@ class IntervalImage:
 
 def _has_intervals(F: Bifunction) -> bool:
     """Whether the operator induced by F has an interval image: no generic
-    part and no rest f, over a box or the whole space."""
-    return F.induced is not None and not F.induced[3] and F.set.kind in ("box", "whole-space")
+    part and no rest f, over a set with ``_bounds`` (a box, the whole space)."""
+    return F.induced is not None and not F.induced[3] and F.set._bounds is not None
 
 
 def _interval_image(F: Bifunction, X: np.ndarray, tol: float = 1e-9):
@@ -118,12 +118,9 @@ def _interval_image(F: Bifunction, X: np.ndarray, tol: float = 1e-9):
     False at rows outside C, where the image is empty."""
     C = F.set
     A, b, l1, _ = F.induced
-    if C.kind == "whole-space":
-        ok, lo, hi = np.ones(X.shape[0], dtype=bool), np.zeros(X.shape), np.zeros(X.shape)
-    else:
-        ok = C.contains_batch(X, tol)
-        lo = np.where(X <= C.lo + tol, -np.inf, 0.0)
-        hi = np.where(X >= C.hi - tol, np.inf, 0.0)
+    ok = C.contains_batch(X, tol)
+    lo = np.where(X <= C._bounds[0] + tol, -np.inf, 0.0)
+    hi = np.where(X >= C._bounds[1] - tol, np.inf, 0.0)
     g = 0.0 if A is None else X @ A.T
     if b is not None:
         g = g + b
@@ -261,7 +258,7 @@ class MonotoneOperator:
         inside = C.contains(x, max(tol, 1e-8))
         if F.canonical.w is None and F.curvature is not None:
             # u in g(x) + N_C(x) exactly when P_C(x + u - g(x)) = x
-            moved = _project_rows(C, x + (U - _smooth_part(F)(x, x))) - x
+            moved = C._project_rows(x + (U - _smooth_part(F)(x, x))) - x
             return inside & (np.linalg.norm(moved, axis=1) <= tol)
         ok = np.zeros(U.shape[0], dtype=bool)
         if not inside:
@@ -378,7 +375,7 @@ def bifunction_from_operator(A: MonotoneOperator, C: ConvexSet) -> Bifunction:
     if A.dimension != C.dimension:
         raise ValueError("operator and set dimensions do not match")
 
-    if len(A.terms) == 1 and A.terms[0].set.kind == "whole-space":
+    if len(A.terms) == 1 and isinstance(A.terms[0].set, WholeSpace):
         M, c, l1, _ = A.terms[0].induced
         if l1 is None:
             return operator_bifunction(C, np.zeros((C.dimension,) * 2) if M is None else M, c)
@@ -520,17 +517,15 @@ def _axis_tables(F: Bifunction, grid: GridSpec):
     """(axes, tables) of the lower-envelope route: the grid axes restricted
     to C and, per axis i, the table of phi_i with sum_i phi_i(y_i) the
     canonical part phi of F (its constant k on the first axis).  None when
-    that route does not apply: a generic part, a rest function, a set that
-    is not a box or the whole space, or a Q that is not diagonal."""
-    C = F.set
-    terms = None if C.kind not in ("box", "whole-space") else _separable(F)
+    that route does not apply: a generic part, a rest function, a set
+    without ``_bounds`` (neither a box nor the whole space), or a non-diagonal Q."""
+    bounds = F.set._bounds
+    terms = None if bounds is None else _separable(F)
     if terms is None:
         return None
-    axes = grid.axes()
-    if C.kind == "box":
-        # the slack of contains_batch(pts, 1e-9), so the restricted tensor
-        # grid is the filtered grid, in the same row order
-        axes = [a[(a >= lo - 1e-9) & (a <= hi + 1e-9)] for a, lo, hi in zip(axes, C.lo, C.hi)]
+    # the slack of contains_batch(pts, 1e-9), so the restricted tensor grid
+    # is the filtered grid, in the same row order
+    axes = [a[(a >= lo - 1e-9) & (a <= hi + 1e-9)] for a, lo, hi in zip(grid.axes(), *bounds)]
     curvature, q, w, k = terms
     return axes, [
         0.5 * curvature[i] * a * a + q[i] * a + w[i] * np.abs(a) + (k if i == 0 else 0.0) for i, a in enumerate(axes)

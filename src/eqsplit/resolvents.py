@@ -15,16 +15,14 @@ has the same resolvent as the bifunction:
 
 * no rest f, A = 0 and no l1: z = P_C(x - gamma b), a pure projection after
   a constant shift;
-* no rest f, A = 0 and an l1 over the whole space, a box, a ball centred
-  at 0, the simplex or a halfspace: the prox of the weighted L1 plus the
-  indicator of C at x - gamma b, P_C(soft_threshold(x - gamma b, gamma w))
-  over the first three, P_C(x - gamma b - gamma w) over the simplex and a
-  soft threshold after an exact 1-D multiplier search over a halfspace;
-* no rest f and no l1 over a box: the box linear complementarity problem
-  (I + gamma A) z + gamma b - x in -N_box(z), solved exactly by block
-  principal pivoting;
-* no rest f and no l1 over the whole space: z = (I + gamma A)^{-1}
-  (x - gamma b);
+* no rest f, A = 0 and an l1 whose prox plus the indicator of C has a
+  closed form (the set's ``_l1_prox``: the whole space, a box, a ball
+  centred at 0, the simplex, a halfspace): that prox at x - gamma b;
+* no rest f and no l1 over finite ``_bounds`` (a box): the box linear
+  complementarity problem (I + gamma A) z + gamma b - x in -N_box(z),
+  solved exactly by block principal pivoting;
+* no rest f and no l1 over infinite ``_bounds`` (the whole space):
+  z = (I + gamma A)^{-1} (x - gamma b);
 * anything else: :func:`inner_solve`, one loop of forward-backward steps
   on the smooth part (A z + b, the rest gradients, and finite differences
   of the generic parts g) with the l1 prox above as the backward step,
@@ -75,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import Bifunction
-from .hilbert import ConvexSet, as_vector, norm
+from .hilbert import as_vector, norm, soft_threshold  # noqa: F401 (re-exported)
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
 CLOSED_FORM_LINEAR_SOLVE = "closed-form-linear-solve"
@@ -109,11 +107,6 @@ class ConvergenceFailure(RuntimeError):
 def _check_gamma(gamma) -> None:
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-
-
-def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Componentwise shrinkage sign(x) * max(|x| - t, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def _central_difference(batch_fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -181,8 +174,7 @@ def inner_solve(
     l1 the weights of F's ``WeightedL1`` parts.
 
     Each iteration takes w = prox_s(z - s T(z)), the prox of s gamma l1 plus
-    the indicator of C (closed form over the whole space, a box, a ball
-    centred at 0, the simplex and a halfspace; P_C without l1).  Then
+    the indicator of C (the set's ``_l1_prox``; P_C without l1).  Then
     e = (z - w) / s + T(w) - T(z) lies in T(w) + gamma d l1(w) + N_C(w),
     which is mu_T-strongly monotone, so ||w - J x|| <= ||e|| / mu_T, with
     mu_T = 1 + gamma mu from ``F.curvature`` and 1 (u monotone) without
@@ -220,8 +212,8 @@ def inner_solve(
             f"inner resolvent at gamma = {gamma}: {reason}", iterate=iterate, residual=residual, iterations=iterations
         )
 
-    if l1 is not None and _shrink_project(C, l1) is None:
-        raise failure(f"the weighted L1 part has no closed-form prox over a {C.kind} set", z, np.inf, 0)
+    if l1 is not None and C._l1_prox(l1) is None:
+        raise failure(f"the weighted L1 part has no closed-form prox over {type(C).__name__}", z, np.inf, 0)
     mu_t, sigma = 1.0, None
     if F.curvature is not None:
         mu, L, symmetric = F.curvature
@@ -241,7 +233,7 @@ def inner_solve(
         return t
 
     def prox(s):
-        return C._project if l1 is None else _shrink_project(C, s * gamma * l1)
+        return C._project if l1 is None else C._l1_prox(s * gamma * l1)
 
     s = 1.0 if sigma is None else sigma
     step = prox(s)
@@ -269,66 +261,6 @@ def inner_solve(
                 raise failure(f"the step fell below {_MIN_STEP:.0e} at iteration {k}", w, bound, k)
             step = prox(s)
     raise failure(f"did not certify {target:.1e} within {max_iter} iterations (bound {bound:.3e})", w, bound, max_iter)
-
-
-def _shrink_project(C: ConvexSet, t: np.ndarray) -> Callable[..., np.ndarray] | None:
-    """v -> argmin_z sum_i t_i |z_i| + ||z - v||^2 / 2 over C where it has
-    a closed form, else None.
-
-    Over the whole space it is s = soft_threshold(v, t), and P_C(s) over a
-    box (the objective separates) and a ball centred at 0, where KKT gives
-    z = s / (1 + mu) with mu = max(0, ||s|| / r - 1).  Over the simplex
-    |z| = z, so it is P_C(v - t).  Over a halfspace a'z <= beta it is
-    :func:`_halfspace_shrink`.  The whole-space and box maps are single
-    closures over local names and a kept zero vector, with the bits of
-    soft_threshold(v, t) and C._project(soft_threshold(v, t)).
-    """
-    sign, absolute, maximum, minimum, zero = np.sign, np.abs, np.maximum, np.minimum, np.zeros_like(t)
-    if C.kind == "whole-space":
-        return lambda v: sign(v) * maximum(absolute(v) - t, zero)
-    if C.kind == "box":
-        lo, hi = C.lo, C.hi
-        return lambda v: minimum(maximum(sign(v) * maximum(absolute(v) - t, zero), lo), hi)
-    if C.kind == "ball" and not C.center.any():
-        return lambda v: C._project(soft_threshold(v, t))
-    if C.kind == "simplex":
-        return lambda v: C._project(v - t)
-    if C.kind == "halfspace":
-        return _halfspace_shrink(C.normal, C.offset, t)
-    return None
-
-
-def _halfspace_shrink(a: np.ndarray, beta: float, t: np.ndarray) -> Callable[..., np.ndarray]:
-    """The L1 prox of :func:`_shrink_project` over {z : a'z <= beta}.
-
-    KKT gives z = soft_threshold(v - lam a, t) with lam >= 0 and lam = 0
-    unless phi(lam) = a' soft_threshold(v - lam a, t) equals beta.  phi is
-    nonincreasing and linear between its breakpoints, where
-    |v_i - lam a_i| = t_i.  The first breakpoint with phi <= beta closes
-    the segment holding the root; on it the active coordinates S and their
-    signs s are fixed, so lam = (sum_S a_i (v_i - s_i t_i) - beta)
-    / sum_S a_i^2 exactly.
-    """
-    moving = a != 0.0
-    a_m, t_m = a[moving], t[moving]
-
-    def prox(v):
-        z = soft_threshold(v, t)
-        if a @ z <= beta:
-            return z
-        v_m = v[moving]
-        lam = np.concatenate(((v_m - t_m) / a_m, (v_m + t_m) / a_m))
-        lam = np.sort(lam[lam > 0.0])
-        below = soft_threshold(v - lam[:, None] * a, t) @ a <= beta
-        k = int(np.argmax(below)) if below.any() else lam.size
-        left = lam[k - 1] if k else 0.0
-        w = v - (0.5 * (left + lam[k]) if k < lam.size else left + 1.0) * a
-        active = np.abs(w) > t
-        s = np.sign(w[active])
-        root = (a[active] @ (v[active] - s * t[active]) - beta) / (a[active] @ a[active])
-        return soft_threshold(v - root * a, t)
-
-    return prox
 
 
 def _invert(A: np.ndarray, gamma: float) -> np.ndarray:
@@ -583,9 +515,9 @@ class ResolventOracle:
     """Resolvent of ``gamma * bifunction``.
 
     The computation follows from the bifunction's induced operator and the
-    kind of its set (:func:`_build`), and ``method`` names it.  The route,
-    and with it all per-(bifunction, set, gamma) work such as inverting
-    I + gamma A, is built by the first oracle at a gamma and kept on the
+    closed forms its set offers (:func:`_build`), and ``method`` names it.
+    The route, and with it all per-(bifunction, set, gamma) work such as
+    inverting I + gamma A, is built by the first oracle at a gamma and kept on the
     bifunction for that gamma; later oracles reuse it, so building one is
     cheap.  No route draws a sample.  The oracle is immutable and its map
     is a function of x alone (up to the rounding noted at :func:`resolve`),
@@ -613,7 +545,8 @@ class ResolventOracle:
 
 def _build(oracle: ResolventOracle) -> tuple[str, Callable[..., np.ndarray]]:
     """(method, map x -> J x) from the induced operator
-    A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set kind.
+    A z + b + d l1(z) + sum_rest d f(z) + N_C(z) and the set's own closed
+    forms, its ``_l1_prox`` and ``_bounds``.
 
     The route is taken from the bifunction's one-entry memo when it was
     built at this gamma, and otherwise built and stored there, replacing
@@ -650,16 +583,18 @@ def _closed_form(F: Bifunction, gamma: float) -> tuple[str, Callable[..., np.nda
         shift = 0.0 if b is None else gamma * b
         if l1 is None:
             return CLOSED_FORM_PROJECTION, lambda x: C._project(x - shift)
-        prox = _shrink_project(C, gamma * l1)
+        prox = C._l1_prox(gamma * l1)
         if prox is None:
             return None
         if b is None or not b.any():
             return PROX_COMPOSITION, prox
         return PROX_COMPOSITION, lambda x: prox(x - shift)
-    if l1 is None and C.kind == "box":
-        return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, C.lo, C.hi)
-    if l1 is None and C.kind == "whole-space":
-        return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(A, b, gamma)
+    if l1 is None and C._bounds is not None:
+        finite = np.isfinite(np.concatenate(C._bounds))
+        if finite.all():
+            return CLOSED_FORM_LINEAR_SOLVE, _box_linear_resolvent(A, b, gamma, *C._bounds)
+        if not finite.any():
+            return CLOSED_FORM_LINEAR_SOLVE, _linear_resolvent(A, b, gamma)
     return None
 
 

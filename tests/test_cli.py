@@ -692,6 +692,38 @@ def test_spec_file_with_problem_is_a_spec_error(tmp_path, capsys, monkeypatch, e
     assert not list(tmp_path.glob("t*.csv"))
 
 
+@pytest.mark.parametrize(
+    "extra", [["missing.ini"], ["--problem", "nosuch"], ["--problem", "all"], ["--trace", "t.csv"]],
+    ids=["spec", "unknown-problem", "all", "trace"],
+)
+def test_list_problems_with_anything_else_is_a_spec_error(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--list-problems", *extra]) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("spec error: ")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("target", ["dir/", "dir", "new/"], ids=["separator", "directory", "new-separator"])
+def test_trace_naming_a_directory_is_a_spec_error_before_any_solve(tmp_path, capsys, monkeypatch, target):
+    from eqsplit import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    (tmp_path / "dir").mkdir()
+    trace = f"{tmp_path}/{target}"
+    for argv in (["--problem", "all"], ["--problem", "quadratic-1d"], [_write(tmp_path, QUADRATIC_SPEC)]):
+        assert main(argv + ["--trace", trace]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"spec error: --trace {trace!r} names a directory, not a file"]
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "problem.ini"]
+    assert not list((tmp_path / "dir").iterdir())
+
+
 @pytest.mark.parametrize("old", [b"\xff" * 65536, b"x"], ids=["64KiB", "1B"])
 def test_trace_written_over_an_old_file_has_the_bytes_of_a_new_one(tmp_path, old):
     spec = _write(tmp_path, problem_to_spec_text(get_problem("vi-over-box")))

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -18,16 +19,19 @@ from eqsplit.bifunctions import (
     sum_bifunctions,
     zero_bifunction,
 )
-from eqsplit.dr_solver import CONVERGED, INNER_FAILURE, MAX_ITER, SolverConfig, solve
+from eqsplit.dr_solver import CONVERGED, INNER_FAILURE, MAX_ITER, SolverConfig, equilibrium_gap, solve
 from eqsplit.hilbert import (
+    SAMPLE_SCALE,
     AffineSubspace,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     IntersectionSet,
     Simplex,
     WholeSpace,
     norm,
+    sample_points,
 )
 from eqsplit.operators import affine_operator, operator_from_bifunction
 from eqsplit.resolvents import (
@@ -1557,3 +1561,63 @@ def test_l1_without_a_closed_prox_fails_at_once():
     np.testing.assert_array_equal(err.value.iterate, C.project(x))
     with pytest.warns(UserWarning, match="inner resolvent failure"):
         assert solve(F, zero_bifunction(C), x).status == INNER_FAILURE
+
+
+@dataclass(frozen=True)
+class _RelabelledBox(Box):
+    """A box under another label: every closed form follows the class."""
+
+    kind: str = field(default="crate", init=False)
+
+
+def test_a_relabelled_box_keeps_every_closed_form():
+    d = 4
+    rng = np.random.default_rng(30)
+    lo, hi = -np.ones(d), np.ones(d)
+    M, c = _vi_matrix(rng, d)
+    w = rng.uniform(0.1, 1.0, size=d)
+    X = rng.normal(scale=2.0, size=(6, d))
+    outputs = []
+    for C in (Box(lo, hi), _RelabelledBox(lo, hi)):
+        linear, l1 = operator_bifunction(C, M, c), function_difference(C, WeightedL1(w))
+        assert ResolventOracle(1.0, linear).method == CLOSED_FORM_LINEAR_SOLVE, C.kind
+        assert ResolventOracle(1.0, l1).method == PROX_COMPOSITION, C.kind
+        report = check_admissibility(linear)
+        assert report.exact and report.passed, C.kind
+        gap = equilibrium_gap(linear, l1, C._project_rows(X))
+        assert gap is not None, C.kind
+        image = operator_from_bifunction(linear).evaluate_batch(C._project_rows(X))
+        maps = [resolve(ResolventOracle(1.0, F), x) for F in (linear, l1) for x in X]
+        outputs.append([gap, *image, *maps])
+    for ours, box in zip(*outputs):
+        assert ours.tobytes() == box.tobytes()
+
+
+class _Orthant(ConvexSet):
+    """The nonnegative orthant, given only what ConvexSet requires."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def _project(self, x):
+        return np.maximum(x, 0.0)
+
+
+def test_a_minimal_user_set_gets_every_default():
+    d = 3
+    rng = np.random.default_rng(31)
+    C = _Orthant(d)
+    M, c = _vi_matrix(rng, d)
+    F = operator_bifunction(C, M, c)
+    x = rng.normal(size=d)
+    oracle = ResolventOracle(1.0, F)
+    assert oracle.method == INNER_ITERATIVE
+    z = resolve(oracle, x)
+    assert norm(z - box_vi_projected(np.eye(d) + M, c - x, np.zeros(d), np.full(d, 1e6))) <= 1e-7
+    with pytest.raises(ConvergenceFailure, match="no closed-form prox over _Orthant") as err:
+        resolve(ResolventOracle(1.0, function_difference(C, WeightedL1(np.ones(d)))), x)
+    assert err.value.iterations == 0
+    report = check_admissibility(F, samples=10, seed=0)
+    assert not report.exact and report.samples == 10
+    draws = np.random.default_rng(5).normal(0.0, SAMPLE_SCALE, size=(7, d))
+    assert sample_points(C, 7, 5).tobytes() == np.array([C._project(r) for r in draws]).tobytes()
