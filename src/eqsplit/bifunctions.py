@@ -77,7 +77,9 @@ class Quadratic(ConvexFunction):
             raise ValueError("Q must be a square matrix")
         if not np.all(np.isfinite(Q)):
             raise ValueError(f"Q must be finite, got {Q!r}")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        # np.allclose(Q, Q.T, atol=1e-12) written out, the same test for a
+        # finite Q without np.isclose's handling of inf and nan
+        if not np.all(np.abs(Q - Q.T) <= 1e-12 + 1e-5 * np.abs(Q.T)):
             raise ValueError("Q must be symmetric")
         q = as_vector(self.q, Q.shape[0])
         eigs = np.linalg.eigvalsh(Q)

@@ -2,7 +2,24 @@
 
 The spec file is flat INI text with sections [space], [set], [F], [G],
 [solver], [init].  Vectors are whitespace-separated numbers, matrices use
-';' between rows.  Example::
+';' between rows.  The file is read in one pass, with the grammar of
+Python's ``configparser`` in its strict mode without interpolation:
+
+* ``[name]`` starts a section; the name runs to the last ``]`` of the
+  line, and text after it is ignored.  Options under ``[DEFAULT]`` are
+  seen in every section that does not set them itself.
+* ``key = value`` or ``key: value`` splits at the first ``=`` or ``:``;
+  keys are lower-cased, keys and values stripped.
+* A line whose first non-blank character is ``;`` or ``#`` is a comment.
+  Inside a line, ``;`` or ``#`` starts a comment only after whitespace:
+  ``matrix = 2 1; 1 2`` is a 2 x 2 matrix, while ``matrix = 2 1 ; 1 2``
+  reads as ``2 1``.
+* A line indented deeper than its option's line continues the value,
+  joined with a newline.
+* ``%`` is literal.
+
+A section or option given twice, an option before the first section
+header and a line with no ``=`` or ``:`` are spec errors.  Example::
 
     [space]
     dimension = 2
@@ -45,9 +62,9 @@ limit, 3 inner resolvent failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -200,33 +217,96 @@ def _build_bifunction(section, C: ConvexSet, label: str) -> Bifunction:
     raise SpecFileError(f"{where}: unknown bifunction family {family!r}")
 
 
+# a comment prefix that starts the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)[;#]")
+_DELIMITER = re.compile("[=:]")
+
+
+def _read_sections(text: str, path) -> dict[str, dict[str, str]]:
+    """The sections of spec ``text``, ``{name: {key: value}}``, read in one
+    pass by the grammar of the module docstring; ``[DEFAULT]`` is merged
+    into every other section.
+
+    This is what ``configparser.ConfigParser(inline_comment_prefixes=(";",
+    "#"), interpolation=None)`` reads, with one exception: before Python
+    3.13 that parser, given a line with both prefixes after whitespace, can
+    cut at a later one than the first.  ``SpecFileError`` names the line
+    that breaks the grammar.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    defaults: dict[str, list[str]] = {}
+    options = None  # the section being read
+    lines = None  # the value lines of the option being read
+    indent = 0  # the indent of the last header or option line
+
+    def malformed(why):
+        return SpecFileError(f"malformed spec file {path}: line {n}: {why}")
+
+    for n, line in enumerate(text.split("\n"), 1):
+        comment = _COMMENT.search(line) if ";" in line or "#" in line else None
+        content = (line[: comment.start()] if comment else line).strip()
+        if not content:
+            # a blank line is kept in a value, a comment line is not
+            if lines is not None and comment is None:
+                lines.append("")
+            continue
+        level = len(line) - len(line.lstrip())
+        if lines is not None and level > indent:
+            lines.append(content)
+            continue
+        indent = level
+        if content[0] == "[" and (end := content.rfind("]")) >= 2:
+            name = content[1:end]
+            if name == "DEFAULT":
+                options = defaults
+            elif name in sections:
+                raise malformed(f"section [{name}] appears twice")
+            else:
+                options = sections[name] = {}
+            lines = None
+            continue
+        if options is None:
+            raise malformed("an option before the first [section]")
+        delimiter = _DELIMITER.search(content)
+        if delimiter is None or delimiter.start() == 0:
+            raise malformed(f"expected 'key = value', got {content!r}")
+        key = content[: delimiter.start()].rstrip().lower()
+        if key in options:
+            raise malformed(f"option {key!r} appears twice")
+        lines = options[key] = [content[delimiter.end() :].strip()]
+
+    def joined(opts):
+        return {key: "\n".join(value).rstrip() for key, value in opts.items()}
+
+    shared = joined(defaults)
+    return {name: {**shared, **joined(opts)} for name, opts in sections.items()}
+
+
 def parse_problem_spec(path):
     """Parse and validate a spec file; returns (F, G, C, cfg, x0)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise SpecFileError(f"malformed spec file {path}: {exc}") from exc
+    spec = _read_sections(text, path)
 
     for name in REQUIRED_SECTIONS:
-        if name not in parser:
+        if name not in spec:
             raise SpecFileError(f"missing required section [{name}]")
 
     try:
-        dim = int(_get(parser["space"], "dimension", "[space]"))
+        dim = int(_get(spec["space"], "dimension", "[space]"))
     except ValueError as exc:
         raise SpecFileError(f"[space]: dimension must be an integer") from exc
     if dim < 1:
         raise SpecFileError("[space]: dimension must be >= 1")
 
-    C = _build_set(parser["set"], dim)
-    F = _build_bifunction(parser["F"], C, "F")
-    G = _build_bifunction(parser["G"], C, "G")
+    C = _build_set(spec["set"], dim)
+    F = _build_bifunction(spec["F"], C, "F")
+    G = _build_bifunction(spec["G"], C, "G")
 
-    sol = parser["solver"]
+    sol = spec["solver"]
     preset = sol.get("error_preset", "none").strip()
     if preset not in ERROR_PRESETS:
         raise SpecFileError(
@@ -257,7 +337,7 @@ def parse_problem_spec(path):
     except ValueError as exc:
         raise SpecFileError(f"[solver]: {exc}") from exc
 
-    x0 = _parse_vector(_get(parser["init"], "x0", "[init]"), dim, "[init] x0")
+    x0 = _parse_vector(_get(spec["init"], "x0", "[init]"), dim, "[init] x0")
     return F, G, C, cfg, x0
 
 

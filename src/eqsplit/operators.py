@@ -297,7 +297,8 @@ def normal_cone_operator(C: ConvexSet) -> MonotoneOperator:
     Its resolvent is the projection for every gamma, and its membership
     is exact for every set kind.
     """
-    return operator_from_bifunction(zero_bifunction(C), name=f"normal-cone[{C.kind}]")
+    kind = getattr(C, "kind", type(C).__name__)
+    return operator_from_bifunction(zero_bifunction(C), name=f"normal-cone[{kind}]")
 
 
 def subdifferential_operator(f: ConvexFunction, name: str = "") -> MonotoneOperator:

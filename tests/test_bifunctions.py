@@ -33,6 +33,43 @@ def test_quadratic_validation():
         Quadratic([[1.0, np.inf], [np.inf, 1.0]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("d", [1, 2, 20, 200])
+def test_quadratic_symmetry_verdict_is_allclose(d):
+    """Quadratic's symmetry check gives np.allclose(Q, Q.T, atol=1e-12)'s
+    verdict on entries just below, at and just above its tolerance."""
+
+    def accepted(Q):
+        try:
+            Quadratic(Q, np.zeros(d))
+        except ValueError as exc:
+            assert "symmetric" in str(exc)
+            return False
+        return True
+
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    base = A @ A.T / d + np.eye(d)
+    base[0, -1] = base[-1, 0] = 0.0  # the absolute tolerance alone, where d > 1
+    pairs = [(0, 0), (0, d - 1), (d - 1, 0), *zip(rng.integers(0, d, 3), rng.integers(0, d, 3))]
+    for i, j in pairs:
+        b = base[j, i]
+        away = 1.0 if b >= 0 else -1.0
+        tol = 1e-12 + 1e-5 * abs(b)
+        # moved away from zero the entry meets tol; moved toward zero, the
+        # tolerance of the mirrored entry, tol / (1 + 1e-5), binds first
+        for step, scale in ((away, 0.999), (away, 1.0), (away, 1.001), (-away, 1.0 / (1.0 + 1e-5))):
+            entry = b + step * scale * tol
+            verdicts = set()
+            for k in range(-3, 4):  # seven float steps around the threshold
+                Q = base.copy()
+                Q[i, j] = entry + k * np.spacing(entry)
+                verdict = accepted(Q)
+                assert verdict == np.allclose(Q, Q.T, atol=1e-12), (i, j, Q[i, j])
+                verdicts.add(verdict)
+            if i != j and scale == 1.0 and step == away:
+                assert verdicts == {True, False}, (i, j)
+
+
 def test_weighted_l1_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         WeightedL1([-1.0])

@@ -1,6 +1,10 @@
 """Spec file parsing, trace output, exit codes, and determinism."""
 
+import configparser
+import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from eqsplit.cli import (
     EXIT_MAX_ITER,
     EXIT_SPEC_ERROR,
     SpecFileError,
+    _read_sections,
     main,
     parse_problem_spec,
     problem_to_spec_text,
@@ -168,6 +173,16 @@ def test_missing_section_is_spec_error(tmp_path, capsys):
 def test_missing_file_is_spec_error(tmp_path, capsys):
     code = main([str(tmp_path / "absent.ini")])
     assert code == EXIT_SPEC_ERROR
+
+
+def test_percent_in_a_spec_value_is_a_spec_error(tmp_path, capsys):
+    # '%' is literal, so the value fails its number parse
+    spec = _write(tmp_path, QUADRATIC_SPEC.replace("gamma = 1.0", "gamma = 1%"))
+    assert main([spec]) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("spec error: [solver]") and "'1%'" in captured.err
 
 
 def test_byte_identical_traces(tmp_path):
@@ -991,3 +1006,125 @@ def test_spec_text_is_frozen():
     for inst in instances:
         head, x0 = FROZEN_SPECS[inst.name]
         assert problem_to_spec_text(inst) == head + _SPEC_TAIL.format(x0), inst.name
+
+
+# ---------------------------------------------------------------------------
+# the spec grammar, against configparser
+# ---------------------------------------------------------------------------
+
+
+def _configparser_sections(text):
+    """What configparser reads from ``text``, None when it refuses it."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def _our_sections(text):
+    try:
+        return _read_sections(text, "spec.ini")
+    except SpecFileError:
+        return None
+
+
+def _readme_spec():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+_HEADERS = ("space", "set", "F", "f", "G", "solver", "DEFAULT", "a;b", "x]y")
+_KEYS = ("dimension", "Kind", "lo", "MATRIX", "q_linear", "x0", "gamma")
+_VALUES = ("2", "0 0", "2 1; 1 2", "2 1;1 2", "a:b=c", "1%", "5%%", "x#y", "")
+# a line holds spaced comment prefixes of one kind only, since configparser
+# before Python 3.13 can cut a line with both at the wrong one (the last
+# case of test_the_spec_grammar)
+_COMMENTS = ("; note", "; a ; b", ";x;y#z", "# note", "# a # b", "#x#y;z")
+
+
+def _spec_line(rng):
+    """One line of a spec text, drawn from every rule of the grammar."""
+    indent = rng.choice(("", "", "", " ", "  ", "\t"))
+    comment = rng.choice(("",) * 6 + tuple(" " + c for c in _COMMENTS) + _COMMENTS)
+    kind = rng.choices(
+        ("header", "option", "continuation", "blank", "comment", "junk"),
+        weights=(3, 10, 3, 2, 2, 1),
+    )[0]
+    if kind == "header":
+        return indent + f"[{rng.choice(_HEADERS)}]" + rng.choice(("", " tail", "]", " ; c", "# c"))
+    if kind == "option":
+        delimiter = rng.choice(("=", " = ", ": ", " :", "="))
+        return indent + rng.choice(_KEYS) + delimiter + rng.choice(_VALUES) + comment
+    if kind == "continuation":
+        return "    " + rng.choice(_VALUES[:-1]) + comment
+    if kind == "blank":
+        return rng.choice(("", "   "))
+    if kind == "comment":
+        return indent + rng.choice(_COMMENTS)
+    return rng.choice(("novalue", "= 5", ": 5", "[]", "[open"))
+
+
+def _spec_texts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = [f"[{rng.choice(_HEADERS)}]"] if rng.random() < 0.9 else []
+        lines += [_spec_line(rng) for _ in range(rng.randint(1, 12))]
+        yield "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_the_corpus_and_readme_specs_read_as_configparser_reads_them():
+    texts = [problem_to_spec_text(inst) for inst in corpus()] + [_readme_spec()]
+    assert len(texts) == 7
+    for text in texts:
+        ours = _our_sections(text)
+        assert ours is not None and ours == _configparser_sections(text)
+    readme = _our_sections(texts[-1])
+    assert readme["set"]["kind"] == "box" and readme["F"]["matrix"] == "2 1; 1 2"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_spec_texts_read_as_configparser_reads_them(seed):
+    accepted = refused = 0
+    for text in _spec_texts(seed, 400):
+        ours = _our_sections(text)
+        assert ours == _configparser_sections(text), text
+        accepted += ours is not None
+        refused += ours is None
+    # the family reaches both outcomes
+    assert accepted >= 40 and refused >= 40
+
+
+@pytest.mark.parametrize(
+    "text, sections",
+    [
+        ("[F]\nmatrix = 2 1; 1 2", {"F": {"matrix": "2 1; 1 2"}}),
+        ("[F]\nmatrix = 2 1 ; 1 2", {"F": {"matrix": "2 1"}}),
+        ("[F] ignored\nKey: a = b:c", {"F": {"key": "a = b:c"}}),
+        ("[F]\nm = 1\n\n  # c\n  2 # c\n\n", {"F": {"m": "1\n\n2"}}),
+        ("[DEFAULT]\nk = 1\n[F]\nk = 2\n[G]\n[DEFAULT]\nj = 3", {"F": {"k": "2", "j": "3"}, "G": {"k": "1", "j": "3"}}),
+        ("[F]\ngamma = 1%", {"F": {"gamma": "1%"}}),
+        # configparser before Python 3.13 tries the two prefixes in turns and
+        # cuts this line at ' #', keeping '2 1;1 2 ; c', a third matrix row
+        ("[F]\nmatrix = 2 1;1 2 ; c # d", {"F": {"matrix": "2 1;1 2"}}),
+    ],
+)
+def test_the_spec_grammar(text, sections):
+    assert _read_sections(text, "spec.ini") == sections
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("[F]\n[G]\n[F]", "line 3: section [F] appears twice"),
+        ("[F]\nk = 1\nK = 2", "line 3: option 'k' appears twice"),
+        ("k = 1\n[F]", "line 1: an option before the first [section]"),
+        ("[F]\nk 1", "line 2: expected 'key = value'"),
+        ("[F]\n= 1", "line 2: expected 'key = value'"),
+    ],
+)
+def test_a_malformed_spec_names_its_line(tmp_path, text, why):
+    spec = _write(tmp_path, text)
+    with pytest.raises(SpecFileError, match=f"^malformed spec file {re.escape(spec)}: {re.escape(why)}"):
+        parse_problem_spec(spec)

@@ -19,6 +19,7 @@ from eqsplit.hilbert import (
     AffineSubspace,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     IntersectionSet,
     Simplex,
@@ -72,6 +73,32 @@ def test_normal_cone_image_box():
     assert corner.hi[0] == np.inf and corner.lo[0] == 0.0
     assert corner.lo[1] == -np.inf and corner.hi[1] == 0.0
     assert N.evaluate([2.0, 0.0]) is None
+
+
+class _Orthant(ConvexSet):
+    """The nonnegative orthant, given only what ConvexSet requires."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def _project(self, x):
+        return np.maximum(x, 0.0)
+
+
+def test_normal_cone_of_a_user_set_without_a_kind():
+    C = _Orthant(3)
+    N = normal_cone_operator(C)
+    assert N.name == "normal-cone[_Orthant]"
+    assert normal_cone_operator(Box([-1.0], [1.0])).name == "normal-cone[box]"
+    x = np.array([1.0, 0.0, 2.0])
+    # N_C(x) = {u : u_2 <= 0, u_1 = u_3 = 0} at this boundary point
+    assert list(N.member_batch(x, [[0.0, -3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])) == [
+        True, True, False, False,
+    ]
+    assert not N.member([-1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    z = np.random.default_rng(83).normal(size=3)
+    for gamma in (0.1, 1.0, 10.0):
+        np.testing.assert_array_equal(N.resolvent(gamma, z), np.maximum(z, 0.0))
 
 
 # ---------------------------------------------------------------------------
