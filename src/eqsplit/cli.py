@@ -166,9 +166,10 @@ def _build_set(section, dim: int) -> ConvexSet:
     if kind == "simplex":
         return Simplex(dim)
     if kind == "affine":
-        A = np.stack(
-            [_parse_vector(r, dim, "[set] A") for r in _get(section, "a", "[set]").split(";")]
-        )
+        rows = [r for r in _get(section, "a", "[set]").split(";") if r.strip()]
+        if not rows:
+            raise SpecFileError("[set] a: expected at least one row")
+        A = np.stack([_parse_vector(r, dim, "[set] A") for r in rows])
         b = _parse_vector(_get(section, "b", "[set]"), A.shape[0], "[set] b")
         return AffineSubspace(A, b)
     raise SpecFileError(f"[set]: unknown set kind {kind!r}")
@@ -424,10 +425,10 @@ def _write_trace(path, result: SolveResult, F: Bifunction, G: Bifunction, cfg: S
     with no sample; for a form it does not cover, one stacked
     :func:`equilibrium_certificate` call over one sample drawn for the
     file.  Either way ``# certificate`` has the bits of
-    ``result.certificate`` without reading it.  Step norms are computed
-    here, on the first read of ``trace.step``.  The text is written over
-    any old file by :func:`_write_over`; ``SpecFileError`` when it cannot
-    be written.
+    ``result.certificate`` without reading it.  The other columns are the
+    trace's own lists, written as recorded.  The text is written over any
+    old file by :func:`_write_over`; ``SpecFileError`` when it cannot be
+    written.
     """
     trace = result.trace
     rows = ["n,residual_dr,step,certificate"]

@@ -162,72 +162,35 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of the iterates and residuals.
+    """Per-iteration record of the iterates and residuals, one row per
+    recorded pass: every ``trace_every``-th pass and the last one.
 
     ``x`` and ``y`` hold the iterates themselves, not copies: each pass of
     the solver makes new arrays and never writes into old ones.  Copy an
     entry before changing it.
 
-    ``step`` holds ||x_{n+1} - x_n|| per row.  With ``trace_every`` 1 the
-    solver keeps x_{n+1} in place of the norm, the next row's ``x``, which
-    costs no memory, and the norms of such rows are computed the first time
-    ``step`` is read, all at once, with the bits of ``math.sqrt(v.dot(v))``.
-    A thinned row, a last row that ended the solve (0.0) and a row from
-    :meth:`record` carry their norm.
+    ``step`` holds lambda_n ||z_n - y_n||, the length of the update
+    x_{n+1} - x_n, from the difference the pass applied (with its injected
+    errors), not from subtracting consecutive iterates; a last row that
+    ended the solve reads 0.0.
     """
 
     n: list = field(default_factory=list)
     x: list = field(default_factory=list)
     y: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
-    # per row, the step norm, or the x_next whose norm is not computed yet
-    _step: list = field(default_factory=list, init=False, repr=False, compare=False)
+    step: list = field(default_factory=list)
 
     def record(self, n, x, y, residual, step):
-        """Append a row with its step norm ``step``."""
-        self._append(n, x, y, float(residual), float(step))
-
-    def _append(self, n, x, y, residual, step):
-        """:meth:`record` without conversions, for the solver's own rows:
-        ``residual`` is a float and ``step`` a float or x_{n+1}; the solver
-        appends its other rows (``trace_every`` 1) to the lists itself."""
+        """Append one row."""
         self.n.append(n)
         self.x.append(x)
         self.y.append(y)
-        self.residual_dr.append(residual)
-        self._step.append(step)
-
-    @property
-    def _pending(self) -> dict:
-        """Row index -> x_next, for the rows whose norm is not computed yet."""
-        return {r: s for r, s in enumerate(self._step) if isinstance(s, np.ndarray)}
-
-    @property
-    def step(self) -> list:
-        pending = self._pending
-        if pending:
-            norms = _step_norms([self.x[r] for r in pending], list(pending.values()))
-            for r, norm in zip(pending, norms):
-                self._step[r] = norm
-        return self._step
+        self.residual_dr.append(float(residual))
+        self.step.append(float(step))
 
     def __len__(self):
         return len(self.n)
-
-
-def _step_norms(x: list, x_next: list) -> list:
-    """[||x_next[r] - x[r]||] as floats, from stacked differences in row
-    blocks of at most ``_CERTIFICATE_BLOCK_ENTRIES`` entries.  Each norm is
-    one (1, d) x (d, 1) product of the stack, the dot product
-    ``math.sqrt(v.dot(v))`` takes, so it has that call's bits."""
-    if not x:
-        return []
-    rows = max(1, _CERTIFICATE_BLOCK_ENTRIES // x[0].size)
-    out = []
-    for i in range(0, len(x), rows):
-        V = np.subtract(x_next[i:i + rows], x[i:i + rows])
-        out += np.sqrt(np.matmul(V[:, None, :], V[:, :, None])).ravel().tolist()
-    return out
 
 
 @dataclass(frozen=True)
@@ -310,8 +273,8 @@ def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
     Injected errors move y by b_n and z by a_n, with z taken again at the
     reflection of the moved y; None means no error on that side.  With no
     b_n, y and its reflection are unmoved, so z is the clean z plus a_n and
-    J_F is not mapped again.  Returns (y, z, x + lam (z - y)); at lam 1,
-    x + (z - y), which has the same bits.
+    J_F is not mapped again.  Returns (y, z, x + lam d, d) with d = z - y
+    the applied difference; at lam 1, x + d, which has the same bits.
     """
     if b_n is not None:
         y = y + b_n
@@ -320,7 +283,7 @@ def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
     elif a_n is not None:
         z = z + a_n
         diff = z - y
-    return y, z, x + (diff if lam == 1.0 else lam * diff)
+    return y, z, x + (diff if lam == 1.0 else lam * diff), diff
 
 
 def _same_dimension(a, b) -> int:
@@ -345,7 +308,7 @@ def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=
     b_n = None if b_n is None else as_vector(b_n, x_n.size)
     y = JG._apply(x_n)
     z = JF._apply(2.0 * y - x_n)
-    return _relaxed_update(JF._apply, x_n, y, z, z - y, lam, a_n, b_n)
+    return _relaxed_update(JF._apply, x_n, y, z, z - y, lam, a_n, b_n)[:3]
 
 
 def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
@@ -379,13 +342,15 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     ``certify`` is the pair (F, G) whose certificate the result computes
     when it is first read, or None for a result with no certificate.
     Norms are taken inline as sqrt(v.dot(v)), the arithmetic of
-    :func:`~eqsplit.hilbert.norm`; with ``trace_every`` 1 a row's step
-    norm is left to the trace, which keeps x_next and takes it when read,
-    and the row goes straight into the trace's lists.  A constant lambda of
-    1 updates by x + (z - y), the bits of x + 1.0 (z - y) in one call.
+    :func:`~eqsplit.hilbert.norm`.  A recorded row's step is lambda h:
+    without injected errors h is the norm behind the residual 2 h, and
+    with them the norm of the difference the update applied, taken on
+    recorded rows only.  A constant lambda of 1 updates by x + (z - y),
+    the bits of x + 1.0 (z - y) in one call.
     """
     x = x0
     trace = IterationTrace()
+    record = trace.record
     a_sched = cfg.error_schedule_a
     b_sched = cfg.error_schedule_b
     errors = a_sched is not None or b_sched is not None
@@ -396,9 +361,6 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     tol, max_iter, every = cfg.residual_tol, cfg.max_iter, cfg.trace_every
     unit = lam_constant == 1.0
     sqrt, isfinite = math.sqrt, math.isfinite
-    lazy_step = every == 1
-    add_n, add_x, add_y, add_res = trace.n.append, trace.x.append, trace.y.append, trace.residual_dr.append
-    add_step = trace._step.append
     status = MAX_ITER
     n = 0
     y_clean = None
@@ -408,32 +370,24 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
             y_clean = jg(x)
             z_clean = jf(y_clean + y_clean - x)  # 2 y exactly, with no scalar to convert
             diff = z_clean - y_clean
-            res = 2.0 * sqrt(diff.dot(diff))
+            h = sqrt(diff.dot(diff))
+            res = 2.0 * h
             if not isfinite(res):
                 raise ValueError(f"non-finite resolvent values at iteration {n} (residual {res})")
-            if res <= tol:
-                status = CONVERGED
-                trace._append(n, x, y_clean, res, 0.0)
-                break
-            if n >= max_iter:
-                trace._append(n, x, y_clean, res, 0.0)
+            if res <= tol or n >= max_iter:
+                if res <= tol:
+                    status = CONVERGED
+                record(n, x, y_clean, res, 0.0)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             if errors:
                 a_n = _error_at(a_sched, n) if a_sched is not None else None
                 b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
-                y, _, x_next = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
+                y, _, x_next, diff = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             else:
                 y, x_next = y_clean, (x + diff if unit else x + lam * diff)
-            if lazy_step:
-                add_n(n)
-                add_x(x)
-                add_y(y)
-                add_res(res)
-                add_step(x_next)
-            elif n % every == 0:
-                step = x_next - x
-                trace._append(n, x, y, res, sqrt(step.dot(step)))
+            if n % every == 0:
+                record(n, x, y, res, lam * (sqrt(diff.dot(diff)) if errors else h))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:

@@ -318,8 +318,8 @@ class Ball(_BatchedMembership):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen_array(self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius!r}")
 
     @property
     def dimension(self) -> int:
@@ -356,6 +356,8 @@ class Halfspace(_BatchedMembership):
         object.__setattr__(self, "normal", _frozen_array(self.normal))
         if norm(self.normal) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"halfspace offset must be finite, got {self.offset!r}")
 
     @property
     def dimension(self) -> int:

@@ -486,6 +486,32 @@ def test_affine_spec_projects_onto_subspace(tmp_path, capsys):
     np.testing.assert_allclose(y, [0.5, 0.5], atol=1e-9)
 
 
+def test_affine_rows_with_a_trailing_semicolon(tmp_path, capsys):
+    # empty rows are dropped, as in a matrix
+    assert main([_write(tmp_path, AFFINE_SPEC)]) == EXIT_CONVERGED
+    plain = capsys.readouterr().out
+    assert main([_write(tmp_path, AFFINE_SPEC.replace("a = 1 1", "a = 1 1;"))]) == EXIT_CONVERGED
+    assert capsys.readouterr().out == plain
+    for text in ("a = ;", "a = ; ;"):
+        assert main([_write(tmp_path, AFFINE_SPEC.replace("a = 1 1", text))]) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == "spec error: [set] a: expected at least one row\n"
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("ball", "radius", "nan"), ("ball", "radius", "inf"), ("ball", "radius", "-inf"),
+    ("halfspace", "offset", "nan"), ("halfspace", "offset", "inf"), ("halfspace", "offset", "-inf"),
+])
+def test_non_finite_set_scalar_is_spec_error(tmp_path, capsys, kind, field, value):
+    text = BALL_SPEC.replace("radius = 1", f"radius = {value}")
+    if kind == "halfspace":
+        text = text.replace("kind = ball", "kind = halfspace").replace("center = 0 0", "normal = 1 0")
+        text = text.replace("radius =", "offset =")
+    assert main([_write(tmp_path, text)]) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"spec error: {kind} {field} must be "), captured.err
+    assert "y_star" not in captured.out
+
+
 def test_named_lambda_schedule(tmp_path, capsys):
     spec = _write(tmp_path, QUADRATIC_SPEC.replace("lambda = 1.0", "lambda = ramp"))
     assert main([spec]) == EXIT_CONVERGED

@@ -927,26 +927,38 @@ def test_config_accepts_a_numpy_integer_seed():
 
 
 # ---------------------------------------------------------------------------
-# step norms, derived from the kept iterates when first read
+# the step column: lambda_n ||z_n - y_n||, from the pass
 # ---------------------------------------------------------------------------
 
-def _assert_steps_of_consecutive_iterates(res, full, label):
-    """Each ``trace.step`` of ``res`` has the bits of math.sqrt(v @ v) for v
-    the difference of the row's iterate and the next one, which ``full``,
-    the same solve recording every row, holds; a last row that ended the
-    solve reads 0.0."""
+def _assert_steps_of_the_pass(res, full, F, G, cfg, label):
+    """Each ``trace.step`` of ``res``, a solve of (F, G) under ``cfg``, has
+    the bits of lambda_n sqrt(d @ d) for d = z - y of :func:`dr_step` at the
+    row's x with the pass's errors, and is within 4 eps (||x_n|| +
+    ||x_{n+1}||) of the distance to the next iterate, which ``full``, the
+    same solve recording every row, holds; a last row that ended the solve
+    reads 0.0."""
     import math
 
+    eps = np.finfo(float).eps
+    JF, JG = ResolventOracle(cfg.gamma, F), ResolventOracle(cfg.gamma, G)
+    a_sched, b_sched = cfg.error_schedule_a, cfg.error_schedule_b
     iterates = dict(zip(full.trace.n, full.trace.x))
     assert len(res.trace.step) == len(res.trace)
-    for n, step in zip(res.trace.n, res.trace.step):
+    for n, x, step in zip(res.trace.n, res.trace.x, res.trace.step):
+        assert x.tobytes() == iterates[n].tobytes(), (label, n)
         if n == res.iterations:
             assert res.status != INNER_FAILURE
-            expected = 0.0
-        else:
-            v = iterates[n + 1] - iterates[n]
-            expected = math.sqrt(v @ v)
-        assert _bits(step) == _bits(expected), (label, n)
+            assert _bits(step) == _bits(0.0), (label, n)
+            continue
+        lam = cfg.lambda_schedule(n) if callable(cfg.lambda_schedule) else cfg.lambda_schedule
+        a_n = None if a_sched is None else a_sched(n)
+        b_n = a_n if b_sched is a_sched else None if b_sched is None else b_sched(n)
+        y, z, _ = dr_step(x, JF, JG, lam, a_n=a_n, b_n=b_n)
+        d = z - y
+        assert _bits(step) == _bits(lam * math.sqrt(d @ d)), (label, n)
+        x_next = iterates[n + 1]
+        distance = math.sqrt((x_next - x) @ (x_next - x))
+        assert abs(step - distance) <= 4 * eps * (norm(x) + norm(x_next)), (label, n)
 
 
 _SCHEDULES = {
@@ -960,13 +972,15 @@ _SCHEDULES = {
 @pytest.mark.parametrize("errors", sorted(_SCHEDULES))
 @pytest.mark.parametrize("every", [1, 5])
 def test_trace_step_is_the_norm_of_consecutive_iterates(gamma, errors, every):
+    # the length of the update lambda_n (z_n - y_n), exact where the
+    # difference of consecutive iterates loses digits to |x_n|
     for inst in corpus():
         a, b = _SCHEDULES[errors](inst.set.dimension)
         cfg = SolverConfig(gamma=gamma, lambda_schedule=1.5, error_schedule_a=a, error_schedule_b=b,
                            max_iter=300, trace_every=every)
         res = solve(inst.F, inst.G, inst.default_x0, cfg)
         full = solve(inst.F, inst.G, inst.default_x0, replace(cfg, trace_every=1))
-        _assert_steps_of_consecutive_iterates(res, full, inst.name)
+        _assert_steps_of_the_pass(res, full, inst.F, inst.G, cfg, inst.name)
 
 
 @pytest.mark.parametrize("every", [1, 5])
@@ -977,7 +991,7 @@ def test_trace_step_bits_at_every_ending_and_dimension(every):
     res = solve(inst.F, inst.G, inst.default_x0, cfg)
     assert res.status == MAX_ITER
     full = solve(inst.F, inst.G, inst.default_x0, replace(cfg, trace_every=1))
-    _assert_steps_of_consecutive_iterates(res, full, "max_iter")
+    _assert_steps_of_the_pass(res, full, inst.F, inst.G, cfg, "max_iter")
     # inner_failure, in J_F after 11 passes, with injected errors
     from eqsplit import dr_solver
     from eqsplit.resolvents import ConvergenceFailure
@@ -1007,7 +1021,7 @@ def test_trace_step_bits_at_every_ending_and_dimension(every):
             res = solve(F, G, x0, cfg)
     assert res.status == INNER_FAILURE and 0 < len(res.trace) <= res.iterations
     assert res.x_star.tobytes() == full.trace.x[res.iterations].tobytes()
-    _assert_steps_of_consecutive_iterates(res, full, "inner_failure")
+    _assert_steps_of_the_pass(res, full, F, G, cfg, "inner_failure")
     # d = 20 and d = 200, with a relaxation schedule and errors
     for d in (20, 200):
         F, G, x0 = _skew_saddle(d)
@@ -1017,49 +1031,26 @@ def test_trace_step_bits_at_every_ending_and_dimension(every):
                                max_iter=400, trace_every=every)
             res = solve(F, G, x0, cfg)
             full = solve(F, G, x0, replace(cfg, trace_every=1))
-            _assert_steps_of_consecutive_iterates(res, full, f"d={d} lambda={lam}")
+            _assert_steps_of_the_pass(res, full, F, G, cfg, f"d={d} lambda={lam}")
 
 
-def test_an_unread_step_column_computes_no_norm(monkeypatch):
-    from eqsplit import dr_solver
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("step norms computed")
-
-    monkeypatch.setattr(dr_solver, "_step_norms", refuse)
+def test_thinned_trace_rows_are_rows_of_the_full_trace():
     F, G, x0 = _skew_saddle(20)
-    for errors in (None, geometric_errors(20)):
-        res = solve(F, G, x0, SolverConfig(error_schedule_a=errors, error_schedule_b=errors))
-        assert res.status == CONVERGED and len(res.trace) == res.iterations + 1
-        assert res.trace.residual_dr[-1] <= 1e-8
-        # the read is what computes them
-        with pytest.raises(AssertionError, match="step norms computed"):
-            res.trace.step
-
-
-def test_trace_step_reads_rows_recorded_either_way():
-    import math
-
-    F, G, x0 = _skew_saddle(5)
-    trace = solve(F, G, x0).trace
-    full = solve(F, G, x0).trace
-    # the solver's rows keep x_{n+1} until the column is read; rows from
-    # record carry their norm, and the column reads both kinds
-    assert len(trace._pending) == len(trace) - 1
-    x, y = trace.x[-1], trace.y[-1]
-    trace.record(trace.n[-1] + 1, x, y, 0.0, 0.75)
-    trace.record(trace.n[-1] + 1, x, y, np.float64(0.0), np.sqrt(np.float64(5.0)))
-    assert trace.step == full.step + [0.75, math.sqrt(5.0)]
-    assert all(type(v) is float for v in trace.step[-2:] + trace.residual_dr[-2:])
-    assert len(trace) == len(full) + 2
-
-
-def test_thinned_trace_rows_keep_no_later_iterate():
-    F, G, x0 = _skew_saddle(20)
-    res = solve(F, G, x0, SolverConfig(trace_every=5))
-    assert res.status == CONVERGED and not res.trace._pending
-    dense = solve(F, G, x0)
-    assert len(dense.trace._pending) == res.iterations
+    for every in (3, 5, 1000):
+        for lam, errors in ((1.0, None), (1.5, None), ("ramp", geometric_errors(20))):
+            cfg = SolverConfig(lambda_schedule=ramp_relaxation() if lam == "ramp" else lam,
+                               error_schedule_a=errors, error_schedule_b=errors, trace_every=every)
+            thinned = solve(F, G, x0, cfg)
+            full = solve(F, G, x0, replace(cfg, trace_every=1)).trace
+            assert thinned.status == CONVERGED, (every, lam)
+            kept = [r for r, n in enumerate(full.n) if n % every == 0 or r == len(full) - 1]
+            assert thinned.trace.n == [full.n[r] for r in kept]
+            for name in ("x", "y"):
+                got, expected = getattr(thinned.trace, name), getattr(full, name)
+                assert [v.tobytes() for v in got] == [expected[r].tobytes() for r in kept], name
+            for name in ("residual_dr", "step"):
+                got, expected = getattr(thinned.trace, name), getattr(full, name)
+                assert [_bits(v) for v in got] == [_bits(expected[r]) for r in kept], name
 
 
 def _box_l1_vi(d):
@@ -1121,9 +1112,11 @@ def test_relaxed_update_at_unit_lambda_has_the_bits_of_lambda_times_diff(d):
     a, b = 1e-3 * rng.normal(size=(2, d))
     for lam in (1.0, 1.5):
         for a_n, b_n in ((None, None), (a, None), (None, b), (a, b)):
-            got = _relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
+            *got, diff = _relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
             expected = _previous_relaxed_update(jf, x, y, z, z - y, lam, a_n, b_n)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+            # the applied difference it returns is z - y of the moved pair
+            assert diff.tobytes() == (expected[1] - expected[0]).tobytes()
         # from the clean z, an error on F alone gives the values of the
         # update that mapped F again at y + 0.0; only the sign of a zero
         # may differ
@@ -1131,5 +1124,5 @@ def test_relaxed_update_at_unit_lambda_has_the_bits_of_lambda_times_diff(d):
         got = _relaxed_update(jf, x, y, clean, clean - y, lam, a, None)
         moved = y + 0.0
         again = jf(2.0 * moved - x) + a
-        for v, e in zip(got, (moved, again, x + lam * (again - moved))):
+        for v, e in zip(got, (moved, again, x + lam * (again - moved), again - moved), strict=True):
             np.testing.assert_array_equal(v, e)

@@ -62,6 +62,21 @@ def test_box_empty_raises_at_construction():
         Box([1.0], [0.0])
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_ball_needs_a_finite_positive_radius(radius):
+    # a NaN radius used to build a ball that projected to NaN, and an
+    # infinite one a ball that was the whole space
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        Ball(np.zeros(2), radius)
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_halfspace_needs_a_finite_offset(offset):
+    # -inf is the empty set and +inf the whole space; NaN projected to NaN
+    with pytest.raises(ValueError, match="halfspace offset must be finite"):
+        Halfspace([1.0, 0.0], offset)
+
+
 def test_project_simplex_examples():
     np.testing.assert_allclose(project_simplex([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(project_simplex([0.5, 0.5]), [0.5, 0.5], atol=1e-15)
