@@ -64,8 +64,8 @@ def test_box_empty_raises_at_construction():
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_ball_needs_a_finite_positive_radius(radius):
-    # a NaN radius used to build a ball that projected to NaN, and an
-    # infinite one a ball that was the whole space
+    # a NaN radius would project to NaN, and an infinite one would make
+    # the ball the whole space
     with pytest.raises(ValueError, match="ball radius must be positive and finite"):
         Ball(np.zeros(2), radius)
 
