@@ -19,7 +19,9 @@ solves the inclusion 0 in A x + B x; both entry points share the iteration
 core, so the two forms generate identical float sequences when the
 operators are the ones induced by the bifunctions.  The relaxed update
 with injected errors is written once (:func:`_relaxed_update`); a pass
-without errors takes x + lambda (z - y) inline.  :func:`dr_step` is one
+without errors takes x + lambda (z - y) inline, and so, in effect, does
+a pass whose error on y is lost to rounding: J_F is mapped again only
+when y + b_n differs from y in its bytes.  :func:`dr_step` is one
 pass of the core and :func:`residual_dr` its error-free half.  With
 mu_n = lambda_n / 2 the update is the averaged (Krasnosel'skii-Mann)
 iteration of the composed reflections R_F R_G (Eckstein & Bertsekas,
@@ -65,6 +67,11 @@ CERTIFICATE_SAMPLES = 256
 _CERTIFICATE_BLOCK_ENTRIES = 8192
 
 _LAMBDA_MSG = "relaxation parameter must lie in the open interval (0, 2), got {}"
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _lambda_at(schedule, n: int) -> float:
@@ -154,16 +161,18 @@ class SolverConfig:
             _lambda_at(self.lambda_schedule, 0)
         for name in ("max_iter", "trace_every"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
 class IterationTrace:
     """Per-iteration record of the iterates and residuals, one row per
-    recorded pass: every ``trace_every``-th pass and the last one.
+    recorded pass: every ``trace_every``-th pass and the last one.  The
+    solver appends each row to the five lists itself; ``residual_dr`` and
+    ``step`` hold Python floats.
 
     ``x`` and ``y`` hold the iterates themselves, not copies: each pass of
     the solver makes new arrays and never writes into old ones.  Copy an
@@ -180,14 +189,6 @@ class IterationTrace:
     y: list = field(default_factory=list)
     residual_dr: list = field(default_factory=list)
     step: list = field(default_factory=list)
-
-    def record(self, n, x, y, residual, step):
-        """Append one row."""
-        self.n.append(n)
-        self.x.append(x)
-        self.y.append(y)
-        self.residual_dr.append(float(residual))
-        self.step.append(float(step))
 
     def __len__(self):
         return len(self.n)
@@ -271,16 +272,22 @@ def _relaxed_update(jf, x, y, z, diff, lam, a_n, b_n):
     and its difference diff = z - y.
 
     Injected errors move y by b_n and z by a_n, with z taken again at the
-    reflection of the moved y; None means no error on that side.  With no
-    b_n, y and its reflection are unmoved, so z is the clean z plus a_n and
-    J_F is not mapped again.  Returns (y, z, x + lam d, d) with d = z - y
+    reflection of the moved y; None means no error on that side.  When
+    there is no b_n, or y + b_n has the bytes of y (the error is lost to
+    rounding, as a summable error is once it falls below the spacing of
+    the floats around y), y and its reflection are unmoved, so z is the
+    clean z plus a_n and J_F is not mapped again: the bytes of mapping it
+    again at the same point.  Returns (y, z, x + lam d, d) with d = z - y
     the applied difference; at lam 1, x + d, which has the same bits.
     """
     if b_n is not None:
-        y = y + b_n
-        z = jf(y + y - x) + (a_n if a_n is not None else 0.0)
-        diff = z - y
-    elif a_n is not None:
+        moved = y + b_n
+        if moved.tobytes() != y.tobytes():
+            y = moved
+            z = jf(y + y - x)
+            if a_n is None:
+                diff = z - y
+    if a_n is not None:
         z = z + a_n
         diff = z - y
     return y, z, x + (diff if lam == 1.0 else lam * diff), diff
@@ -323,11 +330,14 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
     return 2.0 * norm(z - y)
 
 
-def _error_at(schedule, n: int) -> np.ndarray:
+def _error_at(schedule, n: int, dim: int) -> np.ndarray:
     """The error ``schedule`` injects at step n, checked before it reaches a
-    resolvent: it must be a vector (or a scalar) of finite norm."""
+    resolvent: it must be a vector of shape (dim,) and finite norm, as
+    :func:`dr_step` requires of its errors; a scalar is not broadcast."""
     e = np.asarray(schedule(n), dtype=float)
-    if e.ndim > 1 or not math.isfinite(e.dot(e)):
+    if e.shape != (dim,):
+        raise ValueError(f"error schedule at iteration {n} must give a vector of shape ({dim},), got shape {e.shape}")
+    if not math.isfinite(e.dot(e)):
         raise ValueError(f"error schedule at iteration {n} must give a finite vector, got {e!r}")
     return e
 
@@ -338,7 +348,8 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     ``jf``/``jg`` are unchecked resolvent maps of the scaled operators and
     ``x0`` a validated vector of their dimension.  Nothing is validated per
     pass beyond the finiteness of the residual (which covers y and z) and
-    of each injected error, and the trace keeps each pass's fresh arrays.
+    the shape and finiteness of each injected error, and the trace keeps
+    each pass's fresh arrays, appended through the lists' bound methods.
     ``certify`` is the pair (F, G) whose certificate the result computes
     when it is first read, or None for a result with no certificate.
     Norms are taken inline as sqrt(v.dot(v)), the arithmetic of
@@ -350,7 +361,9 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
     """
     x = x0
     trace = IterationTrace()
-    record = trace.record
+    add_n, add_x, add_y = trace.n.append, trace.x.append, trace.y.append
+    add_residual, add_step = trace.residual_dr.append, trace.step.append
+    dim = x0.size
     a_sched = cfg.error_schedule_a
     b_sched = cfg.error_schedule_b
     errors = a_sched is not None or b_sched is not None
@@ -377,17 +390,25 @@ def _run_dr(jf, jg, x0: np.ndarray, cfg: SolverConfig, certify=None) -> SolveRes
             if res <= tol or n >= max_iter:
                 if res <= tol:
                     status = CONVERGED
-                record(n, x, y_clean, res, 0.0)
+                add_n(n)
+                add_x(x)
+                add_y(y_clean)
+                add_residual(res)
+                add_step(0.0)
                 break
             lam = lam_constant if lam_constant is not None else _lambda_at(lam_schedule, n)
             if errors:
-                a_n = _error_at(a_sched, n) if a_sched is not None else None
-                b_n = a_n if shared else _error_at(b_sched, n) if b_sched is not None else None
+                a_n = _error_at(a_sched, n, dim) if a_sched is not None else None
+                b_n = a_n if shared else _error_at(b_sched, n, dim) if b_sched is not None else None
                 y, _, x_next, diff = _relaxed_update(jf, x, y_clean, z_clean, diff, lam, a_n, b_n)
             else:
                 y, x_next = y_clean, (x + diff if unit else x + lam * diff)
             if n % every == 0:
-                record(n, x, y, res, lam * (sqrt(diff.dot(diff)) if errors else h))
+                add_n(n)
+                add_x(x)
+                add_y(y)
+                add_residual(res)
+                add_step(lam * (sqrt(diff.dot(diff)) if errors else h))
             x = x_next
             n += 1
     except ConvergenceFailure as failure:

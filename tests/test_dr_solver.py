@@ -466,6 +466,25 @@ def test_nan_error_schedule_raises_value_error(kind):
                 solve(F, G, [0.3, 0.3, 0.4], cfg)
 
 
+@pytest.mark.parametrize("error", [np.zeros(3), 0.0, np.zeros(1)], ids=["length-3", "scalar", "length-1"])
+def test_solve_and_dr_step_reject_an_error_of_the_wrong_shape(error):
+    # at d = 2 only a (2,) vector is an error: solve names the iteration and
+    # the shape instead of broadcasting a scalar or a length-1 vector
+    inst = get_problem("skew-saddle")
+    JF, JG = ResolventOracle(1.0, inst.F), ResolventOracle(1.0, inst.G)
+    for side in ("a_n", "b_n"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dr_step(inst.default_x0, JF, JG, 1.0, **{side: error})
+
+    def schedule(n):
+        return error if n == 2 else np.zeros(2)
+
+    for sides in (("error_schedule_a",), ("error_schedule_b",), ("error_schedule_a", "error_schedule_b")):
+        cfg = SolverConfig(residual_tol=1e-300, max_iter=50, **{side: schedule for side in sides})
+        with pytest.raises(ValueError, match=r"iteration 2 must give a vector of shape \(2,\), got shape"):
+            solve(inst.F, inst.G, inst.default_x0, cfg)
+
+
 def test_nan_from_a_generic_oracle_raises_value_error():
     C = Box(-np.ones(2), np.ones(2))
     F = generic_bifunction(C, lambda x, y: np.nan, lambda x, Y: np.full(len(Y), np.nan))
@@ -834,7 +853,8 @@ def test_the_none_error_preset_is_the_error_free_pass(monkeypatch):
 def test_an_error_on_f_alone_maps_f_once_per_pass(monkeypatch):
     # with no error on the G side, y and its reflection are the clean
     # pass's, so z is the clean z plus a_n; the reference injects a zero
-    # error on the G side, which maps F again at the same point
+    # error on the G side, which rounds away on every pass of this solve
+    # (no y entry is -0.0), so it maps F once per pass as well
     from eqsplit import dr_solver
 
     calls = []
@@ -854,7 +874,7 @@ def test_an_error_on_f_alone_maps_f_once_per_pass(monkeypatch):
     calls.clear()
     both = SolverConfig(error_schedule_a=geometric_errors(d), error_schedule_b=zero_errors(d))
     expected = solve(inst.F, inst.G, inst.default_x0, both)
-    assert len(calls) == 2 * expected.iterations + 1
+    assert len(calls) == expected.iterations + 1
     # only the sign of a zero may differ
     assert got.iterations == expected.iterations
     np.testing.assert_array_equal(got.y_star, expected.y_star)
@@ -912,7 +932,8 @@ def test_a_shared_schedule_is_called_once_per_iteration():
 @pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None},
                                  {"gamma": np.nan}, {"gamma": np.inf},
                                  {"residual_tol": np.nan}, {"residual_tol": np.inf},
-                                 {"max_iter": 2.5}, {"trace_every": 1.5}])
+                                 {"max_iter": 2.5}, {"trace_every": 1.5},
+                                 {"max_iter": True}, {"trace_every": True}, {"seed": True}, {"seed": False}])
 def test_config_rejects_a_bad_setting(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SolverConfig(**bad)
@@ -1126,3 +1147,54 @@ def test_relaxed_update_at_unit_lambda_has_the_bits_of_lambda_times_diff(d):
         again = jf(2.0 * moved - x) + a
         for v, e in zip(got, (moved, again, x + lam * (again - moved), again - moved), strict=True):
             np.testing.assert_array_equal(v, e)
+
+
+def _maps_again(jf, x, y, lam, a_n, b_n):
+    # the update that maps F again at the moved y, whatever b_n did to it
+    y = y + b_n
+    z = jf(y + y - x)
+    if a_n is not None:
+        z = z + a_n
+    return y, z, x + lam * (z - y)
+
+
+@pytest.mark.parametrize("case, moves", [("tiny", False), ("zero", False), ("zero on -0.0", True), ("small", True)])
+def test_f_is_mapped_again_only_when_the_error_moves_y(case, moves):
+    # an error lost to rounding (y + b_n has the bytes of y) leaves y and
+    # its reflection as they were, so F is not mapped again and the update
+    # has the bytes of the one that maps again; +0.0 on a -0.0 entry
+    # changes the bytes of y, so it maps again
+    from types import SimpleNamespace
+
+    from eqsplit.dr_solver import _relaxed_update
+
+    d = 6
+    rng = np.random.default_rng(33)
+    K = rng.normal(size=(d, d))
+    calls = []
+
+    def jf(v):
+        calls.append(None)
+        return K.dot(v)
+
+    x = rng.normal(size=d)
+    y = rng.choice([-1.0, 1.0], size=d) * rng.uniform(1.0, 2.0, size=d)
+    if case == "zero on -0.0":
+        y[2] = -0.0
+    b = {"tiny": np.full(d, 1e-300), "small": 1e-3 * rng.normal(size=d)}.get(case, zero_errors(d)(0))
+    JF = SimpleNamespace(dimension=d, _apply=jf)
+    JG = SimpleNamespace(dimension=d, _apply=lambda v: y)
+    for lam in (1.0, 1.5):
+        for a_n in (None, 1e-3 * rng.normal(size=d)):
+            expected = _maps_again(jf, x, y, lam, a_n, b)
+            expected_bytes = [v.tobytes() for v in expected]
+            calls.clear()
+            z = jf(y + y - x)
+            *got, diff = _relaxed_update(jf, x, y, z, z - y, lam, a_n, b)
+            assert len(calls) == 1 + moves
+            assert [v.tobytes() for v in got] == expected_bytes
+            assert diff.tobytes() == (expected[1] - expected[0]).tobytes()
+            calls.clear()
+            stepped = dr_step(x, JF, JG, lam, a_n, b)
+            assert len(calls) == 1 + moves
+            assert [v.tobytes() for v in stepped] == expected_bytes

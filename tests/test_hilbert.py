@@ -17,6 +17,7 @@ from eqsplit.hilbert import (
     project_box,
     project_simplex,
     sample_points,
+    soft_threshold,
 )
 
 from oracles import sample_ball, sample_box, sample_simplex, simplex_projection_grid
@@ -303,3 +304,23 @@ def test_axis_minimizers_of_the_whole_space_need_positive_curvature():
     # the sets with no per-axis closed form say so
     for S in (Ball(np.zeros(3), 1.0), Halfspace(np.ones(3), 1.0), Simplex(3)):
         assert S._axis_min(a, b, w) is None
+
+
+def test_shrinkage_on_edge_inputs_has_the_values_of_the_sign_form():
+    # x minus x clipped to [-t, t] against sign(x) * max(|x| - t, 0), by
+    # value, on +-0.0, +-t exactly, +-inf and NaN, with t = 0 among the
+    # thresholds; a centred ball projects the same shrinkage
+    entries = []
+    for t in (0.0, 0.5, 2.0):
+        entries += [(x, t) for x in (0.0, -0.0, t, -t, np.inf, -np.inf, np.nan, 0.3, -0.3, 3.0, -3.0)]
+    x_all, t = np.array(entries).T
+    finite = np.isfinite(x_all)
+    d = t.size
+    lo, hi = np.full(d, -1.0), np.full(d, 1.0)
+    box, ball = Box(lo, hi), Ball(np.zeros(d), 1.0)
+    for x in (x_all, np.where(finite, x_all, 1.0)):
+        sign_form = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        np.testing.assert_array_equal(soft_threshold(x, t), sign_form)
+        np.testing.assert_array_equal(WholeSpace(d)._l1_prox(t)(x), sign_form)
+        np.testing.assert_array_equal(box._l1_prox(t)(x), np.minimum(np.maximum(sign_form, lo), hi))
+        np.testing.assert_array_equal(ball._l1_prox(t)(x), ball._project(sign_form))

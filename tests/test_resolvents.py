@@ -1026,12 +1026,22 @@ def _box_pattern_reference(A, b, lo, hi, z):
     return np.where(free, L @ b + m, m)
 
 
+def _assert_shrinkage_bits(got, expected):
+    """``got`` equals ``expected`` in value, has its bits on every nonzero
+    entry, and is +0.0 in every zero entry."""
+    np.testing.assert_array_equal(got, expected)
+    nonzero = expected != 0.0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+    assert not np.signbit(got[~nonzero]).any()
+
+
 @pytest.mark.parametrize("d", [2, 20, 200])
 def test_lean_kept_maps_have_the_bits_of_their_previous_expressions(d, monkeypatch):
-    # the kept maps take ndarray.dot, single closures and a kept zero
-    # vector; each output must have, byte for byte, the bits of the
-    # expression it replaced, also on +-0.0 entries, entries exactly on a
-    # bound or a threshold, and over a box with pinned sides
+    # the kept maps take ndarray.dot and single closures; each output must
+    # have, byte for byte, the bits of the expression it replaced, also on
+    # +-0.0 entries, entries exactly on a bound or a threshold, and over a
+    # box with pinned sides; the shrinkage maps, x minus x clipped to
+    # [-t, t], differ only in giving +0.0 where sign(x) * 0 was -0.0
     M, c, rng = _box_vi(d, 500 + d)
     w = rng.uniform(0.5, 2.0, size=d)
     lo, hi = -np.ones(d), np.ones(d)
@@ -1047,8 +1057,8 @@ def test_lean_kept_maps_have_the_bits_of_their_previous_expressions(d, monkeypat
         for x in xs:
             assert linear(x).tobytes() == (K @ (x - gamma * c)).tobytes()
             soft = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-            assert shrink(x).tobytes() == soft.tobytes()
-            assert box_shrink(x).tobytes() == C._project(soft).tobytes()
+            _assert_shrinkage_bits(shrink(x), soft)
+            _assert_shrinkage_bits(box_shrink(x), C._project(soft))
         # box pivoting: the first call at each x may pivot, the second
         # forms the pattern's bound rows, and the third holds it, with no
         # pivoting pass (each pass counts its infeasible coordinates)
