@@ -468,8 +468,9 @@ def test_nan_error_schedule_raises_value_error(kind):
 
 @pytest.mark.parametrize("error", [np.zeros(3), 0.0, np.zeros(1)], ids=["length-3", "scalar", "length-1"])
 def test_solve_and_dr_step_reject_an_error_of_the_wrong_shape(error):
-    # at d = 2 only a (2,) vector is an error: solve names the iteration and
-    # the shape instead of broadcasting a scalar or a length-1 vector
+    # at d = 2 an injected error must be a (2,) vector: solve names the
+    # iteration and the shape instead of broadcasting a scalar or a
+    # length-1 vector, and dr_step calls it a dimension mismatch
     inst = get_problem("skew-saddle")
     JF, JG = ResolventOracle(1.0, inst.F), ResolventOracle(1.0, inst.G)
     for side in ("a_n", "b_n"):
