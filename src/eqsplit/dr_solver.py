@@ -74,11 +74,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy bool, which ``float`` and ``math`` read as 0 or 1."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _lambda_at(schedule, n: int) -> float:
     lam = float(schedule(n)) if callable(schedule) else float(schedule)
     if not 0.0 < lam < 2.0:
         raise ValueError(_LAMBDA_MSG.format(lam))
     return lam
+
+
+def _first_lambda(schedule) -> float:
+    """lambda_0 of a constant or callable schedule; a bool constant is
+    rejected, not read as 1."""
+    if _is_bool(schedule):
+        raise ValueError(_LAMBDA_MSG.format(f"the bool {schedule!r}"))
+    return _lambda_at(schedule, 0)
 
 
 def zero_errors(dim: int) -> Callable[[int], np.ndarray]:
@@ -155,10 +168,10 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("gamma", "residual_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if _is_bool(value) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not callable(self.lambda_schedule):
-            _lambda_at(self.lambda_schedule, 0)
+            _first_lambda(self.lambda_schedule)
         for name in ("max_iter", "trace_every"):
             value = getattr(self, name)
             if not _is_integer(value) or value < 1:
@@ -307,12 +320,15 @@ def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=
     of G plus error b, z from the resolvent of F at the reflected point
     plus error a, then the relaxed update.  A function of its inputs, up
     to the rounding noted at :func:`~eqsplit.resolvents.resolve`.  The
-    inputs are validated once, here.
+    inputs are validated once, here: an error must be a vector of shape
+    (d,) with a finite norm, checked and reported as :func:`solve` checks
+    a schedule's error at iteration 0, and ``lambda_n`` a number in (0, 2)
+    that is not a bool.
     """
-    lam = _lambda_at(lambda_n, 0)
+    lam = _first_lambda(lambda_n)
     x_n = as_vector(x_n, _same_dimension(JF, JG))
-    a_n = None if a_n is None else as_vector(a_n, x_n.size)
-    b_n = None if b_n is None else as_vector(b_n, x_n.size)
+    a_n = None if a_n is None else _error_at(lambda n: a_n, 0, x_n.size)
+    b_n = None if b_n is None else _error_at(lambda n: b_n, 0, x_n.size)
     y = JG._apply(x_n)
     z = JF._apply(2.0 * y - x_n)
     return _relaxed_update(JF._apply, x_n, y, z, z - y, lam, a_n, b_n)[:3]
@@ -332,8 +348,9 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
 
 def _error_at(schedule, n: int, dim: int) -> np.ndarray:
     """The error ``schedule`` injects at step n, checked before it reaches a
-    resolvent: it must be a vector of shape (dim,) and finite norm, as
-    :func:`dr_step` requires of its errors; a scalar is not broadcast."""
+    resolvent: it must be a vector of shape (dim,) and finite norm; a
+    scalar is not broadcast.  :func:`dr_step` checks its errors here too,
+    as the errors of step 0."""
     e = np.asarray(schedule(n), dtype=float)
     if e.shape != (dim,):
         raise ValueError(f"error schedule at iteration {n} must give a vector of shape ({dim},), got shape {e.shape}")

@@ -29,6 +29,11 @@ from typing import Callable
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 #: Default absolute tolerance for membership tests.
 MEMBERSHIP_TOL = 1e-10
 
@@ -99,11 +104,18 @@ def _axis_values(a: np.ndarray, b: np.ndarray, w: np.ndarray, T: np.ndarray) -> 
 
 def soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Componentwise shrinkage sign(x) * max(|x| - t, 0), computed as x
-    minus x clipped to [-t, t].  A nonzero entry has the bits of the sign
-    form: x - t above t, and below -t x + t, the negated rounding of
-    |x| - t.  A zero entry is x - x = +0.0 wherever t_i > 0; where t_i = 0
-    the entry is x itself."""
-    return x - np.minimum(np.maximum(x, -t), t)
+    minus x clipped to [-t, t], the clip one call of numpy's clip ufunc,
+    which gives min(max(x, -t), t) with its bits.  A nonzero entry has the
+    bits of the sign form: x - t above t, and below -t x + t, the negated
+    rounding of |x| - t.  A zero entry is x - x = +0.0 wherever t_i > 0;
+    where t_i = 0 the entry is x itself.
+
+    A t that numpy broadcasts with stride 0, a scalar or a (d,) t against
+    rows of width d = 1, runs clip's loop for constant bounds, which breaks
+    a tie between zeros of opposite sign the other way: there a -0.0 entry
+    with t_i = 0 gives +0.0, where min of max gives x itself.  No other bit
+    differs."""
+    return x - _clip(x, -t, t)
 
 
 def _frozen_array(x, dim: int | None = None) -> np.ndarray:
@@ -113,13 +125,14 @@ def _frozen_array(x, dim: int | None = None) -> np.ndarray:
 
 
 def project_box(x, lo, hi) -> np.ndarray:
-    """Componentwise clamp of ``x`` onto the box [lo, hi]."""
+    """Componentwise clamp of ``x`` onto the box [lo, hi], min(max(x, lo),
+    hi) in one call of numpy's clip ufunc."""
     x = as_vector(x)
     lo = as_vector(lo, x.size)
     hi = as_vector(hi, x.size)
     if np.any(lo > hi):
         raise ValueError(f"empty box: lo={lo} exceeds hi={hi}")
-    return np.minimum(np.maximum(x, lo), hi)
+    return _clip(x, lo, hi)
 
 
 def project_simplex(x) -> np.ndarray:
@@ -210,10 +223,13 @@ class ConvexSet(ABC):
 
     def _project_rows(self, P: np.ndarray) -> np.ndarray:
         """The projection of every row of ``P``, a finite (n, d) float array,
-        unchecked, with the bits of ``_project`` on each row: one clamp when
-        the set has ``_bounds``, a row loop otherwise."""
+        unchecked, with the bits of ``_project`` on each row: one clip when
+        the set has ``_bounds``, a row loop otherwise.  At d = 1 the clip
+        runs its loop for constant bounds, and a zero entry against a zero
+        bound of the other sign keeps its own sign (see
+        :func:`soft_threshold`)."""
         if self._bounds is not None:
-            return np.minimum(np.maximum(P, self._bounds[0]), self._bounds[1])
+            return _clip(P, *self._bounds)
         return np.array([self._project(r) for r in P]).reshape(P.shape)
 
 
@@ -255,9 +271,10 @@ class WholeSpace(_BatchedMembership):
 
     def _l1_prox(self, t):
         """soft_threshold(v, t), bit for bit, as one closure over local
-        names that forms -t once: three ufunc calls per v."""
-        maximum, minimum, neg = np.maximum, np.minimum, -t
-        return lambda v: v - minimum(maximum(v, neg), t)
+        names that forms -t once: two ufunc calls per v, a clip and a
+        subtraction."""
+        clip, neg = _clip, -t
+        return lambda v: v - clip(v, neg, t)
 
 
 @dataclass(frozen=True)
@@ -280,7 +297,7 @@ class Box(_BatchedMembership):
         return self.lo.size
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(x, self.lo), self.hi)
+        return _clip(x, self.lo, self.hi)
 
     def contains_batch(self, P, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         P = as_points(P, self.dimension)
@@ -295,22 +312,22 @@ class Box(_BatchedMembership):
         lo, hi = self.lo, self.hi
         soft = soft_threshold(-b, w)
         run = np.where(soft > 0.0, hi, np.where(soft < 0.0, lo, 0.0))
-        T = np.minimum(np.maximum(np.divide(soft, a, out=run, where=a > 0.0), lo), hi)
+        T = _clip(np.divide(soft, a, out=run, where=a > 0.0), lo, hi)
         concave = a < 0.0
         if concave.any():
             ends = np.broadcast_to(lo, T.shape)
-            for c in (hi, np.minimum(np.maximum(0.0, lo), hi)):
+            for c in (hi, _clip(0.0, lo, hi)):
                 ends = np.where(_axis_values(a, b, w, c) < _axis_values(a, b, w, ends), c, ends)
             T = np.where(concave, ends, T)
         return T
 
     def _l1_prox(self, t):
         """The objective separates: ``_project(soft_threshold(v, t))``, bit
-        for bit, as one closure over local names that forms -t once: five
-        ufunc calls per v."""
-        maximum, minimum, neg = np.maximum, np.minimum, -t
+        for bit, as one closure over local names that forms -t once: three
+        ufunc calls per v, two clips and a subtraction."""
+        clip, neg = _clip, -t
         lo, hi = self.lo, self.hi
-        return lambda v: minimum(maximum(v - minimum(maximum(v, neg), t), lo), hi)
+        return lambda v: clip(v - clip(v, neg, t), lo, hi)
 
 
 @dataclass(frozen=True)

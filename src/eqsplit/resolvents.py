@@ -56,11 +56,14 @@ last pattern it met, which along a solve rarely changes, and keeps the
 factor of every pattern it meets, up to ``KEPT_PATTERNS`` of them, so a
 repeated solve inverts nothing.  A pattern's map also gives the KKT
 multipliers of the bound coordinates, so a call whose pattern holds is one
-matrix-vector product and a strict sign test.  The answer satisfies the KKT sign
-conditions of the box problem, which certify it exactly, so no sampled
-check is made.  A non-monotone M can make the pivoting cycle or meet a
-singular block; the call then raises :class:`ConvergenceFailure` instead
-of returning a point.
+matrix-vector product and a sign test in three numpy calls: each free
+coordinate within its bounds and each multiplier <= 0, read as "clip
+leaves the product unchanged".  The same test follows each flip onto a
+pattern that has held before a full pivoting pass is run.  The answer
+satisfies the KKT sign conditions of the box problem, which certify it
+exactly, so no sampled check is made.  A non-monotone M can make the
+pivoting cycle or meet a singular block; the call then raises
+:class:`ConvergenceFailure` instead of returning a point.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .bifunctions import Bifunction
-from .hilbert import as_vector, norm, soft_threshold  # noqa: F401 (re-exported)
+from .hilbert import _clip, as_vector, norm, soft_threshold  # noqa: F401 (re-exported)
 
 CLOSED_FORM_PROJECTION = "closed-form-projection"
 CLOSED_FORM_LINEAR_SOLVE = "closed-form-linear-solve"
@@ -347,22 +350,27 @@ def _box_linear_resolvent(
     the bound rows of its map are replaced by the signed multipliers
     sign_i w_i (:func:`_sign_rows`, formed from the free block alone), so
     one product v = P b + p gives z_F and those multipliers.  A call on
-    such a pattern accepts when every free v_i lies strictly inside
-    (lo_i, hi_i) and every signed multiplier is strictly negative (pinned
-    coordinates, lo == hi, have none to meet): it returns z from that one
-    matrix-vector product, with no tolerance and no pivoting pass.  The
-    test is one ``np.logical_and.reduce``, and z is v, the call's own
+    such a pattern accepts when every free v_i lies within [lo_i, hi_i]
+    and every signed multiplier is <= 0 (pinned coordinates, lo == hi,
+    have none to meet): it returns z from that one matrix-vector product,
+    with no tolerance and no pivoting pass.  The test is three numpy
+    calls, ``all_of(clip(v, lo_v, hi_v) == v)`` with the pattern's
+    interval [lo_v, hi_v] (a NaN rejects), and z is v, the call's own
     array, with m put in its bound rows.  Otherwise, and on a pattern
     that has not held yet, it runs the passes above, the first of them on
-    the same z_F.  A pattern that pivoting only passes through costs its
-    inverse, once while it stays kept, and no bound rows.
+    the same z_F.  After each flip onto a pattern that has held, the same
+    test runs on that pattern's product before a full pass, and returns
+    z when it accepts.  A pattern that pivoting only passes through costs
+    its inverse, once while it stays kept, and no bound rows.
 
-    The strict test gives the first pass's bits wherever it accepts, and
-    where it rejects the first pass runs.  It can accept where that pass
-    would not only when the two roundings of a multiplier, sign_i w_i
-    against the row of P, differ by more than the pass's tolerance
-    1e-12 (1 + max |bound| + max |b|); only then does the output depend on
-    whether the pattern's bound rows were formed.
+    The test gives the bits of the full pass on the same pattern wherever
+    it accepts: a coordinate exactly on its bound, or a multiplier exactly
+    0, meets the KKT conditions with equality, and the pass accepts it too,
+    its tolerance being >= 0; where the test rejects, the pass runs.  It
+    can accept where that pass would not only when the two roundings of a
+    multiplier, sign_i w_i against the row of P, differ by more than the
+    pass's tolerance 1e-12 (1 + max |bound| + max |b|); only then does the
+    output depend on whether the pattern's bound rows were formed.
 
     The kept pattern is read only when sym(A) is positive definite: then
     the problem has one solution and any pattern leads to it.  Otherwise
@@ -382,7 +390,7 @@ def _box_linear_resolvent(
     pinned = lo == hi
     bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
     max_pivots = 10 * d + 50
-    all_of, putmask = np.logical_and.reduce, np.putmask
+    all_of, putmask, clip = np.logical_and.reduce, np.putmask, _clip
     try:
         np.linalg.cholesky(A + A.T)
         warm = True
@@ -412,10 +420,10 @@ def _box_linear_resolvent(
         """(side, bound, P, p, m, sign, lo_v, hi_v) of a pattern, the kept
         entry when there is one: v = P b + p, z = v with m on the bound
         rows, the sign of w that makes each bound coordinate infeasible (0
-        where free or pinned), and the open interval (lo_v, hi_v) that holds
-        v when the pattern certifies itself.  A new entry has no bound rows
-        yet (P = L, p = m, and lo_v = hi_v = None).  Raises LinAlgError on a
-        singular block, which is never kept."""
+        where free or pinned), and the closed interval [lo_v, hi_v] that
+        holds v when the pattern certifies itself.  A new entry has no
+        bound rows yet (P = L, p = m, and lo_v = hi_v = None).  Raises
+        LinAlgError on a singular block, which is never kept."""
         entry = state[1].get(side.tobytes())
         if entry is None:
             free = side == 0
@@ -461,7 +469,7 @@ def _box_linear_resolvent(
             infeasible = (z < lo_tol) | (z > hi_tol) | (sign * w > tol)
             count = int(np.count_nonzero(infeasible))
             if count == 0:
-                return np.minimum(np.maximum(z, lo), hi), passes
+                return clip(z, lo, hi), passes
             if count < best:
                 best, patience = count, BLOCK_PIVOT_PATIENCE
             elif patience > 0:
@@ -476,14 +484,20 @@ def _box_linear_resolvent(
             except np.linalg.LinAlgError:
                 reason = f"singular block at pivoting pass {passes}"
                 break
-            z = entry[2].dot(b) + entry[3]
+            _, bound, P, p, m, _, lo_v, hi_v = entry
+            z = P.dot(b) + p
+            if lo_v is not None and all_of(clip(z, lo_v, hi_v) == z):
+                # a flip onto a pattern that has held: the product certifies
+                # it, as at the start of a call, with no second pass
+                putmask(z, bound, m)
+                return z, passes + 1
         else:
             reason = f"no solution within {max_pivots} pivoting passes"
-        z = np.minimum(np.maximum(b, lo), hi)
+        z = clip(b, lo, hi)
         raise ConvergenceFailure(
             f"box resolvent at gamma = {gamma}: {reason}; the operator is not monotone",
             iterate=z,
-            residual=norm(z - np.minimum(np.maximum(z - (A @ z - b), lo), hi)),
+            residual=norm(z - clip(z - (A @ z - b), lo, hi)),
             iterations=passes,
         )
 
@@ -502,7 +516,7 @@ def _box_linear_resolvent(
             if passes == 1:
                 with_sign_rows(entry)
             return z
-        if all_of((lo_v < v) & (v < hi_v)):
+        if all_of(clip(v, lo_v, hi_v) == v):
             putmask(v, bound, m)
             return v
         return pivot(b, entry, v)[0]
@@ -614,7 +628,7 @@ def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     and free that the kept map met, which saves passes when x is near the
     earlier input.  The answer is a function of x, up to the rounding of
     box pivoting's KKT multipliers: a pattern with its bound rows formed
-    accepts by a strict sign test, without the pivoting tolerance, so two
+    accepts by a sign test without the pivoting tolerance, so two
     roundings of a multiplier that differ by more than that tolerance could
     change the answer.  For a monotone operator the answer does not depend
     on the kept pattern beyond the 1e-12 pivoting tolerance.

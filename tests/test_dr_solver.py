@@ -470,11 +470,11 @@ def test_nan_error_schedule_raises_value_error(kind):
 def test_solve_and_dr_step_reject_an_error_of_the_wrong_shape(error):
     # at d = 2 an injected error must be a (2,) vector: solve names the
     # iteration and the shape instead of broadcasting a scalar or a
-    # length-1 vector, and dr_step calls it a dimension mismatch
+    # length-1 vector, and dr_step reports it as the error of iteration 0
     inst = get_problem("skew-saddle")
     JF, JG = ResolventOracle(1.0, inst.F), ResolventOracle(1.0, inst.G)
     for side in ("a_n", "b_n"):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match=r"iteration 0 must give a vector of shape \(2,\), got shape"):
             dr_step(inst.default_x0, JF, JG, 1.0, **{side: error})
 
     def schedule(n):
@@ -484,6 +484,20 @@ def test_solve_and_dr_step_reject_an_error_of_the_wrong_shape(error):
         cfg = SolverConfig(residual_tol=1e-300, max_iter=50, **{side: schedule for side in sides})
         with pytest.raises(ValueError, match=r"iteration 2 must give a vector of shape \(2,\), got shape"):
             solve(inst.F, inst.G, inst.default_x0, cfg)
+
+
+def test_dr_step_rejects_a_scalar_error_at_d_1_as_solve_does():
+    # at d = 1 a scalar would pass as a (1,) vector through as_vector;
+    # dr_step checks its errors as solve checks a schedule's
+    inst = get_problem("quadratic-1d")
+    JF, JG = ResolventOracle(1.0, inst.F), ResolventOracle(1.0, inst.G)
+    for side in ("a_n", "b_n"):
+        with pytest.raises(ValueError, match=r"iteration 0 must give a vector of shape \(1,\), got shape \(\)"):
+            dr_step(inst.default_x0, JF, JG, 1.0, **{side: 0.5})
+        dr_step(inst.default_x0, JF, JG, 1.0, **{side: [0.5]})
+    cfg = SolverConfig(residual_tol=1e-300, max_iter=5, error_schedule_a=lambda n: 0.5)
+    with pytest.raises(ValueError, match=r"iteration 0 must give a vector of shape \(1,\), got shape \(\)"):
+        solve(inst.F, inst.G, inst.default_x0, cfg)
 
 
 def test_nan_from_a_generic_oracle_raises_value_error():
@@ -934,10 +948,21 @@ def test_a_shared_schedule_is_called_once_per_iteration():
                                  {"gamma": np.nan}, {"gamma": np.inf},
                                  {"residual_tol": np.nan}, {"residual_tol": np.inf},
                                  {"max_iter": 2.5}, {"trace_every": 1.5},
-                                 {"max_iter": True}, {"trace_every": True}, {"seed": True}, {"seed": False}])
+                                 {"max_iter": True}, {"trace_every": True}, {"seed": True}, {"seed": False},
+                                 {"gamma": True}, {"gamma": np.True_}, {"residual_tol": True}])
 def test_config_rejects_a_bad_setting(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False])
+def test_a_bool_relaxation_is_rejected(flag):
+    # float(True) is 1.0, a valid lambda: a bool constant is refused, not read
+    with pytest.raises(ValueError, match="bool"):
+        SolverConfig(lambda_schedule=flag)
+    J = ResolventOracle(1.0, zero_bifunction(WholeSpace(1)))
+    with pytest.raises(ValueError, match="bool"):
+        dr_step([0.0], J, J, flag)
 
 
 def test_config_accepts_a_numpy_integer_seed():

@@ -7,6 +7,7 @@ from eqsplit.hilbert import (
     AffineSubspace,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     IntersectionSet,
     Simplex,
@@ -324,3 +325,91 @@ def test_shrinkage_on_edge_inputs_has_the_values_of_the_sign_form():
         np.testing.assert_array_equal(WholeSpace(d)._l1_prox(t)(x), sign_form)
         np.testing.assert_array_equal(box._l1_prox(t)(x), np.minimum(np.maximum(sign_form, lo), hi))
         np.testing.assert_array_equal(ball._l1_prox(t)(x), ball._project(sign_form))
+
+
+def _clamp_ref(x, lo, hi):
+    """The clamp before numpy's clip ufunc took it: min(max(x, lo), hi)."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _axis_min_ref(C, a, b, w):
+    """``Box._axis_min`` in the min-of-max expressions it had before."""
+    lo, hi = C.lo, C.hi
+    x = -b
+    soft = x - _clamp_ref(x, -w, w)
+    run = np.where(soft > 0.0, hi, np.where(soft < 0.0, lo, 0.0))
+    T = _clamp_ref(np.divide(soft, a, out=run, where=a > 0.0), lo, hi)
+    concave = a < 0.0
+    if concave.any():
+        value = lambda t: 0.5 * a * t * t + b * t + w * np.abs(t)  # noqa: E731
+        ends = np.broadcast_to(lo, T.shape)
+        for c in (hi, _clamp_ref(0.0, lo, hi)):
+            ends = np.where(value(c) < value(ends), c, ends)
+        T = np.where(concave, ends, T)
+    return T
+
+
+def _signed_edges(rng, d, picks):
+    """A seeded (d,) array whose entries are drawn from ``picks`` and from
+    normals, so that every kind of entry shows at any d."""
+    x = 2.0 * rng.normal(size=d)
+    at = rng.random(d) < 0.7
+    x[at] = rng.choice(np.array(picks), size=at.sum())
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40])
+def test_clip_clamps_have_the_bits_of_min_of_max(d):
+    # every clamp is one call of numpy's clip ufunc; each closure and
+    # kernel must give, byte for byte, min(max(x, lo), hi) as it did, on
+    # +-0.0 entries, thresholds t_i = 0, pinned box sides (lo_i == hi_i,
+    # at +0.0, at -0.0 and 0.0, and away from 0) and entries exactly on a
+    # bound or a threshold
+    rng = np.random.default_rng(900 + d)
+    for _ in range(40):
+        t = np.abs(_signed_edges(rng, d, [0.0, -0.0, 0.5]))
+        t[rng.random(d) < 0.3] = 0.0
+        lo = _signed_edges(rng, d, [-1.0, 0.0, -0.0, 0.25])
+        hi = np.maximum(lo, _signed_edges(rng, d, [1.0, 0.0, 0.25]))
+        pin = rng.random(d) < 0.3
+        hi[pin] = lo[pin]
+        zeros = rng.random(d) < 0.2
+        lo[zeros], hi[zeros] = -0.0, 0.0
+        box = Box(lo, hi)
+        x = _signed_edges(rng, d, [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, -0.25])
+        shrunk = x - _clamp_ref(x, -t, t)
+        assert soft_threshold(x, t).tobytes() == shrunk.tobytes()
+        assert WholeSpace(d)._l1_prox(t)(x).tobytes() == shrunk.tobytes()
+        assert box._l1_prox(t)(x).tobytes() == _clamp_ref(shrunk, lo, hi).tobytes()
+        assert box._project(x).tobytes() == _clamp_ref(x, lo, hi).tobytes()
+        assert project_box(x, lo, hi).tobytes() == _clamp_ref(x, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_batched_clip_clamps_match_min_of_max(d):
+    # the row forms, _project_rows and _axis_min, clip a batch against (d,)
+    # bounds.  At d >= 2 they keep every bit; at d = 1 numpy runs clip's
+    # loop for a constant bound, where only the sign of a zero entry
+    # against a zero bound may differ, and the axis values the exact gap
+    # sums from those entries keep every bit.  The whole space's infinite
+    # bounds leave every row as it is
+    rng = np.random.default_rng(950 + d)
+    lo = _signed_edges(rng, d, [-1.0, 0.0, 0.25])
+    hi = np.maximum(lo, _signed_edges(rng, d, [1.0, 0.0, 0.25]))
+    box = Box(lo, hi)
+    P = np.array([_signed_edges(rng, d, [0.0, -0.0, 1.0, -1.0, 0.25]) for _ in range(30)])
+    a = _signed_edges(rng, d, [1.0, 0.0, -1.0, 2.0])
+    w = np.abs(_signed_edges(rng, d, [0.0, 0.5]))
+    b = np.array([_signed_edges(rng, d, [0.0, -0.0, 0.5, -0.5, 2.0]) for _ in range(30)])
+    rows, T = box._project_rows(P), box._axis_min(a, b, w)
+    rows_ref, T_ref = _clamp_ref(P, lo, hi), _axis_min_ref(box, a, b, w)
+    np.testing.assert_array_equal(rows, rows_ref)
+    np.testing.assert_array_equal(T, T_ref)
+    if d > 1:
+        assert rows.tobytes() == rows_ref.tobytes()
+        assert T.tobytes() == T_ref.tobytes()
+    value = lambda t: 0.5 * a * t * t + b * t + w * np.abs(t)  # noqa: E731
+    assert value(T).tobytes() == value(T_ref).tobytes()
+    whole = WholeSpace(d)
+    assert ConvexSet._project_rows(whole, P).tobytes() == P.tobytes()
+    assert ConvexSet._project_rows(whole, P).tobytes() == _clamp_ref(P, *whole._bounds).tobytes()

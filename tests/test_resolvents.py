@@ -990,6 +990,80 @@ def test_box_map_matches_the_public_rule_bit_for_bit(d):
         assert steps_onto_bound > 0
 
 
+def _counted_passes(monkeypatch, fn, *args):
+    """fn(*args) and the box pivoting passes it ran, one np.count_nonzero
+    call each, as tools/count_work.py counts them."""
+    real_count, passes = np.count_nonzero, []
+    monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or real_count(a))
+    try:
+        return fn(*args), len(passes)
+    finally:
+        monkeypatch.setattr(np, "count_nonzero", real_count)
+
+
+def test_a_held_pattern_accepts_equality_in_one_product(monkeypatch):
+    # A = 2 I, so every product is exact.  The pattern (at hi, free, free)
+    # holds for x = (3, 2, 0.5) with coordinate 1 free exactly on hi, and
+    # for x = (2, 2, 0.5) also with coordinate 0's multiplier exactly 0;
+    # both meet the KKT conditions with equality, and once the pattern has
+    # its bound rows the one-product test accepts them with no pass.  A
+    # flip onto a held pattern is accepted by the same test, so x = (0.5,
+    # 0.5, 0.5) after that pattern costs one pass, not two
+    d, gamma = 3, 1.0
+    lo, hi = -np.ones(d), np.ones(d)
+
+    def oracle():
+        return ResolventOracle(gamma, operator_bifunction(Box(lo, hi), np.eye(d), np.zeros(d)))
+
+    o = oracle()
+    inside, edge, zero = np.full(d, 0.5), np.array([3.0, 2.0, 0.5]), np.array([2.0, 2.0, 0.5])
+    # the all-free pattern holds, then gets its bound rows; the flip to
+    # (hi, free, free) holds in its second pass, and then gets its own
+    for x, passes in ((inside, 1), (inside, 0), (edge, 2), (edge, 1)):
+        assert _counted_passes(monkeypatch, resolve, o, x)[1] == passes
+    for x in (edge, zero):
+        z, passes = _counted_passes(monkeypatch, resolve, o, x)
+        assert passes == 0
+        np.testing.assert_array_equal(z, [1.0, 1.0, 0.25])
+        assert z.tobytes() == resolve(oracle(), x).tobytes()
+        # KKT signs with equality: w = A z - b is 0 on free coordinates and
+        # <= 0 at hi, here 0 exactly for x = zero
+        w = 2.0 * z - x
+        assert w[1] == w[2] == 0.0 and w[0] == (0.0 if x[0] == 2.0 else -1.0)
+    z, passes = _counted_passes(monkeypatch, resolve, o, inside)
+    assert passes == 1
+    assert z.tobytes() == resolve(oracle(), inside).tobytes() == (0.5 * inside).tobytes()
+
+
+def test_a_repeated_box_solve_pivots_less_with_a_fresh_closures_bits(monkeypatch):
+    # a second solve on the same bifunctions starts from the patterns its
+    # first solve kept, held or not; it runs fewer pivoting passes and its
+    # output keeps the bits of the same solve on fresh bifunctions
+    d = 20
+    M, c, rng = _box_vi(d, 77)
+    C = Box(-np.ones(d), np.ones(d))
+    w = rng.uniform(0.05, 0.5, size=d)
+
+    def forms():
+        return operator_bifunction(C, M, c), function_difference(C, WeightedL1(w))
+
+    x0 = rng.normal(size=d)
+    cfg = SolverConfig(gamma=0.5)
+    F, G = forms()
+    first, cold = _counted_passes(monkeypatch, solve, F, G, x0, cfg)
+    again, warm = _counted_passes(monkeypatch, solve, F, G, x0, cfg)
+    fresh = solve(*forms(), x0, cfg)
+    assert first.status == again.status == fresh.status == CONVERGED
+    assert 0 < warm < cold
+    for res in (first, again):
+        assert res.iterations == fresh.iterations
+        for name in ("x_star", "y_star"):
+            assert getattr(res, name).tobytes() == getattr(fresh, name).tobytes()
+        for name in ("x", "y"):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(getattr(res.trace, name), getattr(fresh.trace, name)))
+        assert res.trace.residual_dr == fresh.trace.residual_dr
+
+
 
 def _edge_inputs(rng, lo, hi, t):
     """Random inputs, and inputs whose entries take, in turn, +0.0, -0.0, a
