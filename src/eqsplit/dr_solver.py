@@ -321,7 +321,7 @@ def dr_step(x_n, JF: ResolventOracle, JG: ResolventOracle, lambda_n: float, a_n=
     plus error a, then the relaxed update.  A function of its inputs, up
     to the rounding noted at :func:`~eqsplit.resolvents.resolve`.  The
     inputs are validated once, here: an error must be a vector of shape
-    (d,) with a finite norm, checked and reported as :func:`solve` checks
+    (d,) with finite entries, checked and reported as :func:`solve` checks
     a schedule's error at iteration 0, and ``lambda_n`` a number in (0, 2)
     that is not a bool.
     """
@@ -348,13 +348,15 @@ def residual_dr(x, JF: ResolventOracle, JG: ResolventOracle) -> float:
 
 def _error_at(schedule, n: int, dim: int) -> np.ndarray:
     """The error ``schedule`` injects at step n, checked before it reaches a
-    resolvent: it must be a vector of shape (dim,) and finite norm; a
+    resolvent: it must be a vector of shape (dim,) with finite entries; a
     scalar is not broadcast.  :func:`dr_step` checks its errors here too,
-    as the errors of step 0."""
+    as the errors of step 0.  Finiteness is read entrywise, as the bytes of
+    ``np.isfinite(e)`` against all True, so a finite vector whose squared
+    norm overflows (entries near 1e200) passes with no warning."""
     e = np.asarray(schedule(n), dtype=float)
     if e.shape != (dim,):
         raise ValueError(f"error schedule at iteration {n} must give a vector of shape ({dim},), got shape {e.shape}")
-    if not math.isfinite(e.dot(e)):
+    if np.isfinite(e).tobytes() != b"\x01" * dim:
         raise ValueError(f"error schedule at iteration {n} must give a finite vector, got {e!r}")
     return e
 

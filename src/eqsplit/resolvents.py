@@ -56,14 +56,14 @@ last pattern it met, which along a solve rarely changes, and keeps the
 factor of every pattern it meets, up to ``KEPT_PATTERNS`` of them, so a
 repeated solve inverts nothing.  A pattern's map also gives the KKT
 multipliers of the bound coordinates, so a call whose pattern holds is one
-matrix-vector product and a sign test in three numpy calls: each free
-coordinate within its bounds and each multiplier <= 0, read as "clip
-leaves the product unchanged".  The same test follows each flip onto a
-pattern that has held before a full pivoting pass is run.  The answer
-satisfies the KKT sign conditions of the box problem, which certify it
-exactly, so no sampled check is made.  A non-monotone M can make the
-pivoting cycle or meet a singular block; the call then raises
-:class:`ConvergenceFailure` instead of returning a point.
+matrix-vector product and a sign test: each free coordinate within its
+bounds and each multiplier <= 0, read as "clip leaves the bytes of the
+product unchanged", one clip and one comparison of two byte strings.  The
+same test follows each flip onto a pattern that has held before a full
+pivoting pass is run.  The answer satisfies the KKT sign conditions of the
+box problem, which certify it exactly, so no sampled check is made.  A
+non-monotone M can make the pivoting cycle or meet a singular block; the
+call then raises :class:`ConvergenceFailure` instead of returning a point.
 """
 
 from __future__ import annotations
@@ -353,15 +353,26 @@ def _box_linear_resolvent(
     such a pattern accepts when every free v_i lies within [lo_i, hi_i]
     and every signed multiplier is <= 0 (pinned coordinates, lo == hi,
     have none to meet): it returns z from that one matrix-vector product,
-    with no tolerance and no pivoting pass.  The test is three numpy
-    calls, ``all_of(clip(v, lo_v, hi_v) == v)`` with the pattern's
-    interval [lo_v, hi_v] (a NaN rejects), and z is v, the call's own
-    array, with m put in its bound rows.  Otherwise, and on a pattern
-    that has not held yet, it runs the passes above, the first of them on
-    the same z_F.  After each flip onto a pattern that has held, the same
-    test runs on that pattern's product before a full pass, and returns
-    z when it accepts.  A pattern that pivoting only passes through costs
-    its inverse, once while it stays kept, and no bound rows.
+    with no tolerance and no pivoting pass.  The test is one byte
+    comparison, ``clip(v, lo_v, hi_v).tobytes() == v.tobytes()`` with the
+    pattern's interval [lo_v, hi_v], and z is v, the call's own array,
+    with m put in its bound rows.  Otherwise, and on a pattern that has
+    not held yet, it runs the passes above, the first of them on the same
+    z_F.  After each flip onto a pattern that has held, the same test runs
+    on that pattern's product before a full pass, and returns z when it
+    accepts.  A pattern that pivoting only passes through costs its
+    inverse, once while it stays kept, and no bound rows.
+
+    On finite values the byte test accepts what "every v_i within
+    [lo_v_i, hi_v_i]" accepts, save a zero against a bound that is the
+    zero of the other sign (a multiplier of -0.0 against its bound +0.0,
+    say): clip returns the bound's zero, so the test rejects, and the
+    pass that follows accepts the same point, with the bits a pass gives
+    it.  A NaN
+    in v passes the test, where an elementwise test would reject it; the
+    pass it would run returns that NaN too, every comparison of its
+    infeasibility test being False, so the answer is non-finite either
+    way and the solver's residual check raises on it.
 
     The test gives the bits of the full pass on the same pattern wherever
     it accepts: a coordinate exactly on its bound, or a multiplier exactly
@@ -390,7 +401,7 @@ def _box_linear_resolvent(
     pinned = lo == hi
     bound_scale = 1.0 + max(np.abs(lo).max(), np.abs(hi).max())
     max_pivots = 10 * d + 50
-    all_of, putmask, clip = np.logical_and.reduce, np.putmask, _clip
+    putmask, clip = np.putmask, _clip
     try:
         np.linalg.cholesky(A + A.T)
         warm = True
@@ -486,7 +497,7 @@ def _box_linear_resolvent(
                 break
             _, bound, P, p, m, _, lo_v, hi_v = entry
             z = P.dot(b) + p
-            if lo_v is not None and all_of(clip(z, lo_v, hi_v) == z):
+            if lo_v is not None and clip(z, lo_v, hi_v).tobytes() == z.tobytes():
                 # a flip onto a pattern that has held: the product certifies
                 # it, as at the start of a call, with no second pass
                 putmask(z, bound, m)
@@ -516,7 +527,7 @@ def _box_linear_resolvent(
             if passes == 1:
                 with_sign_rows(entry)
             return z
-        if all_of(clip(v, lo_v, hi_v) == v):
+        if clip(v, lo_v, hi_v).tobytes() == v.tobytes():
             putmask(v, bound, m)
             return v
         return pivot(b, entry, v)[0]
@@ -630,8 +641,12 @@ def resolve(oracle: ResolventOracle, x) -> np.ndarray:
     box pivoting's KKT multipliers: a pattern with its bound rows formed
     accepts by a sign test without the pivoting tolerance, so two
     roundings of a multiplier that differ by more than that tolerance could
-    change the answer.  For a monotone operator the answer does not depend
-    on the kept pattern beyond the 1e-12 pivoting tolerance.
+    change the answer.  The test compares the bytes of the product with
+    those of its clip: a zero against a bound's zero of the other sign
+    runs a pivoting pass, which returns the same bits, and a NaN passes
+    and is returned, as that pass would return it.  For a monotone
+    operator the answer does not depend on the kept pattern beyond the
+    1e-12 pivoting tolerance.
     """
     return oracle._apply(as_vector(x, oracle.dimension))
 

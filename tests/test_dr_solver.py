@@ -1,5 +1,6 @@
 """The relaxed splitting iteration: steps, schedules, traces, and solves."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -498,6 +499,26 @@ def test_dr_step_rejects_a_scalar_error_at_d_1_as_solve_does():
     cfg = SolverConfig(residual_tol=1e-300, max_iter=5, error_schedule_a=lambda n: 0.5)
     with pytest.raises(ValueError, match=r"iteration 0 must give a vector of shape \(1,\), got shape \(\)"):
         solve(inst.F, inst.G, inst.default_x0, cfg)
+
+
+def test_an_error_is_checked_finite_entrywise():
+    # an error with an entry near 1e200 is finite though its squared norm
+    # overflows: dr_step takes it with no warning and returns finite
+    # values, while inf and NaN entries keep the message of solve's check
+    inst = get_problem("skew-saddle")
+    JF, JG = ResolventOracle(1.0, inst.F), ResolventOracle(1.0, inst.G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in ("a_n", "b_n"):
+            out = dr_step(inst.default_x0, JF, JG, 1.0, **{side: np.array([1e200, 0.0])})
+            assert all(np.isfinite(v).all() for v in out)
+    for value in (np.inf, -np.inf, np.nan):
+        for side in ("a_n", "b_n"):
+            with pytest.raises(ValueError, match=r"iteration 0 must give a finite vector, got array"):
+                dr_step(inst.default_x0, JF, JG, 1.0, **{side: np.array([0.0, value])})
+        cfg = SolverConfig(residual_tol=1e-300, max_iter=50, error_schedule_a=_bad_at(2, 2, value))
+        with pytest.raises(ValueError, match=r"iteration 2 must give a finite vector, got array"):
+            solve(inst.F, inst.G, inst.default_x0, cfg)
 
 
 def test_nan_from_a_generic_oracle_raises_value_error():

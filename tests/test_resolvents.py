@@ -30,6 +30,7 @@ from eqsplit.hilbert import (
     IntersectionSet,
     Simplex,
     WholeSpace,
+    _clip,
     norm,
     sample_points,
 )
@@ -1033,6 +1034,116 @@ def test_a_held_pattern_accepts_equality_in_one_product(monkeypatch):
     z, passes = _counted_passes(monkeypatch, resolve, o, inside)
     assert passes == 1
     assert z.tobytes() == resolve(oracle(), inside).tobytes() == (0.5 * inside).tobytes()
+
+
+def _assert_box_kkt(A, b, lo, hi, z):
+    """z lies in [lo, hi] and w = A z - b meets the KKT signs of the box
+    problem: 0 where free, >= 0 at lo, <= 0 at hi, none where pinned."""
+    tol = 1e-9 * (1.0 + np.abs(b).max())
+    w = A @ z - b
+    assert np.all((lo <= z) & (z <= hi))
+    assert np.all(np.abs(w[(lo < z) & (z < hi)]) <= tol)
+    assert np.all(w[(z == lo) & (lo < hi)] >= -tol)
+    assert np.all(w[(z == hi) & (lo < hi)] <= tol)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("d", [2, 5, 20, 50])
+def test_the_held_pattern_test_on_bounds_and_zero_multipliers(d, gamma, monkeypatch):
+    # The last coordinate k is decoupled (row and column k of M are 0 off
+    # the diagonal, c_k = 0) over [0, 1], so its multiplier at lo is b_k
+    # and its free value the same product on every pattern; every third
+    # other coordinate is pinned.  A held pattern's test compares the bytes
+    # of v with those of v clipped to the pattern's interval:
+    # * a multiplier of +0.0 is accepted with no pass;
+    # * one of -0.0 against its bound +0.0 clips to +0.0 and is rejected,
+    #   and the pass that follows accepts it: one pass.  A BLAS whose
+    #   sums start from +0.0 (OpenBLAS, say) gives +0.0 even for
+    #   x_k = -0.0, so the case is also forced by turning that +0.0 into
+    #   -0.0 before the test;
+    # * v_k exactly on hi_k or lo_k is accepted with no pass;
+    # * a NaN passes the test and returns what the pass route returns.
+    # Each answer meets the KKT signs and has the bits of a fresh closure
+    # led onto the same pattern: at a multiplier exactly 0 the coordinate
+    # may be free or bound, and the two patterns differ in their last bits
+    M, c, rng = _box_vi(d, 600 + d)
+    k = d - 1
+    M[k, :k] = M[:k, k] = 0.0
+    c[k] = 0.0
+    lo, hi = -np.ones(d), np.ones(d)
+    lo[k] = 0.0
+    lo[1:k:3] = hi[1:k:3] = rng.uniform(-0.5, 0.5, size=lo[1:k:3].size)
+    A = np.eye(d) + gamma * M
+    negative_zero = []
+
+    def clip(v, lo_v, hi_v):
+        # only the held-pattern test of a pattern with k at lo clips to 0.0
+        if negative_zero and hi_v[k] == 0.0 == v[k]:
+            v[k] = -0.0
+            negative_zero.append(1)
+        return _clip(v, lo_v, hi_v)
+
+    monkeypatch.setattr("eqsplit.resolvents._clip", clip)
+
+    def fresh(box):
+        return resolvent_map(ResolventOracle(gamma, operator_bifunction(box, M, c)))
+
+    def held(apply, x):
+        """apply(x) after two calls that hold its pattern and form its
+        bound rows; the third must run no pass."""
+        apply(x)
+        apply(x)
+        z, passes = _counted_passes(monkeypatch, apply, x)
+        assert passes == 0
+        return z
+
+    C = Box(lo, hi)
+    apply = fresh(C)
+    for x in _dr_like(rng, d, 6):
+        at_lo = x.copy()
+        at_lo[k] = -0.5
+        z = held(apply, at_lo)
+        assert z[k] == 0.0 and not np.signbit(z[k])
+        np.testing.assert_array_equal(z[1:k:3], lo[1:k:3])
+        _assert_box_kkt(A, at_lo - gamma * c, lo, hi, z)
+        for x_k, most, forced in ((0.0, 0, False), (-0.0, 1, False), (-0.0, 1, True)):
+            led = fresh(C)
+            assert led(at_lo).tobytes() == z.tobytes()
+            zero = at_lo.copy()
+            zero[k] = x_k
+            if forced:
+                negative_zero.append(0)
+            got, passes = _counted_passes(monkeypatch, apply, zero)
+            if forced:
+                assert len(negative_zero) == 2
+                negative_zero.clear()
+                assert passes == 1
+                assert held(apply, at_lo).tobytes() == z.tobytes()
+            assert passes <= most
+            assert got.tobytes() == led(zero).tobytes()
+            assert got[k] == 0.0 and not np.signbit(got[k])
+            _assert_box_kkt(A, zero - gamma * c, lo, hi, got)
+
+    # v_k exactly on a bound: hi_k, then lo_k, moved onto its free value
+    inside = at_lo.copy()
+    inside[k] = 0.5
+    z = apply(inside)
+    assert lo[k] < z[k] < hi[k]
+    for onto in (hi, lo):
+        lo_b, hi_b = lo.copy(), hi.copy()
+        (hi_b if onto is hi else lo_b)[k] = z[k]
+        on_bound = held(fresh(Box(lo_b, hi_b)), inside)
+        assert on_bound.tobytes() == z.tobytes()
+        _assert_box_kkt(A, inside - gamma * c, lo_b, hi_b, on_bound)
+
+    # a NaN passes the test; the pass route returns the same NaN rows
+    nan = inside.copy()
+    nan[0] = np.nan
+    led = fresh(C)
+    led(inside)
+    got = apply(nan)
+    assert np.isnan(got).any()
+    assert got.tobytes() == led(nan).tobytes()
 
 
 def test_a_repeated_box_solve_pivots_less_with_a_fresh_closures_bits(monkeypatch):
